@@ -4,21 +4,10 @@ gmpy2.mpq is used when available (C-backed, much faster for the operator
 algebra); fractions.Fraction otherwise.  Both interoperate with ints and
 print as "p/q", so everything downstream is agnostic.
 """
-from fractions import Fraction
-
 try:
     from gmpy2 import mpq as RAT
-
-    _RAT_TYPES = None  # filled below
-
-    def is_rational(x):
-        return isinstance(x, (int, type(RAT(0)), Fraction))
-
 except ImportError:  # pragma: no cover - exercised only without gmpy2
-    RAT = Fraction
-
-    def is_rational(x):
-        return isinstance(x, (int, Fraction))
+    from fractions import Fraction as RAT
 
 
 def rat(p, q=1):

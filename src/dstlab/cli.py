@@ -68,8 +68,6 @@ def _build_parser():
                     help="classical | rmatrix | backlund | quantum | baxter | all")
     sp.add_argument("--tol-scale", type=float, default=1.0)
     sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--force", action="store_true",
-                    help="override cost guards on exponential checks")
     sp.add_argument("--xi-minus", type=str, default=None,
                     help="rational boundary constant for the quantum suite (e.g. 2/3)")
     sp.add_argument("--xi-plus", type=str, default=None,
@@ -201,10 +199,10 @@ def cmd_verify(args):
     xp = Fraction(args.xi_plus) if args.xi_plus else None
     try:
         report = run_suites(args.suite, seed=args.seed, tol_scale=args.tol_scale,
-                            force=args.force, jobs=args.jobs,
+                            jobs=args.jobs,
                             xi_minus=xm, xi_plus=xp)
     except CostGuard as exc:
-        print(f"cost guard: {exc} (pass --force to override)", file=sys.stderr)
+        print(f"cost guard: {exc}", file=sys.stderr)
         return EXIT_COST
     _dump(report, args, "report.json")
     s = report["summary"]

@@ -14,21 +14,35 @@ Conventions pinned by the exact N=1 expansion:
     tr[K_+(l + eta/2, xi_+) U(l)]; the +eta/2 shift is what removes the
     l^(2N+1) term and reproduces the quoted Hamiltonian including its
     -eta^2/8 constant (a -eta/2 shift there does neither).
+
+Integer units.  RTT, the dressed reflection algebra, [tau(l), tau(m)] = 0
+and the A/B/D* relations run with every coefficient a Python int.  With
+D = lcm(2 den eta, den xi_-, den xi_+) (see integer_units) they substitute
+l = Lambda/D, m = M/D and multiply every factor by D, so D eta, D eta/2,
+D xi_- and D xi_+ are integers:
+
+    L~_i = [[Lambda - (D eta) q_i d_i, D q_i], [-(D eta) d_i, D]]
+    K~_- = [[D xi_-, Lambda - D eta/2], [0, D xi_-]]
+    R~   = (Lambda - M) I + (D eta) P      (middle argument -D eta when dressed)
+
+Both sides of an identity pick up the same power D^k: 2N+1 for RTT, 4N+4
+for the dressed algebra and for tau, and 4N+2, 4N+5, 4N+6 for the BB, AB
+and D*B relations.  So the integer identity in (Lambda, M) holds exactly
+when the rational one holds in (l, m), at the same parameter point.  The
+builders (qlax, qmonodromy, dressed_U_op, qtau, abcd_operators) take the
+units D as an optional last argument; the default D = 1 is the rational
+operator itself.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, lcm
+from typing import NamedTuple
 
 from ._rat import rat
 from .errors import CostGuard, DegreeNotPreserved, NoOrderingMatches
 from .poly import Mat2, Poly
-from .weyl import WeylOp
-
-try:
-    from . import _weylkernel as _kernel
-except ImportError:  # pragma: no cover
-    from . import _weylkernel_py as _kernel
+from .weyl import WeylOp, _kernel
 
 
 @dataclass(frozen=True)
@@ -45,6 +59,33 @@ class QParams:
         object.__setattr__(self, "xi_plus", rat(self.xi_plus))
         if self.eta == 0:
             raise ValueError("eta must be nonzero")
+
+
+def integer_units(params):
+    """D = lcm(2 den eta, den xi_-, den xi_+): the parameters, and eta/2,
+    are integers in units of 1/D."""
+    return lcm(2 * int(params.eta.denominator), int(params.xi_minus.denominator),
+               int(params.xi_plus.denominator))
+
+
+def _in_units(x, units):
+    """units * x: x itself when units == 1 (the rational case), else an int."""
+    if units == 1:
+        return x
+    num, den = int(x.numerator), int(x.denominator)
+    if units % den:
+        raise ValueError(f"units {units} do not clear the denominator of {x}")
+    return num * (units // den)
+
+
+class Witness(NamedTuple):
+    """First differing coefficient of an exact check: the (lambda, mu) degree
+    pair, the exponent key, lhs - rhs, and the 4x4 entry for matrix identities."""
+
+    degrees: tuple
+    key: tuple
+    difference: object
+    entry: tuple = None
 
 
 # ---------------------------------------------------------------------------
@@ -66,9 +107,9 @@ class BiOp:
 
     @classmethod
     def from_scalar_poly(cls, n, coeffs):
-        """coeffs: {(i, j): rational}."""
+        """coeffs: {(i, j): int or rational}, kept as given (ints stay ints)."""
         key0 = (0,) * (2 * n)
-        return cls(n, {ij: {key0: rat(c)} for ij, c in coeffs.items() if c != 0})
+        return cls(n, {ij: {key0: c} for ij, c in coeffs.items() if c != 0})
 
     @classmethod
     def from_op(cls, n, op, power=(0, 0)):
@@ -86,7 +127,7 @@ class BiOp:
                     continue
                 t[(k, 0) if var == 0 else (0, k)] = dict(c.terms)
             elif c != 0:
-                t[(k, 0) if var == 0 else (0, k)] = {(0,) * (2 * n): rat(c)}
+                t[(k, 0) if var == 0 else (0, k)] = {(0,) * (2 * n): c}
         return cls(n, t)
 
     def copy(self):
@@ -147,7 +188,7 @@ class BiOp:
             for key in sorted(set(a) | set(b)):
                 ca, cb = a.get(key, 0), b.get(key, 0)
                 if ca != cb:
-                    return ij, key, ca - cb
+                    return Witness(ij, key, ca - cb)
         return None
 
 
@@ -170,7 +211,7 @@ def _mat4_eq(a, b):
     for i in range(4):
         for j in range(4):
             if a[i][j] != b[i][j]:
-                return False, (i, j, a[i][j].witness_against(b[i][j]))
+                return False, a[i][j].witness_against(b[i][j])._replace(entry=(i, j))
     return True, None
 
 
@@ -251,21 +292,25 @@ def _rbar(n, c0_lambda, c0_mu, const, eta):
 # quantum Lax and monodromy
 # ---------------------------------------------------------------------------
 
-def qlax(n_sites, i, params):
-    """Site Lax matrix [[lambda - eta q_i d_i, q_i], [-eta d_i, 1]]."""
+def qlax(n_sites, i, params, units=1):
+    """Site Lax matrix [[lambda - eta q_i d_i, q_i], [-eta d_i, 1]].
+
+    In units D it is D L(Lambda/D) as a polynomial in Lambda:
+    [[Lambda - (D eta) q_i d_i, D q_i], [-(D eta) d_i, D]]."""
     if not 1 <= i <= n_sites:
         raise IndexError(f"site {i} out of range 1..{n_sites}")
     one = WeylOp.identity(n_sites)
     q = WeylOp.q(n_sites, i - 1)
-    r = WeylOp.r(n_sites, i - 1, params.eta)
-    return Mat2(Poly([q * r, one]), Poly([q]), Poly([r]), Poly([one]))
+    r = WeylOp.r(n_sites, i - 1, _in_units(params.eta, units))
+    return Mat2(Poly([q * r, one]), Poly([units * q]), Poly([r]), Poly([units * one]))
 
 
-def qmonodromy(n_sites, params):
-    """T(lambda) = L_N ... L_1 with operator-polynomial entries."""
-    t = qlax(n_sites, n_sites, params)
+def qmonodromy(n_sites, params, units=1):
+    """T(lambda) = L_N ... L_1 with operator-polynomial entries (D^N T(Lambda/D)
+    in units D)."""
+    t = qlax(n_sites, n_sites, params, units)
     for i in range(n_sites - 1, 0, -1):
-        t = t @ qlax(n_sites, i, params)
+        t = t @ qlax(n_sites, i, params, units)
     return t
 
 
@@ -274,16 +319,18 @@ def op_adjugate_neg(t):
     return Mat2(t.a22.flip(), -t.a12.flip(), -t.a21.flip(), t.a11.flip())
 
 
-def dressed_U_op(n_sites, params):
-    """U(lambda) = T(lambda) K_-(lambda - eta/2, xi_-) sigma2 T^t(-lambda) sigma2."""
-    t = qmonodromy(n_sites, params)
+def dressed_U_op(n_sites, params, units=1):
+    """U(lambda) = T(lambda) K_-(lambda - eta/2, xi_-) sigma2 T^t(-lambda) sigma2
+    (D^(2N+1) U(Lambda/D) in units D)."""
+    t = qmonodromy(n_sites, params, units)
     one = WeylOp.identity(n_sites)
     zero = Poly()
-    half = rat(params.eta) / 2
-    k_minus = Mat2(Poly([params.xi_minus * one]),
+    xi_minus = _in_units(params.xi_minus, units)
+    half = _in_units(params.eta / 2, units)
+    k_minus = Mat2(Poly([xi_minus * one]),
                    Poly([-half * one, one]),
                    zero,
-                   Poly([params.xi_minus * one]))
+                   Poly([xi_minus * one]))
     return t @ k_minus @ op_adjugate_neg(t)
 
 
@@ -292,13 +339,14 @@ def rtt_residual(n_sites, params, force=False):
 
         [(l-m) I + eta P] T1(l) T2(m) = T2(m) T1(l) [(l-m) I + eta P]
 
-    Returns (ok, witness)."""
+    run in integer units.  Returns (ok, witness)."""
     if n_sites > 2 and not force:
         raise CostGuard(f"RTT at N={n_sites} is exponential; pass force=True")
-    t = qmonodromy(n_sites, params)
+    d = integer_units(params)
+    t = qmonodromy(n_sites, params, d)
     t1 = _embed_first(t, n_sites, 0)
     t2 = _embed_second(t, n_sites, 1)
-    rb = _rbar(n_sites, 1, -1, 0, params.eta)
+    rb = _rbar(n_sites, 1, -1, 0, _in_units(params.eta, d))
     lhs = _mat4_mul(_mat4_mul(rb, t1, n_sites), t2, n_sites)
     rhs = _mat4_mul(_mat4_mul(t2, t1, n_sites), rb, n_sites)
     return _mat4_eq(lhs, rhs)
@@ -355,52 +403,48 @@ def q_reflection_plus(params, shift=(1, 1), n_sites=0):
 def q_reflection_dressed(n_sites, params, force=False):
     """Exact check of the dressed exchange algebra for U(lambda):
 
-        Rb(l-m) U1(l) Rb(l+m-eta) U2(m) = U2(m) Rb(l+m-eta) U1(l) Rb(l-m).
-    """
+        Rb(l-m) U1(l) Rb(l+m-eta) U2(m) = U2(m) Rb(l+m-eta) U1(l) Rb(l-m)
+
+    run in integer units.  Returns (ok, witness)."""
     if n_sites > 2 and not force:
         raise CostGuard(f"dressed reflection at N={n_sites} is exponential; pass force=True")
-    u = dressed_U_op(n_sites, params)
+    d = integer_units(params)
+    eta = _in_units(params.eta, d)
+    u = dressed_U_op(n_sites, params, d)
     u1 = _embed_first(u, n_sites, 0)
     u2 = _embed_second(u, n_sites, 1)
-    r_minus = _rbar(n_sites, 1, -1, 0, params.eta)
-    r_mid = _rbar(n_sites, 1, 1, -params.eta, params.eta)
+    r_minus = _rbar(n_sites, 1, -1, 0, eta)
+    r_mid = _rbar(n_sites, 1, 1, -eta, eta)
     lhs = _mat4_mul(_mat4_mul(_mat4_mul(r_minus, u1, n_sites), r_mid, n_sites), u2, n_sites)
     rhs = _mat4_mul(_mat4_mul(_mat4_mul(u2, r_mid, n_sites), u1, n_sites), r_minus, n_sites)
     return _mat4_eq(lhs, rhs)
-
-
-def q_reflection_suite(n_sites, params, force=False):
-    """All three exact reflection checks; returns {name: (ok, witness)}."""
-    return {
-        "reflection_minus": q_reflection_minus(params),
-        "reflection_plus": q_reflection_plus(params),
-        "dressed_reflection": q_reflection_dressed(n_sites, params, force=force),
-    }
 
 
 # ---------------------------------------------------------------------------
 # transfer polynomial, Hamiltonian, operator relations
 # ---------------------------------------------------------------------------
 
-def abcd_operators(n_sites, params):
-    """(A, B, C, D, Dstar) entries of U plus Dstar = 2 lambda D - eta A."""
-    u = dressed_U_op(n_sites, params)
+def abcd_operators(n_sites, params, units=1):
+    """(A, B, C, D, Dstar) entries of U plus Dstar = 2 lambda D - eta A
+    (each D^(2N+1) times the rational entry in units D, Dstar D^(2N+2))."""
+    u = dressed_U_op(n_sites, params, units)
     a, b, c, d = u.a11, u.a12, u.a21, u.a22
-    dstar = d.shift_up(1) * 2 - a * params.eta
+    dstar = d.shift_up(1) * 2 - a * _in_units(params.eta, units)
     return a, b, c, d, dstar
 
 
-def qtau(n_sites, params):
-    """Transfer polynomial tau(lambda) = xi_+ (A + D) + (lambda + eta/2) B."""
-    u = dressed_U_op(n_sites, params)
+def qtau(n_sites, params, units=1):
+    """Transfer polynomial tau(lambda) = xi_+ (A + D) + (lambda + eta/2) B
+    (D^(2N+2) tau(Lambda/D) in units D)."""
+    u = dressed_U_op(n_sites, params, units)
     one = WeylOp.identity(n_sites)
-    shift = Poly([rat(params.eta) / 2 * one, one])
-    return (u.a11 + u.a22) * params.xi_plus + shift * u.a12
+    shift = Poly([_in_units(params.eta / 2, units) * one, one])
+    return (u.a11 + u.a22) * _in_units(params.xi_plus, units) + shift * u.a12
 
 
 def tau_commutes(n_sites, params):
-    """Exact [tau(lambda), tau(mu)] = 0 check; returns (ok, witness)."""
-    t = qtau(n_sites, params)
+    """Exact [tau(lambda), tau(mu)] = 0 check in integer units; returns (ok, witness)."""
+    t = qtau(n_sites, params, integer_units(params))
     a = BiOp.lift(n_sites, t, 0)
     b = BiOp.lift(n_sites, t, 1)
     lhs = a * b
@@ -545,12 +589,14 @@ def hq_classical_limit_residual(n_sites, xi_minus, xi_plus, max_eta_degree=None)
 
 def abd_commutation_residual(n_sites, params, force=False):
     """Exact check of the exchange relations among A, B and Dstar with all
-    denominators cleared by 2 mu (l-m)(l+m).  Returns {name: (ok, witness)}."""
+    denominators cleared by 2 mu (l-m)(l+m), run in integer units.
+    Returns {name: (ok, witness)}."""
     if n_sites > 1 and not force:
         raise CostGuard("A/B/Dstar relations are exponential in N; pass force=True")
     n = n_sites
-    a_p, b_p, _, _, ds_p = abcd_operators(n, params)
-    eta = params.eta
+    d = integer_units(params)
+    a_p, b_p, _, _, ds_p = abcd_operators(n, params, d)
+    eta = _in_units(params.eta, d)
     A_l = BiOp.lift(n, a_p, 0)
     A_m = BiOp.lift(n, a_p, 1)
     B_l = BiOp.lift(n, b_p, 0)

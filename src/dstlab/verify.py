@@ -73,6 +73,19 @@ def check_exact(identity_id, ok, **params):
                   "exact", bool(ok))
 
 
+def check_exact_witnessed(identity_id, result, units, **params):
+    """check_exact for a (ok, witness) result; a failing record carries the
+    witness, whose coefficient difference is in integer units of 1/units."""
+    ok, witness = result
+    if not ok:
+        w = {"degrees": list(witness.degrees), "key": list(witness.key),
+             "difference": str(witness.difference), "units": units}
+        if witness.entry is not None:
+            w["entry"] = list(witness.entry)
+        params["witness"] = w
+    return check_exact(identity_id, ok, **params)
+
+
 def _state(rng, n, scale=0.5, complex_=False):
     q = rng.uniform(-scale, scale, n)
     r = rng.uniform(-scale, scale, n)
@@ -96,7 +109,7 @@ def _sub_rng(seed, tag):
 # classical suite
 # ---------------------------------------------------------------------------
 
-def suite_classical(seed=1, tol_scale=1.0, force=False):
+def suite_classical(seed=1, tol_scale=1.0):
     recs = []
     for label, bc in _regimes():
         rng = _sub_rng(seed, "flow-" + label)
@@ -290,7 +303,7 @@ def conservation_run(n, bc, dt, t_final, seed, sample_every=50, amplitude=None):
 # r-matrix suite
 # ---------------------------------------------------------------------------
 
-def suite_rmatrix(seed=1, tol_scale=1.0, force=False, inject_wrong_k=False):
+def suite_rmatrix(seed=1, tol_scale=1.0, inject_wrong_k=False):
     from .rmatrix import (cism1_residual, cism2_residual_U,
                           reflection_residual_K)
     recs = []
@@ -385,7 +398,7 @@ def suite_rmatrix(seed=1, tol_scale=1.0, force=False, inject_wrong_k=False):
 # Bäcklund suite
 # ---------------------------------------------------------------------------
 
-def suite_backlund(seed=1, tol_scale=1.0, force=False):
+def suite_backlund(seed=1, tol_scale=1.0):
     from .backlund import (BTParams, NewtonOptions, bt_generating_check,
                            bt_invariance_residual, bt_local_identity_residual,
                            bt_solve, bt_symplectic_residual,
@@ -479,36 +492,37 @@ def _xi_pairs(seed, xi_minus=None, xi_plus=None):
     return out
 
 
-def suite_quantum(seed=1, tol_scale=1.0, force=False, xi_minus=None, xi_plus=None):
+def suite_quantum(seed=1, tol_scale=1.0, xi_minus=None, xi_plus=None):
     from .quantum import (QParams, abd_commutation_residual, hq_extract,
-                          hq_classical_limit_residual, q_reflection_dressed,
-                          q_reflection_minus, q_reflection_plus, rtt_residual,
-                          tau_commutes)
+                          hq_classical_limit_residual, integer_units,
+                          q_reflection_dressed, q_reflection_minus,
+                          q_reflection_plus, rtt_residual, tau_commutes)
     recs = []
     etas = [rat(1), rat(1, 2), rat(3)]
     pairs = _xi_pairs(seed, xi_minus, xi_plus)
     for ei, eta in enumerate(etas):
         for pi, (xm, xp) in enumerate(pairs):
             p = QParams(eta, xm, xp)
+            d = integer_units(p)
             tag = f"eta{ei}-xi{pi}"
             for n in (1, 2):
-                ok, _ = rtt_residual(n, p)
-                recs.append(check_exact(f"rtt-n{n}-{tag}", ok,
-                                        eta=str(eta), xi_minus=str(xm), xi_plus=str(xp)))
-                ok, _ = q_reflection_dressed(n, p)
-                recs.append(check_exact(f"reflection-dressed-n{n}-{tag}", ok,
-                                        eta=str(eta)))
+                recs.append(check_exact_witnessed(
+                    f"rtt-n{n}-{tag}", rtt_residual(n, p), d,
+                    eta=str(eta), xi_minus=str(xm), xi_plus=str(xp)))
+                recs.append(check_exact_witnessed(
+                    f"reflection-dressed-n{n}-{tag}", q_reflection_dressed(n, p), d,
+                    eta=str(eta)))
             recs.append(check_exact(f"reflection-quantum-minus-{tag}",
                                     q_reflection_minus(p)[0], eta=str(eta)))
             for sh, nm in (((1, 1), "printed"), ((1, 2), "tau-matched"), ((0, 1), "bare")):
                 recs.append(check_exact(f"reflection-quantum-plus-{nm}-{tag}",
                                         q_reflection_plus(p, shift=sh)[0],
                                         eta=str(eta), shift=f"{sh[0]}/{sh[1]}"))
-            ok, _ = tau_commutes(1, p)
-            recs.append(check_exact(f"tau-commutativity-n1-{tag}", ok, eta=str(eta)))
-            abd = abd_commutation_residual(1, p)
-            for k, (ok, _) in abd.items():
-                recs.append(check_exact(f"exchange-{k}-n1-{tag}", ok, eta=str(eta)))
+            recs.append(check_exact_witnessed(f"tau-commutativity-n1-{tag}",
+                                              tau_commutes(1, p), d, eta=str(eta)))
+            for k, result in abd_commutation_residual(1, p).items():
+                recs.append(check_exact_witnessed(f"exchange-{k}-n1-{tag}", result, d,
+                                                  eta=str(eta)))
 
     p = QParams(rat(1), *pairs[0])
     for n in (1, 2, 3):
@@ -522,13 +536,17 @@ def suite_quantum(seed=1, tol_scale=1.0, force=False, xi_minus=None, xi_plus=Non
         recs.append(check_exact(f"hamiltonian-classical-limit-n{n}", bad == 0,
                                 mismatches=bad))
 
-    # negative control: eta mismatch between the two exchange-relation sides
-    from .quantum import _embed_first, _embed_second, _mat4_eq, _mat4_mul, _rbar, qmonodromy
-    t = qmonodromy(1, p)
+    # negative control: eta mismatch between the two exchange-relation sides,
+    # in the integer units of the RTT check
+    from .quantum import (_embed_first, _embed_second, _in_units, _mat4_eq, _mat4_mul,
+                          _rbar, qmonodromy)
+    d = integer_units(p)
+    eta = _in_units(p.eta, d)
+    t = qmonodromy(1, p, d)
     t1 = _embed_first(t, 1, 0)
     t2 = _embed_second(t, 1, 1)
-    lhs = _mat4_mul(_mat4_mul(_rbar(1, 1, -1, 0, 2 * p.eta), t1, 1), t2, 1)
-    rhs = _mat4_mul(_mat4_mul(t2, t1, 1), _rbar(1, 1, -1, 0, p.eta), 1)
+    lhs = _mat4_mul(_mat4_mul(_rbar(1, 1, -1, 0, 2 * eta), t1, 1), t2, 1)
+    rhs = _mat4_mul(_mat4_mul(t2, t1, 1), _rbar(1, 1, -1, 0, eta), 1)
     ok, _ = _mat4_eq(lhs, rhs)
     recs.append(check_exact("rtt-control", not ok, note="mismatched eta must fail"))
     return recs
@@ -538,7 +556,7 @@ def suite_quantum(seed=1, tol_scale=1.0, force=False, xi_minus=None, xi_plus=Non
 # Baxter suite
 # ---------------------------------------------------------------------------
 
-def suite_baxter(seed=1, tol_scale=1.0, force=False):
+def suite_baxter(seed=1, tol_scale=1.0):
     from .baxter import (BetheConfig, QKernelParams, SovParams, bethe_remainder,
                          bethe_solve, eigen_membership_residual,
                          gauge_triangularize, lambda_degree_probe,
@@ -644,7 +662,7 @@ SUITES = {
 }
 
 
-def run_suites(suite="all", seed=1, tol_scale=1.0, force=False, jobs=1,
+def run_suites(suite="all", seed=1, tol_scale=1.0, jobs=1,
                xi_minus=None, xi_plus=None):
     """Execute a suite (or all of them); returns the report dict."""
     names = list(SUITES) if suite == "all" else [suite]
@@ -654,9 +672,9 @@ def run_suites(suite="all", seed=1, tol_scale=1.0, force=False, jobs=1,
 
     def call(nm):
         if nm == "quantum":
-            return SUITES[nm](seed, tol_scale, force,
+            return SUITES[nm](seed, tol_scale,
                               xi_minus=xi_minus, xi_plus=xi_plus)
-        return SUITES[nm](seed, tol_scale, force)
+        return SUITES[nm](seed, tol_scale)
 
     records = []
     if jobs > 1:

@@ -7,11 +7,10 @@ operators is equality of term maps.  The defining relation is
 giving [q_i, r_j] = eta delta_ij.
 
 The term-product inner loop lives in a small kernel with two
-implementations (compiled / pure Python) selected here at import.
+implementations (compiled / pure Python) selected here at import; this is
+the one place that decides it (dstlab.quantum uses the same _kernel).
 """
 from __future__ import annotations
-
-from ._rat import rat
 
 try:  # compiled kernel, if the extension was built
     from . import _weylkernel as _kernel
@@ -66,10 +65,10 @@ class WeylOp:
 
     @classmethod
     def r(cls, n, i, eta):
-        """Momentum r_i = -eta d_i."""
+        """Momentum r_i = -eta d_i, for an int or exact rational eta."""
         key = [0] * (2 * n)
         key[n + i] = 1
-        return cls(n, {tuple(key): -rat(eta)})
+        return cls(n, {tuple(key): -eta})
 
     # -- predicates ----------------------------------------------------
     def is_zero(self):
@@ -186,8 +185,3 @@ class WeylOp:
 
 def commutator(a, b):
     return a * b - b * a
-
-
-def weyl_mul(a, b):
-    """Exact normal-ordered product (function form of ``a * b``)."""
-    return a * b

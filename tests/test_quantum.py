@@ -1,15 +1,23 @@
 """Exact quantum-chain identities over the Weyl engine."""
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dstlab import quantum, weyl
 from dstlab._rat import rat
 from dstlab.errors import CostGuard, DegreeNotPreserved
-from dstlab.quantum import (QParams, abcd_operators, abd_commutation_residual,
-                            classical_image, degree_basis, dressed_U_op,
-                            hq_candidate, hq_classical_limit_residual,
-                            hq_extract, q_reflection_dressed,
+from dstlab.quantum import (QParams, _embed_first, _embed_second, _in_units,
+                            _mat4_eq, _mat4_mul, _rbar, abcd_operators,
+                            abd_commutation_residual, classical_image,
+                            degree_basis, dressed_U_op, hq_candidate,
+                            hq_classical_limit_residual, hq_extract,
+                            integer_units, q_reflection_dressed,
                             q_reflection_minus, q_reflection_plus, qlax,
                             qmonodromy, qtau, rep_on_degree, rtt_residual,
                             tau_commutes)
+from dstlab.verify import suite_quantum
 from dstlab.weyl import WeylOp
 
 P = QParams(1, rat(2, 3), rat(5, 7))
@@ -68,7 +76,6 @@ def test_rtt_cost_guard():
 
 
 def test_rtt_negative_control():
-    from dstlab.quantum import _embed_first, _embed_second, _mat4_eq, _mat4_mul, _rbar
     t = qmonodromy(1, P)
     t1 = _embed_first(t, 1, 0)
     t2 = _embed_second(t, 1, 1)
@@ -258,3 +265,120 @@ def test_twisted_transfer_preserves_degree():
         for coeff in t.a11.c:
             if isinstance(coeff, WeylOp) and not coeff.is_zero():
                 rep_on_degree(coeff, 2, m)   # must not raise
+
+
+# ---------------------------------------------------------------------------
+# integer units: lambda = Lambda / D, every factor times D
+# ---------------------------------------------------------------------------
+
+UNIT_PARAMS = QParams(rat(3, 5), rat(-2, 3), rat(5, 4))
+
+
+def test_integer_units_clear_denominators():
+    d = integer_units(UNIT_PARAMS)
+    assert d == 60                                   # lcm(2 * 5, 3, 4)
+    assert integer_units(QParams(1, 2, 1)) == 2
+    for x in (UNIT_PARAMS.eta, UNIT_PARAMS.eta / 2, UNIT_PARAMS.xi_minus,
+              UNIT_PARAMS.xi_plus):
+        v = _in_units(x, d)
+        assert type(v) is int and v == d * x
+        assert _in_units(x, 1) is x
+    with pytest.raises(ValueError):
+        _in_units(rat(1, 7), d)
+
+
+@pytest.mark.parametrize("i", [1, 2])
+def test_qlax_integer_units_rescale_coefficients(i):
+    # coefficient of Lambda^k in units D is D^(1-k) times that of lambda^k
+    d = integer_units(UNIT_PARAMS)
+    scaled = qlax(2, i, UNIT_PARAMS, d)
+    plain = qlax(2, i, UNIT_PARAMS)
+    for s_entry, p_entry in zip(scaled.entries(), plain.entries()):
+        assert s_entry.degree == p_entry.degree
+        for k in range(p_entry.degree + 1):
+            assert s_entry.coeff(k) == rat(d) ** (1 - k) * p_entry.coeff(k)
+            assert all(type(c) is int for c in s_entry.coeff(k).terms.values())
+
+
+def test_integer_checks_feed_only_ints_to_the_kernel(monkeypatch):
+    kernel = weyl._kernel
+    assert quantum._kernel is kernel
+    real = kernel.mul_into
+    seen = set()
+
+    def spy(out, ta, tb, n, factor=1):
+        res = real(out, ta, tb, n, factor)
+        for t in (ta, tb, out):
+            seen.update(type(c) for c in t.values())
+        return res
+
+    monkeypatch.setattr(kernel, "mul_into", spy)
+    assert rtt_residual(1, UNIT_PARAMS)[0]
+    assert q_reflection_dressed(1, UNIT_PARAMS)[0]
+    assert tau_commutes(1, UNIT_PARAMS)[0]
+    assert all(ok for ok, _ in abd_commutation_residual(1, UNIT_PARAMS).values())
+    assert seen == {int}
+
+
+def test_integer_negative_controls_fail():
+    p = UNIT_PARAMS
+    d = integer_units(p)
+    eta = _in_units(p.eta, d)
+    # RTT with a mismatched eta on the left
+    t = qmonodromy(1, p, d)
+    t1 = _embed_first(t, 1, 0)
+    t2 = _embed_second(t, 1, 1)
+    lhs = _mat4_mul(_mat4_mul(_rbar(1, 1, -1, 0, 2 * eta), t1, 1), t2, 1)
+    rhs = _mat4_mul(_mat4_mul(t2, t1, 1), _rbar(1, 1, -1, 0, eta), 1)
+    ok, witness = _mat4_eq(lhs, rhs)
+    assert not ok and type(witness.difference) is int
+    # dressed algebra with middle argument -2 D eta instead of -D eta
+    u = dressed_U_op(1, p, d)
+    u1 = _embed_first(u, 1, 0)
+    u2 = _embed_second(u, 1, 1)
+    r_minus = _rbar(1, 1, -1, 0, eta)
+    r_mid = _rbar(1, 1, 1, -2 * eta, eta)
+    lhs = _mat4_mul(_mat4_mul(_mat4_mul(r_minus, u1, 1), r_mid, 1), u2, 1)
+    rhs = _mat4_mul(_mat4_mul(_mat4_mul(u2, r_mid, 1), u1, 1), r_minus, 1)
+    ok, witness = _mat4_eq(lhs, rhs)
+    assert not ok and witness.entry is not None
+
+
+_small_rats = st.builds(rat, st.integers(-6, 6), st.integers(1, 6))
+
+
+@settings(max_examples=20, deadline=None)
+@given(eta=_small_rats.filter(lambda x: x != 0), xi_minus=_small_rats,
+       xi_plus=_small_rats)
+def test_integer_checks_hold_at_random_rational_parameters(eta, xi_minus, xi_plus):
+    p = QParams(eta, xi_minus, xi_plus)
+    assert rtt_residual(1, p)[0]
+    assert q_reflection_dressed(1, p)[0]
+    assert tau_commutes(1, p)[0]
+    for name, (ok, witness) in abd_commutation_residual(1, p).items():
+        assert ok, (name, witness)
+
+
+def test_failing_exact_check_records_witness(monkeypatch):
+    # break the monodromy in integer units only (the rational Hamiltonian
+    # path stays intact): T is built at 2 eta against the R-matrix at eta
+    real = quantum.qmonodromy
+
+    def wrong_eta(n_sites, params, units=1):
+        if units != 1:
+            params = QParams(2 * params.eta, params.xi_minus, params.xi_plus)
+        return real(n_sites, params, units)
+
+    monkeypatch.setattr(quantum, "qmonodromy", wrong_eta)
+    recs = {r.identity_id: r for r in suite_quantum(seed=1)}
+    rec = recs["rtt-n1-eta0-xi0"]
+    assert not rec.passed
+    w = rec.parameters["witness"]
+    assert set(w) == {"entry", "degrees", "key", "difference", "units"}
+    assert len(w["degrees"]) == 2 and len(w["key"]) == 2
+    assert int(w["difference"]) != 0
+    p = QParams(*(Fraction(rec.parameters[k]) for k in ("eta", "xi_minus", "xi_plus")))
+    assert w["units"] == integer_units(p)
+    for r in recs.values():
+        assert ("witness" in r.parameters) == (not r.passed)
+    assert recs["rtt-control"].passed
