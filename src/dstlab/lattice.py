@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NonFiniteDerivative, NonFiniteState, WrongRegime, ZeroXi
 
@@ -25,8 +26,23 @@ def _is_finite(x):
         return math.isfinite(x.real) and math.isfinite(x.imag)
     try:
         return math.isfinite(x)
-    except TypeError:
-        return True  # exact scalars (rationals) are always finite
+    except (TypeError, OverflowError):
+        return True  # exact scalars (rationals, ints too large for a float) are finite
+
+
+def _all_finite(z):
+    """True when every entry of z is finite.
+
+    inf and nan survive addition, so a finite sum proves every entry finite
+    with one test.  A non-finite sum may still come from finite entries
+    that overflow together; only then are the entries tested one by one.
+    """
+    return _is_finite(sum(z)) or all(_is_finite(x) for x in z)
+
+
+# Entry types LatticeState keeps as they are; anything else with .item()
+# (numpy scalars) is converted to the plain Python number.
+_PLAIN_TYPES = frozenset((float, complex, int))
 
 
 @dataclass(frozen=True)
@@ -70,15 +86,17 @@ class LatticeState:
     r: tuple
 
     def __post_init__(self):
-        if len(self.q) != len(self.r) or len(self.q) < 1:
+        n = len(self.q)
+        if len(self.r) != n or n < 1:
             raise ValueError("q and r must have equal positive length")
-        # numpy scalars become plain Python numbers (IEEE overflow without warnings)
-        def plain(v):
-            return v.item() if hasattr(v, "item") else v
-        object.__setattr__(self, "q", tuple(plain(v) for v in self.q))
-        object.__setattr__(self, "r", tuple(plain(v) for v in self.r))
-        if not all(_is_finite(x) for x in self.q + self.r):
+        z = tuple(self.q) + tuple(self.r)
+        if not set(map(type, z)) <= _PLAIN_TYPES:
+            # numpy scalars become plain Python numbers (IEEE overflow without warnings)
+            z = tuple(v.item() if hasattr(v, "item") else v for v in z)
+        if not _all_finite(z):
             raise NonFiniteState("state entries must be finite")
+        object.__setattr__(self, "q", z[:n])
+        object.__setattr__(self, "r", z[n:])
 
     @property
     def n_sites(self):
@@ -97,10 +115,16 @@ class LatticeState:
         return cls(tuple(z[:n]), tuple(z[n:]))
 
 
-@dataclass(frozen=True)
-class Derivative:
+class Derivative(NamedTuple):
     dq: tuple
     dr: tuple
+
+
+class _Point(NamedTuple):
+    """Unvalidated (q, r) pair: the intermediate RK4 stages, read by `eom`."""
+
+    q: tuple
+    r: tuple
 
 
 class Observable:
@@ -126,12 +150,11 @@ def coordinate(kind, i):
 def eom(state, bc):
     """Time derivative of (q, r) with the regime's closure."""
     q, r = state.q, state.r
-    n = len(q)
     q_np1, r_0 = bc.closure(q, r)
-    qe = q + (q_np1,)           # qe[i] = q_{i+1}, 1-based sites
-    re = (r_0,) + r             # re[i] = r_i with re[0] = r_0
-    dq = tuple(qe[i + 1] - q[i] * q[i] * r[i] for i in range(n))
-    dr = tuple(-re[i] + q[i] * r[i] * r[i] for i in range(n))
+    # zip q_{n+1} and r_{n-1} with (q_n, r_n), closure values at the ends;
+    # tuple([...]) because list comprehensions beat generators on CPython 3.11
+    dq = tuple([qn1 - qn * qn * rn for qn1, qn, rn in zip(q[1:] + (q_np1,), q, r)])
+    dr = tuple([-rm1 + qn * rn * rn for rm1, qn, rn in zip((r_0,) + r[:-1], q, r)])
     return Derivative(dq, dr)
 
 
@@ -195,25 +218,37 @@ def flow_consistency_residual(state, bc, h_scale=DEFAULT_FD_STEP):
     return max(gaps)
 
 
+def _shifted(state, h, d):
+    """The stage point state + h d, entry by entry."""
+    return _Point(tuple([a + h * k for a, k in zip(state.q, d.dq)]),
+                  tuple([a + h * k for a, k in zip(state.r, d.dr)]))
+
+
+def _rk4_update(z0, c, k1, k2, k3, k4):
+    """z0 + c (k1 + 2 k2 + 2 k3 + k4), entry by entry, summed in that order."""
+    return tuple([a + c * (p1 + 2 * p2 + 2 * p3 + p4)
+                  for a, p1, p2, p3, p4 in zip(z0, k1, k2, k3, k4)])
+
+
 def step_rk4(state, bc, dt):
-    """One classical RK4 step; raises NonFiniteState on blow-up."""
+    """One classical RK4 step; raises NonFiniteState on blow-up.
+
+    The stages are unvalidated points: a non-finite stage makes the update
+    non-finite, which the one check on the result catches.
+    """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    z0 = state.flat()
-    m = len(z0)
-
-    def f(z):
-        d = eom(LatticeState.from_flat(z), bc)
-        return list(d.dq) + list(d.dr)
-
-    k1 = f(z0)
-    k2 = f([z0[i] + 0.5 * dt * k1[i] for i in range(m)])
-    k3 = f([z0[i] + 0.5 * dt * k2[i] for i in range(m)])
-    k4 = f([z0[i] + dt * k3[i] for i in range(m)])
-    z1 = [z0[i] + dt / 6 * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]) for i in range(m)]
-    if not all(_is_finite(x) for x in z1):
+    half = 0.5 * dt
+    k1 = eom(state, bc)
+    k2 = eom(_shifted(state, half, k1), bc)
+    k3 = eom(_shifted(state, half, k2), bc)
+    k4 = eom(_shifted(state, dt, k3), bc)
+    c = dt / 6
+    q1 = _rk4_update(state.q, c, k1.dq, k2.dq, k3.dq, k4.dq)
+    r1 = _rk4_update(state.r, c, k1.dr, k2.dr, k3.dr, k4.dr)
+    if not _all_finite(q1 + r1):
         raise NonFiniteState("trajectory blew up")
-    return LatticeState.from_flat(z1)
+    return LatticeState(q1, r1)
 
 
 def principal_sqrt(x):

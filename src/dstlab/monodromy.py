@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import WrongRegime, ZeroXi
-from .lattice import Open, Periodic, Quasiperiodic, eom, principal_sqrt
+import numpy as np
+
+from .errors import NonFiniteState, WrongRegime, ZeroXi
+from .lattice import Open, Periodic, Quasiperiodic, eom, principal_sqrt, step_rk4
 from .poly import Mat2, Poly, poly_mat
 
 # Sample grid for floating-point residuals: 8 unit-circle points plus
@@ -108,6 +111,41 @@ def generator(state, bc):
         _, k_plus = boundary_K(bc)
         return (k_plus @ open_generator_matrix(state, bc)).trace()
     raise WrongRegime(f"unknown boundary condition {bc!r}")
+
+
+class Sample(NamedTuple):
+    """A sampled point of a trajectory: the step index, the state, the
+    generator coefficients as a complex array, and the largest relative
+    drift of any coefficient from step 0 over the samples so far."""
+
+    step: int
+    state: object
+    coeffs: np.ndarray
+    drift: float
+
+
+def sampled_trajectory(state, bc, dt, steps, sample_every):
+    """Integrate `steps` RK4 steps from `state`; yield a Sample at step 0,
+    every `sample_every`-th step and the last step.
+
+    A coefficient's relative drift is |c - c0| / max(1, |c0|).  On blow-up
+    the step's NonFiniteState propagates, carrying `steps_done`: the number
+    of steps completed before it.
+    """
+    c0 = np.array(generator(state, bc).c, dtype=complex)
+    scale = np.maximum(1.0, np.abs(c0))
+    drift = 0.0
+    yield Sample(0, state, c0, drift)
+    for k in range(1, steps + 1):
+        try:
+            state = step_rk4(state, bc, dt)
+        except NonFiniteState as exc:
+            exc.steps_done = k - 1
+            raise
+        if k % sample_every == 0 or k == steps:
+            c = np.array(generator(state, bc).c, dtype=complex)
+            drift = max(drift, float(np.max(np.abs(c - c0) / scale)))
+            yield Sample(k, state, c, drift)
 
 
 @dataclass(frozen=True)

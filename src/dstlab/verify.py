@@ -23,12 +23,13 @@ import numpy as np
 from . import __version__
 from ._rat import rat
 from .errors import DstlabError
-from .lattice import (LatticeState, Observable, Open, Periodic, Quasiperiodic,
+# step_rk4 is unused here, but dstbench's tests look it up in this module.
+from .lattice import (LatticeState, Observable, Open, Periodic, Quasiperiodic,  # noqa: F401
                       coordinate, eom, flow_consistency_residual, hamiltonian,
                       poisson_bracket, step_rk4)
 from .monodromy import (conserved_coeffs, generator, lax_consistency_residual,
                         monodromy, monodromy_evolution_residual,
-                        sklyanin_condition_residual)
+                        sampled_trajectory, sklyanin_condition_residual)
 
 
 @dataclass
@@ -283,20 +284,9 @@ def conservation_run(n, bc, dt, t_final, seed, sample_every=50, amplitude=None):
     """Integrate and track every generator coefficient; returns
     (max relative drift, times, coefficient history)."""
     st = initial_state(n, bc, seed, amplitude=amplitude, t_final=t_final)
-    steps = int(round(t_final / dt))
-    c0 = np.array(generator(st, bc).c, dtype=complex)
-    drift = 0.0
-    times = [0.0]
-    history = [c0]
-    for k in range(1, steps + 1):
-        st = step_rk4(st, bc, dt)
-        if k % sample_every == 0 or k == steps:
-            c = np.array(generator(st, bc).c, dtype=complex)
-            rel = np.max(np.abs(c - c0) / np.maximum(1.0, np.abs(c0)))
-            drift = max(drift, float(rel))
-            times.append(k * dt)
-            history.append(c)
-    return drift, times, history
+    samples = list(sampled_trajectory(st, bc, dt, int(round(t_final / dt)), sample_every))
+    times = [0.0] + [s.step * dt for s in samples[1:]]
+    return samples[-1].drift, times, [s.coeffs for s in samples]
 
 
 # ---------------------------------------------------------------------------

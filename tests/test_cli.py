@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 from dstlab.cli import main
+from dstlab import verify
 from dstlab.verify import run_suites, suite_rmatrix
 
 
@@ -123,7 +124,14 @@ def test_rmatrix_wrong_k_injection_hook():
     assert flipped == {"reflection-kminus", "reflection-kplus"}
 
 
-def test_jobs_parallel_report_stable():
-    seq = run_suites("rmatrix", seed=2, jobs=1)
-    par = run_suites("rmatrix", seed=2, jobs=4)
+def test_jobs_parallel_report_stable(monkeypatch):
+    # Three quick suites, so that records from different suites interleave.
+    quick = {nm: verify.SUITES[nm] for nm in ("rmatrix", "backlund", "baxter")}
+    monkeypatch.setattr(verify, "SUITES", quick)
+    seq = run_suites("all", seed=2, jobs=1)
+    par = run_suites("all", seed=2, jobs=3)
     assert seq == par
+    ids = [r["identity_id"] for r in seq["records"]]
+    assert ids == sorted(ids)
+    per_suite = [{r.identity_id for r in fn(2, 1.0)} for fn in quick.values()]
+    assert all(per_suite) and set(ids) == set().union(*per_suite)

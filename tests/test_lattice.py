@@ -1,12 +1,13 @@
 """Equations of motion, Hamiltonians, brackets and the RK4 integrator."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dstlab.errors import NonFiniteState, ZeroXi
 from dstlab.lattice import (LatticeState, Observable, Open, Periodic,
-                            Quasiperiodic, coordinate, eom,
+                            Quasiperiodic, _all_finite, coordinate, eom,
                             flow_consistency_residual, hamiltonian,
                             poisson_bracket, step_rk4)
 
@@ -126,6 +127,65 @@ def test_rk4_blowup_raises():
         cur = st
         for _ in range(10000):
             cur = step_rk4(cur, bc, 0.05)
+
+
+def _reference_rk4(state, bc, dt):
+    """RK4 that rebuilds and validates a LatticeState at every stage."""
+    z0 = state.flat()
+    m = len(z0)
+
+    def f(z):
+        d = eom(LatticeState.from_flat(z), bc)
+        return list(d.dq) + list(d.dr)
+
+    k1 = f(z0)
+    k2 = f([z0[i] + 0.5 * dt * k1[i] for i in range(m)])
+    k3 = f([z0[i] + 0.5 * dt * k2[i] for i in range(m)])
+    k4 = f([z0[i] + dt * k3[i] for i in range(m)])
+    z1 = [z0[i] + dt / 6 * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]) for i in range(m)]
+    return LatticeState.from_flat(z1)
+
+
+@pytest.mark.parametrize("bc, complex_state", [(Periodic(), False),
+                                               (Quasiperiodic(2.0), False),
+                                               (Open(0.3, 0.7), True)])
+def test_rk4_bitwise_equal_to_stagewise_reference(bc, complex_state):
+    rng = np.random.default_rng(11)
+    n = 5
+    q = rng.uniform(-0.3, 0.3, n)
+    r = rng.uniform(-0.3, 0.3, n)
+    if complex_state:
+        q = q + 1j * rng.uniform(-0.3, 0.3, n)
+        r = r + 1j * rng.uniform(-0.3, 0.3, n)
+    fast = ref = LatticeState(tuple(q), tuple(r))
+    for _ in range(200):
+        fast = step_rk4(fast, bc, 1e-2)
+        ref = _reference_rk4(ref, bc, 1e-2)
+        assert fast.q == ref.q and fast.r == ref.r
+    assert fast != LatticeState(tuple(q), tuple(r))
+    assert all(type(v) is (complex if complex_state else float) for v in fast.flat())
+
+
+def test_all_finite_edge_cases():
+    inf, nan = float("inf"), float("nan")
+    assert _all_finite((1e308, 1e308))      # the sum overflows, the entries do not
+    assert _all_finite((complex(1e308, -1e308), complex(1e308, -1e308)))
+    assert _all_finite((1.0, 2.0 + 1j, 3))
+    for z in ((inf,), (nan,), (inf, -inf), (complex(1, inf),), (1e308, 1e308, nan)):
+        assert not _all_finite(z), z
+    assert _all_finite((Fraction(1, 3), Fraction(-7, 2)))
+    assert _all_finite((Fraction(10 ** 400, 3), 10 ** 400))   # beyond float range
+
+
+def test_state_entries_become_plain_numbers():
+    st = LatticeState((np.float64(0.5), np.complex128(1 + 2j)), (np.float32(0.25), 3))
+    assert [type(v) for v in st.flat()] == [float, complex, float, int]
+    assert st.q == (0.5, 1 + 2j) and st.r == (0.25, 3)
+    st = LatticeState(np.array([0.5, 1.5]), [2.0, 3.0])
+    assert st.q == (0.5, 1.5) and st.r == (2.0, 3.0)
+    assert all(type(v) is float for v in st.flat())
+    with pytest.raises(NonFiniteState):
+        LatticeState((np.float64("inf"),), (0.0,))
 
 
 def test_state_validation():

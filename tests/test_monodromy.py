@@ -9,7 +9,7 @@ from dstlab.monodromy import (adjugate_neg, boundary_C, boundary_K,
                               conserved_coeffs, generator, lax_L, lax_M,
                               lax_consistency_residual, monodromy,
                               monodromy_evolution_residual,
-                              sklyanin_condition_residual)
+                              sampled_trajectory, sklyanin_condition_residual)
 from dstlab.poly import Poly
 
 
@@ -266,6 +266,35 @@ def test_generator_conserved_along_flow():
             if k % 500 == 0:
                 worst = max(worst, abs(hamiltonian(st, bc) - h0) / max(1.0, abs(h0)))
         assert worst < 1e-8
+
+
+def test_sampled_trajectory_steps_and_blowup():
+    from dstlab.errors import NonFiniteState
+    from dstlab.lattice import step_rk4
+    bc = Periodic()
+    st = LatticeState((0.3, -0.2, 0.1), (0.1, 0.25, -0.15))
+    samples = list(sampled_trajectory(st, bc, 1e-2, 23, 10))
+    assert [s.step for s in samples] == [0, 10, 20, 23]
+    assert samples[0].state is st and samples[0].drift == 0.0
+    cur = st
+    for _ in range(23):
+        cur = step_rk4(cur, bc, 1e-2)
+    assert samples[-1].state == cur
+    assert list(samples[-1].coeffs) == list(np.array(generator(cur, bc).c, dtype=complex))
+    drifts = [s.drift for s in samples]
+    assert drifts == sorted(drifts) and drifts[-1] > 0
+    # blow-up: the error reports how many steps completed before it
+    big = LatticeState((10.0, 10.0), (10.0, 10.0))
+    done = 0
+    with pytest.raises(NonFiniteState):
+        cur = big
+        for _ in range(10000):
+            cur = step_rk4(cur, bc, 0.05)
+            done += 1
+    assert done > 0
+    with pytest.raises(NonFiniteState) as info:
+        list(sampled_trajectory(big, bc, 0.05, 10000, 7))
+    assert info.value.steps_done == done
 
 
 def test_open_generator_poisson_commutes():
