@@ -4,11 +4,11 @@ Terms are dicts mapping exponent keys (a_1..a_n, b_1..b_n) -> coefficient,
 encoding c * prod_i q_i^{a_i} d_i^{b_i}.  Multiplication reorders each site
 with  d^b q^a = sum_k C(b,k) * a!/(a-k)! * q^{a-k} d^{b-k}.
 
-A Cython twin (_weylkernel.pyx) implements the same three functions; the
-importing module picks whichever is available.
+This is the only kernel; dstlab.weyl imports it as `_kernel`.
 """
 from itertools import product
 from math import comb
+from operator import add
 
 BACKEND = "python"
 
@@ -32,26 +32,40 @@ def _expansion(b, a):
 
 def mul_into(out, ta, tb, n, factor=1):
     """Accumulate factor * ta * tb into the term dict `out`."""
-    n2 = 2 * n
-    for ka, ca in ta.items():
+    if len(tb) == 1 and not any(next(iter(tb))):       # ta times a scalar
+        c = next(iter(tb.values())) * factor
+        for ka, ca in ta.items():
+            out[ka] = out.get(ka, 0) + ca * c
+        return out
+    if len(ta) == 1 and not any(next(iter(ta))):       # a scalar times tb
+        c = next(iter(ta.values())) * factor
         for kb, cb in tb.items():
-            c = ca * cb if factor == 1 else ca * cb * factor
-            need = [i for i in range(n) if ka[n + i] and kb[i]]
+            out[kb] = out.get(kb, 0) + c * cb
+        return out
+    # the q-part of each right key, once per call: the sites where it has q
+    right = [(kb, cb, [i for i in range(n) if kb[i]]) for kb, cb in tb.items()]
+    for ka, ca in ta.items():
+        if factor != 1:
+            ca = ca * factor
+        d_sites = ka[n:]
+        for kb, cb, q_sites in right:
+            c = ca * cb
+            need = [i for i in q_sites if d_sites[i]]
             if not need:
-                key = tuple(ka[i] + kb[i] for i in range(n2))
+                key = tuple(map(add, ka, kb))
                 out[key] = out.get(key, 0) + c
                 continue
-            base = [ka[i] + kb[i] for i in range(n2)]
+            base = list(map(add, ka, kb))
             if len(need) == 1:
                 i = need[0]
-                for k, w in _expansion(ka[n + i], kb[i]):
+                for k, w in _expansion(d_sites[i], kb[i]):
                     ee = base[:]
                     ee[i] -= k
                     ee[n + i] -= k
                     key = tuple(ee)
                     out[key] = out.get(key, 0) + c * w
                 continue
-            for combo in product(*(_expansion(ka[n + i], kb[i]) for i in need)):
+            for combo in product(*(_expansion(d_sites[i], kb[i]) for i in need)):
                 coef = c
                 ee = base[:]
                 for i, (k, w) in zip(need, combo):

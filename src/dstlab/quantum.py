@@ -32,6 +32,16 @@ when the rational one holds in (l, m), at the same parameter point.  The
 builders (qlax, qmonodromy, dressed_U_op, qtau, abcd_operators) take the
 units D as an optional last argument; the default D = 1 is the rational
 operator itself.
+
+Exchange checks.  RTT, the reflection algebras for K_- and K_+ and the
+dressed algebra all have the shape R(s) X1(l) [R(t)] X2(m) = X2(m) [R(t)]
+X1(l) R(s) for a 2x2 operator-polynomial matrix X (T, K_-, K_+^t or U) and
+R(s) = s I + eta P with scalar s, t.  exchange_residual multiplies the 16
+operator products X_ab(l) X_cd(m) once and assembles both sides from them
+by degree shifts and scalar multiples; no 4x4 product is formed.  The
+reverse-order products X_cd(m) X_ab(l) are the same products with the
+(l, m) degrees swapped, which tau_commutes and abd_commutation_residual
+use too (BiOp.swapped).
 """
 from __future__ import annotations
 
@@ -92,6 +102,20 @@ class Witness(NamedTuple):
 # operator-valued polynomials and bivariate polynomials
 # ---------------------------------------------------------------------------
 
+def _lift_terms(op_poly, n):
+    """{degree: term dict} of a univariate operator polynomial; scalar
+    coefficients become multiples of the identity."""
+    key0 = (0,) * (2 * n)
+    out = {}
+    for k, c in enumerate(op_poly.c):
+        if isinstance(c, WeylOp):
+            if c.terms:
+                out[k] = c.terms
+        elif c != 0:
+            out[k] = {key0: c}
+    return out
+
+
 class BiOp:
     """Bivariate polynomial in (lambda, mu) with WeylOp coefficients.
 
@@ -120,18 +144,16 @@ class BiOp:
     @classmethod
     def lift(cls, n, op_poly, var):
         """Univariate operator polynomial -> BiOp in lambda (var=0) or mu (var=1)."""
-        t = {}
-        for k, c in enumerate(op_poly.c):
-            if isinstance(c, WeylOp):
-                if c.is_zero():
-                    continue
-                t[(k, 0) if var == 0 else (0, k)] = dict(c.terms)
-            elif c != 0:
-                t[(k, 0) if var == 0 else (0, k)] = {(0,) * (2 * n): c}
-        return cls(n, t)
+        return cls(n, {((k, 0) if var == 0 else (0, k)): dict(terms)
+                       for k, terms in _lift_terms(op_poly, n).items()})
 
     def copy(self):
         return BiOp(self.n, {k: dict(v) for k, v in self.t.items()})
+
+    def swapped(self):
+        """lambda <-> mu, sharing the term dicts: for X(l) Y(m) this is
+        X(m) Y(l), i.e. the product Y(l) X(m) taken in the reverse order."""
+        return BiOp(self.n, {(j, i): terms for (i, j), terms in self.t.items()})
 
     def is_zero(self):
         return all(not v for v in self.t.values())
@@ -192,100 +214,118 @@ class BiOp:
         return None
 
 
-def _mat4_mul(a, b, n):
-    out = [[BiOp(n) for _ in range(4)] for _ in range(4)]
-    for i in range(4):
-        for j in range(4):
-            acc = {}
-            for k in range(4):
-                for ij1, t1 in a[i][k].t.items():
-                    for ij2, t2 in b[k][j].t.items():
-                        key = (ij1[0] + ij2[0], ij1[1] + ij2[1])
-                        tgt = acc.setdefault(key, {})
-                        _kernel.mul_into(tgt, t1, t2, n)
-            out[i][j] = BiOp(n, acc)._clean()
-    return out
+def _scalar(c_lambda, c_mu, const):
+    """The scalar polynomial c_lambda l + c_mu m + const as {(i, j): coeff}."""
+    out = {(1, 0): c_lambda, (0, 1): c_mu, (0, 0): const}
+    return {ij: c for ij, c in out.items() if c != 0}
 
 
-def _mat4_eq(a, b):
-    for i in range(4):
-        for j in range(4):
-            if a[i][j] != b[i][j]:
-                return False, a[i][j].witness_against(b[i][j])._replace(entry=(i, j))
+def _scalar_mul(p, q):
+    out = {}
+    for (i1, j1), c1 in p.items():
+        for (i2, j2), c2 in q.items():
+            ij = (i1 + i2, j1 + j2)
+            out[ij] = out.get(ij, 0) + c1 * c2
+    return {ij: c for ij, c in out.items() if c != 0}
+
+
+def exchange_residual(x, n, eta, outer, middle=None):
+    """lhs - rhs of the exchange relation of a 2x2 operator-polynomial matrix X,
+
+        R(s) X1(l) R(t) X2(m) = X2(m) R(t) X1(l) R(s)      (middle t)
+        R(s) X1(l) X2(m)      = X2(m) X1(l) R(s)           (no middle)
+
+    with X1 = X (x) I, X2 = I (x) X, R(s) = s I + eta P, and s, t the scalar
+    polynomials given as (lambda coefficient, mu coefficient, constant).
+    Yields ((row, col), {(i, j): term dict}) for the 16 entries of the 4x4
+    residual in row-major order, with exactly-zero terms and degrees dropped.
+
+    No 4x4 product is formed.  The 16 operator products
+    P[ab][cd] = X_ab(l) X_cd(m) are multiplied once; the reverse order
+    X_cd(m) X_ab(l) is P[cd][ab] with its (l, m) degrees swapped (~).  In
+    the entry ((a, c), (b, d)), with S[a][d] = sum_e P[ae][ed],
+
+        lhs = s t P[ab][cd]  + eta t P[cb][ad]  + eta s [c=b] S[a][d]  + eta^2 [a=b] S[c][d]
+        rhs = s t P[cd][ab]~ + eta t P[cb][ad]~ + eta s [a=d] S[c][b]~ + eta^2 [a=b] S[c][d]~
+
+    (t = 1 and no S terms without a middle), from X1 X2 = P, X2 X1 = P~,
+    X1 P X2 = [c=b] S[a][d], X2 P X1 = [a=d] S[c][b]~, and P Z (Z P)
+    exchanging rows a<->c (columns b<->d) of Z.  The scalar factors are
+    applied as degree shifts and integer scalings through add_into."""
+    mul_into, add_into, trim = _kernel.mul_into, _kernel.add_into, _kernel.trim
+    lifted = [_lift_terms(e, n) for e in x.entries()]     # index 2a + b
+    prod = [[None] * 4 for _ in range(4)]
+    for u, xu in enumerate(lifted):
+        for v, xv in enumerate(lifted):
+            entry = {}
+            for i, ti in xu.items():
+                for j, tj in xv.items():
+                    entry[(i, j)] = mul_into({}, ti, tj, n)
+            prod[u][v] = entry
+
+    s = _scalar(*outer)
+    eta_s = {ij: eta * c for ij, c in s.items()}
+    if middle is None:
+        t = {(0, 0): 1}
+        sums = None
+    else:
+        t = _scalar(*middle)
+        sums = [[{} for _ in range(2)] for _ in range(2)]
+        for a in range(2):
+            for d in range(2):
+                acc = sums[a][d]
+                for e in range(2):
+                    for ij, terms in prod[2 * a + e][2 * e + d].items():
+                        add_into(acc.setdefault(ij, {}), terms)
+    st = _scalar_mul(s, t)
+    eta_t = {ij: eta * c for ij, c in t.items()}
+    eta2 = {(0, 0): eta * eta}
+
+    def neg(p):
+        return {ij: -c for ij, c in p.items()}
+
+    st_neg, eta_t_neg, eta_s_neg, eta2_neg = neg(st), neg(eta_t), neg(eta_s), neg(eta2)
+
+    for row in range(4):
+        a, c = divmod(row, 2)
+        for col in range(4):
+            b, d = divmod(col, 2)
+            parts = [(st, prod[2 * a + b][2 * c + d], False),
+                     (st_neg, prod[2 * c + d][2 * a + b], True),
+                     (eta_t, prod[2 * c + b][2 * a + d], False),
+                     (eta_t_neg, prod[2 * c + b][2 * a + d], True)]
+            if sums is not None:
+                if c == b:
+                    parts.append((eta_s, sums[a][d], False))
+                if a == d:
+                    parts.append((eta_s_neg, sums[c][b], True))
+                if a == b:
+                    parts.append((eta2, sums[c][d], False))
+                    parts.append((eta2_neg, sums[c][d], True))
+            res = {}
+            for scalar, table, swap in parts:
+                for (di, dj), f in scalar.items():
+                    for (i, j), terms in table.items():
+                        ij = (j + di, i + dj) if swap else (i + di, j + dj)
+                        tgt = res.get(ij)
+                        if tgt is None:
+                            tgt = res[ij] = {}
+                        add_into(tgt, terms, f)
+            for ij in [ij for ij, terms in res.items() if not trim(terms)]:
+                del res[ij]
+            yield (row, col), res
+
+
+def exchange_check(x, n, eta, outer, middle=None):
+    """Exact check of the exchange relation of exchange_residual.  Returns
+    (ok, witness), the witness at the first nonzero residual entry in
+    row-major order, lowest degree pair and exponent key."""
+    for entry, res in exchange_residual(x, n, eta, outer, middle):
+        if res:
+            ij = min(res)
+            key = min(res[ij])
+            return False, Witness(ij, key, res[ij][key], entry)
     return True, None
-
-
-def _embed_first(m2, n, var):
-    """M (x) I with bivariate entries; columns of M are in `var` (0: lambda)."""
-    z = BiOp(n)
-    e = [[BiOp.lift(n, m2.a11, var), BiOp.lift(n, m2.a12, var)],
-         [BiOp.lift(n, m2.a21, var), BiOp.lift(n, m2.a22, var)]]
-    out = [[z for _ in range(4)] for _ in range(4)]
-    for i in range(2):
-        for k in range(2):
-            for j in range(2):
-                out[2 * i + k][2 * j + k] = e[i][j]
-    return out
-
-
-def _embed_second(m2, n, var):
-    """I (x) M with bivariate entries."""
-    z = BiOp(n)
-    e = [[BiOp.lift(n, m2.a11, var), BiOp.lift(n, m2.a12, var)],
-         [BiOp.lift(n, m2.a21, var), BiOp.lift(n, m2.a22, var)]]
-    out = [[z for _ in range(4)] for _ in range(4)]
-    for i in range(2):
-        for k in range(2):
-            for l in range(2):
-                out[2 * i + k][2 * i + l] = e[k][l]
-    return out
-
-
-def _transpose_first(m4):
-    """Partial transpose in the first tensor leg: (ik),(jl) -> (jk),(il)."""
-    out = [[None] * 4 for _ in range(4)]
-    for i in range(2):
-        for k in range(2):
-            for j in range(2):
-                for l in range(2):
-                    out[2 * i + k][2 * j + l] = m4[2 * j + k][2 * i + l]
-    return out
-
-
-def _transpose_second(m4):
-    """Partial transpose in the second tensor leg: (ik),(jl) -> (il),(jk)."""
-    out = [[None] * 4 for _ in range(4)]
-    for i in range(2):
-        for k in range(2):
-            for j in range(2):
-                for l in range(2):
-                    out[2 * i + k][2 * j + l] = m4[2 * i + l][2 * j + k]
-    return out
-
-
-def _rbar(n, c0_lambda, c0_mu, const, eta):
-    """(c0_lambda*lambda + c0_mu*mu + const) I4 + eta P, as a 4x4 BiOp matrix."""
-    s = {}
-    if c0_lambda:
-        s[(1, 0)] = c0_lambda
-    if c0_mu:
-        s[(0, 1)] = c0_mu
-    if const:
-        s[(0, 0)] = const
-    diag = BiOp.from_scalar_poly(n, s)
-    etab = BiOp.from_scalar_poly(n, {(0, 0): eta})
-    z = BiOp(n)
-    perm = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
-    out = [[z for _ in range(4)] for _ in range(4)]
-    for i in range(4):
-        for j in range(4):
-            e = BiOp(n)
-            if i == j:
-                e = e + diag
-            if perm[i][j]:
-                e = e + etab
-            out[i][j] = e
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +384,7 @@ def rtt_residual(n_sites, params, force=False):
         raise CostGuard(f"RTT at N={n_sites} is exponential; pass force=True")
     d = integer_units(params)
     t = qmonodromy(n_sites, params, d)
-    t1 = _embed_first(t, n_sites, 0)
-    t2 = _embed_second(t, n_sites, 1)
-    rb = _rbar(n_sites, 1, -1, 0, _in_units(params.eta, d))
-    lhs = _mat4_mul(_mat4_mul(rb, t1, n_sites), t2, n_sites)
-    rhs = _mat4_mul(_mat4_mul(t2, t1, n_sites), rb, n_sites)
-    return _mat4_eq(lhs, rhs)
+    return exchange_check(t, n_sites, _in_units(params.eta, d), (1, -1, 0))
 
 
 def _scalar_mat2(n, entries):
@@ -366,15 +401,8 @@ def q_reflection_minus(params, n_sites=0):
 
         Rb(l-m) K1(l) Rb(l+m) K2(m) = K2(m) Rb(l+m) K1(l) Rb(l-m).
     """
-    n = n_sites
-    k = _scalar_mat2(n, ([params.xi_minus], [0, 1], [0], [params.xi_minus]))
-    k1 = _embed_first(k, n, 0)
-    k2 = _embed_second(k, n, 1)
-    r_minus = _rbar(n, 1, -1, 0, params.eta)
-    r_plus = _rbar(n, 1, 1, 0, params.eta)
-    lhs = _mat4_mul(_mat4_mul(_mat4_mul(r_minus, k1, n), r_plus, n), k2, n)
-    rhs = _mat4_mul(_mat4_mul(_mat4_mul(k2, r_plus, n), k1, n), r_minus, n)
-    return _mat4_eq(lhs, rhs)
+    k = _scalar_mat2(n_sites, ([params.xi_minus], [0, 1], [0], [params.xi_minus]))
+    return exchange_check(k, n_sites, params.eta, (1, -1, 0), (1, 1, 0))
 
 
 def q_reflection_plus(params, shift=(1, 1), n_sites=0):
@@ -388,16 +416,10 @@ def q_reflection_plus(params, shift=(1, 1), n_sites=0):
     with middle -l-m-eta; the bare matrix (s = 0) pairs with -l-m.  The
     identity fails for any mismatched (shift, middle) pair.
     """
-    n = n_sites
     s = rat(shift[0], shift[1]) * params.eta
-    k = _scalar_mat2(n, ([params.xi_plus], [0], [s, 1], [params.xi_plus]))
-    k1t = _transpose_first(_embed_first(k, n, 0))
-    k2t = _transpose_second(_embed_second(k, n, 1))
-    r_a = _rbar(n, -1, 1, 0, params.eta)
-    r_b = _rbar(n, -1, -1, -2 * s, params.eta)
-    lhs = _mat4_mul(_mat4_mul(_mat4_mul(r_a, k1t, n), r_b, n), k2t, n)
-    rhs = _mat4_mul(_mat4_mul(_mat4_mul(k2t, r_b, n), k1t, n), r_a, n)
-    return _mat4_eq(lhs, rhs)
+    # K1^t1 = (K^t) (x) I and K2^t2 = I (x) K^t
+    kt = _scalar_mat2(n_sites, ([params.xi_plus], [s, 1], [0], [params.xi_plus]))
+    return exchange_check(kt, n_sites, params.eta, (-1, 1, 0), (-1, -1, -2 * s))
 
 
 def q_reflection_dressed(n_sites, params, force=False):
@@ -411,13 +433,7 @@ def q_reflection_dressed(n_sites, params, force=False):
     d = integer_units(params)
     eta = _in_units(params.eta, d)
     u = dressed_U_op(n_sites, params, d)
-    u1 = _embed_first(u, n_sites, 0)
-    u2 = _embed_second(u, n_sites, 1)
-    r_minus = _rbar(n_sites, 1, -1, 0, eta)
-    r_mid = _rbar(n_sites, 1, 1, -eta, eta)
-    lhs = _mat4_mul(_mat4_mul(_mat4_mul(r_minus, u1, n_sites), r_mid, n_sites), u2, n_sites)
-    rhs = _mat4_mul(_mat4_mul(_mat4_mul(u2, r_mid, n_sites), u1, n_sites), r_minus, n_sites)
-    return _mat4_eq(lhs, rhs)
+    return exchange_check(u, n_sites, eta, (1, -1, 0), (1, 1, -eta))
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +461,8 @@ def qtau(n_sites, params, units=1):
 def tau_commutes(n_sites, params):
     """Exact [tau(lambda), tau(mu)] = 0 check in integer units; returns (ok, witness)."""
     t = qtau(n_sites, params, integer_units(params))
-    a = BiOp.lift(n_sites, t, 0)
-    b = BiOp.lift(n_sites, t, 1)
-    lhs = a * b
-    rhs = b * a
+    lhs = BiOp.lift(n_sites, t, 0) * BiOp.lift(n_sites, t, 1)
+    rhs = lhs.swapped()                                 # tau(mu) tau(lambda)
     return lhs == rhs, lhs.witness_against(rhs)
 
 
@@ -603,6 +617,10 @@ def abd_commutation_residual(n_sites, params, force=False):
     B_m = BiOp.lift(n, b_p, 1)
     D_m = BiOp.lift(n, ds_p, 1)
     D_l = BiOp.lift(n, ds_p, 0)
+    # five operator products; each reverse-order product is a degree swap
+    BB = B_l * B_m
+    BA = B_l * A_m
+    BD = B_l * D_m
 
     def sc(coeffs):
         return BiOp.from_scalar_poly(n, coeffs)
@@ -620,23 +638,23 @@ def abd_commutation_residual(n_sites, params, force=False):
     eta_b = sc({(0, 0): eta})
 
     out = {}
-    lhs11 = B_l * B_m
-    rhs11 = B_m * B_l
+    lhs11 = BB
+    rhs11 = BB.swapped()                                # B(m) B(l)
     out["bb"] = (lhs11 == rhs11, lhs11.witness_against(rhs11))
 
     lhs12 = two_mu * lm * lp * (A_l * B_m)
-    rhs12 = two_mu * lm_e * lp_e * (B_m * A_l) \
-        + eta_b * two_mu_e * lp * (B_l * A_m) \
-        - eta_b * lm * (B_l * D_m)
+    rhs12 = two_mu * lm_e * lp_e * BA.swapped() \
+        + eta_b * two_mu_e * lp * BA \
+        - eta_b * lm * BD
     out["ab"] = (lhs12 == rhs12, lhs12.witness_against(rhs12))
 
     # The coefficient of B(mu) Dstar(lambda) is (l-m+eta)(l+m+eta): the eta-sign
     # of the second factor is the unique one making the relation an identity
     # (pinned by exhaustive sign search against the exact N=1 operators).
     lhs13 = two_mu * lm * lp * (D_l * B_m)
-    rhs13 = two_mu * lm_pe * lp_pe * (B_m * D_l) \
-        + eta_b * two_l_pe * two_mu_e * lm * (B_l * A_m) \
-        - eta_b * two_l_pe * lp * (B_l * D_m)
+    rhs13 = two_mu * lm_pe * lp_pe * BD.swapped() \
+        + eta_b * two_l_pe * two_mu_e * lm * BA \
+        - eta_b * two_l_pe * lp * BD
     out["db"] = (lhs13 == rhs13, lhs13.witness_against(rhs13))
     return out
 

@@ -483,8 +483,8 @@ def _xi_pairs(seed, xi_minus=None, xi_plus=None):
 
 
 def suite_quantum(seed=1, tol_scale=1.0, xi_minus=None, xi_plus=None):
-    from .quantum import (QParams, abd_commutation_residual, hq_extract,
-                          hq_classical_limit_residual, integer_units,
+    from .quantum import (QParams, _in_units, abd_commutation_residual, exchange_check,
+                          hq_extract, hq_classical_limit_residual, integer_units, qlax,
                           q_reflection_dressed, q_reflection_minus,
                           q_reflection_plus, rtt_residual, tau_commutes)
     recs = []
@@ -526,18 +526,10 @@ def suite_quantum(seed=1, tol_scale=1.0, xi_minus=None, xi_plus=None):
         recs.append(check_exact(f"hamiltonian-classical-limit-n{n}", bad == 0,
                                 mismatches=bad))
 
-    # negative control: eta mismatch between the two exchange-relation sides,
-    # in the integer units of the RTT check
-    from .quantum import (_embed_first, _embed_second, _in_units, _mat4_eq, _mat4_mul,
-                          _rbar, qmonodromy)
+    # negative control: the R-matrix at 2 D eta against T = L_1 at D eta
+    # (the one-site monodromy), in the integer units of the RTT check
     d = integer_units(p)
-    eta = _in_units(p.eta, d)
-    t = qmonodromy(1, p, d)
-    t1 = _embed_first(t, 1, 0)
-    t2 = _embed_second(t, 1, 1)
-    lhs = _mat4_mul(_mat4_mul(_rbar(1, 1, -1, 0, 2 * eta), t1, 1), t2, 1)
-    rhs = _mat4_mul(_mat4_mul(t2, t1, 1), _rbar(1, 1, -1, 0, eta), 1)
-    ok, _ = _mat4_eq(lhs, rhs)
+    ok, _ = exchange_check(qlax(1, 1, p, d), 1, 2 * _in_units(p.eta, d), (1, -1, 0))
     recs.append(check_exact("rtt-control", not ok, note="mismatched eta must fail"))
     return recs
 

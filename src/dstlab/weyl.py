@@ -6,22 +6,19 @@ operators is equality of term maps.  The defining relation is
 [d_i, q_j] = delta_ij; the lattice momentum is realized as r_i = -eta d_i,
 giving [q_i, r_j] = eta delta_ij.
 
-The term-product inner loop lives in a small kernel with two
-implementations (compiled / pure Python) selected here at import; this is
-the one place that decides it (dstlab.quantum uses the same _kernel).
+The term-product inner loop lives in one pure-Python kernel,
+dstlab._weylkernel_py, bound here as `_kernel` (dstlab.quantum uses the
+same binding).
 """
 from __future__ import annotations
 
-try:  # compiled kernel, if the extension was built
-    from . import _weylkernel as _kernel
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _weylkernel_py as _kernel
+from . import _weylkernel_py as _kernel
 
 BACKEND = _kernel.BACKEND
 
 
 def kernel_backend():
-    """Name of the active term-product kernel ("cython" or "python")."""
+    """Name of the term-product kernel ("python")."""
     return BACKEND
 
 

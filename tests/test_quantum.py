@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from dstlab import quantum, weyl
 from dstlab._rat import rat
 from dstlab.errors import CostGuard, DegreeNotPreserved
-from dstlab.quantum import (QParams, _embed_first, _embed_second, _in_units,
-                            _mat4_eq, _mat4_mul, _rbar, abcd_operators,
+from dstlab.poly import Mat2
+from dstlab.quantum import (BiOp, QParams, _in_units, _scalar_mat2, abcd_operators,
                             abd_commutation_residual, classical_image,
-                            degree_basis, dressed_U_op, hq_candidate,
+                            degree_basis, dressed_U_op, exchange_check,
+                            exchange_residual, hq_candidate,
                             hq_classical_limit_residual, hq_extract,
                             integer_units, q_reflection_dressed,
                             q_reflection_minus, q_reflection_plus, qlax,
@@ -19,6 +20,8 @@ from dstlab.quantum import (QParams, _embed_first, _embed_second, _in_units,
                             tau_commutes)
 from dstlab.verify import suite_quantum
 from dstlab.weyl import WeylOp
+from mat4_chain import (chain_sides, embed_first, embed_second, mat4_eq,
+                        transpose_first, transpose_second)
 
 P = QParams(1, rat(2, 3), rat(5, 7))
 ETAS = [rat(1), rat(1, 2), rat(3)]
@@ -75,14 +78,19 @@ def test_rtt_cost_guard():
         rtt_residual(3, P)
 
 
+def _chain_check(x, n, eta, outer, middle=None):
+    """The exchange check multiplied out as the explicit 4x4 chain."""
+    lhs, rhs = chain_sides(embed_first(x, n, 0), embed_second(x, n, 1), n, eta,
+                           outer, middle)
+    return mat4_eq(lhs, rhs)
+
+
 def test_rtt_negative_control():
+    # the R-matrix at 2 eta against T at eta
     t = qmonodromy(1, P)
-    t1 = _embed_first(t, 1, 0)
-    t2 = _embed_second(t, 1, 1)
-    lhs = _mat4_mul(_mat4_mul(_rbar(1, 1, -1, 0, 2 * P.eta), t1, 1), t2, 1)
-    rhs = _mat4_mul(_mat4_mul(t2, t1, 1), _rbar(1, 1, -1, 0, P.eta), 1)
-    ok, witness = _mat4_eq(lhs, rhs)
+    ok, witness = exchange_check(t, 1, 2 * P.eta, (1, -1, 0))
     assert not ok and witness is not None
+    assert (ok, witness) == _chain_check(t, 1, 2 * P.eta, (1, -1, 0))
 
 
 @pytest.mark.parametrize("eta", ETAS)
@@ -324,24 +332,16 @@ def test_integer_negative_controls_fail():
     p = UNIT_PARAMS
     d = integer_units(p)
     eta = _in_units(p.eta, d)
-    # RTT with a mismatched eta on the left
+    # RTT with the R-matrix at 2 D eta against T at D eta
     t = qmonodromy(1, p, d)
-    t1 = _embed_first(t, 1, 0)
-    t2 = _embed_second(t, 1, 1)
-    lhs = _mat4_mul(_mat4_mul(_rbar(1, 1, -1, 0, 2 * eta), t1, 1), t2, 1)
-    rhs = _mat4_mul(_mat4_mul(t2, t1, 1), _rbar(1, 1, -1, 0, eta), 1)
-    ok, witness = _mat4_eq(lhs, rhs)
+    ok, witness = exchange_check(t, 1, 2 * eta, (1, -1, 0))
     assert not ok and type(witness.difference) is int
+    assert (ok, witness) == _chain_check(t, 1, 2 * eta, (1, -1, 0))
     # dressed algebra with middle argument -2 D eta instead of -D eta
     u = dressed_U_op(1, p, d)
-    u1 = _embed_first(u, 1, 0)
-    u2 = _embed_second(u, 1, 1)
-    r_minus = _rbar(1, 1, -1, 0, eta)
-    r_mid = _rbar(1, 1, 1, -2 * eta, eta)
-    lhs = _mat4_mul(_mat4_mul(_mat4_mul(r_minus, u1, 1), r_mid, 1), u2, 1)
-    rhs = _mat4_mul(_mat4_mul(_mat4_mul(u2, r_mid, 1), u1, 1), r_minus, 1)
-    ok, witness = _mat4_eq(lhs, rhs)
+    ok, witness = exchange_check(u, 1, eta, (1, -1, 0), (1, 1, -2 * eta))
     assert not ok and witness.entry is not None
+    assert (ok, witness) == _chain_check(u, 1, eta, (1, -1, 0), (1, 1, -2 * eta))
 
 
 _small_rats = st.builds(rat, st.integers(-6, 6), st.integers(1, 6))
@@ -382,3 +382,71 @@ def test_failing_exact_check_records_witness(monkeypatch):
     for r in recs.values():
         assert ("witness" in r.parameters) == (not r.passed)
     assert recs["rtt-control"].passed
+
+
+# ---------------------------------------------------------------------------
+# exchange checks from the product table against the explicit 4x4 chain
+# ---------------------------------------------------------------------------
+
+def _assert_residual_matches_chain(x, n, eta, outer, middle, x1, x2):
+    lhs, rhs = chain_sides(x1, x2, n, eta, outer, middle)
+    residual = dict(exchange_residual(x, n, eta, outer, middle))
+    assert list(residual) == [(i, j) for i in range(4) for j in range(4)]
+    for (i, j), res in residual.items():
+        assert res == (lhs[i][j] - rhs[i][j])._cmp(), (i, j)
+    assert exchange_check(x, n, eta, outer, middle) == mat4_eq(lhs, rhs)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("check", ["rtt", "dressed"])
+def test_exchange_residual_matches_chain(check, n):
+    p = UNIT_PARAMS
+    d = integer_units(p)
+    eta = _in_units(p.eta, d)
+    if check == "rtt":
+        x, middle = qmonodromy(n, p, d), None
+    else:
+        x, middle = dressed_U_op(n, p, d), (1, 1, -eta)
+    _assert_residual_matches_chain(x, n, eta, (1, -1, 0), middle,
+                                   embed_first(x, n, 0), embed_second(x, n, 1))
+
+
+def test_reflection_minus_residual_matches_chain():
+    p = UNIT_PARAMS
+    k = _scalar_mat2(0, ([p.xi_minus], [0, 1], [0], [p.xi_minus]))
+    _assert_residual_matches_chain(k, 0, p.eta, (1, -1, 0), (1, 1, 0),
+                                   embed_first(k, 0, 0), embed_second(k, 0, 1))
+
+
+@pytest.mark.parametrize("shift", [(0, 1), (1, 2), (1, 1)])
+def test_reflection_plus_residual_matches_chain(shift):
+    # the chain transposes the embedded K_+ in each leg; the table takes K_+^t
+    p = UNIT_PARAMS
+    s = rat(*shift) * p.eta
+    k = _scalar_mat2(0, ([p.xi_plus], [0], [s, 1], [p.xi_plus]))
+    kt = Mat2(k.a11, k.a21, k.a12, k.a22)
+    for middle in ((-1, -1, -2 * s), (-1, -1, -s - 1)):   # identity and a mismatch
+        _assert_residual_matches_chain(
+            kt, 0, p.eta, (-1, 1, 0), middle,
+            transpose_first(embed_first(k, 0, 0)), transpose_second(embed_second(k, 0, 1)))
+    assert q_reflection_plus(p, shift=shift)[0]
+    assert not exchange_check(kt, 0, p.eta, (-1, 1, 0), (-1, -1, -s - 1))[0]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_reverse_products_are_degree_swaps(n):
+    p = UNIT_PARAMS
+    d = integer_units(p)
+    t = qtau(n, p, d)
+    assert (BiOp.lift(n, t, 0) * BiOp.lift(n, t, 1)).swapped() \
+        == BiOp.lift(n, t, 1) * BiOp.lift(n, t, 0)
+    a_p, b_p, _, _, ds_p = abcd_operators(n, p, d)
+    B_l, B_m = BiOp.lift(n, b_p, 0), BiOp.lift(n, b_p, 1)
+    for x_p in (a_p, b_p, ds_p):
+        # B(l) X(m) with lambda <-> mu is B(m) X(l)
+        assert (B_l * BiOp.lift(n, x_p, 1)).swapped() == B_m * BiOp.lift(n, x_p, 0)
+
+
+def test_dressed_reflection_three_sites_exact():
+    ok, witness = q_reflection_dressed(3, UNIT_PARAMS, force=True)
+    assert ok is True and witness is None

@@ -2,6 +2,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dstlab._rat import rat
 from dstlab.errors import SiteCountMismatch
@@ -87,15 +89,47 @@ def test_zero_site_algebra_is_scalar():
     assert one * two == WeylOp.identity(0)
 
 
-def test_kernel_backends_agree():
-    # the compiled kernel (when built) must reproduce the pure one exactly
-    rng = random.Random(11)
-    for _ in range(40):
-        a, b = _rand_op(rng, 3, 5), _rand_op(rng, 3, 5)
-        pure = _weylkernel_py.trim(
-            _weylkernel_py.mul_into({}, a.terms, b.terms, 3))
-        assert (a * b).terms == pure
-    assert kernel_backend() in ("cython", "python")
+# Property tests of the kernel through WeylOp.  Operators mix exponents up to
+# 3 with exact rational coefficients; pure scalars (a lone all-zero key) are
+# drawn on purpose, since mul_into takes a separate path for them.
+
+def _ops(n):
+    key = st.tuples(*[st.integers(0, 3)] * (2 * n))
+    coeff = st.builds(rat, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+    general = st.dictionaries(key, coeff, max_size=5)
+    scalar = st.dictionaries(st.just((0,) * (2 * n)), coeff, min_size=1)
+    return st.one_of(general, scalar).map(lambda t: WeylOp(n, t))
+
+
+_triples = st.integers(1, 3).flatmap(lambda n: st.tuples(_ops(n), _ops(n), _ops(n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_triples)
+def test_products_associative_and_distributive(abc):
+    a, b, c = abc
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    assert kernel_backend() == "python"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda n: st.tuples(_ops(n), _ops(n))), st.data())
+def test_product_acts_as_composition(ab, data):
+    # an oracle independent of the kernel: the action on commuting polynomials
+    a, b = ab
+    mono = st.tuples(*[st.integers(0, 5)] * a.n)
+    p = data.draw(st.dictionaries(mono, st.integers(-3, 3), max_size=4))
+    assert (a * b).apply(p) == a.apply(b.apply(p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_triples, st.integers(-4, 4))
+def test_mul_into_factor_scales_the_product(abc, factor):
+    a, b, _ = abc
+    out = _weylkernel_py.mul_into({}, a.terms, b.terms, a.n, factor)
+    assert WeylOp(a.n, out) == (a * b) * factor
 
 
 def test_euler_operator_degree():
