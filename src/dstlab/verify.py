@@ -502,12 +502,13 @@ def suite_quantum(seed=1, tol_scale=1.0, xi_minus=None, xi_plus=None):
                 recs.append(check_exact_witnessed(
                     f"reflection-dressed-n{n}-{tag}", q_reflection_dressed(n, p), d,
                     eta=str(eta)))
-            recs.append(check_exact(f"reflection-quantum-minus-{tag}",
-                                    q_reflection_minus(p)[0], eta=str(eta)))
+            # the scalar K checks run over plain rationals: units of 1
+            recs.append(check_exact_witnessed(f"reflection-quantum-minus-{tag}",
+                                              q_reflection_minus(p), 1, eta=str(eta)))
             for sh, nm in (((1, 1), "printed"), ((1, 2), "tau-matched"), ((0, 1), "bare")):
-                recs.append(check_exact(f"reflection-quantum-plus-{nm}-{tag}",
-                                        q_reflection_plus(p, shift=sh)[0],
-                                        eta=str(eta), shift=f"{sh[0]}/{sh[1]}"))
+                recs.append(check_exact_witnessed(
+                    f"reflection-quantum-plus-{nm}-{tag}", q_reflection_plus(p, shift=sh), 1,
+                    eta=str(eta), shift=f"{sh[0]}/{sh[1]}"))
             recs.append(check_exact_witnessed(f"tau-commutativity-n1-{tag}",
                                               tau_commutes(1, p), d, eta=str(eta)))
             for k, result in abd_commutation_residual(1, p).items():

@@ -4,8 +4,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from dstlab.cli import main
-from dstlab import verify
+from dstlab import monodromy, verify
+from lax_chain import lax_chain
 from dstlab.verify import run_suites, suite_rmatrix
 
 
@@ -35,6 +38,22 @@ def test_simulate_open_complex_columns(tmp_path):
     assert code == 0
     header = next(csv.reader(out.open()))
     assert "q1_re" in header and "q1_im" in header
+
+
+@pytest.mark.parametrize("bc, n", [("periodic", 6), ("quasi", 6), ("open", 6),
+                                   ("periodic", 24)])
+def test_simulate_bytes_match_the_lax_chain(bc, n, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "traj.csv"
+    argv = ["simulate", "--bc", bc, "--n", str(n), "--seed", "5", "--t-final", "0.5",
+            "--json", "--out", str(out)]
+
+    def run():
+        assert main(argv) == 0
+        return capsys.readouterr().out, out.read_bytes()
+
+    recurrence = run()
+    monkeypatch.setattr(monodromy, "monodromy", lax_chain)
+    assert run() == recurrence
 
 
 def test_simulate_t_final_zero(tmp_path):

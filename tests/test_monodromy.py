@@ -1,4 +1,7 @@
 """Lax matrices, monodromy, boundary matrices and conserved generators."""
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,8 @@ from dstlab.monodromy import (adjugate_neg, boundary_C, boundary_K,
                               lax_consistency_residual, monodromy,
                               monodromy_evolution_residual,
                               sampled_trajectory, sklyanin_condition_residual)
-from dstlab.poly import Poly
+from dstlab.poly import Mat2, Poly
+from lax_chain import lax_chain
 
 
 def _rand_state(rng, n, scale=1.0):
@@ -59,6 +63,94 @@ def test_monodromy_single_site_and_det():
         assert monodromy(LatticeState(q, r)).det().c == [0] * n + [1]
 
 
+def _coeff_reprs(t):
+    """repr of every coefficient of the four entries: shows the sign of a
+    zero, int against float, and the trimmed length."""
+    return [[repr(c) for c in e.c] for e in t.entries()]
+
+
+# Scalars that reach every special case of the Poly product: signed zeros,
+# also as complex parts; small integers, whose products cancel exactly;
+# and magnitudes whose products underflow to zero or overflow.
+_PARTS = (0.0, -0.0, 1.0, -1.0, 2.0, -0.5, 1e-160, -3e-161, 1e-310, 1e200, -1e170)
+
+
+def _part(rng):
+    return rng.choice(_PARTS) if rng.random() < 0.4 else rng.uniform(-2, 2)
+
+
+def _scalar(rng, kind):
+    if kind == "float":
+        return _part(rng)
+    if kind == "complex":
+        return complex(_part(rng), _part(rng))
+    if kind == "fraction":
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    if kind == "signed-zeros":  # products whose zero parts carry either sign
+        return complex(rng.choice(_PARTS[:6]), rng.choice(_PARTS[:6]))
+    return _scalar(rng, rng.choice(("float", "complex", "fraction")))
+
+
+@pytest.mark.parametrize("kind", ["float", "complex", "fraction", "signed-zeros", "mixed"])
+def test_monodromy_matches_the_lax_chain_bit_for_bit(kind):
+    rng = random.Random(kind)
+    for n in range(1, 9):
+        for _ in range(60):
+            q = tuple(_scalar(rng, kind) for _ in range(n))
+            r = tuple(_scalar(rng, kind) for _ in range(n))
+            st = LatticeState(q, r)
+            assert _coeff_reprs(monodromy(st)) == _coeff_reprs(lax_chain(st)), (q, r)
+
+
+@pytest.mark.parametrize("kind", ["float", "complex", "fraction"])
+def test_generic_monodromy_multiplies_no_mat2(kind, monkeypatch):
+    products = []
+    real_matmul = Mat2.__matmul__
+
+    def counted(a, b):
+        products.append(1)
+        return real_matmul(a, b)
+
+    def generic():
+        if kind == "fraction":
+            return Fraction(rng.choice((-1, 1)) * rng.randint(1, 97), rng.randint(1, 13))
+        z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        return z.real if kind == "float" else z
+
+    rng = random.Random(kind)
+    for n in range(2, 9):
+        q = tuple(generic() for _ in range(n))
+        r = tuple(generic() for _ in range(n))
+        st = LatticeState(q, r)
+        with monkeypatch.context() as m:
+            m.setattr(Mat2, "__matmul__", counted)
+            got = monodromy(st)
+        assert not products, (q, r)
+        assert _coeff_reprs(got) == _coeff_reprs(lax_chain(st))
+
+
+@pytest.mark.parametrize("q, r", [
+    # products that underflow to zero
+    ((1e-310, 3.0), (2.0, 1e-310)),
+    ((0.5, 1e-200, -2.0), (1e-160, 3.0, 1e-160)),
+    ((complex(1e-160, 2), complex(1.5, -0.0), complex(0, 1e-160)),
+     (complex(-1e-170, 0), complex(0, 1), complex(2, 0))),
+    # coefficients that overflow
+    ((1e200, 2.0, 3.0), (1e200, -1.0, 0.5)),
+    ((complex(1e200, 1e200), complex(1, 0), complex(0, 0.5)),
+     (complex(1e200, 0), complex(2, -0.0), complex(-1, 0))),
+    # sums of two products whose imaginary parts are both -0.0
+    ((complex(-0.0, -1), complex(-2, 0), complex(0.5, 1)),
+     (complex(-2, 0), complex(-0.0, 0.5), complex(0.5, -2))),
+    ((complex(-0.0, -0.5), complex(-0.0, -2)), (complex(-0.5, 2), complex(0, 0.5))),
+    ((complex(0, -2), complex(1, -0.0)), (complex(0, 1), complex(-0.0, -2))),
+    ((complex(-0.0, 0.5), complex(-2, 0)), (complex(-0.0, 2), complex(-0.5, 0))),
+])
+def test_monodromy_matches_the_lax_chain_at_extremes(q, r):
+    st = LatticeState(q, r)
+    assert _coeff_reprs(monodromy(st)) == _coeff_reprs(lax_chain(st))
+
+
 def test_monodromy_leading_structure():
     rng = np.random.default_rng(4)
     for n in (2, 3, 5):
@@ -86,7 +178,7 @@ def test_adjugate_neg():
         prod = t @ back
         assert max(abs(c) for c in (prod.a12.c + prod.a21.c) or [0]) < 1e-12
         assert max(abs(a - b) for a, b in zip(prod.a11.c, [0] * n + [1])) < 1e-12
-    ident = adjugate_neg(Poly and monodromy(LatticeState((0.0,), (0.0,))))
+    ident = adjugate_neg(monodromy(LatticeState((0.0,), (0.0,))))
     assert ident.a12 == 0 and ident.a21 == 0
 
 

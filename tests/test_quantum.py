@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dstlab import quantum, weyl
+from dstlab import quantum, verify, weyl
 from dstlab._rat import rat
 from dstlab.errors import CostGuard, DegreeNotPreserved
 from dstlab.poly import Mat2
@@ -382,6 +382,30 @@ def test_failing_exact_check_records_witness(monkeypatch):
     for r in recs.values():
         assert ("witness" in r.parameters) == (not r.passed)
     assert recs["rtt-control"].passed
+
+
+def test_failing_reflection_record_carries_witness(monkeypatch):
+    # K_+ shifted by s against the middle argument of the shift s + eta/2
+    def mismatched(params, shift=(1, 1), n_sites=0):
+        s = rat(shift[0], shift[1]) * params.eta
+        kt = _scalar_mat2(n_sites, ([params.xi_plus], [s, 1], [0], [params.xi_plus]))
+        return exchange_check(kt, n_sites, params.eta, (-1, 1, 0),
+                              (-1, -1, -2 * s - params.eta))
+
+    monkeypatch.setattr(quantum, "q_reflection_plus", mismatched)
+    recs = {r.identity_id: r for r in suite_quantum(seed=1)}
+    plus = {k: r for k, r in recs.items() if k.startswith("reflection-quantum-plus-")}
+    assert len(plus) == 18 and not any(r.passed for r in plus.values())
+    for r in recs.values():
+        assert ("witness" in r.parameters) == (not r.passed)
+        assert r.passed or r.identity_id in plus
+    rec = plus["reflection-quantum-plus-tau-matched-eta1-xi0"]
+    p = QParams(rat(1, 2), *verify._xi_pairs(1, None, None)[0])
+    ok, witness = mismatched(p, shift=(1, 2))
+    assert not ok and witness.difference != 0
+    assert rec.parameters["witness"] == {
+        "degrees": list(witness.degrees), "key": [], "entry": list(witness.entry),
+        "difference": str(witness.difference), "units": 1}
 
 
 # ---------------------------------------------------------------------------
