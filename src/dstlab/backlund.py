@@ -339,6 +339,7 @@ def jtilde_invariance_residual(state_x, result, params, theta_minus, theta_plus,
     """Composite check: tr[V_+(l) T(x;l) V_-(l) T(x;-l)^{-1}] before the map
     equals tr[K_+(l) T(y;l) K_-(l) T(y;-l)^{-1}] after it."""
     from .monodromy import monodromy
+    from .rmatrix import _mat2_eval
 
     xi = params.xi
     y1 = result.y[0]
@@ -350,11 +351,6 @@ def jtilde_invariance_residual(state_x, result, params, theta_minus, theta_plus,
     t_x = monodromy(state_x)
     t_y = monodromy(result.state())
 
-    def as_np(mat2, lam):
-        e = mat2.eval(lam)
-        return np.array([[complex(e.a11), complex(e.a12)],
-                         [complex(e.a21), complex(e.a22)]])
-
     out = 0.0
     for lam in grid:
         if abs(lam) < POLE_GUARD or abs(lam - params.sigma) < POLE_GUARD \
@@ -362,8 +358,9 @@ def jtilde_invariance_residual(state_x, result, params, theta_minus, theta_plus,
             continue
         kp = np.array([[theta_plus, 0], [lam, theta_plus]], dtype=complex)
         km = np.array([[theta_minus, lam], [0, theta_minus]], dtype=complex)
-        before = np.trace(v_plus(lam) @ as_np(t_x, lam) @ v_minus(lam)
-                          @ np.linalg.inv(as_np(t_x, -lam)))
-        after = np.trace(kp @ as_np(t_y, lam) @ km @ np.linalg.inv(as_np(t_y, -lam)))
+        before = np.trace(v_plus(lam) @ _mat2_eval(t_x, lam) @ v_minus(lam)
+                          @ np.linalg.inv(_mat2_eval(t_x, -lam)))
+        after = np.trace(kp @ _mat2_eval(t_y, lam) @ km
+                         @ np.linalg.inv(_mat2_eval(t_y, -lam)))
         out = max(out, abs(before - after))
     return out

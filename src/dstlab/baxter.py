@@ -388,10 +388,6 @@ class SovParams:
     phi_poly: object
 
 
-def _ev(f, x):
-    return f(x)
-
-
 def sov_residual(p, u, variant="printed"):
     """Scalar three-term defect of the separated difference equation:
 
@@ -406,6 +402,6 @@ def sov_residual(p, u, variant="printed"):
     dm = p.xi_minus + (u - eta / 2)
     dp = (2 * u - eta) * (p.xi_minus - (u + eta / 2))
     pre = (2 * u - eta) if variant == "alt" else (2 * u + eta)
-    return (2 * u * _ev(p.tau_poly, u) * _ev(p.phi_poly, u)
-            - p.xi_plus * pre * dm * _ev(p.phi_poly, u - eta)
-            - p.xi_plus * dp * _ev(p.phi_poly, u + eta))
+    return (2 * u * p.tau_poly(u) * p.phi_poly(u)
+            - p.xi_plus * pre * dm * p.phi_poly(u - eta)
+            - p.xi_plus * dp * p.phi_poly(u + eta))

@@ -45,8 +45,6 @@ def _build_parser():
                         help="print the machine-readable report to stdout")
         sp.add_argument("--out", type=str, default=None,
                         help="write the report (CSV for simulate, JSON otherwise)")
-        sp.add_argument("--plain", action="store_true",
-                        help="plain ASCII output (no alignment decorations)")
 
     def add_bc(sp, default="periodic"):
         sp.add_argument("--bc", choices=["periodic", "quasi", "open"], default=default)
@@ -68,7 +66,6 @@ def _build_parser():
     sp.add_argument("--suite", default="all",
                     help="classical | rmatrix | backlund | quantum | baxter | all")
     sp.add_argument("--tol-scale", type=float, default=1.0)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--xi-minus", type=str, default=None,
                     help="rational boundary constant for the quantum suite (e.g. 2/3)")
     sp.add_argument("--xi-plus", type=str, default=None,
@@ -90,7 +87,7 @@ def _build_parser():
     return p
 
 
-def _dump(report, args, default_name):
+def _dump(report, args):
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -196,12 +193,11 @@ def cmd_verify(args):
     xp = Fraction(args.xi_plus) if args.xi_plus else None
     try:
         report = run_suites(args.suite, seed=args.seed, tol_scale=args.tol_scale,
-                            jobs=args.jobs,
                             xi_minus=xm, xi_plus=xp)
     except CostGuard as exc:
         print(f"cost guard: {exc}", file=sys.stderr)
         return EXIT_COST
-    _dump(report, args, "report.json")
+    _dump(report, args)
     s = report["summary"]
     if not args.json:
         for r in report["records"]:
@@ -273,7 +269,7 @@ def cmd_backlund(args):
     }
     ok = all(c["pass"] for c in report["checks"].values())
     report["pass"] = ok
-    _dump(report, args, "backlund.json")
+    _dump(report, args)
     if not args.json:
         for k, c in report["checks"].items():
             print(f"{'PASS' if c['pass'] else 'FAIL'} {k}: {c['residual']:.3e} "
@@ -333,7 +329,7 @@ def cmd_baxter(args):
     }
     ok = all(c["pass"] for c in report["checks"].values())
     report["pass"] = ok
-    _dump(report, args, "baxter.json")
+    _dump(report, args)
     if not args.json:
         for k, c in report["checks"].items():
             print(f"{'PASS' if c['pass'] else 'FAIL'} {k}: {c['residual']:.3e} "

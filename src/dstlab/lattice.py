@@ -102,10 +102,6 @@ class LatticeState:
     def n_sites(self):
         return len(self.q)
 
-    def replace(self, q=None, r=None):
-        return LatticeState(self.q if q is None else tuple(q),
-                            self.r if r is None else tuple(r))
-
     def flat(self):
         return list(self.q) + list(self.r)
 

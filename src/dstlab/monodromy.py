@@ -23,7 +23,7 @@ import numpy as np
 from .errors import NonFiniteState, WrongRegime, ZeroXi
 from .lattice import (Open, Periodic, Quasiperiodic, _all_finite, eom,
                       principal_sqrt, step_rk4)
-from .poly import Mat2, Poly, poly_mat
+from .poly import Mat2, Poly, adjugate_neg, poly_mat
 
 # Sample grid for floating-point residuals: 8 unit-circle points plus
 # off-circle reals; avoids symmetry-induced accidental zeros.
@@ -119,15 +119,6 @@ def monodromy(state):
     for n in range(state.n_sites - 1, 0, -1):
         t = t @ lax_L(state, n)
     return t
-
-
-def adjugate_neg(t):
-    """sigma2 T^t(-lambda) sigma2 = [[t22(-l), -t12(-l)], [-t21(-l), t11(-l)]].
-
-    Equals det(T)(-lambda) * T^{-1}(-lambda); for the monodromy the determinant
-    is (-lambda)^N.
-    """
-    return Mat2(t.a22.flip(), -t.a12.flip(), -t.a21.flip(), t.a11.flip())
 
 
 def boundary_C(xi):

@@ -30,11 +30,6 @@ class Poly:
     def const(cls, value):
         return cls([value])
 
-    @classmethod
-    def x(cls, scale=1):
-        """The monomial scale * lambda."""
-        return cls([0, scale])
-
     @property
     def degree(self):
         return len(self.c) - 1
@@ -156,9 +151,6 @@ class Mat2:
     def __neg__(self):
         return Mat2(-self.a11, -self.a12, -self.a21, -self.a22)
 
-    def scale(self, s):
-        return Mat2(s * self.a11, s * self.a12, s * self.a21, s * self.a22)
-
     def trace(self):
         return self.a11 + self.a22
 
@@ -185,6 +177,16 @@ class Mat2:
 
     def __repr__(self):
         return f"Mat2({self.a11!r}, {self.a12!r}, {self.a21!r}, {self.a22!r})"
+
+
+def adjugate_neg(t):
+    """sigma2 T^t(-lambda) sigma2 = [[t22(-l), -t12(-l)], [-t21(-l), t11(-l)]]
+    for a Mat2 of Poly entries, without reordering (operator) coefficients.
+
+    Equals det(T)(-lambda) * T^{-1}(-lambda) when the coefficients commute;
+    for the monodromy the determinant is (-lambda)^N.
+    """
+    return Mat2(t.a22.flip(), -t.a12.flip(), -t.a21.flip(), t.a11.flip())
 
 
 def poly_mat(a11, a12, a21, a22):

@@ -33,15 +33,24 @@ builders (qlax, qmonodromy, dressed_U_op, qtau, abcd_operators) take the
 units D as an optional last argument; the default D = 1 is the rational
 operator itself.
 
-Exchange checks.  RTT, the reflection algebras for K_- and K_+ and the
-dressed algebra all have the shape R(s) X1(l) [R(t)] X2(m) = X2(m) [R(t)]
-X1(l) R(s) for a 2x2 operator-polynomial matrix X (T, K_-, K_+^t or U) and
-R(s) = s I + eta P with scalar s, t.  exchange_residual multiplies the 16
-operator products X_ab(l) X_cd(m) once and assembles both sides from them
-by degree shifts and scalar multiples; no 4x4 product is formed.  The
-reverse-order products X_cd(m) X_ab(l) are the same products with the
-(l, m) degrees swapped, which tau_commutes and abd_commutation_residual
-use too (BiOp.swapped).
+Exact residuals.  Every exact operator identity is checked as one
+residual lhs - rhs, written as parts (scalar, table, swap): a scalar
+polynomial in (l, m), a product table {(i, j): term dict} of X(l) Y(m),
+and whether to read the table with l and m exchanged, as X(m) Y(l).
+_assemble sums the parts by degree shifts and scalings through add_into;
+_verdict gives (ok, witness), the witness at the lowest degree pair, then
+the lowest exponent key.
+
+  * RTT, the reflection algebras for K_- and K_+ and the dressed algebra
+    have the shape R(s) X1(l) [R(t)] X2(m) = X2(m) [R(t)] X1(l) R(s) for a
+    2x2 operator-polynomial matrix X (T, K_-, K_+^t or U) and
+    R(s) = s I + eta P with scalar s, t.  exchange_residual multiplies the
+    16 products X_ab(l) X_cd(m) once and writes each entry of the 4x4
+    residual as parts over them; no 4x4 product is formed.
+  * [tau(l), tau(m)] = 0 is the parts (1, P, no swap) and (-1, P, swap)
+    over P = tau(l) tau(m).
+  * The A/B/Dstar relations are parts over the five products B B, B A,
+    B Dstar, A B and Dstar B, with products of linear factors as scalars.
 """
 from __future__ import annotations
 
@@ -51,7 +60,7 @@ from typing import NamedTuple
 
 from ._rat import rat
 from .errors import CostGuard, DegreeNotPreserved, NoOrderingMatches
-from .poly import Mat2, Poly
+from .poly import Mat2, Poly, adjugate_neg
 from .weyl import WeylOp, _kernel
 
 
@@ -99,7 +108,7 @@ class Witness(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# operator-valued polynomials and bivariate polynomials
+# exact residuals from operator product tables
 # ---------------------------------------------------------------------------
 
 def _lift_terms(op_poly, n):
@@ -116,102 +125,11 @@ def _lift_terms(op_poly, n):
     return out
 
 
-class BiOp:
-    """Bivariate polynomial in (lambda, mu) with WeylOp coefficients.
-
-    Stored as {(i, j): term-dict}; multiplication preserves the operator
-    order of the factors (lambda and mu commute with everything).
-    """
-
-    __slots__ = ("n", "t")
-
-    def __init__(self, n, t=None):
-        self.n = n
-        self.t = t if t is not None else {}
-
-    @classmethod
-    def from_scalar_poly(cls, n, coeffs):
-        """coeffs: {(i, j): int or rational}, kept as given (ints stay ints)."""
-        key0 = (0,) * (2 * n)
-        return cls(n, {ij: {key0: c} for ij, c in coeffs.items() if c != 0})
-
-    @classmethod
-    def from_op(cls, n, op, power=(0, 0)):
-        if op.is_zero():
-            return cls(n)
-        return cls(n, {power: dict(op.terms)})
-
-    @classmethod
-    def lift(cls, n, op_poly, var):
-        """Univariate operator polynomial -> BiOp in lambda (var=0) or mu (var=1)."""
-        return cls(n, {((k, 0) if var == 0 else (0, k)): dict(terms)
-                       for k, terms in _lift_terms(op_poly, n).items()})
-
-    def copy(self):
-        return BiOp(self.n, {k: dict(v) for k, v in self.t.items()})
-
-    def swapped(self):
-        """lambda <-> mu, sharing the term dicts: for X(l) Y(m) this is
-        X(m) Y(l), i.e. the product Y(l) X(m) taken in the reverse order."""
-        return BiOp(self.n, {(j, i): terms for (i, j), terms in self.t.items()})
-
-    def is_zero(self):
-        return all(not v for v in self.t.values())
-
-    def __add__(self, other):
-        out = self.copy()
-        for ij, terms in other.t.items():
-            tgt = out.t.setdefault(ij, {})
-            _kernel.add_into(tgt, terms)
-        return out._clean()
-
-    def __sub__(self, other):
-        out = self.copy()
-        for ij, terms in other.t.items():
-            tgt = out.t.setdefault(ij, {})
-            _kernel.add_into(tgt, terms, -1)
-        return out._clean()
-
-    def __neg__(self):
-        return BiOp(self.n, {ij: {k: -c for k, c in terms.items()}
-                             for ij, terms in self.t.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for (i1, j1), t1 in self.t.items():
-            for (i2, j2), t2 in other.t.items():
-                key = (i1 + i2, j1 + j2)
-                tgt = out.setdefault(key, {})
-                _kernel.mul_into(tgt, t1, t2, self.n)
-        return BiOp(self.n, out)._clean()
-
-    def _clean(self):
-        dead = []
-        for ij, terms in self.t.items():
-            _kernel.trim(terms)
-            if not terms:
-                dead.append(ij)
-        for ij in dead:
-            del self.t[ij]
-        return self
-
-    def __eq__(self, other):
-        return self.n == other.n and self._cmp() == other._cmp()
-
-    def _cmp(self):
-        return {ij: terms for ij, terms in self.t.items() if terms}
-
-    def witness_against(self, other):
-        """First (degree pair, exponent key, coeff difference) where they differ."""
-        keys = sorted(set(self.t) | set(other.t))
-        for ij in keys:
-            a = self.t.get(ij, {})
-            b = other.t.get(ij, {})
-            for key in sorted(set(a) | set(b)):
-                ca, cb = a.get(key, 0), b.get(key, 0)
-                if ca != cb:
-                    return Witness(ij, key, ca - cb)
-        return None
+def _product_table(x, y, n):
+    """X(l) Y(m) as {(i, j): term dict} from lifted polynomials x and y: one
+    operator product per pair of degrees, operator order kept."""
+    mul_into = _kernel.mul_into
+    return {(i, j): mul_into({}, ti, tj, n) for i, ti in x.items() for j, tj in y.items()}
 
 
 def _scalar(c_lambda, c_mu, const):
@@ -220,13 +138,47 @@ def _scalar(c_lambda, c_mu, const):
     return {ij: c for ij, c in out.items() if c != 0}
 
 
-def _scalar_mul(p, q):
-    out = {}
-    for (i1, j1), c1 in p.items():
-        for (i2, j2), c2 in q.items():
-            ij = (i1 + i2, j1 + j2)
-            out[ij] = out.get(ij, 0) + c1 * c2
-    return {ij: c for ij, c in out.items() if c != 0}
+def _scalar_mul(p, *qs):
+    """Product of scalar polynomials {(i, j): coeff}."""
+    for q in qs:
+        out = {}
+        for (i1, j1), c1 in p.items():
+            for (i2, j2), c2 in q.items():
+                ij = (i1 + i2, j1 + j2)
+                out[ij] = out.get(ij, 0) + c1 * c2
+        p = {ij: c for ij, c in out.items() if c != 0}
+    return p
+
+
+def _assemble(parts):
+    """lhs - rhs of an exact identity written as parts (scalar, table, swap):
+    the sum of scalar(l, m) times the product table, with the table's
+    (l, m) degrees swapped when swap is set: the table X(l) Y(m) swapped is
+    X(m) Y(l).  The scalars are applied as degree shifts and scalings
+    through add_into; exactly-zero terms and degrees are dropped."""
+    add_into, trim = _kernel.add_into, _kernel.trim
+    res = {}
+    for scalar, table, swap in parts:
+        for (di, dj), f in scalar.items():
+            for (i, j), terms in table.items():
+                ij = (j + di, i + dj) if swap else (i + di, j + dj)
+                tgt = res.get(ij)
+                if tgt is None:
+                    tgt = res[ij] = {}
+                add_into(tgt, terms, f)
+    for ij in [ij for ij, terms in res.items() if not trim(terms)]:
+        del res[ij]
+    return res
+
+
+def _verdict(res, entry=None):
+    """(ok, witness) of an assembled residual; the witness is its lowest
+    degree pair, then lowest exponent key."""
+    if not res:
+        return True, None
+    ij = min(res)
+    key = min(res[ij])
+    return False, Witness(ij, key, res[ij][key], entry)
 
 
 def exchange_residual(x, n, eta, outer, middle=None):
@@ -250,18 +202,11 @@ def exchange_residual(x, n, eta, outer, middle=None):
 
     (t = 1 and no S terms without a middle), from X1 X2 = P, X2 X1 = P~,
     X1 P X2 = [c=b] S[a][d], X2 P X1 = [a=d] S[c][b]~, and P Z (Z P)
-    exchanging rows a<->c (columns b<->d) of Z.  The scalar factors are
-    applied as degree shifts and integer scalings through add_into."""
-    mul_into, add_into, trim = _kernel.mul_into, _kernel.add_into, _kernel.trim
+    exchanging rows a<->c (columns b<->d) of Z.  Each entry's parts are
+    summed by _assemble."""
+    add_into = _kernel.add_into
     lifted = [_lift_terms(e, n) for e in x.entries()]     # index 2a + b
-    prod = [[None] * 4 for _ in range(4)]
-    for u, xu in enumerate(lifted):
-        for v, xv in enumerate(lifted):
-            entry = {}
-            for i, ti in xu.items():
-                for j, tj in xv.items():
-                    entry[(i, j)] = mul_into({}, ti, tj, n)
-            prod[u][v] = entry
+    prod = [[_product_table(xu, xv, n) for xv in lifted] for xu in lifted]
 
     s = _scalar(*outer)
     eta_s = {ij: eta * c for ij, c in s.items()}
@@ -302,18 +247,7 @@ def exchange_residual(x, n, eta, outer, middle=None):
                 if a == b:
                     parts.append((eta2, sums[c][d], False))
                     parts.append((eta2_neg, sums[c][d], True))
-            res = {}
-            for scalar, table, swap in parts:
-                for (di, dj), f in scalar.items():
-                    for (i, j), terms in table.items():
-                        ij = (j + di, i + dj) if swap else (i + di, j + dj)
-                        tgt = res.get(ij)
-                        if tgt is None:
-                            tgt = res[ij] = {}
-                        add_into(tgt, terms, f)
-            for ij in [ij for ij, terms in res.items() if not trim(terms)]:
-                del res[ij]
-            yield (row, col), res
+            yield (row, col), _assemble(parts)
 
 
 def exchange_check(x, n, eta, outer, middle=None):
@@ -322,9 +256,7 @@ def exchange_check(x, n, eta, outer, middle=None):
     row-major order, lowest degree pair and exponent key."""
     for entry, res in exchange_residual(x, n, eta, outer, middle):
         if res:
-            ij = min(res)
-            key = min(res[ij])
-            return False, Witness(ij, key, res[ij][key], entry)
+            return _verdict(res, entry)
     return True, None
 
 
@@ -354,11 +286,6 @@ def qmonodromy(n_sites, params, units=1):
     return t
 
 
-def op_adjugate_neg(t):
-    """sigma2 T^t(-lambda) sigma2 entrywise, without reordering operator factors."""
-    return Mat2(t.a22.flip(), -t.a12.flip(), -t.a21.flip(), t.a11.flip())
-
-
 def dressed_U_op(n_sites, params, units=1):
     """U(lambda) = T(lambda) K_-(lambda - eta/2, xi_-) sigma2 T^t(-lambda) sigma2
     (D^(2N+1) U(Lambda/D) in units D)."""
@@ -371,7 +298,7 @@ def dressed_U_op(n_sites, params, units=1):
                    Poly([-half * one, one]),
                    zero,
                    Poly([xi_minus * one]))
-    return t @ k_minus @ op_adjugate_neg(t)
+    return t @ k_minus @ adjugate_neg(t)
 
 
 def rtt_residual(n_sites, params, force=False):
@@ -460,10 +387,9 @@ def qtau(n_sites, params, units=1):
 
 def tau_commutes(n_sites, params):
     """Exact [tau(lambda), tau(mu)] = 0 check in integer units; returns (ok, witness)."""
-    t = qtau(n_sites, params, integer_units(params))
-    lhs = BiOp.lift(n_sites, t, 0) * BiOp.lift(n_sites, t, 1)
-    rhs = lhs.swapped()                                 # tau(mu) tau(lambda)
-    return lhs == rhs, lhs.witness_against(rhs)
+    t = _lift_terms(qtau(n_sites, params, integer_units(params)), n_sites)
+    p = _product_table(t, t, n_sites)                   # tau(l) tau(m)
+    return _verdict(_assemble([({(0, 0): 1}, p, False), ({(0, 0): -1}, p, True)]))
 
 
 HQ_ORDERINGS = ("qrqr", "rqrq", "q2r2", "symmetric")
@@ -609,54 +535,38 @@ def abd_commutation_residual(n_sites, params, force=False):
         raise CostGuard("A/B/Dstar relations are exponential in N; pass force=True")
     n = n_sites
     d = integer_units(params)
-    a_p, b_p, _, _, ds_p = abcd_operators(n, params, d)
     eta = _in_units(params.eta, d)
-    A_l = BiOp.lift(n, a_p, 0)
-    A_m = BiOp.lift(n, a_p, 1)
-    B_l = BiOp.lift(n, b_p, 0)
-    B_m = BiOp.lift(n, b_p, 1)
-    D_m = BiOp.lift(n, ds_p, 1)
-    D_l = BiOp.lift(n, ds_p, 0)
-    # five operator products; each reverse-order product is a degree swap
-    BB = B_l * B_m
-    BA = B_l * A_m
-    BD = B_l * D_m
+    a, b, _, _, ds = (_lift_terms(x, n) for x in abcd_operators(n, params, d))
+    # five operator products X(l) Y(m); each reverse-order product is a degree swap
+    BB, BA, BD = _product_table(b, b, n), _product_table(b, a, n), _product_table(b, ds, n)
+    AB, DB = _product_table(a, b, n), _product_table(ds, b, n)
 
-    def sc(coeffs):
-        return BiOp.from_scalar_poly(n, coeffs)
-
-    # scalar prefactor polynomials in (lambda, mu)
-    two_mu = sc({(0, 1): 2})
-    lm = sc({(1, 0): 1, (0, 1): -1})                    # l - m
-    lp = sc({(1, 0): 1, (0, 1): 1})                     # l + m
-    lm_e = sc({(1, 0): 1, (0, 1): -1, (0, 0): -eta})    # l - m - eta
-    lm_pe = sc({(1, 0): 1, (0, 1): -1, (0, 0): eta})    # l - m + eta
-    lp_e = sc({(1, 0): 1, (0, 1): 1, (0, 0): -eta})     # l + m - eta
-    lp_pe = sc({(1, 0): 1, (0, 1): 1, (0, 0): eta})     # l + m + eta
-    two_mu_e = sc({(0, 1): 2, (0, 0): -eta})            # 2 mu - eta
-    two_l_pe = sc({(1, 0): 2, (0, 0): eta})             # 2 lambda + eta
-    eta_b = sc({(0, 0): eta})
-
-    out = {}
-    lhs11 = BB
-    rhs11 = BB.swapped()                                # B(m) B(l)
-    out["bb"] = (lhs11 == rhs11, lhs11.witness_against(rhs11))
-
-    lhs12 = two_mu * lm * lp * (A_l * B_m)
-    rhs12 = two_mu * lm_e * lp_e * BA.swapped() \
-        + eta_b * two_mu_e * lp * BA \
-        - eta_b * lm * BD
-    out["ab"] = (lhs12 == rhs12, lhs12.witness_against(rhs12))
-
-    # The coefficient of B(mu) Dstar(lambda) is (l-m+eta)(l+m+eta): the eta-sign
-    # of the second factor is the unique one making the relation an identity
-    # (pinned by exhaustive sign search against the exact N=1 operators).
-    lhs13 = two_mu * lm * lp * (D_l * B_m)
-    rhs13 = two_mu * lm_pe * lp_pe * BD.swapped() \
-        + eta_b * two_l_pe * two_mu_e * lm * BA \
-        - eta_b * two_l_pe * lp * BD
-    out["db"] = (lhs13 == rhs13, lhs13.witness_against(rhs13))
-    return out
+    # scalar prefactors in (lambda, mu), as products of linear factors
+    lm, lp = _scalar(1, -1, 0), _scalar(1, 1, 0)
+    eta_b, neg_eta, neg_two_mu = _scalar(0, 0, eta), _scalar(0, 0, -eta), _scalar(0, -2, 0)
+    two_mu_e = _scalar(0, 2, -eta)                      # 2 mu - eta
+    two_l_pe = _scalar(2, 0, eta)                       # 2 lambda + eta
+    denom = _scalar_mul(_scalar(0, 2, 0), lm, lp)       # 2 mu (l-m)(l+m)
+    relations = {
+        # B(l) B(m) = B(m) B(l)
+        "bb": [({(0, 0): 1}, BB, False), ({(0, 0): -1}, BB, True)],
+        # 2m (l-m)(l+m) A(l) B(m) = 2m (l-m-eta)(l+m-eta) B(m) A(l)
+        #     + eta (2m-eta)(l+m) B(l) A(m) - eta (l-m) B(l) Dstar(m)
+        "ab": [(denom, AB, False),
+               (_scalar_mul(neg_two_mu, _scalar(1, -1, -eta), _scalar(1, 1, -eta)), BA, True),
+               (_scalar_mul(neg_eta, two_mu_e, lp), BA, False),
+               (_scalar_mul(eta_b, lm), BD, False)],
+        # 2m (l-m)(l+m) Dstar(l) B(m) = 2m (l-m+eta)(l+m+eta) B(m) Dstar(l)
+        #     + eta (2l+eta)(2m-eta)(l-m) B(l) A(m) - eta (2l+eta)(l+m) B(l) Dstar(m)
+        # The eta-sign of (l+m+eta) is the unique one making the relation an
+        # identity (pinned by exhaustive sign search against the exact N=1
+        # operators).
+        "db": [(denom, DB, False),
+               (_scalar_mul(neg_two_mu, _scalar(1, -1, eta), _scalar(1, 1, eta)), BD, True),
+               (_scalar_mul(neg_eta, two_l_pe, two_mu_e, lm), BA, False),
+               (_scalar_mul(eta_b, two_l_pe, lp), BD, False)],
+    }
+    return {name: _verdict(_assemble(parts)) for name, parts in relations.items()}
 
 
 # ---------------------------------------------------------------------------

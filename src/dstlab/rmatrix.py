@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import CoincidingSpectralParams, WrongRegime, ZeroSpectralParam
 from .lattice import DEFAULT_FD_STEP, LatticeState, Open
-from .monodromy import adjugate_neg, boundary_K, lax_L, monodromy
+from .monodromy import boundary_K, lax_L, monodromy
+from .poly import adjugate_neg
 
 PERM = np.array([[1, 0, 0, 0],
                  [0, 0, 1, 0],

@@ -13,9 +13,7 @@ tol_scale) and records are sorted by identity_id.
 """
 from __future__ import annotations
 
-import json
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -645,29 +643,16 @@ SUITES = {
 }
 
 
-def run_suites(suite="all", seed=1, tol_scale=1.0, jobs=1,
-               xi_minus=None, xi_plus=None):
+def run_suites(suite="all", seed=1, tol_scale=1.0, xi_minus=None, xi_plus=None):
     """Execute a suite (or all of them); returns the report dict."""
     names = list(SUITES) if suite == "all" else [suite]
     for nm in names:
         if nm not in SUITES:
             raise KeyError(nm)
-
-    def call(nm):
-        if nm == "quantum":
-            return SUITES[nm](seed, tol_scale,
-                              xi_minus=xi_minus, xi_plus=xi_plus)
-        return SUITES[nm](seed, tol_scale)
-
     records = []
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            futs = [ex.submit(call, nm) for nm in names]
-            for f in futs:
-                records.extend(f.result())
-    else:
-        for nm in names:
-            records.extend(call(nm))
+    for nm in names:
+        extra = {"xi_minus": xi_minus, "xi_plus": xi_plus} if nm == "quantum" else {}
+        records.extend(SUITES[nm](seed, tol_scale, **extra))
     records.sort(key=lambda r: r.identity_id)
     n_pass = sum(1 for r in records if r.passed)
     return {
@@ -679,7 +664,3 @@ def run_suites(suite="all", seed=1, tol_scale=1.0, jobs=1,
         "summary": {"total": len(records), "passed": n_pass,
                     "failed": len(records) - n_pass},
     }
-
-
-def report_to_json(report):
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"

@@ -126,14 +126,6 @@ class WeylOp:
     def __rmul__(self, other):
         return WeylOp(self.n, {k: other * c for k, c in self.terms.items()})
 
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative operator power")
-        out = WeylOp.identity(self.n)
-        for _ in range(k):
-            out = out * self
-        return out
-
     # -- actions and views ----------------------------------------------
     def apply(self, poly):
         """Act on a commuting polynomial {exponent tuple: coeff}."""

@@ -1,13 +1,90 @@
-"""Independent oracle for the exchange checks: the explicit 4x4 product chain.
+"""Independent oracle for the exact residuals: bivariate operator
+polynomials and the explicit 4x4 product chain.
 
-Each side of an exchange relation is multiplied out as a product of 4x4
-matrices with BiOp entries (X1 = X (x) I in lambda, X2 = I (x) X in mu,
-R(s) = s I + eta P), so every operator product is recomputed where it
-occurs.  This is slow but shares nothing with the product-table assembly
-in dstlab.quantum except BiOp itself.
+BiOp is a ring of polynomials in (lambda, mu) with WeylOp coefficients, so
+an identity is checked by multiplying each side out and comparing.  Each
+side of an exchange relation is a product of 4x4 matrices with BiOp entries
+(X1 = X (x) I in lambda, X2 = I (x) X in mu, R(s) = s I + eta P), so every
+operator product is recomputed where it occurs.  This is slow but shares
+nothing with the product-table assembly in dstlab.quantum.
 """
-from dstlab.quantum import BiOp
-from dstlab.weyl import _kernel
+from dstlab.quantum import Witness
+from dstlab.weyl import WeylOp, _kernel
+
+
+class BiOp:
+    """Bivariate polynomial in (lambda, mu) with WeylOp coefficients.
+
+    Stored as {(i, j): term-dict}; multiplication preserves the operator
+    order of the factors (lambda and mu commute with everything).
+    """
+
+    __slots__ = ("n", "t")
+
+    def __init__(self, n, t=None):
+        self.n = n
+        self.t = t if t is not None else {}
+
+    @classmethod
+    def from_scalar_poly(cls, n, coeffs):
+        """coeffs: {(i, j): int or rational}, kept as given (ints stay ints)."""
+        key0 = (0,) * (2 * n)
+        return cls(n, {ij: {key0: c} for ij, c in coeffs.items() if c != 0})
+
+    @classmethod
+    def lift(cls, n, op_poly, var):
+        """Univariate operator polynomial -> BiOp in lambda (var=0) or mu (var=1);
+        scalar coefficients become multiples of the identity."""
+        key0 = (0,) * (2 * n)
+        return cls(n, {((k, 0) if var == 0 else (0, k)):
+                       dict(c.terms) if isinstance(c, WeylOp) else {key0: c}
+                       for k, c in enumerate(op_poly.c)})._clean()
+
+    def copy(self):
+        return BiOp(self.n, {k: dict(v) for k, v in self.t.items()})
+
+    def swapped(self):
+        """lambda <-> mu, sharing the term dicts: for X(l) Y(m) this is X(m) Y(l)."""
+        return BiOp(self.n, {(j, i): terms for (i, j), terms in self.t.items()})
+
+    def __add__(self, other):
+        out = self.copy()
+        for ij, terms in other.t.items():
+            _kernel.add_into(out.t.setdefault(ij, {}), terms)
+        return out._clean()
+
+    def __sub__(self, other):
+        out = self.copy()
+        for ij, terms in other.t.items():
+            _kernel.add_into(out.t.setdefault(ij, {}), terms, -1)
+        return out._clean()
+
+    def __mul__(self, other):
+        out = {}
+        for (i1, j1), t1 in self.t.items():
+            for (i2, j2), t2 in other.t.items():
+                tgt = out.setdefault((i1 + i2, j1 + j2), {})
+                _kernel.mul_into(tgt, t1, t2, self.n)
+        return BiOp(self.n, out)._clean()
+
+    def _clean(self):
+        for ij in [ij for ij, terms in self.t.items() if not _kernel.trim(terms)]:
+            del self.t[ij]
+        return self
+
+    def __eq__(self, other):
+        return self.n == other.n and self.t == other.t
+
+    def witness_against(self, other):
+        """First (degree pair, exponent key, coeff difference) where they differ."""
+        for ij in sorted(set(self.t) | set(other.t)):
+            a = self.t.get(ij, {})
+            b = other.t.get(ij, {})
+            for key in sorted(set(a) | set(b)):
+                ca, cb = a.get(key, 0), b.get(key, 0)
+                if ca != cb:
+                    return Witness(ij, key, ca - cb)
+        return None
 
 
 def mat4_mul(a, b, n):

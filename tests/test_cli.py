@@ -143,14 +143,11 @@ def test_rmatrix_wrong_k_injection_hook():
     assert flipped == {"reflection-kminus", "reflection-kplus"}
 
 
-def test_jobs_parallel_report_stable(monkeypatch):
+def test_report_records_sorted_and_complete(monkeypatch):
     # Three quick suites, so that records from different suites interleave.
     quick = {nm: verify.SUITES[nm] for nm in ("rmatrix", "backlund", "baxter")}
     monkeypatch.setattr(verify, "SUITES", quick)
-    seq = run_suites("all", seed=2, jobs=1)
-    par = run_suites("all", seed=2, jobs=3)
-    assert seq == par
-    ids = [r["identity_id"] for r in seq["records"]]
+    ids = [r["identity_id"] for r in run_suites("all", seed=2)["records"]]
     assert ids == sorted(ids)
     per_suite = [{r.identity_id for r in fn(2, 1.0)} for fn in quick.values()]
     assert all(per_suite) and set(ids) == set().union(*per_suite)

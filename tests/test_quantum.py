@@ -1,4 +1,6 @@
 """Exact quantum-chain identities over the Weyl engine."""
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,7 @@ from dstlab import quantum, verify, weyl
 from dstlab._rat import rat
 from dstlab.errors import CostGuard, DegreeNotPreserved
 from dstlab.poly import Mat2
-from dstlab.quantum import (BiOp, QParams, _in_units, _scalar_mat2, abcd_operators,
+from dstlab.quantum import (QParams, _in_units, _scalar_mat2, abcd_operators,
                             abd_commutation_residual, classical_image,
                             degree_basis, dressed_U_op, exchange_check,
                             exchange_residual, hq_candidate,
@@ -20,7 +22,7 @@ from dstlab.quantum import (BiOp, QParams, _in_units, _scalar_mat2, abcd_operato
                             tau_commutes)
 from dstlab.verify import suite_quantum
 from dstlab.weyl import WeylOp
-from mat4_chain import (chain_sides, embed_first, embed_second, mat4_eq,
+from mat4_chain import (BiOp, chain_sides, embed_first, embed_second, mat4_eq,
                         transpose_first, transpose_second)
 
 P = QParams(1, rat(2, 3), rat(5, 7))
@@ -191,7 +193,6 @@ def test_abd_exchange_relations(eta):
 
 def test_abd_negative_control():
     # dropping the (2 lambda + eta) factor of the last term must fail
-    from dstlab.quantum import BiOp
     a_p, b_p, _, _, ds_p = abcd_operators(1, P)
     eta = P.eta
     B_l = BiOp.lift(1, b_p, 0)
@@ -417,7 +418,7 @@ def _assert_residual_matches_chain(x, n, eta, outer, middle, x1, x2):
     residual = dict(exchange_residual(x, n, eta, outer, middle))
     assert list(residual) == [(i, j) for i in range(4) for j in range(4)]
     for (i, j), res in residual.items():
-        assert res == (lhs[i][j] - rhs[i][j])._cmp(), (i, j)
+        assert res == (lhs[i][j] - rhs[i][j]).t, (i, j)
     assert exchange_check(x, n, eta, outer, middle) == mat4_eq(lhs, rhs)
 
 
@@ -469,6 +470,69 @@ def test_reverse_products_are_degree_swaps(n):
     for x_p in (a_p, b_p, ds_p):
         # B(l) X(m) with lambda <-> mu is B(m) X(l)
         assert (B_l * BiOp.lift(n, x_p, 1)).swapped() == B_m * BiOp.lift(n, x_p, 0)
+
+
+def _biop_tau(n, p):
+    t = qtau(n, p, integer_units(p))
+    lhs = BiOp.lift(n, t, 0) * BiOp.lift(n, t, 1)
+    rhs = BiOp.lift(n, t, 1) * BiOp.lift(n, t, 0)
+    return lhs == rhs, lhs.witness_against(rhs)
+
+
+def _biop_abd(n, p):
+    """The A/B/Dstar relations with both sides multiplied out in BiOp."""
+    d = integer_units(p)
+    a_p, b_p, _, _, ds_p = abcd_operators(n, p, d)
+    A_l, A_m = BiOp.lift(n, a_p, 0), BiOp.lift(n, a_p, 1)
+    B_l, B_m = BiOp.lift(n, b_p, 0), BiOp.lift(n, b_p, 1)
+    D_l, D_m = BiOp.lift(n, ds_p, 0), BiOp.lift(n, ds_p, 1)
+
+    def sc(c_lambda, c_mu, const):
+        return BiOp.from_scalar_poly(n, {(1, 0): c_lambda, (0, 1): c_mu, (0, 0): const})
+
+    e = _in_units(p.eta, d)
+    eta = sc(0, 0, e)
+    denom = sc(0, 2, 0) * sc(1, -1, 0) * sc(1, 1, 0)
+    sides = {
+        "bb": (B_l * B_m, B_m * B_l),
+        "ab": (denom * (A_l * B_m),
+               sc(0, 2, 0) * sc(1, -1, -e) * sc(1, 1, -e) * (B_m * A_l)
+               + eta * sc(0, 2, -e) * sc(1, 1, 0) * (B_l * A_m)
+               - eta * sc(1, -1, 0) * (B_l * D_m)),
+        "db": (denom * (D_l * B_m),
+               sc(0, 2, 0) * sc(1, -1, e) * sc(1, 1, e) * (B_m * D_l)
+               + eta * sc(2, 0, e) * sc(0, 2, -e) * sc(1, -1, 0) * (B_l * A_m)
+               - eta * sc(2, 0, e) * sc(1, 1, 0) * (B_l * D_m)),
+    }
+    return {name: (lhs == rhs, lhs.witness_against(rhs)) for name, (lhs, rhs) in sides.items()}
+
+
+@pytest.mark.parametrize("flip", [False, True])
+@pytest.mark.parametrize("pair", XI_PAIRS)
+@pytest.mark.parametrize("n", [1, 2])
+def test_assembled_residuals_match_biop(monkeypatch, n, pair, flip):
+    # the parts assembly gives the BiOp oracle's (ok, witness) for tau and
+    # A/B/Dstar; flipping the sign of A makes tau, AB and DstarB fail
+    if flip:
+        real = quantum.dressed_U_op
+
+        def flipped(n_sites, params, units=1):
+            u = real(n_sites, params, units)
+            return Mat2(-u.a11, u.a12, u.a21, u.a22)
+        monkeypatch.setattr(quantum, "dressed_U_op", flipped)
+    p = QParams(rat(1, 2), *pair)
+    tau = tau_commutes(n, p)
+    abd = abd_commutation_residual(n, p, force=True)
+    assert tau == _biop_tau(n, p)
+    assert abd == _biop_abd(n, p)
+    failing = {name for name, (ok, _) in abd.items() if not ok}
+    assert (tau[0], failing) == ((False, {"ab", "db"}) if flip else (True, set()))
+
+
+def test_quantum_import_loads_no_numpy():
+    # the exact engine needs no numpy, whose import costs about 0.17 s
+    code = "import sys, dstlab.quantum; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_dressed_reflection_three_sites_exact():
