@@ -4,9 +4,17 @@ Terms are dicts mapping exponent keys (a_1..a_n, b_1..b_n) -> coefficient,
 encoding c * prod_i q_i^{a_i} d_i^{b_i}.  Multiplication reorders each site
 with  d^b q^a = sum_k C(b,k) * a!/(a-k)! * q^{a-k} d^{b-k}.
 
+The k = 0 term is the plain key sum with weight 1; _reordered_into forms
+the k >= 1 terms, and mul_into adds the key sum itself.  commutator_into
+forms ta * tb - tb * ta without either product: a term pair that needs no
+reordering in one order gives the plain key sum in that order, and the
+k = 0 term of every reordering is that same key with the same coefficient,
+so both cancel against the other order and neither is formed; only the
+k >= 1 terms of each order that reorders are accumulated.
+
 This is the only kernel; dstlab.weyl imports it as `_kernel`.
 """
-from itertools import product
+from itertools import islice, product
 from math import comb
 from operator import add
 
@@ -28,6 +36,31 @@ def _expansion(b, a):
         out = tuple((k, comb(b, k) * _falling(a, k)) for k in range(min(a, b) + 1))
         _EXP_CACHE[(b, a)] = out
     return out
+
+
+def _reordered_into(out, base, need, d_left, q_right, n, c):
+    """Accumulate c times the k >= 1 terms of reordering the d's of the left
+    key past the q's of the right one at the sites `need`; base is the
+    plain key sum."""
+    if len(need) == 1:
+        i = need[0]
+        for k, w in _expansion(d_left[n + i], q_right[i])[1:]:
+            ee = base[:]
+            ee[i] -= k
+            ee[n + i] -= k
+            key = tuple(ee)
+            out[key] = out.get(key, 0) + c * w
+        return
+    combos = product(*(_expansion(d_left[n + i], q_right[i]) for i in need))
+    for combo in islice(combos, 1, None):              # the first is all k = 0
+        coef = c
+        ee = base[:]
+        for i, (k, w) in zip(need, combo):
+            coef = coef * w
+            ee[i] -= k
+            ee[n + i] -= k
+        key = tuple(ee)
+        out[key] = out.get(key, 0) + coef
 
 
 def mul_into(out, ta, tb, n, factor=1):
@@ -56,24 +89,30 @@ def mul_into(out, ta, tb, n, factor=1):
                 out[key] = out.get(key, 0) + c
                 continue
             base = list(map(add, ka, kb))
-            if len(need) == 1:
-                i = need[0]
-                for k, w in _expansion(d_sites[i], kb[i]):
-                    ee = base[:]
-                    ee[i] -= k
-                    ee[n + i] -= k
-                    key = tuple(ee)
-                    out[key] = out.get(key, 0) + c * w
+            key = tuple(base)                           # the k = 0 term
+            out[key] = out.get(key, 0) + c
+            _reordered_into(out, base, need, ka, kb, n, c)
+    return out
+
+
+def commutator_into(out, ta, tb, n):
+    """Accumulate ta * tb - tb * ta into the term dict `out`."""
+    # per right key: the sites where it has q (met by the left key's d in
+    # ta * tb) and where it has d (meeting the left key's q in tb * ta)
+    right = [(kb, cb, [i for i in range(n) if kb[i]], [i for i in range(n) if kb[n + i]])
+             for kb, cb in tb.items()]
+    for ka, ca in ta.items():
+        for kb, cb, q_sites, d_sites in right:
+            need_ab = [i for i in q_sites if ka[n + i]]
+            need_ba = [i for i in d_sites if ka[i]]
+            if not (need_ab or need_ba):
                 continue
-            for combo in product(*(_expansion(d_sites[i], kb[i]) for i in need)):
-                coef = c
-                ee = base[:]
-                for i, (k, w) in zip(need, combo):
-                    coef = coef * w
-                    ee[i] -= k
-                    ee[n + i] -= k
-                key = tuple(ee)
-                out[key] = out.get(key, 0) + coef
+            c = ca * cb
+            base = list(map(add, ka, kb))
+            if need_ab:
+                _reordered_into(out, base, need_ab, ka, kb, n, c)
+            if need_ba:
+                _reordered_into(out, base, need_ba, kb, ka, n, -c)
     return out
 
 

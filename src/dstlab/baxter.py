@@ -24,7 +24,6 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import loggamma
 
 from .errors import (EvaluationAtRoot, GammaPole, NoConvergence, PoleInput,
                      RootCollision)
@@ -79,6 +78,8 @@ def _check_gamma_pole(sigma, eta):
 
 def log_w(i, p):
     """log of the site kernel (constant prefactor dropped), principal branches."""
+    from scipy.special import loggamma     # its only user; the import costs about 0.3 s
+
     _check_gamma_pole(p.sigma, p.eta)
     z = complex(p.z(i))
     s = complex(p.sigma) / complex(p.eta)

@@ -34,22 +34,28 @@ units D as an optional last argument; the default D = 1 is the rational
 operator itself.
 
 Exact residuals.  Every exact operator identity is checked as one
-residual lhs - rhs, written as parts (scalar, table, swap): a scalar
-polynomial in (l, m), a product table {(i, j): term dict} of X(l) Y(m),
-and whether to read the table with l and m exchanged, as X(m) Y(l).
-_assemble sums the parts by degree shifts and scalings through add_into;
-_verdict gives (ok, witness), the witness at the lowest degree pair, then
-the lowest exponent key.
+residual lhs - rhs, formed as its antisymmetric part where it has one
+rather than as two sides subtracted, and written as parts (scalar, table,
+swap): a scalar polynomial in (l, m), a table {(i, j): term dict} of
+operator coefficients, and whether to read the table with l and m
+exchanged.  _assemble sums the parts by degree shifts and scalings through
+add_into; _verdict gives (ok, witness), the witness at the lowest degree
+pair, then the lowest exponent key.
 
+  * [tau(l), tau(m)] = 0 and B(l) B(m) = B(m) B(l) are commutator tables,
+    {(i, j): [x_i, x_j]} over the lambda-coefficients x_i: each
+    commutator is formed once for i < j by the kernel's commutator_into,
+    which forms neither product, and negated at (j, i); i = j is zero and
+    left out.  The table is the residual itself.
   * RTT, the reflection algebras for K_- and K_+ and the dressed algebra
     have the shape R(s) X1(l) [R(t)] X2(m) = X2(m) [R(t)] X1(l) R(s) for a
     2x2 operator-polynomial matrix X (T, K_-, K_+^t or U) and
     R(s) = s I + eta P with scalar s, t.  exchange_residual multiplies the
-    16 products X_ab(l) X_cd(m) once and writes each entry of the 4x4
-    residual as parts over them; no 4x4 product is formed.
-  * [tau(l), tau(m)] = 0 is the parts (1, P, no swap) and (-1, P, swap)
-    over P = tau(l) tau(m).
-  * The A/B/Dstar relations are parts over the five products B B, B A,
+    16 products X_ab(l) X_cd(m) once; no 4x4 product is formed.  The parts
+    of an entry that share a scalar up to sign, a product and a swapped
+    product, are differenced once into one table before they are scaled; a
+    difference used by two mirrored entries is formed once for both.
+  * The AB and Dstar-B relations are parts over the four products B A,
     B Dstar, A B and Dstar B, with products of linear factors as scalars.
 """
 from __future__ import annotations
@@ -132,6 +138,35 @@ def _product_table(x, y, n):
     return {(i, j): mul_into({}, ti, tj, n) for i, ti in x.items() for j, tj in y.items()}
 
 
+def _commutator_table(x, n):
+    """[X(l), X(m)] as {(i, j): term dict} from a lifted polynomial x:
+    [x_i, x_j] is formed once for i < j and its negation stands at (j, i);
+    i = j, which is zero, is left out, and so are exactly-zero terms and
+    degrees, so the table is an assembled residual."""
+    commutator_into, trim = _kernel.commutator_into, _kernel.trim
+    degrees = sorted(x)
+    out = {}
+    for k, i in enumerate(degrees):
+        for j in degrees[k + 1:]:
+            terms = trim(commutator_into({}, x[i], x[j], n))
+            if terms:
+                out[(i, j)] = terms
+                out[(j, i)] = {key: -c for key, c in terms.items()}
+    return out
+
+
+def _minus_swapped(x, y):
+    """The table x - y~, entry (i, j) being x(i, j) - y(j, i), with
+    exactly-zero terms and degrees dropped."""
+    add_into, trim = _kernel.add_into, _kernel.trim
+    out = {ij: dict(terms) for ij, terms in x.items()}
+    for (i, j), terms in y.items():
+        add_into(out.setdefault((j, i), {}), terms, -1)
+    for ij in [ij for ij, terms in out.items() if not trim(terms)]:
+        del out[ij]
+    return out
+
+
 def _scalar(c_lambda, c_mu, const):
     """The scalar polynomial c_lambda l + c_mu m + const as {(i, j): coeff}."""
     out = {(1, 0): c_lambda, (0, 1): c_mu, (0, 0): const}
@@ -202,11 +237,17 @@ def exchange_residual(x, n, eta, outer, middle=None):
 
     (t = 1 and no S terms without a middle), from X1 X2 = P, X2 X1 = P~,
     X1 P X2 = [c=b] S[a][d], X2 P X1 = [a=d] S[c][b]~, and P Z (Z P)
-    exchanging rows a<->c (columns b<->d) of Z.  Each entry's parts are
-    summed by _assemble."""
+    exchanging rows a<->c (columns b<->d) of Z.
+
+    Parts under the same scalar up to sign are differenced once before they
+    are scaled (_minus_swapped).  P[ab][cd] - P[cd][ab]~ is formed once per
+    unordered pair {ab, cd}; the mirrored entry ((c, a), (d, b)) reads it
+    swapped under -s t.  P[cb][ad] - P[cb][ad]~ and S[c][d] - S[c][d]~ are
+    one part each.  Each entry's parts are summed by _assemble."""
     add_into = _kernel.add_into
     lifted = [_lift_terms(e, n) for e in x.entries()]     # index 2a + b
-    prod = [[_product_table(xu, xv, n) for xv in lifted] for xu in lifted]
+    prod = {(u, v): _product_table(xu, xv, n)
+            for u, xu in enumerate(lifted) for v, xv in enumerate(lifted)}
 
     s = _scalar(*outer)
     eta_s = {ij: eta * c for ij, c in s.items()}
@@ -220,8 +261,20 @@ def exchange_residual(x, n, eta, outer, middle=None):
             for d in range(2):
                 acc = sums[a][d]
                 for e in range(2):
-                    for ij, terms in prod[2 * a + e][2 * e + d].items():
+                    for ij, terms in prod[2 * a + e, 2 * e + d].items():
                         add_into(acc.setdefault(ij, {}), terms)
+        sums_swapped = [[_minus_swapped(p, p) for p in row] for row in sums]
+    # exchanged[u, v] = P[u][v] - P[v][u]~ (u <= v) and swapped[u, v] =
+    # P[u][v] - P[u][v]~; each product is dropped once its differences are formed
+    exchanged, swapped = {}, {}
+    for u in range(4):
+        puu = prod.pop((u, u))
+        exchanged[u, u] = swapped[u, u] = _minus_swapped(puu, puu)
+        for v in range(u + 1, 4):
+            puv, pvu = prod.pop((u, v)), prod.pop((v, u))
+            exchanged[u, v] = _minus_swapped(puv, pvu)
+            swapped[u, v], swapped[v, u] = _minus_swapped(puv, puv), _minus_swapped(pvu, pvu)
+
     st = _scalar_mul(s, t)
     eta_t = {ij: eta * c for ij, c in t.items()}
     eta2 = {(0, 0): eta * eta}
@@ -229,24 +282,22 @@ def exchange_residual(x, n, eta, outer, middle=None):
     def neg(p):
         return {ij: -c for ij, c in p.items()}
 
-    st_neg, eta_t_neg, eta_s_neg, eta2_neg = neg(st), neg(eta_t), neg(eta_s), neg(eta2)
+    st_neg, eta_s_neg = neg(st), neg(eta_s)
 
     for row in range(4):
         a, c = divmod(row, 2)
         for col in range(4):
             b, d = divmod(col, 2)
-            parts = [(st, prod[2 * a + b][2 * c + d], False),
-                     (st_neg, prod[2 * c + d][2 * a + b], True),
-                     (eta_t, prod[2 * c + b][2 * a + d], False),
-                     (eta_t_neg, prod[2 * c + b][2 * a + d], True)]
+            u, v = 2 * a + b, 2 * c + d
+            parts = [(st, exchanged[u, v], False) if u <= v else (st_neg, exchanged[v, u], True),
+                     (eta_t, swapped[2 * c + b, 2 * a + d], False)]
             if sums is not None:
                 if c == b:
                     parts.append((eta_s, sums[a][d], False))
                 if a == d:
                     parts.append((eta_s_neg, sums[c][b], True))
                 if a == b:
-                    parts.append((eta2, sums[c][d], False))
-                    parts.append((eta2_neg, sums[c][d], True))
+                    parts.append((eta2, sums_swapped[c][d], False))
             yield (row, col), _assemble(parts)
 
 
@@ -388,8 +439,7 @@ def qtau(n_sites, params, units=1):
 def tau_commutes(n_sites, params):
     """Exact [tau(lambda), tau(mu)] = 0 check in integer units; returns (ok, witness)."""
     t = _lift_terms(qtau(n_sites, params, integer_units(params)), n_sites)
-    p = _product_table(t, t, n_sites)                   # tau(l) tau(m)
-    return _verdict(_assemble([({(0, 0): 1}, p, False), ({(0, 0): -1}, p, True)]))
+    return _verdict(_commutator_table(t, n_sites))
 
 
 HQ_ORDERINGS = ("qrqr", "rqrq", "q2r2", "symmetric")
@@ -537,8 +587,8 @@ def abd_commutation_residual(n_sites, params, force=False):
     d = integer_units(params)
     eta = _in_units(params.eta, d)
     a, b, _, _, ds = (_lift_terms(x, n) for x in abcd_operators(n, params, d))
-    # five operator products X(l) Y(m); each reverse-order product is a degree swap
-    BB, BA, BD = _product_table(b, b, n), _product_table(b, a, n), _product_table(b, ds, n)
+    # four operator products X(l) Y(m); each reverse-order product is a degree swap
+    BA, BD = _product_table(b, a, n), _product_table(b, ds, n)
     AB, DB = _product_table(a, b, n), _product_table(ds, b, n)
 
     # scalar prefactors in (lambda, mu), as products of linear factors
@@ -548,8 +598,6 @@ def abd_commutation_residual(n_sites, params, force=False):
     two_l_pe = _scalar(2, 0, eta)                       # 2 lambda + eta
     denom = _scalar_mul(_scalar(0, 2, 0), lm, lp)       # 2 mu (l-m)(l+m)
     relations = {
-        # B(l) B(m) = B(m) B(l)
-        "bb": [({(0, 0): 1}, BB, False), ({(0, 0): -1}, BB, True)],
         # 2m (l-m)(l+m) A(l) B(m) = 2m (l-m-eta)(l+m-eta) B(m) A(l)
         #     + eta (2m-eta)(l+m) B(l) A(m) - eta (l-m) B(l) Dstar(m)
         "ab": [(denom, AB, False),
@@ -566,7 +614,8 @@ def abd_commutation_residual(n_sites, params, force=False):
                (_scalar_mul(neg_eta, two_l_pe, two_mu_e, lm), BA, False),
                (_scalar_mul(eta_b, two_l_pe, lp), BD, False)],
     }
-    return {name: _verdict(_assemble(parts)) for name, parts in relations.items()}
+    return {"bb": _verdict(_commutator_table(b, n)),        # B(l) B(m) = B(m) B(l)
+            **{name: _verdict(_assemble(parts)) for name, parts in relations.items()}}
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ operators is equality of term maps.  The defining relation is
 [d_i, q_j] = delta_ij; the lattice momentum is realized as r_i = -eta d_i,
 giving [q_i, r_j] = eta delta_ij.
 
-The term-product inner loop lives in one pure-Python kernel,
-dstlab._weylkernel_py, bound here as `_kernel` (dstlab.quantum uses the
-same binding).
+The term-product inner loop, and the commutator formed without either
+product, live in one pure-Python kernel, dstlab._weylkernel_py, bound here
+as `_kernel` (dstlab.quantum uses the same binding).
 """
 from __future__ import annotations
 
@@ -173,4 +173,6 @@ class WeylOp:
 
 
 def commutator(a, b):
-    return a * b - b * a
+    """[a, b] = a b - b a, formed by the kernel without either product."""
+    a._check(b)
+    return WeylOp(a.n, _kernel.commutator_into({}, a.terms, b.terms, a.n))

@@ -2,6 +2,8 @@
 Bethe-root cross-validation."""
 import cmath
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -240,3 +242,9 @@ def test_sov_residual_values():
     assert sov_residual(sv, 0.5) == -1.0
     # the alternative printed prefactor shifts the value by 2 xi_+ Dm phi
     assert sov_residual(sv, 0.5, variant="alt") == 1.0
+
+
+def test_baxter_and_verify_imports_load_no_scipy_special():
+    # scipy.special costs about 0.3 s to import; only log_w needs it
+    code = "import sys, dstlab.baxter, dstlab.verify; sys.exit('scipy.special' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dstlab import quantum, verify, weyl
 from dstlab._rat import rat
 from dstlab.errors import CostGuard, DegreeNotPreserved
-from dstlab.poly import Mat2
+from dstlab.poly import Mat2, Poly
 from dstlab.quantum import (QParams, _in_units, _scalar_mat2, abcd_operators,
                             abd_commutation_residual, classical_image,
                             degree_basis, dressed_U_op, exchange_check,
@@ -429,11 +429,15 @@ def test_exchange_residual_matches_chain(check, n):
     d = integer_units(p)
     eta = _in_units(p.eta, d)
     if check == "rtt":
-        x, middle = qmonodromy(n, p, d), None
+        x, middles = qmonodromy(n, p, d), [None]
     else:
-        x, middle = dressed_U_op(n, p, d), (1, 1, -eta)
-    _assert_residual_matches_chain(x, n, eta, (1, -1, 0), middle,
-                                   embed_first(x, n, 0), embed_second(x, n, 1))
+        # the identity, and a mismatched middle, where every entry fails
+        x, middles = dressed_U_op(n, p, d), [(1, 1, -eta), (1, 1, -2 * eta)]
+    x1, x2 = embed_first(x, n, 0), embed_second(x, n, 1)
+    for middle in middles:
+        _assert_residual_matches_chain(x, n, eta, (1, -1, 0), middle, x1, x2)
+    if check == "dressed":
+        assert not exchange_check(x, n, eta, (1, -1, 0), middles[1])[0]
 
 
 def test_reflection_minus_residual_matches_chain():
@@ -527,6 +531,44 @@ def test_assembled_residuals_match_biop(monkeypatch, n, pair, flip):
     assert abd == _biop_abd(n, p)
     failing = {name for name, (ok, _) in abd.items() if not ok}
     assert (tau[0], failing) == ((False, {"ab", "db"}) if flip else (True, set()))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_perturbed_tau_residual_matches_biop(monkeypatch, n):
+    # one coefficient of tau moved by q_1: the whole commutator table, not
+    # only its first witness, is the BiOp lhs - rhs
+    real = quantum.qtau
+
+    def perturbed(n_sites, params, units=1):
+        t = real(n_sites, params, units)
+        c = list(t.c)
+        c[1] = c[1] + 3 * WeylOp.q(n_sites, 0)
+        return Poly(c)
+    monkeypatch.setattr(quantum, "qtau", perturbed)
+    p = QParams(rat(1, 2), *XI_PAIRS[0])
+    t = perturbed(n, p, integer_units(p))
+    lhs = BiOp.lift(n, t, 0) * BiOp.lift(n, t, 1)
+    rhs = BiOp.lift(n, t, 1) * BiOp.lift(n, t, 0)
+    residual = quantum._commutator_table(quantum._lift_terms(t, n), n)
+    assert residual and residual == (lhs - rhs).t
+    assert tau_commutes(n, p) == (False, lhs.witness_against(rhs))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_perturbed_b_fails_bb_as_biop(monkeypatch, n):
+    # B moved by q_1 in its constant coefficient no longer commutes with itself
+    real = quantum.dressed_U_op
+
+    def perturbed(n_sites, params, units=1):
+        u = real(n_sites, params, units)
+        c = list(u.a12.c)
+        c[0] = c[0] + WeylOp.q(n_sites, 0)
+        return Mat2(u.a11, Poly(c), u.a21, u.a22)
+    monkeypatch.setattr(quantum, "dressed_U_op", perturbed)
+    p = QParams(rat(1, 2), *XI_PAIRS[1])
+    abd = abd_commutation_residual(n, p, force=True)
+    assert not abd["bb"][0]
+    assert abd == _biop_abd(n, p)
 
 
 def test_quantum_import_loads_no_numpy():

@@ -132,6 +132,35 @@ def test_mul_into_factor_scales_the_product(abc, factor):
     assert WeylOp(a.n, out) == (a * b) * factor
 
 
+@settings(max_examples=200, deadline=None)
+@given(_triples, st.data())
+def test_commutator_into_is_both_products_differenced(abc, data):
+    # the pairs and the k = 0 terms that commutator_into skips cancel exactly
+    a, b, _ = abc
+    k = _weylkernel_py
+    comm = k.trim(k.commutator_into({}, a.terms, b.terms, a.n))
+    both = k.mul_into({}, a.terms, b.terms, a.n)
+    k.mul_into(both, b.terms, a.terms, a.n, -1)
+    assert comm == k.trim(both)
+    # mul_into shares the reordering with commutator_into, so check the
+    # action on commuting polynomials too, an oracle independent of both
+    mono = st.tuples(*[st.integers(0, 6)] * a.n)
+    p = data.draw(st.dictionaries(mono, st.integers(-3, 3).filter(bool), max_size=4))
+    expected = dict(a.apply(b.apply(p)))
+    for m, c in b.apply(a.apply(p)).items():
+        expected[m] = expected.get(m, 0) - c
+    assert WeylOp(a.n, comm).apply(p) == k.trim(expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_commutator_of_canonical_pairs(n):
+    for i in range(n):
+        for j in range(n):
+            expected = WeylOp.identity(n) if i == j else WeylOp.zero(n)
+            assert commutator(WeylOp.dq(n, i), WeylOp.q(n, j)) == expected
+            assert commutator(WeylOp.q(n, j), WeylOp.dq(n, i)) == -expected
+
+
 def test_euler_operator_degree():
     n = 3
     euler = sum((WeylOp.q(n, i) * WeylOp.dq(n, i) for i in range(n)),
