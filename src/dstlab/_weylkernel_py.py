@@ -12,10 +12,20 @@ k = 0 term of every reordering is that same key with the same coefficient,
 so both cancel against the other order and neither is formed; only the
 k >= 1 terms of each order that reorders are accumulated.
 
+For the length of one call, commutator_into packs each exponent key into
+one int, `width` bits per slot: one bit more than the largest exponent
+needs, which holds the sum of any two, so the packed sum of two keys is the
+packed key sum (no slot carries).  A reordering by k at site i subtracts k from the q_i
+and the d_i slot, never more than either holds, so no slot borrows.  The
+sites a pair must reorder come from bit masks of the sites where a key has
+q and where it has d.  The keys are unpacked to tuples once, at the end.
+mul_into keeps tuple keys: packing did not pay for its own conversions
+there.
+
 This is the only kernel; dstlab.weyl imports it as `_kernel`.
 """
 from itertools import islice, product
-from math import comb
+from math import comb, perm
 from operator import add
 
 BACKEND = "python"
@@ -23,17 +33,10 @@ BACKEND = "python"
 _EXP_CACHE = {}
 
 
-def _falling(a, k):
-    out = 1
-    for j in range(k):
-        out *= a - j
-    return out
-
-
 def _expansion(b, a):
     out = _EXP_CACHE.get((b, a))
     if out is None:
-        out = tuple((k, comb(b, k) * _falling(a, k)) for k in range(min(a, b) + 1))
+        out = tuple((k, comb(b, k) * perm(a, k)) for k in range(min(a, b) + 1))
         _EXP_CACHE[(b, a)] = out
     return out
 
@@ -97,22 +100,61 @@ def mul_into(out, ta, tb, n, factor=1):
 
 def commutator_into(out, ta, tb, n):
     """Accumulate ta * tb - tb * ta into the term dict `out`."""
-    # per right key: the sites where it has q (met by the left key's d in
-    # ta * tb) and where it has d (meeting the left key's q in tb * ta)
-    right = [(kb, cb, [i for i in range(n) if kb[i]], [i for i in range(n) if kb[n + i]])
-             for kb, cb in tb.items()]
-    for ka, ca in ta.items():
-        for kb, cb, q_sites, d_sites in right:
-            need_ab = [i for i in q_sites if ka[n + i]]
-            need_ba = [i for i in d_sites if ka[i]]
+    if not (n and ta and tb):
+        return out                                     # scalars commute
+    width = max(max(k) for t in (ta, tb) for k in t).bit_length() + 1
+    shifts = range(0, 2 * n * width, width)
+    steps = [(1 << (width * i)) | (1 << (width * (n + i))) for i in range(n)]
+    sites = {}                                         # site mask -> its sites
+    moves = {}                                         # (i, b, a) -> ((k * steps[i], w), ...)
+
+    def packed(t):
+        # (key, coeff, packed key, mask of the sites with q, mask of those with d)
+        return [(k, c, sum(e << s for e, s in zip(k, shifts)),
+                 sum(1 << i for i in range(n) if k[i]),
+                 sum(1 << i for i in range(n) if k[n + i]))
+                for k, c in t.items()]
+
+    def move(i, b, a):
+        # the k >= 1 terms of d_i^b q_i^a as (packed step, weight)
+        terms = moves.get((i, b, a))
+        if terms is None:
+            terms = moves[i, b, a] = tuple((k * steps[i], w) for k, w in _expansion(b, a)[1:])
+        return terms
+
+    acc = {}
+    get = acc.get
+    right = packed(tb)
+    for ka, ca, pa, qa, da in packed(ta):
+        for kb, cb, pb, qb, db in right:
+            need_ab, need_ba = da & qb, qa & db        # d of one key meets q of the other
             if not (need_ab or need_ba):
                 continue
             c = ca * cb
-            base = list(map(add, ka, kb))
-            if need_ab:
-                _reordered_into(out, base, need_ab, ka, kb, n, c)
-            if need_ba:
-                _reordered_into(out, base, need_ba, kb, ka, n, -c)
+            base = pa + pb
+            for need, left, right_key, sc in ((need_ab, ka, kb, c), (need_ba, kb, ka, -c)):
+                if not need:
+                    continue
+                need_sites = sites.get(need)
+                if need_sites is None:
+                    need_sites = sites[need] = tuple(i for i in range(n) if need >> i & 1)
+                if len(need_sites) == 1:
+                    i = need_sites[0]
+                    for step, w in move(i, left[n + i], right_key[i]):
+                        key = base - step
+                        acc[key] = get(key, 0) + sc * w
+                    continue
+                lists = [((0, 1),) + move(i, left[n + i], right_key[i]) for i in need_sites]
+                for combo in islice(product(*lists), 1, None):  # the first is all k = 0
+                    coef, key = sc, base
+                    for step, w in combo:
+                        coef *= w
+                        key -= step
+                    acc[key] = get(key, 0) + coef
+    slot = (1 << width) - 1
+    for key, c in acc.items():
+        key = tuple(key >> s & slot for s in shifts)
+        out[key] = out.get(key, 0) + c
     return out
 
 

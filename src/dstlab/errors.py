@@ -85,5 +85,17 @@ class SiteCountMismatch(DstlabError, ValueError):
     """Operators act on chains of different length."""
 
 
-class NoOrderingMatches(DstlabError):
+class HamiltonianRejected(DstlabError):
+    """hq_extract rejected tau; `witness` is the first mismatching coefficient."""
+
+    def __init__(self, message, witness):
+        super().__init__(message)
+        self.witness = witness
+
+
+class TauShapeMismatch(HamiltonianRejected, AssertionError):
+    """tau's leading coefficient is not +-identity, or it has a subleading term."""
+
+
+class NoOrderingMatches(HamiltonianRejected):
     """No candidate operator ordering reproduces the extracted Hamiltonian."""

@@ -15,8 +15,9 @@ Conventions pinned by the exact N=1 expansion:
     l^(2N+1) term and reproduces the quoted Hamiltonian including its
     -eta^2/8 constant (a -eta/2 shift there does neither).
 
-Integer units.  RTT, the dressed reflection algebra, [tau(l), tau(m)] = 0
-and the A/B/D* relations run with every coefficient a Python int.  With
+Integer units.  RTT, the dressed reflection algebra, [tau(l), tau(m)] = 0,
+the A/B/D* relations and the Hamiltonian extraction run with every
+coefficient a Python int.  With
 D = lcm(2 den eta, den xi_-, den xi_+) (see integer_units) they substitute
 l = Lambda/D, m = M/D and multiply every factor by D, so D eta, D eta/2,
 D xi_- and D xi_+ are integers:
@@ -31,7 +32,12 @@ and D*B relations.  So the integer identity in (Lambda, M) holds exactly
 when the rational one holds in (l, m), at the same parameter point.  The
 builders (qlax, qmonodromy, dressed_U_op, qtau, abcd_operators) take the
 units D as an optional last argument; the default D = 1 is the rational
-operator itself.
+operator itself.  hq_extract reads tau in units D, whose lambda^k
+coefficient is D^(2N+2-k) tau_k: the lead stays +-1 and the subleading
+coefficient 0, and the Hamiltonian sign tau_(2N) / 2 is the int coefficient
+of lambda^(2N) over sign 2 D^2, the one division back to rationals.  So
+hq_classical_limit_residual, which extracts at eta = 1/k, runs in the
+units of each sample.
 
 Exact residuals.  Every exact operator identity is checked as one
 residual lhs - rhs, formed as its antisymmetric part where it has one
@@ -65,7 +71,7 @@ from math import comb, lcm
 from typing import NamedTuple
 
 from ._rat import rat
-from .errors import CostGuard, DegreeNotPreserved, NoOrderingMatches
+from .errors import CostGuard, DegreeNotPreserved, NoOrderingMatches, TauShapeMismatch
 from .poly import Mat2, Poly, adjugate_neg
 from .weyl import WeylOp, _kernel
 
@@ -476,26 +482,48 @@ def hq_candidate(n_sites, params, ordering):
     return out
 
 
+def _coefficient_verdict(terms, degree):
+    """(ok, witness) of a difference of tau's lambda^degree coefficient, or
+    of the Hamiltonian taken from it: the witness is its lowest exponent key."""
+    return _verdict({(degree,): terms} if terms else {})
+
+
 def hq_extract(n_sites, params):
     """Extract the Hamiltonian from tau and identify the matching ordering.
 
     Returns (operator, report) where report lists the ordering, the constant
     shift against the quoted form (zero when the match is literal), and the
     sign of tau's leading coefficient.
+
+    Runs in integer units D: qtau(n, params, D) has the lambda-coefficients
+    D^(2N+2-k) tau_k, so its lead is tau's own (+-1), its subleading
+    coefficient is D tau_(2N+1) (zero), and h = sign tau_(2N) / 2 is its
+    lambda^(2N) coefficient divided by sign 2 D^2.  A rejected tau raises
+    TauShapeMismatch (lead or subleading term) or NoOrderingMatches, whose
+    witness is the first mismatching coefficient: its lambda-degree, lowest
+    exponent key and difference from the expected one, as a rational.
     """
     if n_sites > 3:
         raise CostGuard("hq_extract is exponential in N; N <= 3 supported")
-    t = qtau(n_sites, params)
-    lead = t.coeff(2 * n_sites + 2)
-    sign = lead.scalar_part()
-    if not (lead == WeylOp.scalar(n_sites, sign) and sign * sign == 1):
-        raise AssertionError("tau leading coefficient is not +-identity")
-    sub = t.coeff(2 * n_sites + 1)
-    if not (isinstance(sub, WeylOp) and sub.is_zero() or sub == 0):
-        raise AssertionError("tau has an unexpected subleading term")
-    coeff = t.coeff(2 * n_sites)
-    h = rat(1, 2) * (sign * coeff)
-    report = {"lead_sign": int(sign), "ordering": None, "constant_shift": None,
+    n = n_sites
+    d = integer_units(params)
+    t = _lift_terms(qtau(n, params, d), n)
+    top = 2 * n + 2
+    key0 = (0,) * (2 * n)
+    lead = dict(t.get(top, {}))
+    sign = -1 if lead.get(key0, 0) < 0 else 1
+    lead[key0] = lead.get(key0, 0) - sign
+    at = f"at eta={params.eta}"
+    ok, witness = _coefficient_verdict(_kernel.trim(lead), top)
+    if not ok:
+        raise TauShapeMismatch(f"tau leading coefficient is not +-identity {at}", witness)
+    sub = {key: rat(c, d) for key, c in t.get(top - 1, {}).items()}
+    ok, witness = _coefficient_verdict(sub, top - 1)
+    if not ok:
+        raise TauShapeMismatch(f"tau has an unexpected subleading term {at}", witness)
+    den = 2 * d * d
+    h = WeylOp(n, {key: rat(sign * c, den) for key, c in t.get(2 * n, {}).items()})
+    report = {"lead_sign": sign, "ordering": None, "constant_shift": None,
               "exact": False}
     for ordering in HQ_ORDERINGS:
         diff = h - hq_candidate(n_sites, params, ordering)
@@ -506,7 +534,16 @@ def hq_extract(n_sites, params):
             report.update(ordering=ordering, constant_shift=diff.scalar_part(),
                           exact=False)
             return h, report
-    raise NoOrderingMatches(f"extracted minus candidates is operator-valued: {h!r}")
+    _, witness = hq_quoted_verdict(h, n_sites, params)
+    raise NoOrderingMatches(f"no candidate ordering matches the extracted Hamiltonian {at}",
+                            witness)
+
+
+def hq_quoted_verdict(h, n_sites, params):
+    """(ok, witness) of an extracted Hamiltonian against the quoted form in the
+    qrqr ordering; the witness is at tau's degree 2N, lowest exponent key."""
+    return _coefficient_verdict((h - hq_candidate(n_sites, params, "qrqr")).terms,
+                                2 * n_sites)
 
 
 def classical_image(op, eta):
@@ -520,14 +557,10 @@ def classical_image(op, eta):
     return out
 
 
-def hq_classical_limit_residual(n_sites, xi_minus, xi_plus, max_eta_degree=None):
-    """Exact eta -> 0 limit of the extracted Hamiltonian's classical image.
-
-    The image coefficients are polynomials in eta; they are interpolated
-    exactly from sample values at eta = 1/k and evaluated at eta = 0, then
-    compared against the classical open-chain Hamiltonian with the boundary
-    couplings (xi_-, xi_+).  Returns the number of mismatched monomials.
-    """
+def _classical_limit_mismatches(n_sites, xi_minus, xi_plus, max_eta_degree):
+    """{(a, b): limit - classical} over the monomials where the eta -> 0 limit
+    of the extracted Hamiltonian's classical image misses the classical
+    open-chain Hamiltonian."""
     deg = max_eta_degree if max_eta_degree is not None else 2 * n_sites + 2
     etas = [rat(1, k) for k in range(1, deg + 2)]
     images = []
@@ -537,16 +570,14 @@ def hq_classical_limit_residual(n_sites, xi_minus, xi_plus, max_eta_degree=None)
     monos = set()
     for img in images:
         monos.update(img)
-
-    def lagrange_at_zero(ys):
-        total = rat(0)
-        for j, yj in enumerate(ys):
-            w = rat(1)
-            for k2 in range(len(etas)):
-                if k2 != j:
-                    w *= (0 - etas[k2]) / (etas[j] - etas[k2])
-            total += yj * w
-        return total
+    # Lagrange weights of the samples at eta = 0, once for every monomial
+    weights = []
+    for j, ej in enumerate(etas):
+        w = rat(1)
+        for k, ek in enumerate(etas):
+            if k != j:
+                w *= ek / (ek - ej)
+        weights.append(w)
 
     n = n_sites
     classical = {}
@@ -569,12 +600,32 @@ def hq_classical_limit_residual(n_sites, xi_minus, xi_plus, max_eta_degree=None)
     b[-1] = 1
     classical[((0,) * n, tuple(b))] = rat(xi_plus)
 
-    bad = 0
+    out = {}
     for mono in monos | set(classical):
-        limit = lagrange_at_zero([img.get(mono, rat(0)) for img in images])
-        if limit != classical.get(mono, rat(0)):
-            bad += 1
-    return bad
+        limit = sum(img[mono] * w for img, w in zip(images, weights) if mono in img)
+        diff = limit - classical.get(mono, 0)
+        if diff != 0:
+            out[mono] = diff
+    return out
+
+
+def hq_classical_limit_residual(n_sites, xi_minus, xi_plus, max_eta_degree=None):
+    """Exact eta -> 0 limit of the extracted Hamiltonian's classical image.
+
+    The image coefficients are polynomials in eta; they are interpolated
+    exactly from sample values at eta = 1/k and evaluated at eta = 0, then
+    compared against the classical open-chain Hamiltonian with the boundary
+    couplings (xi_-, xi_+).  Returns the number of mismatched monomials.
+    """
+    return len(_classical_limit_mismatches(n_sites, xi_minus, xi_plus, max_eta_degree))
+
+
+def hq_classical_limit_witness(n_sites, xi_minus, xi_plus, max_eta_degree=None):
+    """(ok, witness) form of hq_classical_limit_residual: the witness is the
+    lowest mismatched monomial, its key the q exponents then the r
+    exponents, its difference the limit minus the classical coefficient."""
+    out = _classical_limit_mismatches(n_sites, xi_minus, xi_plus, max_eta_degree)
+    return _verdict({(): {a + b: diff for (a, b), diff in out.items()}} if out else {})
 
 
 def abd_commutation_residual(n_sites, params, force=False):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from ._rat import rat
-from .errors import DstlabError
+from .errors import DstlabError, HamiltonianRejected
 # step_rk4 is unused here, but dstbench's tests look it up in this module.
 from .lattice import (LatticeState, Observable, Open, Periodic, Quasiperiodic,  # noqa: F401
                       coordinate, eom, flow_consistency_residual, hamiltonian,
@@ -482,7 +482,8 @@ def _xi_pairs(seed, xi_minus=None, xi_plus=None):
 
 def suite_quantum(seed=1, tol_scale=1.0, xi_minus=None, xi_plus=None):
     from .quantum import (QParams, _in_units, abd_commutation_residual, exchange_check,
-                          hq_extract, hq_classical_limit_residual, integer_units, qlax,
+                          hq_classical_limit_residual, hq_classical_limit_witness,
+                          hq_extract, hq_quoted_verdict, integer_units, qlax,
                           q_reflection_dressed, q_reflection_minus,
                           q_reflection_plus, rtt_residual, tau_commutes)
     recs = []
@@ -513,17 +514,30 @@ def suite_quantum(seed=1, tol_scale=1.0, xi_minus=None, xi_plus=None):
                 recs.append(check_exact_witnessed(f"exchange-{k}-n1-{tag}", result, d,
                                                   eta=str(eta)))
 
+    # a failing Hamiltonian record carries the first mismatching coefficient
+    # as a rational: of tau where hq_extract rejects it, else of h against
+    # the quoted form, or of the classical limit
     p = QParams(rat(1), *pairs[0])
     for n in (1, 2, 3):
-        h, rep = hq_extract(n, p)
-        recs.append(check_exact(f"hamiltonian-extraction-n{n}",
-                                rep["exact"] and rep["ordering"] == "qrqr",
-                                ordering=str(rep["ordering"]),
-                                constant_shift=str(rep["constant_shift"])))
+        rid = f"hamiltonian-extraction-n{n}"
+        try:
+            h, rep = hq_extract(n, p)
+        except HamiltonianRejected as e:
+            recs.append(check_exact_witnessed(rid, (False, e.witness), 1, rejected=str(e)))
+            continue
+        ok = rep["exact"] and rep["ordering"] == "qrqr"
+        result = (True, None) if ok else hq_quoted_verdict(h, n, p)
+        recs.append(check_exact_witnessed(rid, result, 1, ordering=str(rep["ordering"]),
+                                          constant_shift=str(rep["constant_shift"])))
     for n in (1, 2):
-        bad = hq_classical_limit_residual(n, pairs[0][0], pairs[0][1])
-        recs.append(check_exact(f"hamiltonian-classical-limit-n{n}", bad == 0,
-                                mismatches=bad))
+        rid = f"hamiltonian-classical-limit-n{n}"
+        try:
+            bad = hq_classical_limit_residual(n, *pairs[0])
+        except HamiltonianRejected as e:
+            recs.append(check_exact_witnessed(rid, (False, e.witness), 1, rejected=str(e)))
+            continue
+        result = (True, None) if bad == 0 else hq_classical_limit_witness(n, *pairs[0])
+        recs.append(check_exact_witnessed(rid, result, 1, mismatches=bad))
 
     # negative control: the R-matrix at 2 D eta against T = L_1 at D eta
     # (the one-site monodromy), in the integer units of the RTT check

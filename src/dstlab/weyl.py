@@ -12,6 +12,8 @@ as `_kernel` (dstlab.quantum uses the same binding).
 """
 from __future__ import annotations
 
+from math import perm
+
 from . import _weylkernel_py as _kernel
 
 BACKEND = _kernel.BACKEND
@@ -128,20 +130,29 @@ class WeylOp:
 
     # -- actions and views ----------------------------------------------
     def apply(self, poly):
-        """Act on a commuting polynomial {exponent tuple: coeff}."""
+        """Act on a commuting polynomial {exponent tuple: coeff}.
+
+        q_i multiplies and d_i differentiates: q^a d^b sends the monomial
+        x^m (m >= b at every site) to prod_i m_i!/(m_i - b_i)! x^(m - b + a)
+        and any monomial below the derivative order b to zero.  The
+        falling-factorial weight is an int, so each term-monomial pair costs
+        one coefficient product, pc * (c * ff), whatever the coefficients'
+        type."""
         n = self.n
         out = {}
         for key, c in self.terms.items():
             a, b = key[:n], key[n:]
             for mono, pc in poly.items():
-                if any(mono[i] < b[i] for i in range(n)):
-                    continue
-                w = pc * c
-                for i in range(n):
-                    for j in range(b[i]):
-                        w *= mono[i] - j
-                tgt = tuple(mono[i] - b[i] + a[i] for i in range(n))
-                out[tgt] = out.get(tgt, 0) + w
+                ff = 1
+                for m, bi in zip(mono, b):
+                    if m < bi:
+                        break
+                    if bi:
+                        ff *= perm(m, bi)
+                else:
+                    tgt = tuple(m - bi + ai for m, bi, ai in zip(mono, b, a))
+                    w = pc * c if ff == 1 else pc * (c * ff)
+                    out[tgt] = out.get(tgt, 0) + w
         _kernel.trim(out)
         return out
 

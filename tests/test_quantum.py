@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dstlab import quantum, verify, weyl
+from dstlab import errors, quantum, verify, weyl
 from dstlab._rat import rat
 from dstlab.errors import CostGuard, DegreeNotPreserved
 from dstlab.poly import Mat2, Poly
@@ -171,6 +171,85 @@ def test_hamiltonian_orderings_differ():
 def test_hamiltonian_classical_limit():
     for n in (1, 2):
         assert hq_classical_limit_residual(n, rat(2, 3), rat(5, 7)) == 0
+
+
+# (eta, xi_-, xi_+) with eta denominators 1..4 and xi = 0 among the xi
+HQ_PARAMS = [QParams(eta, xm, xp)
+             for eta in (rat(1), rat(-1, 2), rat(2, 3), rat(5, 4))
+             for xm, xp in ((0, 0), (rat(2, 3), rat(5, 7)), (0, rat(-3, 2)))]
+
+
+def _rational_h(n, p):
+    # the Hamiltonian over rationals (units 1): 1/2 sign tau_(2N)
+    t = qtau(n, p)
+    sign = t.coeff(2 * n + 2).scalar_part()
+    assert t.coeff(2 * n + 2) == sign and sign * sign == 1 and t.coeff(2 * n + 1) == 0
+    return rat(1, 2) * (sign * t.coeff(2 * n)), sign
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hq_extract_matches_the_rational_path(n):
+    for p in HQ_PARAMS:
+        h_rat, sign = _rational_h(n, p)
+        h, report = hq_extract(n, p)
+        assert h == h_rat
+        assert report == {"lead_sign": sign, "ordering": "qrqr", "constant_shift": 0,
+                          "exact": True}
+
+
+def _tau_plus(monkeypatch, offset, extra):
+    # tau in integer units with the operator extra(N) added at lambda^(2N + offset)
+    real = quantum.qtau
+
+    def perturbed(n_sites, params, units=1):
+        t = real(n_sites, params, units)
+        if units == 1:
+            return t
+        return t + Poly([0] * (2 * n_sites + offset) + [extra(n_sites)])
+
+    monkeypatch.setattr(quantum, "qtau", perturbed)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_hq_extract_rejections_carry_witness(monkeypatch, n):
+    p = QParams(rat(1, 2), rat(2, 3), rat(5, 7))
+    d, (_, sign) = integer_units(p), _rational_h(n, p)
+    key0, q1_key = (0,) * (2 * n), next(iter(WeylOp.q(n, 0).terms))
+    # 1 added to the lead +-1 gives 0 or 2, each `sign` off the identity
+    cases = [(2, WeylOp.identity, errors.TauShapeMismatch, key0, sign),
+             (1, lambda m: WeylOp.q(m, 0), errors.TauShapeMismatch, q1_key, rat(1, d)),
+             (0, lambda m: WeylOp.q(m, 0), errors.NoOrderingMatches, q1_key,
+              rat(sign, 2 * d * d))]
+    for offset, extra, error, key, difference in cases:
+        with monkeypatch.context() as m:
+            _tau_plus(m, offset, extra)
+            with pytest.raises(error) as info:
+                hq_extract(n, p)
+        assert info.value.witness == quantum.Witness((2 * n + offset,), key, difference)
+
+
+def test_hamiltonian_records_fail_with_witness(monkeypatch):
+    # a scalar added to tau~_(2N): h is the quoted form up to a constant,
+    # so extraction succeeds inexactly, and the eta -> 0 limit of the
+    # constant, sign / (2 D^2) at D = integer_units(1/k, xi), misses 0
+    _tau_plus(monkeypatch, 0, WeylOp.identity)
+    recs = {r.identity_id: r for r in suite_quantum(seed=1)}
+    failing = {k for k, r in recs.items() if not r.passed}
+    assert failing == {"hamiltonian-extraction-n1", "hamiltonian-extraction-n2",
+                       "hamiltonian-extraction-n3", "hamiltonian-classical-limit-n1",
+                       "hamiltonian-classical-limit-n2"}
+    for n in (1, 2, 3):
+        rec = recs[f"hamiltonian-extraction-n{n}"]
+        shift = Fraction(rec.parameters["constant_shift"])
+        assert rec.parameters["ordering"] == "qrqr" and shift != 0
+        assert rec.parameters["witness"] == {"degrees": [2 * n], "key": [0] * (2 * n),
+                                             "difference": str(shift), "units": 1}
+    for n in (1, 2):
+        rec = recs[f"hamiltonian-classical-limit-n{n}"]
+        w = rec.parameters["witness"]
+        assert rec.parameters["mismatches"] >= 1
+        assert w["degrees"] == [] and w["key"] == [0] * (2 * n)
+        assert Fraction(w["difference"]) != 0
 
 
 def test_classical_image_mapping():
@@ -361,8 +440,9 @@ def test_integer_checks_hold_at_random_rational_parameters(eta, xi_minus, xi_plu
 
 
 def test_failing_exact_check_records_witness(monkeypatch):
-    # break the monodromy in integer units only (the rational Hamiltonian
-    # path stays intact): T is built at 2 eta against the R-matrix at eta
+    # break the monodromy in integer units, where every exact check and the
+    # Hamiltonian extraction build it: T is built at 2 eta against the
+    # R-matrix at eta
     real = quantum.qmonodromy
 
     def wrong_eta(n_sites, params, units=1):
@@ -383,6 +463,16 @@ def test_failing_exact_check_records_witness(monkeypatch):
     for r in recs.values():
         assert ("witness" in r.parameters) == (not r.passed)
     assert recs["rtt-control"].passed
+    # hq_extract rejects the broken tau: its records fail with the first
+    # mismatching coefficient instead of raising out of the suite
+    for rid in ("hamiltonian-extraction-n1", "hamiltonian-extraction-n2",
+                "hamiltonian-extraction-n3", "hamiltonian-classical-limit-n1",
+                "hamiltonian-classical-limit-n2"):
+        rec = recs[rid]
+        assert not rec.passed and rec.parameters["rejected"]
+        w = rec.parameters["witness"]
+        assert set(w) == {"degrees", "key", "difference", "units"} and w["units"] == 1
+        assert Fraction(w["difference"]) != 0
 
 
 def test_failing_reflection_record_carries_witness(monkeypatch):

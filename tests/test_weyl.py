@@ -93,15 +93,23 @@ def test_zero_site_algebra_is_scalar():
 # 3 with exact rational coefficients; pure scalars (a lone all-zero key) are
 # drawn on purpose, since mul_into takes a separate path for them.
 
+_coeff = st.builds(rat, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+
+
+def _terms(n, max_exp=3, min_size=0, max_size=5):
+    key = st.tuples(*[st.integers(0, max_exp)] * (2 * n))
+    return st.dictionaries(key, _coeff, min_size=min_size, max_size=max_size)
+
+
 def _ops(n):
-    key = st.tuples(*[st.integers(0, 3)] * (2 * n))
-    coeff = st.builds(rat, st.integers(-5, 5).filter(bool), st.integers(1, 4))
-    general = st.dictionaries(key, coeff, max_size=5)
-    scalar = st.dictionaries(st.just((0,) * (2 * n)), coeff, min_size=1)
-    return st.one_of(general, scalar).map(lambda t: WeylOp(n, t))
+    scalar = st.dictionaries(st.just((0,) * (2 * n)), _coeff, min_size=1)
+    return st.one_of(_terms(n), scalar).map(lambda t: WeylOp(n, t))
 
 
 _triples = st.integers(1, 3).flatmap(lambda n: st.tuples(_ops(n), _ops(n), _ops(n)))
+# exponents up to 4..40 widen commutator_into's packed slots to 4..7 bits
+_wide_pairs = st.tuples(st.integers(1, 2), st.integers(4, 40)).flatmap(
+    lambda ne: st.tuples(*[_terms(*ne, 1, 3).map(lambda t: WeylOp(ne[0], t))] * 2))
 
 
 @settings(max_examples=150, deadline=None)
@@ -133,23 +141,61 @@ def test_mul_into_factor_scales_the_product(abc, factor):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_triples, st.data())
-def test_commutator_into_is_both_products_differenced(abc, data):
-    # the pairs and the k = 0 terms that commutator_into skips cancel exactly
-    a, b, _ = abc
+@given(st.one_of(_triples.map(lambda abc: abc[:2]), _wide_pairs), st.data())
+def test_commutator_into_is_both_products_differenced(ab, data):
+    # the pairs and the k = 0 terms that commutator_into skips cancel exactly;
+    # its packed-key reordering loop is checked against mul_into's tuple one
+    a, b = ab
     k = _weylkernel_py
     comm = k.trim(k.commutator_into({}, a.terms, b.terms, a.n))
     both = k.mul_into({}, a.terms, b.terms, a.n)
     k.mul_into(both, b.terms, a.terms, a.n, -1)
     assert comm == k.trim(both)
-    # mul_into shares the reordering with commutator_into, so check the
-    # action on commuting polynomials too, an oracle independent of both
+    # the action on commuting polynomials is an oracle independent of both
     mono = st.tuples(*[st.integers(0, 6)] * a.n)
     p = data.draw(st.dictionaries(mono, st.integers(-3, 3).filter(bool), max_size=4))
     expected = dict(a.apply(b.apply(p)))
     for m, c in b.apply(a.apply(p)).items():
         expected[m] = expected.get(m, 0) - c
     assert WeylOp(a.n, comm).apply(p) == k.trim(expected)
+
+
+def _apply_stepwise(op, poly):
+    # the reference action: one coefficient product per derivative order
+    n = op.n
+    out = {}
+    for key, c in op.terms.items():
+        a, b = key[:n], key[n:]
+        for mono, pc in poly.items():
+            if any(mono[i] < b[i] for i in range(n)):
+                continue
+            w = pc * c
+            for i in range(n):
+                for j in range(b[i]):
+                    w *= mono[i] - j
+            tgt = tuple(mono[i] - b[i] + a[i] for i in range(n))
+            out[tgt] = out.get(tgt, 0) + w
+    return {m: c for m, c in out.items() if c != 0}
+
+
+_int_or_rat = st.one_of(st.integers(-5, 5).filter(bool), _coeff)
+
+
+def _op_and_poly(n):
+    # monomial exponents 0..4 against derivative orders 0..3: many monomials
+    # sit below an operator term's derivative order
+    op = st.dictionaries(st.tuples(*[st.integers(0, 3)] * (2 * n)), _int_or_rat, max_size=5)
+    poly = st.dictionaries(st.tuples(*[st.integers(0, 4)] * n), _int_or_rat, max_size=5)
+    return st.tuples(op.map(lambda t: WeylOp(n, t)), poly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(_op_and_poly))
+def test_apply_matches_the_stepwise_reference(op_poly):
+    op, poly = op_poly
+    got, ref = op.apply(poly), _apply_stepwise(op, poly)
+    assert [(m, c, type(c)) for m, c in got.items()] == \
+        [(m, c, type(c)) for m, c in ref.items()]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
