@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -33,6 +35,28 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _number(convert, accept, what):
+    """An argparse type: the value `convert` makes of the text, if `accept`
+    holds for it.  ZeroDivisionError (Fraction("1/0")) is a bad number too,
+    and argparse does not catch it, so every refusal is ArgumentTypeError."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except (ValueError, ZeroDivisionError):
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _number(int, lambda v: v > 0, "a positive integer")
+_count = _number(int, lambda v: v >= 0, "a non-negative integer")
+_positive = _number(float, lambda v: math.isfinite(v) and v > 0, "a positive number")
+_duration = _number(float, lambda v: math.isfinite(v) and v >= 0, "a non-negative number")
+_rational = _number(Fraction, lambda v: True, "a rational number such as 2/3")
+
+
 def _build_parser():
     p = _Parser(prog="dstlab",
                 description="integrable discrete self-trapping lattice laboratory")
@@ -53,34 +77,34 @@ def _build_parser():
         sp.add_argument("--theta-plus", type=float, default=0.7)
 
     sp = sub.add_parser("simulate", help="integrate a trajectory and track the conserved coefficients")
-    sp.add_argument("--n", type=int, default=6)
+    sp.add_argument("--n", type=_positive_int, default=6)
     add_bc(sp)
-    sp.add_argument("--dt", type=float, default=1e-3)
-    sp.add_argument("--t-final", type=float, default=10.0)
+    sp.add_argument("--dt", type=_positive, default=1e-3)
+    sp.add_argument("--t-final", type=_duration, default=10.0)
     sp.add_argument("--scale", type=float, default=None,
                     help="initial amplitude override (defaults to the regime's stable range)")
-    sp.add_argument("--sample-every", type=int, default=50)
+    sp.add_argument("--sample-every", type=_positive_int, default=50)
     common(sp)
 
     sp = sub.add_parser("verify", help="run identity suites and emit a verification report")
     sp.add_argument("--suite", default="all",
                     help="classical | rmatrix | backlund | quantum | baxter | all")
     sp.add_argument("--tol-scale", type=float, default=1.0)
-    sp.add_argument("--xi-minus", type=str, default=None,
+    sp.add_argument("--xi-minus", type=_rational, default=None,
                     help="rational boundary constant for the quantum suite (e.g. 2/3)")
-    sp.add_argument("--xi-plus", type=str, default=None,
+    sp.add_argument("--xi-plus", type=_rational, default=None,
                     help="rational boundary constant for the quantum suite")
     common(sp)
 
     sp = sub.add_parser("backlund", help="solve the Bäcklund map and report its certificates")
-    sp.add_argument("--n", type=int, default=3)
+    sp.add_argument("--n", type=_positive_int, default=3)
     sp.add_argument("--sigma", type=float, default=0.3)
     add_bc(sp)
     common(sp)
 
     sp = sub.add_parser("baxter", help="Bethe roots, eigenvalue samples and the three-term identity")
-    sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--m", type=int, default=1)
+    sp.add_argument("--n", type=_positive_int, default=2)
+    sp.add_argument("--m", type=_count, default=1)
     sp.add_argument("--xi", type=float, default=1.0)
     sp.add_argument("--eta", type=float, default=1.0)
     common(sp)
@@ -188,12 +212,9 @@ def cmd_verify(args):
         print(f"error: unknown suite {args.suite!r} "
               f"(choose from {', '.join(list(SUITES) + ['all'])})", file=sys.stderr)
         return EXIT_USAGE
-    from fractions import Fraction
-    xm = Fraction(args.xi_minus) if args.xi_minus else None
-    xp = Fraction(args.xi_plus) if args.xi_plus else None
     try:
         report = run_suites(args.suite, seed=args.seed, tol_scale=args.tol_scale,
-                            xi_minus=xm, xi_plus=xp)
+                            xi_minus=args.xi_minus, xi_plus=args.xi_plus)
     except CostGuard as exc:
         print(f"cost guard: {exc}", file=sys.stderr)
         return EXIT_COST

@@ -63,6 +63,14 @@ pair, then the lowest exponent key.
     difference used by two mirrored entries is formed once for both.
   * The AB and Dstar-B relations are parts over the four products B A,
     B Dstar, A B and Dstar B, with products of linear factors as scalars.
+
+Packed keys.  Each check packs its lifted operands once (_packed: one slot
+size for all of them, see dstlab._weylkernel_py), so its product and
+commutator tables, swapped differences and assembled residual are all
+keyed by packed ints, which hash and add faster than tuples.  Only what
+leaves the check is unpacked: the terms of the witness's degree pair, whose
+lowest key is taken in tuple order (an int compares the last slot first),
+and each nonzero entry that exchange_residual yields.
 """
 from __future__ import annotations
 
@@ -135,6 +143,13 @@ def _lift_terms(op_poly, n):
         elif c != 0:
             out[k] = {key0: c}
     return out
+
+
+def _packed(lifted):
+    """The lifted polynomials of one check on packed keys at one slot size:
+    (size, [{degree: Packed term dict}])."""
+    size = _kernel.slot_size(*(t for x in lifted for t in x.values()))
+    return size, [{k: _kernel.pack(t, size) for k, t in x.items()} for x in lifted]
 
 
 def _product_table(x, y, n):
@@ -212,14 +227,18 @@ def _assemble(parts):
     return res
 
 
-def _verdict(res, entry=None):
+def _verdict(res, entry=None, packing=None):
     """(ok, witness) of an assembled residual; the witness is its lowest
-    degree pair, then lowest exponent key."""
+    degree pair, then lowest exponent key.  A residual on packed keys gives
+    packing = (n, size): the terms of its lowest degree pair are unpacked
+    before the key is chosen, since the int order of packed keys is not the
+    tuple order (it reads the last slot first)."""
     if not res:
         return True, None
     ij = min(res)
-    key = min(res[ij])
-    return False, Witness(ij, key, res[ij][key], entry)
+    terms = res[ij] if packing is None else _kernel.unpack_into({}, res[ij], *packing)
+    key = min(terms)
+    return False, Witness(ij, key, terms[key], entry)
 
 
 def exchange_residual(x, n, eta, outer, middle=None):
@@ -249,9 +268,17 @@ def exchange_residual(x, n, eta, outer, middle=None):
     are scaled (_minus_swapped).  P[ab][cd] - P[cd][ab]~ is formed once per
     unordered pair {ab, cd}; the mirrored entry ((c, a), (d, b)) reads it
     swapped under -s t.  P[cb][ad] - P[cb][ad]~ and S[c][d] - S[c][d]~ are
-    one part each.  Each entry's parts are summed by _assemble."""
+    one part each.  Each entry's parts are summed by _assemble on packed
+    keys, and a nonzero entry is unpacked as it is yielded."""
+    size, lifted = _packed([_lift_terms(e, n) for e in x.entries()])
+    for entry, res in _exchange_entries(lifted, n, eta, outer, middle):
+        yield entry, {ij: _kernel.unpack_into({}, terms, n, size) for ij, terms in res.items()}
+
+
+def _exchange_entries(lifted, n, eta, outer, middle):
+    """The 16 (entry, residual) pairs of exchange_residual on packed keys,
+    from X's entries lifted and packed (index 2a + b)."""
     add_into = _kernel.add_into
-    lifted = [_lift_terms(e, n) for e in x.entries()]     # index 2a + b
     prod = {(u, v): _product_table(xu, xv, n)
             for u, xu in enumerate(lifted) for v, xv in enumerate(lifted)}
 
@@ -310,10 +337,12 @@ def exchange_residual(x, n, eta, outer, middle=None):
 def exchange_check(x, n, eta, outer, middle=None):
     """Exact check of the exchange relation of exchange_residual.  Returns
     (ok, witness), the witness at the first nonzero residual entry in
-    row-major order, lowest degree pair and exponent key."""
-    for entry, res in exchange_residual(x, n, eta, outer, middle):
+    row-major order, lowest degree pair and exponent key; only the
+    witness's terms are unpacked."""
+    size, lifted = _packed([_lift_terms(e, n) for e in x.entries()])
+    for entry, res in _exchange_entries(lifted, n, eta, outer, middle):
         if res:
-            return _verdict(res, entry)
+            return _verdict(res, entry, (n, size))
     return True, None
 
 
@@ -444,8 +473,8 @@ def qtau(n_sites, params, units=1):
 
 def tau_commutes(n_sites, params):
     """Exact [tau(lambda), tau(mu)] = 0 check in integer units; returns (ok, witness)."""
-    t = _lift_terms(qtau(n_sites, params, integer_units(params)), n_sites)
-    return _verdict(_commutator_table(t, n_sites))
+    size, (t,) = _packed([_lift_terms(qtau(n_sites, params, integer_units(params)), n_sites)])
+    return _verdict(_commutator_table(t, n_sites), packing=(n_sites, size))
 
 
 HQ_ORDERINGS = ("qrqr", "rqrq", "q2r2", "symmetric")
@@ -637,7 +666,8 @@ def abd_commutation_residual(n_sites, params, force=False):
     n = n_sites
     d = integer_units(params)
     eta = _in_units(params.eta, d)
-    a, b, _, _, ds = (_lift_terms(x, n) for x in abcd_operators(n, params, d))
+    a, b, _, _, ds = abcd_operators(n, params, d)
+    size, (a, b, ds) = _packed([_lift_terms(x, n) for x in (a, b, ds)])
     # four operator products X(l) Y(m); each reverse-order product is a degree swap
     BA, BD = _product_table(b, a, n), _product_table(b, ds, n)
     AB, DB = _product_table(a, b, n), _product_table(ds, b, n)
@@ -665,8 +695,10 @@ def abd_commutation_residual(n_sites, params, force=False):
                (_scalar_mul(neg_eta, two_l_pe, two_mu_e, lm), BA, False),
                (_scalar_mul(eta_b, two_l_pe, lp), BD, False)],
     }
-    return {"bb": _verdict(_commutator_table(b, n)),        # B(l) B(m) = B(m) B(l)
-            **{name: _verdict(_assemble(parts)) for name, parts in relations.items()}}
+    packing = (n, size)
+    return {"bb": _verdict(_commutator_table(b, n), packing=packing),  # B(l) B(m) = B(m) B(l)
+            **{name: _verdict(_assemble(parts), packing=packing)
+               for name, parts in relations.items()}}
 
 
 # ---------------------------------------------------------------------------

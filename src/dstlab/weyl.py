@@ -12,9 +12,12 @@ as `_kernel` (dstlab.quantum uses the same binding).
 """
 from __future__ import annotations
 
-from math import perm
+from itertools import chain
+from math import lcm, perm
+from operator import add
 
 from . import _weylkernel_py as _kernel
+from ._rat import rat
 
 BACKEND = _kernel.BACKEND
 
@@ -135,26 +138,33 @@ class WeylOp:
         q_i multiplies and d_i differentiates: q^a d^b sends the monomial
         x^m (m >= b at every site) to prod_i m_i!/(m_i - b_i)! x^(m - b + a)
         and any monomial below the derivative order b to zero.  The
-        falling-factorial weight is an int, so each term-monomial pair costs
-        one coefficient product, pc * (c * ff), whatever the coefficients'
-        type."""
+        coefficients are ints or exact rationals.  The operator and the
+        polynomial are each scaled once by the lcm of their denominators,
+        so every term-monomial pair adds an int product, and each output
+        coefficient is one rational over the product of the two lcms (an
+        int when every input coefficient is an int)."""
         n = self.n
-        out = {}
-        for key, c in self.terms.items():
-            a, b = key[:n], key[n:]
-            for mono, pc in poly.items():
-                ff = 1
-                for m, bi in zip(mono, b):
-                    if m < bi:
+        op_den, op_coeffs = _cleared(self.terms.values())
+        poly_den, poly_coeffs = _cleared(poly.values())
+        monos = list(zip(poly, poly_coeffs))
+        acc = {}
+        get = acc.get
+        for key, c in zip(self.terms, op_coeffs):
+            shift = [ai - bi for ai, bi in zip(key[:n], key[n:])]
+            orders = [(i, bi) for i, bi in enumerate(key[n:]) if bi]
+            for mono, pc in monos:
+                w = c * pc
+                for i, bi in orders:
+                    if mono[i] < bi:
                         break
-                    if bi:
-                        ff *= perm(m, bi)
+                    w *= perm(mono[i], bi)
                 else:
-                    tgt = tuple(m - bi + ai for m, bi, ai in zip(mono, b, a))
-                    w = pc * c if ff == 1 else pc * (c * ff)
-                    out[tgt] = out.get(tgt, 0) + w
-        _kernel.trim(out)
-        return out
+                    tgt = tuple(map(add, mono, shift))
+                    acc[tgt] = get(tgt, 0) + w
+        if all(type(c) is int for c in chain(self.terms.values(), poly.values())):
+            return {m: c for m, c in acc.items() if c}
+        den = op_den * poly_den
+        return {m: rat(c, den) for m, c in acc.items() if c}
 
     def scalar_part(self):
         """Coefficient of the identity term."""
@@ -181,6 +191,15 @@ class WeylOp:
                     facs.append(f"d{i+1}" + (f"^{key[n+i]}" if key[n+i] > 1 else ""))
             bits.append("*".join(facs))
         return " + ".join(bits)
+
+
+def _cleared(coeffs):
+    """(D, [D c for c in coeffs]) with D the lcm of the coefficients'
+    denominators, so that every D c is an int."""
+    coeffs = list(coeffs)
+    dens = [int(c.denominator) for c in coeffs]
+    den = lcm(*dens)
+    return den, [int(c.numerator) * (den // d) for c, d in zip(coeffs, dens)]
 
 
 def commutator(a, b):

@@ -94,6 +94,38 @@ def test_bad_flag_usage_exit():
     assert proc.returncode == 64
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--sample-every", "0"],
+    ["simulate", "--dt", "0"],
+    ["simulate", "--dt", "-0.001"],
+    ["simulate", "--dt", "nan"],
+    ["simulate", "--n", "0"],
+    ["simulate", "--t-final", "-1"],
+    ["verify", "--xi-minus", "abc"],
+    ["verify", "--xi-minus", "1/0"],
+    ["verify", "--xi-plus", "1/0"],
+    ["backlund", "--n", "0"],
+    ["baxter", "--n", "0"],
+    ["baxter", "--m", "-1"],
+])
+def test_invalid_numbers_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    # refused while parsing, before any command runs or writes a file
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 64
+    assert f"argument {argv[1]}: expected " in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_verify_rational_overrides(capsys):
+    # a negative fraction is not taken for a flag when attached with "="
+    assert main(["verify", "--suite", "quantum", "--xi-minus", "2/3",
+                 "--xi-plus=-5/4", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    first = [r for r in report["records"] if r["identity_id"].startswith("rtt-n1-eta0-xi0")]
+    assert first and all(r["parameters"]["xi_minus"] == "2/3" and
+                         r["parameters"]["xi_plus"] == "-5/4" for r in first)
+
+
 def test_verify_json_byte_identical():
     p1 = _run(["verify", "--suite", "rmatrix", "--seed", "1", "--json"])
     p2 = _run(["verify", "--suite", "rmatrix", "--seed", "1", "--json"])

@@ -499,6 +499,18 @@ def test_failing_reflection_record_carries_witness(monkeypatch):
         "difference": str(witness.difference), "units": 1}
 
 
+def test_verdict_picks_the_tuple_order_of_packed_keys():
+    # little-endian packing reads the last slot first: at N=1, (1, 0) packs
+    # to 1 and (0, 1) to 256, so the int minimum is not the tuple minimum
+    residual = {(1, 0): {(0, 0): 3}, (0, 2): {(1, 0): 5, (0, 1): -7}}
+    packed = {ij: weyl._kernel.pack(terms, 1) for ij, terms in residual.items()}
+    assert sorted(packed[0, 2]) == [1, 256]
+    expected = (False, quantum.Witness((0, 2), (0, 1), -7, (1, 2)))
+    assert quantum._verdict(packed, (1, 2), (1, 1)) == expected
+    assert quantum._verdict(residual, (1, 2)) == expected
+    assert quantum._verdict({}, (1, 2), (1, 1)) == (True, None)
+
+
 # ---------------------------------------------------------------------------
 # exchange checks from the product table against the explicit 4x4 chain
 # ---------------------------------------------------------------------------

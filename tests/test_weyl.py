@@ -9,6 +9,7 @@ from dstlab._rat import rat
 from dstlab.errors import SiteCountMismatch
 from dstlab.weyl import WeylOp, commutator, kernel_backend
 from dstlab import _weylkernel_py
+from tuple_kernel import mul_into as tuple_mul_into
 
 
 def test_defining_relation():
@@ -107,9 +108,40 @@ def _ops(n):
 
 
 _triples = st.integers(1, 3).flatmap(lambda n: st.tuples(_ops(n), _ops(n), _ops(n)))
-# exponents up to 4..40 widen commutator_into's packed slots to 4..7 bits
+# exponents up to 4..40: many sites reorder by several k at once
 _wide_pairs = st.tuples(st.integers(1, 2), st.integers(4, 40)).flatmap(
     lambda ne: st.tuples(*[_terms(*ne, 1, 3).map(lambda t: WeylOp(ne[0], t))] * 2))
+
+# Exponents on both sides of the byte boundary: operands up to 127 pack at
+# one byte per slot, 128..300 at two.  A key has at most one slot drawn
+# from these, the rest 0..3, so a pair reorders a large exponent at one
+# site at most.
+_boundary_exp = st.one_of(st.integers(0, 127), st.integers(128, 300),
+                          st.sampled_from([127, 128, 255, 256]))
+
+
+def _boundary_key(n):
+    def widen(key, slot, e):
+        key = list(key)
+        key[slot] = e
+        return tuple(key)
+    small = st.tuples(*[st.integers(0, 3)] * (2 * n))
+    return st.one_of(small, st.builds(widen, small, st.integers(0, 2 * n - 1), _boundary_exp))
+
+
+def _boundary_ops(n):
+    coeff = st.one_of(st.integers(-5, 5).filter(bool), _coeff)
+    terms = st.dictionaries(_boundary_key(n), coeff, min_size=1, max_size=3)
+    return terms.map(lambda t: WeylOp(n, t))
+
+
+_boundary_pairs = st.integers(1, 2).flatmap(lambda n: st.tuples(_boundary_ops(n), _boundary_ops(n)))
+
+
+def _boundary_poly(n):
+    # monomials reach past the derivative orders, so large ones act nontrivially
+    mono = st.tuples(*[st.one_of(st.integers(0, 6), st.integers(120, 310))] * n)
+    return st.dictionaries(mono, st.integers(-3, 3).filter(bool), max_size=3)
 
 
 @settings(max_examples=150, deadline=None)
@@ -140,20 +172,42 @@ def test_mul_into_factor_scales_the_product(abc, factor):
     assert WeylOp(a.n, out) == (a * b) * factor
 
 
+@settings(max_examples=150, deadline=None)
+@given(_boundary_pairs, st.integers(-3, 3).filter(bool), st.data())
+def test_products_match_the_tuple_loop(ab, factor, data):
+    # the packed loop, through tuple keys and on operands packed once, against
+    # the tuple loop kept in tests/tuple_kernel.py
+    a, b = ab
+    k, n = _weylkernel_py, a.n
+    expected = k.trim(tuple_mul_into({}, a.terms, b.terms, n, factor))
+    assert k.trim(k.mul_into({}, a.terms, b.terms, n, factor)) == expected
+    size = k.slot_size(a.terms, b.terms)
+    assert size == (1 if max(max(key) for t in (a.terms, b.terms) for key in t) < 128 else 2)
+    packed = k.mul_into({}, k.pack(a.terms, size), k.pack(b.terms, size), n, factor)
+    assert all(type(key) is int for key in packed)
+    assert k.trim(k.unpack_into({}, packed, n, size)) == expected
+    # the action on commuting polynomials is an oracle independent of both
+    p = data.draw(_boundary_poly(n))
+    composed = {m: factor * c for m, c in a.apply(b.apply(p)).items()}
+    assert WeylOp(n, expected).apply(p) == composed
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(_triples.map(lambda abc: abc[:2]), _wide_pairs), st.data())
+@given(st.one_of(_triples.map(lambda abc: abc[:2]), _wide_pairs, _boundary_pairs), st.data())
 def test_commutator_into_is_both_products_differenced(ab, data):
     # the pairs and the k = 0 terms that commutator_into skips cancel exactly;
-    # its packed-key reordering loop is checked against mul_into's tuple one
+    # the two products come from the tuple loop kept in tests/tuple_kernel.py
     a, b = ab
     k = _weylkernel_py
     comm = k.trim(k.commutator_into({}, a.terms, b.terms, a.n))
-    both = k.mul_into({}, a.terms, b.terms, a.n)
-    k.mul_into(both, b.terms, a.terms, a.n, -1)
+    both = tuple_mul_into({}, a.terms, b.terms, a.n)
+    tuple_mul_into(both, b.terms, a.terms, a.n, -1)
     assert comm == k.trim(both)
+    size = k.slot_size(a.terms, b.terms)
+    packed = k.commutator_into({}, k.pack(a.terms, size), k.pack(b.terms, size), a.n)
+    assert k.trim(k.unpack_into({}, packed, a.n, size)) == comm
     # the action on commuting polynomials is an oracle independent of both
-    mono = st.tuples(*[st.integers(0, 6)] * a.n)
-    p = data.draw(st.dictionaries(mono, st.integers(-3, 3).filter(bool), max_size=4))
+    p = data.draw(_boundary_poly(a.n))
     expected = dict(a.apply(b.apply(p)))
     for m, c in b.apply(a.apply(p)).items():
         expected[m] = expected.get(m, 0) - c
@@ -178,24 +232,31 @@ def _apply_stepwise(op, poly):
     return {m: c for m, c in out.items() if c != 0}
 
 
-_int_or_rat = st.one_of(st.integers(-5, 5).filter(bool), _coeff)
+_ints = st.integers(-5, 5).filter(bool)
+# ints mixed with rationals of unlike denominators, whose lcm clears them
+_mixed = st.one_of(_ints, st.builds(rat, st.integers(-9, 9).filter(bool), st.integers(1, 12)))
 
 
-def _op_and_poly(n):
+def _op_and_poly(n, coeff):
     # monomial exponents 0..4 against derivative orders 0..3: many monomials
     # sit below an operator term's derivative order
-    op = st.dictionaries(st.tuples(*[st.integers(0, 3)] * (2 * n)), _int_or_rat, max_size=5)
-    poly = st.dictionaries(st.tuples(*[st.integers(0, 4)] * n), _int_or_rat, max_size=5)
+    op = st.dictionaries(st.tuples(*[st.integers(0, 3)] * (2 * n)), coeff, max_size=5)
+    poly = st.dictionaries(st.tuples(*[st.integers(0, 4)] * n), coeff, max_size=5)
     return st.tuples(op.map(lambda t: WeylOp(n, t)), poly)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 3).flatmap(_op_and_poly))
+@given(st.tuples(st.integers(1, 3), st.sampled_from([_ints, _mixed])).flatmap(
+    lambda nc: _op_and_poly(*nc)))
 def test_apply_matches_the_stepwise_reference(op_poly):
+    # the same coefficients in the same order; each is an int when every
+    # input coefficient is one, and otherwise one rational over the cleared
+    # denominators, also where the value is whole
     op, poly = op_poly
     got, ref = op.apply(poly), _apply_stepwise(op, poly)
-    assert [(m, c, type(c)) for m, c in got.items()] == \
-        [(m, c, type(c)) for m, c in ref.items()]
+    assert list(got.items()) == list(ref.items())
+    ints = all(type(c) is int for c in [*op.terms.values(), *poly.values()])
+    assert all(type(c) is (int if ints else type(rat(1))) for c in got.values())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
