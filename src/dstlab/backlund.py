@@ -29,6 +29,7 @@ from .lattice import LatticeState, Periodic, Quasiperiodic
 from .monodromy import boundary_C, generator
 
 POLE_GUARD = 1e-12
+NEWTON_TOL = 1e-12  # max-norm of the map's residual at which Newton stops
 
 # Evaluation grid for gauge-based identities: off the real axis and away from
 # small real sigma values, so g(lambda - sigma) stays invertible.
@@ -39,12 +40,11 @@ BT_LAMBDA_GRID = tuple(1.37 * cmath.exp(2j * cmath.pi * (k + 0.5) / 8) for k in 
 @dataclass(frozen=True)
 class NewtonOptions:
     max_iter: int = 50
-    tol: float = 1e-12
     continuation_steps: int = 10
 
     def __post_init__(self):
-        if self.continuation_steps < 1 or not self.tol > 0:
-            raise ValueError("continuation_steps >= 1 and tol > 0 required")
+        if self.continuation_steps < 1:
+            raise ValueError("continuation_steps >= 1 required")
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def bt_solve(state_x, params, initial_guess=None):
         for _ in range(opts.max_iter):
             f, _ = _bt_F(y, x, X, sig, xi)
             res = float(np.max(np.abs(f)))
-            if res <= opts.tol:
+            if res <= NEWTON_TOL:
                 break
             jac = _bt_jac(y, x, sig, xi)
             y = y + np.linalg.solve(jac, -f)
@@ -134,7 +134,7 @@ def bt_solve(state_x, params, initial_guess=None):
             raise NewtonDiverged(f"residual {res:.3e} after {opts.max_iter} iterations at sigma={sig}")
         f, _ = _bt_F(y, x, X, sig, xi)
         res = float(np.max(np.abs(f)))
-        if res > opts.tol:
+        if res > NEWTON_TOL:
             raise NewtonDiverged(f"residual {res:.3e} at continuation point sigma={sig}")
     _, y_next = _bt_F(y, x, X, params.sigma, xi)
     X_prev = np.empty_like(X)
@@ -187,7 +187,7 @@ def bt_generating_check(x, X, y, Y, sigma, xi=1.0):
     return worst
 
 
-def bt_local_identity_residual(x_i, X_i, y_i, y_ip1, X_im1, sigma, grid=BT_LAMBDA_GRID):
+def bt_local_identity_residual(x_i, X_i, y_i, y_ip1, X_im1, sigma):
     """Max-norm defect of the local exchange identity
 
         g(l-s; -y_{i+1}, X_i) L(l; x_i, X_i) = L(l; y_i, Y_i) g(l-s; -y_i, X_{i-1})
@@ -196,7 +196,7 @@ def bt_local_identity_residual(x_i, X_i, y_i, y_ip1, X_im1, sigma, grid=BT_LAMBD
     """
     Y_i = X_im1 + (x_i - y_ip1) / y_i * X_i
     out = 0.0
-    for lam in grid:
+    for lam in BT_LAMBDA_GRID:
         L_x = np.array([[lam + x_i * X_i, x_i], [X_i, 1.0]], dtype=complex)
         L_y = np.array([[lam + y_i * Y_i, y_i], [Y_i, 1.0]], dtype=complex)
         lhs = g_matrix(lam, sigma, -y_ip1, X_i) @ L_x
@@ -205,14 +205,13 @@ def bt_local_identity_residual(x_i, X_i, y_i, y_ip1, X_im1, sigma, grid=BT_LAMBD
     return out
 
 
-def bt_invariance_residual(state_x, result, params, grid=BT_LAMBDA_GRID,
-                           y_end=None, X0=None):
+def bt_invariance_residual(state_x, result, params, y_end=None):
     """(generator defect, closure-exchange defect) certifying spectrum invariance.
 
     (a) coefficient-wise difference of the conserved-quantity generator on the
         old and new states; (b) defect of  g_1 C = C g_{N+1}  with the gauge
-        matrices at (-y_1, X_0) and (-y_{N+1}, X_N).  y_end and X0 default to
-        the ring closure (xi y_1, xi X_N); passing a broken y_end is the
+        matrices at (-y_1, X_0) and (-y_{N+1}, X_N), X_0 = xi X_N.  y_end
+        defaults to the ring closure xi y_1; passing a broken y_end is the
         negative control for (b).
     """
     bc = params.closure
@@ -225,13 +224,12 @@ def bt_invariance_residual(state_x, result, params, grid=BT_LAMBDA_GRID,
     if y_end is None:
         y_end = xi * y1
     X_end = state_x.r[-1]
-    if X0 is None:
-        X0 = xi * X_end
+    X0 = xi * X_end
     c = boundary_C(xi) if isinstance(bc, Quasiperiodic) else None
     cm = np.eye(2, dtype=complex) if c is None else np.array(
         [[complex(c.a11), 0], [0, complex(c.a22)]])
     res_cl = 0.0
-    for lam in grid:
+    for lam in BT_LAMBDA_GRID:
         if abs(lam - params.sigma) < POLE_GUARD:
             raise SingularG("lambda hit sigma on the grid")
         g1 = g_matrix(lam, params.sigma, -y1, X0)
@@ -240,12 +238,13 @@ def bt_invariance_residual(state_x, result, params, grid=BT_LAMBDA_GRID,
     return res_gen, res_cl
 
 
-def bt_symplectic_residual(state_x, params, h=1e-5):
+def bt_symplectic_residual(state_x, params):
     """Max-norm of D^T Omega D - Omega for the Jacobian D of (x,X) -> (y,Y).
 
-    D is built by central differences, re-solving with a warm start from the
-    unperturbed solution.
+    D is built by central differences of step 1e-5, re-solving with a warm
+    start from the unperturbed solution.
     """
+    h = 1e-5
     n = state_x.n_sites
     base = bt_solve(state_x, params)
     warm = np.asarray(base.y, dtype=complex)
@@ -307,7 +306,7 @@ def v_matrices(y1, y_end, X0, X_end, sigma, theta_minus, theta_plus, a_shift=0.0
 
 
 def v_dressing_residual(y1, y_end, X0, X_end, sigma, theta_minus, theta_plus,
-                        grid=BT_LAMBDA_GRID, a_shift=0.0):
+                        a_shift=0.0):
     """Defects of the two dressing identities
 
         g(-l-s; -y_end, X_end) V_+(l) g(l-s; -y_end, X_end)^{-1} = K_+(l)
@@ -318,7 +317,7 @@ def v_dressing_residual(y1, y_end, X0, X_end, sigma, theta_minus, theta_plus,
     v_plus, v_minus = v_matrices(y1, y_end, X0, X_end, sigma,
                                  theta_minus, theta_plus, a_shift=a_shift)
     res_p = res_m = 0.0
-    for lam in grid:
+    for lam in BT_LAMBDA_GRID:
         if abs(lam - sigma) < POLE_GUARD or abs(lam + sigma) < POLE_GUARD:
             raise SingularG("gauge factor singular on the grid")
         kp = np.array([[theta_plus, 0], [lam, theta_plus]], dtype=complex)
@@ -334,8 +333,7 @@ def v_dressing_residual(y1, y_end, X0, X_end, sigma, theta_minus, theta_plus,
     return res_p, res_m
 
 
-def jtilde_invariance_residual(state_x, result, params, theta_minus, theta_plus,
-                               grid=BT_LAMBDA_GRID):
+def jtilde_invariance_residual(state_x, result, params, theta_minus, theta_plus):
     """Composite check: tr[V_+(l) T(x;l) V_-(l) T(x;-l)^{-1}] before the map
     equals tr[K_+(l) T(y;l) K_-(l) T(y;-l)^{-1}] after it."""
     from .monodromy import monodromy
@@ -352,7 +350,7 @@ def jtilde_invariance_residual(state_x, result, params, theta_minus, theta_plus,
     t_y = monodromy(result.state())
 
     out = 0.0
-    for lam in grid:
+    for lam in BT_LAMBDA_GRID:
         if abs(lam) < POLE_GUARD or abs(lam - params.sigma) < POLE_GUARD \
                 or abs(lam + params.sigma) < POLE_GUARD:
             continue

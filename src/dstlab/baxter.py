@@ -334,19 +334,18 @@ def bethe_remainder(cfg):
     return float(np.max(np.abs(rem))) if len(rem) else 0.0
 
 
-def lambda_degree_probe(cfg, extra=2, spread=1.7):
-    """(N+1)-th forward difference of Lambda over an arithmetic grid;
-    vanishes when Lambda is a polynomial of degree N."""
+def lambda_degree_probe(cfg):
+    """(N+1)-th forward difference of Lambda at 0.31 + 0.17i + 1.7 k for
+    k = 0..N+2; vanishes when Lambda is a polynomial of degree N."""
     n = cfg.n_sites
-    pts = n + 1 + extra
     base = 0.31 + 0.17j
-    vals = np.array([lambda_from_roots(cfg, base + spread * k) for k in range(pts)])
+    vals = np.array([lambda_from_roots(cfg, base + 1.7 * k) for k in range(n + 3)])
     for _ in range(n + 1):
         vals = np.diff(vals)
     return float(np.max(np.abs(vals)))
 
 
-def transfer_matrix_on_degree(n, m, xi, eta, sigma0, dim_guard=64):
+def transfer_matrix_on_degree(n, m, xi, eta, sigma0):
     """Matrix of the twisted quantum transfer polynomial tr[C(xi) T(sigma0)]
     on the degree-m monomial subspace."""
     from ._rat import rat
@@ -354,12 +353,12 @@ def transfer_matrix_on_degree(n, m, xi, eta, sigma0, dim_guard=64):
 
     t = qmonodromy(n, QParams(rat(eta)))
     sq = cmath.sqrt(complex(xi))
-    m11 = rep_of_op_poly(t.a11, sigma0, n, m, dim_guard)
-    m22 = rep_of_op_poly(t.a22, sigma0, n, m, dim_guard)
+    m11 = rep_of_op_poly(t.a11, sigma0, n, m)
+    m22 = rep_of_op_poly(t.a22, sigma0, n, m)
     return m11 / sq + sq * m22
 
 
-def eigen_membership_residual(cfg, sigma0, dim_guard=64):
+def eigen_membership_residual(cfg, sigma0):
     """Normalized determinant distance certifying that Lambda(sigma0) is an
     eigenvalue of the twisted transfer operator on the degree-m subspace:
 
@@ -369,7 +368,7 @@ def eigen_membership_residual(cfg, sigma0, dim_guard=64):
         eta = cfg.eta
     else:
         eta = int(round(complex(cfg.eta).real))
-    mat = transfer_matrix_on_degree(cfg.n_sites, cfg.m, cfg.xi, eta, sigma0, dim_guard)
+    mat = transfer_matrix_on_degree(cfg.n_sites, cfg.m, cfg.xi, eta, sigma0)
     lam = lambda_from_roots(cfg, sigma0)
     dim = mat.shape[0]
     norm = np.linalg.norm(mat)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -29,6 +30,13 @@ EXIT_USAGE = 64
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads this private attribute to tell a negative number from
+        # a flag, and by default takes only -5 or -0.5 for a number.  No flag
+        # here starts with a digit, so -5/4 and -3e-1 are values too.
+        self._negative_number_matcher = re.compile(r"^-\.?\d[\d.eE/+-]*$")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
@@ -70,8 +78,8 @@ def _build_parser():
         sp.add_argument("--out", type=str, default=None,
                         help="write the report (CSV for simulate, JSON otherwise)")
 
-    def add_bc(sp, default="periodic"):
-        sp.add_argument("--bc", choices=["periodic", "quasi", "open"], default=default)
+    def add_bc(sp):
+        sp.add_argument("--bc", choices=["periodic", "quasi", "open"], default="periodic")
         sp.add_argument("--xi", type=float, default=2.0, help="quasiperiodic twist")
         sp.add_argument("--theta-minus", type=float, default=0.3)
         sp.add_argument("--theta-plus", type=float, default=0.7)
@@ -212,12 +220,8 @@ def cmd_verify(args):
         print(f"error: unknown suite {args.suite!r} "
               f"(choose from {', '.join(list(SUITES) + ['all'])})", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        report = run_suites(args.suite, seed=args.seed, tol_scale=args.tol_scale,
-                            xi_minus=args.xi_minus, xi_plus=args.xi_plus)
-    except CostGuard as exc:
-        print(f"cost guard: {exc}", file=sys.stderr)
-        return EXIT_COST
+    report = run_suites(args.suite, seed=args.seed, tol_scale=args.tol_scale,
+                        xi_minus=args.xi_minus, xi_plus=args.xi_plus)
     _dump(report, args)
     s = report["summary"]
     if not args.json:
@@ -321,6 +325,8 @@ def cmd_baxter(args):
                            tuple(rng.uniform(-0.8, 0.8, args.n)
                                  + 1j * rng.uniform(-0.4, 0.4, args.n)))
         tq, corr = tq_scalar_residual(kp)
+    except CostGuard:
+        raise  # main gives it its own exit code
     except DstlabError as exc:
         print(f"baxter run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -205,10 +205,10 @@ def poisson_bracket(f, g, state, h_scale=DEFAULT_FD_STEP):
     return sum(fq[i] * gr[i] - fr[i] * gq[i] for i in range(len(fq)))
 
 
-def flow_consistency_residual(state, bc, h_scale=DEFAULT_FD_STEP):
+def flow_consistency_residual(state, bc):
     """Max-norm gap between `eom` and the symplectic gradient of `hamiltonian`."""
     d = eom(state, bc)
-    hq, hr = _grad(lambda s: hamiltonian(s, bc), state, h_scale)
+    hq, hr = _grad(lambda s: hamiltonian(s, bc), state)
     gaps = [abs(d.dq[i] - hr[i]) for i in range(len(hq))]
     gaps += [abs(d.dr[i] + hq[i]) for i in range(len(hq))]
     return max(gaps)

@@ -271,7 +271,7 @@ def _mat_max_abs(m):
     return max(abs(e) for e in m.entries())
 
 
-def lax_consistency_residual(state, bc, j, grid=LAMBDA_GRID, boundary_shift=(0.0, 0.0)):
+def lax_consistency_residual(state, bc, j, boundary_shift=(0.0, 0.0)):
     """Max over the lambda grid of || dL_j/dt - (M_{j+1} L_j - L_j M_j) ||.
 
     boundary_shift perturbs (theta_-, theta_+) in the auxiliary matrices only
@@ -283,14 +283,13 @@ def lax_consistency_residual(state, bc, j, grid=LAMBDA_GRID, boundary_shift=(0.0
     m_next = lax_M(state, j + 1, wbc)
     m_j = lax_M(state, j, wbc)
     defect = lhs - (m_next @ lj - lj @ m_j)
-    return max(_mat_max_abs(defect.eval(lam)) for lam in grid)
+    return max(_mat_max_abs(defect.eval(lam)) for lam in LAMBDA_GRID)
 
 
-def monodromy_evolution_residual(state, bc, boundary_shift=(0.0, 0.0)):
+def monodromy_evolution_residual(state, bc):
     """Coefficient max-norm of  sum_n L_N..L_{n+1} Ldot_n L_{n-1}..L_1
     minus  (M_{N+1} T - T M_1)  with closure-resolved end matrices."""
     n = state.n_sites
-    wbc = _shifted_bc(bc, boundary_shift)
     ls = [lax_L(state, k) for k in range(1, n + 1)]
     total = None
     for k in range(1, n + 1):
@@ -301,7 +300,7 @@ def monodromy_evolution_residual(state, bc, boundary_shift=(0.0, 0.0)):
             term = ls[m - 1] @ term
         total = term if total is None else total + term
     t = monodromy(state)
-    rhs = lax_M(state, n + 1, wbc) @ t - t @ lax_M(state, 1, wbc)
+    rhs = lax_M(state, n + 1, bc) @ t - t @ lax_M(state, 1, bc)
     return (total - rhs).max_abs()
 
 

@@ -123,12 +123,12 @@ class Mat2:
         self.a11, self.a12, self.a21, self.a22 = a11, a12, a21, a22
 
     @classmethod
-    def identity(cls, one=1, zero=0):
-        return cls(one, zero, zero, one)
+    def identity(cls):
+        return cls(1, 0, 0, 1)
 
     @classmethod
-    def diag(cls, a, d, zero=0):
-        return cls(a, zero, zero, d)
+    def diag(cls, a, d):
+        return cls(a, 0, 0, d)
 
     def __matmul__(self, other):
         return Mat2(

@@ -409,16 +409,16 @@ def _scalar_mat2(n, entries):
     return Mat2(mk(entries[0]), mk(entries[1]), mk(entries[2]), mk(entries[3]))
 
 
-def q_reflection_minus(params, n_sites=0):
+def q_reflection_minus(params):
     """Exact check of the reflection algebra for K_-(lambda) (scalar identity):
 
         Rb(l-m) K1(l) Rb(l+m) K2(m) = K2(m) Rb(l+m) K1(l) Rb(l-m).
     """
-    k = _scalar_mat2(n_sites, ([params.xi_minus], [0, 1], [0], [params.xi_minus]))
-    return exchange_check(k, n_sites, params.eta, (1, -1, 0), (1, 1, 0))
+    k = _scalar_mat2(0, ([params.xi_minus], [0, 1], [0], [params.xi_minus]))
+    return exchange_check(k, 0, params.eta, (1, -1, 0), (1, 1, 0))
 
 
-def q_reflection_plus(params, shift=(1, 1), n_sites=0):
+def q_reflection_plus(params, shift=(1, 1)):
     """Exact check of the dual reflection algebra (scalar identity):
 
         Rb(-l+m) K1^t1 Rb(-l-m-2s) K2^t2 = K2^t2 Rb(-l-m-2s) K1^t1 Rb(-l+m)
@@ -431,8 +431,8 @@ def q_reflection_plus(params, shift=(1, 1), n_sites=0):
     """
     s = rat(shift[0], shift[1]) * params.eta
     # K1^t1 = (K^t) (x) I and K2^t2 = I (x) K^t
-    kt = _scalar_mat2(n_sites, ([params.xi_plus], [s, 1], [0], [params.xi_plus]))
-    return exchange_check(kt, n_sites, params.eta, (-1, 1, 0), (-1, -1, -2 * s))
+    kt = _scalar_mat2(0, ([params.xi_plus], [s, 1], [0], [params.xi_plus]))
+    return exchange_check(kt, 0, params.eta, (-1, 1, 0), (-1, -1, -2 * s))
 
 
 def q_reflection_dressed(n_sites, params, force=False):
@@ -586,12 +586,12 @@ def classical_image(op, eta):
     return out
 
 
-def _classical_limit_mismatches(n_sites, xi_minus, xi_plus, max_eta_degree):
+def _classical_limit_mismatches(n_sites, xi_minus, xi_plus):
     """{(a, b): limit - classical} over the monomials where the eta -> 0 limit
     of the extracted Hamiltonian's classical image misses the classical
-    open-chain Hamiltonian."""
-    deg = max_eta_degree if max_eta_degree is not None else 2 * n_sites + 2
-    etas = [rat(1, k) for k in range(1, deg + 2)]
+    open-chain Hamiltonian.  The image coefficients have eta-degree at most
+    2N+2, so 2N+3 samples determine them."""
+    etas = [rat(1, k) for k in range(1, 2 * n_sites + 4)]
     images = []
     for eta in etas:
         h, _ = hq_extract(n_sites, QParams(eta, xi_minus, xi_plus))
@@ -638,7 +638,7 @@ def _classical_limit_mismatches(n_sites, xi_minus, xi_plus, max_eta_degree):
     return out
 
 
-def hq_classical_limit_residual(n_sites, xi_minus, xi_plus, max_eta_degree=None):
+def hq_classical_limit_residual(n_sites, xi_minus, xi_plus):
     """Exact eta -> 0 limit of the extracted Hamiltonian's classical image.
 
     The image coefficients are polynomials in eta; they are interpolated
@@ -646,14 +646,14 @@ def hq_classical_limit_residual(n_sites, xi_minus, xi_plus, max_eta_degree=None)
     compared against the classical open-chain Hamiltonian with the boundary
     couplings (xi_-, xi_+).  Returns the number of mismatched monomials.
     """
-    return len(_classical_limit_mismatches(n_sites, xi_minus, xi_plus, max_eta_degree))
+    return len(_classical_limit_mismatches(n_sites, xi_minus, xi_plus))
 
 
-def hq_classical_limit_witness(n_sites, xi_minus, xi_plus, max_eta_degree=None):
+def hq_classical_limit_witness(n_sites, xi_minus, xi_plus):
     """(ok, witness) form of hq_classical_limit_residual: the witness is the
     lowest mismatched monomial, its key the q exponents then the r
     exponents, its difference the limit minus the classical coefficient."""
-    out = _classical_limit_mismatches(n_sites, xi_minus, xi_plus, max_eta_degree)
+    out = _classical_limit_mismatches(n_sites, xi_minus, xi_plus)
     return _verdict({(): {a + b: diff for (a, b), diff in out.items()}} if out else {})
 
 
@@ -716,7 +716,10 @@ def degree_basis(n_sites, m):
     return sorted(gen((), m, n_sites), reverse=True)
 
 
-def rep_on_degree(op, n_sites, m, dim_guard=64):
+REP_DIM_GUARD = 64  # largest dimension comb(N+m-1, m) of a represented subspace
+
+
+def rep_on_degree(op, n_sites, m):
     """Matrix of a WeylOp on the homogeneous degree-m monomial basis.
 
     Raises DegreeNotPreserved (with the offending basis vector) if the image
@@ -725,8 +728,8 @@ def rep_on_degree(op, n_sites, m, dim_guard=64):
     basis = degree_basis(n_sites, m)
     dim = comb(n_sites + m - 1, m)
     assert len(basis) == dim
-    if dim > dim_guard:
-        raise CostGuard(f"representation dimension {dim} > {dim_guard}")
+    if dim > REP_DIM_GUARD:
+        raise CostGuard(f"representation dimension {dim} > {REP_DIM_GUARD}")
     index = {mono: i for i, mono in enumerate(basis)}
     cols = []
     for mono in basis:
@@ -740,7 +743,7 @@ def rep_on_degree(op, n_sites, m, dim_guard=64):
     return [[cols[j][i] for j in range(dim)] for i in range(dim)], basis
 
 
-def rep_of_op_poly(op_poly, lam0, n_sites, m, dim_guard=64):
+def rep_of_op_poly(op_poly, lam0, n_sites, m):
     """Complex matrix of an operator polynomial evaluated at lam0.
 
     Each lambda-coefficient is represented exactly, then the powers of lam0
@@ -748,13 +751,13 @@ def rep_of_op_poly(op_poly, lam0, n_sites, m, dim_guard=64):
     import numpy as np
 
     dim = comb(n_sites + m - 1, m)
-    if dim > dim_guard:
-        raise CostGuard(f"representation dimension {dim} > {dim_guard}")
+    if dim > REP_DIM_GUARD:
+        raise CostGuard(f"representation dimension {dim} > {REP_DIM_GUARD}")
     total = np.zeros((dim, dim), dtype=complex)
     power = 1.0 + 0j
     for k, c in enumerate(op_poly.c):
         if isinstance(c, WeylOp) and not c.is_zero():
-            mat, _ = rep_on_degree(c, n_sites, m, dim_guard)
+            mat, _ = rep_on_degree(c, n_sites, m)
             total += power * np.array([[float(e) for e in row] for row in mat])
         power *= lam0
     return total

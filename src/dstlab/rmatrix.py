@@ -29,7 +29,7 @@ def classical_r(lam, mu):
     return -PERM / (lam - mu)
 
 
-def _mat_fn_grads(mat_fn, state, h_scale=DEFAULT_FD_STEP):
+def _mat_fn_grads(mat_fn, state):
     """d(mat_fn)/dq_n and d(mat_fn)/dr_n, each shaped (N, 2, 2)."""
     q, r = list(state.q), list(state.r)
     n = len(q)
@@ -37,7 +37,7 @@ def _mat_fn_grads(mat_fn, state, h_scale=DEFAULT_FD_STEP):
     for arr in (q, r):
         grads = np.empty((n, 2, 2), dtype=complex)
         for i in range(n):
-            h = h_scale * max(1.0, abs(arr[i]))
+            h = DEFAULT_FD_STEP * max(1.0, abs(arr[i]))
             old = arr[i]
             arr[i] = old + h
             mp = mat_fn(LatticeState(tuple(q), tuple(r)))
@@ -49,10 +49,10 @@ def _mat_fn_grads(mat_fn, state, h_scale=DEFAULT_FD_STEP):
     return out
 
 
-def bracket_table(a_fn, b_fn, state, h_scale=DEFAULT_FD_STEP):
+def bracket_table(a_fn, b_fn, state):
     """4x4 table of {A_ij, B_kl} at row (i,k), column (j,l)."""
-    daq, dar = _mat_fn_grads(a_fn, state, h_scale)
-    dbq, dbr = _mat_fn_grads(b_fn, state, h_scale)
+    daq, dar = _mat_fn_grads(a_fn, state)
+    dbq, dbr = _mat_fn_grads(b_fn, state)
     table = np.einsum("nij,nkl->ikjl", daq, dbr) - np.einsum("nij,nkl->ikjl", dar, dbq)
     return table.reshape(4, 4)
 
@@ -67,8 +67,7 @@ def _mat2_eval(m, lam):
                      [complex(e.a21), complex(e.a22)]])
 
 
-def cism1_residual(state, lam, mu, level="monodromy", n=None, m=None,
-                   h_scale=DEFAULT_FD_STEP):
+def cism1_residual(state, lam, mu, level="monodromy", n=None, m=None):
     """Defect of the quadratic Poisson algebra {A(l) (x), A(m)} = [r, A(l) x A(m)].
 
     level="local" checks the site Lax matrices L_n, L_m (zero RHS for n != m);
@@ -81,7 +80,7 @@ def cism1_residual(state, lam, mu, level="monodromy", n=None, m=None,
             raise ValueError("local level needs site indices n and m")
         a_fn = lambda s: _mat2_eval(lax_L(s, n), lam)
         b_fn = lambda s: _mat2_eval(lax_L(s, m), mu)
-        lhs = bracket_table(a_fn, b_fn, state, h_scale)
+        lhs = bracket_table(a_fn, b_fn, state)
         if n != m:
             rhs = np.zeros((4, 4), dtype=complex)
         else:
@@ -92,7 +91,7 @@ def cism1_residual(state, lam, mu, level="monodromy", n=None, m=None,
     if level == "monodromy":
         a_fn = lambda s: _mat2_eval(monodromy(s), lam)
         b_fn = lambda s: _mat2_eval(monodromy(s), mu)
-        lhs = bracket_table(a_fn, b_fn, state, h_scale)
+        lhs = bracket_table(a_fn, b_fn, state)
         r = classical_r(lam, mu)
         ab = _kron(a_fn(state), b_fn(state))
         rhs = r @ ab - ab @ r
@@ -141,7 +140,7 @@ def dressed_U(state, bc, lam):
     return u / (-lam) ** n
 
 
-def cism2_residual_U(state, bc, lam, mu, h_scale=DEFAULT_FD_STEP):
+def cism2_residual_U(state, bc, lam, mu):
     """Defect of the reflection-type Poisson algebra for the dressed matrix U:
 
     {U1(l), U2(m)} = [r(l-m), U(l) x U(m)] + U1(l) r(l+m) U2(m)
@@ -153,7 +152,7 @@ def cism2_residual_U(state, bc, lam, mu, h_scale=DEFAULT_FD_STEP):
         raise ZeroSpectralParam("adjugate normalization needs lambda, mu != 0")
     a_fn = lambda s: dressed_U(s, bc, lam)
     b_fn = lambda s: dressed_U(s, bc, mu)
-    lhs = bracket_table(a_fn, b_fn, state, h_scale)
+    lhs = bracket_table(a_fn, b_fn, state)
     ul, um = a_fn(state), b_fn(state)
     i2 = np.eye(2)
     rm = classical_r(lam, mu)

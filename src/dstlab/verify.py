@@ -85,12 +85,9 @@ def check_exact_witnessed(identity_id, result, units, **params):
     return check_exact(identity_id, ok, **params)
 
 
-def _state(rng, n, scale=0.5, complex_=False):
+def _state(rng, n, scale=0.5):
     q = rng.uniform(-scale, scale, n)
     r = rng.uniform(-scale, scale, n)
-    if complex_:
-        q = q + 1j * rng.uniform(-scale, scale, n)
-        r = r + 1j * rng.uniform(-scale, scale, n)
     return LatticeState(tuple(q), tuple(r))
 
 
@@ -208,7 +205,8 @@ def _flow_vector(z, bc):
     return np.array(list(d.dq) + list(d.dr), dtype=complex)
 
 
-def _flow_jacobian(z, bc, h=1e-7):
+def _flow_jacobian(z, bc):
+    h = 1e-7
     m = len(z)
     jac = np.zeros((m, m), dtype=complex)
     for k in range(m):
@@ -219,26 +217,26 @@ def _flow_jacobian(z, bc, h=1e-7):
     return jac
 
 
-def _polish_equilibrium(z, bc, tol=1e-13, max_iter=60):
+def _polish_equilibrium(z, bc, max_iter=60):
     z = np.asarray(z, dtype=complex).copy()
     for _ in range(max_iter):
         f = _flow_vector(z, bc)
-        if np.max(np.abs(f)) < tol:
+        if np.max(np.abs(f)) < 1e-13:
             return z
         z = z + np.linalg.solve(_flow_jacobian(z, bc), -f)
     return None
 
 
-def equilibrium_state(n, bc, seed=0, spectral_tol=1e-5, trials=400):
-    """A fixed point of the flow whose linearization is elliptic
-    (all eigenvalues purely imaginary up to spectral_tol), or None."""
+def equilibrium_state(n, bc, seed=0):
+    """A fixed point of the flow whose linearization is elliptic (all
+    eigenvalues purely imaginary up to 1e-5) from 400 starts at most, or None."""
     if isinstance(bc, Open) and n == 6 and (bc.theta_minus, bc.theta_plus) == (0.3, 0.7):
         z = _polish_equilibrium(np.array(_OPEN_EQ_GUESS), bc)
         if z is not None:
             return z
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(trials):
+    for _ in range(400):
         guess = rng.uniform(0.3, 1.5, 2 * n) * np.exp(2j * np.pi * rng.uniform(0, 1, 2 * n))
         try:
             z = _polish_equilibrium(guess, bc, max_iter=100)
@@ -251,7 +249,7 @@ def equilibrium_state(n, bc, seed=0, spectral_tol=1e-5, trials=400):
             best = (mre, z)
         if mre < 1e-9:
             break
-    if best and best[0] < spectral_tol:
+    if best and best[0] < 1e-5:
         return best[1]
     return None
 
@@ -278,11 +276,11 @@ def initial_state(n, bc, seed, amplitude=None, t_final=10.0):
     return _state(rng, n, scale)
 
 
-def conservation_run(n, bc, dt, t_final, seed, sample_every=50, amplitude=None):
-    """Integrate and track every generator coefficient; returns
-    (max relative drift, times, coefficient history)."""
-    st = initial_state(n, bc, seed, amplitude=amplitude, t_final=t_final)
-    samples = list(sampled_trajectory(st, bc, dt, int(round(t_final / dt)), sample_every))
+def conservation_run(n, bc, dt, t_final, seed):
+    """Integrate and track every generator coefficient, sampled every 50
+    steps; returns (max relative drift, times, coefficient history)."""
+    st = initial_state(n, bc, seed, t_final=t_final)
+    samples = list(sampled_trajectory(st, bc, dt, int(round(t_final / dt)), 50))
     times = [0.0] + [s.step * dt for s in samples[1:]]
     return samples[-1].drift, times, [s.coeffs for s in samples]
 
@@ -560,14 +558,14 @@ def suite_baxter(seed=1, tol_scale=1.0):
     recs = []
     rng = _sub_rng(seed, "baxter")
 
-    def rand_kernel(n, eta=1.0, xi=1.3):
+    def rand_kernel(n, eta=1.0):
         y1 = 0.9 + 0.3j
         mid = (rng.uniform(0.5, 1.5, n - 1) + 1j * rng.uniform(-0.4, 0.4, n - 1)
                if n > 1 else [])
-        y = (y1, *mid, xi * y1)
+        y = (y1, *mid, 1.3 * y1)
         q = tuple(rng.uniform(-0.8, 0.8, n) + 1j * rng.uniform(-0.4, 0.4, n))
         sigma = rng.uniform(0.4, 1.4) + 1j * rng.uniform(-0.5, 0.5)
-        return QKernelParams(sigma, eta, xi, y, q)
+        return QKernelParams(sigma, eta, 1.3, y, q)
 
     worst_tq = worst_ur = worst_diag = 0.0
     for n in (1, 2, 3, 4):

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from dstlab.backlund import (BTParams, NewtonOptions, bt_generating_check,
+from dstlab.backlund import (BT_LAMBDA_GRID, BTParams, NewtonOptions, bt_generating_check,
                              bt_invariance_residual, bt_local_identity_residual,
                              bt_solve, bt_symplectic_residual, g_matrix,
                              generating_function, jtilde_invariance_residual,
@@ -193,8 +193,10 @@ def test_solver_failure_modes():
     with pytest.raises(PoleEncountered):
         bt_solve(st, BTParams(0.3), initial_guess=[0.0, 1.0])
     r = bt_solve(st, BTParams(0.3))
+    # sigma on the evaluation grid makes g(lambda - sigma) singular there
+    assert -1.61 in BT_LAMBDA_GRID
     with pytest.raises(SingularG):
-        bt_invariance_residual(st, r, BTParams(0.3), grid=(0.3,))
+        bt_invariance_residual(st, r, BTParams(-1.61))
 
 
 def test_all_certificates_hold_simultaneously():

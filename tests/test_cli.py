@@ -8,6 +8,7 @@ import pytest
 
 from dstlab.cli import main
 from dstlab import monodromy, verify
+from dstlab.errors import CostGuard
 from lax_chain import lax_chain
 from dstlab.verify import run_suites, suite_rmatrix
 
@@ -107,6 +108,8 @@ def test_bad_flag_usage_exit():
     ["backlund", "--n", "0"],
     ["baxter", "--n", "0"],
     ["baxter", "--m", "-1"],
+    ["verify", "--xi-minus", "-5/0"],
+    ["verify", "--xi-plus", "--json"],
 ])
 def test_invalid_numbers_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     # refused while parsing, before any command runs or writes a file
@@ -117,13 +120,33 @@ def test_invalid_numbers_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
 
 
 def test_verify_rational_overrides(capsys):
-    # a negative fraction is not taken for a flag when attached with "="
     assert main(["verify", "--suite", "quantum", "--xi-minus", "2/3",
                  "--xi-plus=-5/4", "--json"]) == 0
-    report = json.loads(capsys.readouterr().out)
+    attached = capsys.readouterr().out
+    report = json.loads(attached)
     first = [r for r in report["records"] if r["identity_id"].startswith("rtt-n1-eta0-xi0")]
     assert first and all(r["parameters"]["xi_minus"] == "2/3" and
                          r["parameters"]["xi_plus"] == "-5/4" for r in first)
+    # a negative fraction given as its own argument is a value, not a flag
+    assert main(["verify", "--suite", "quantum", "--xi-minus", "2/3",
+                 "--xi-plus", "-5/4", "--json"]) == 0
+    assert capsys.readouterr().out == attached
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["backlund", "--json"], "--sigma", "-3e-1"),
+    (["simulate", "--bc", "quasi", "--t-final", "0.5", "--json"], "--xi", "-2e0"),
+])
+def test_negative_values_as_separate_arguments(argv, flag, value, tmp_path, monkeypatch,
+                                               capsys):
+    monkeypatch.chdir(tmp_path)
+
+    def run(*given):
+        assert main(argv + list(given)) == 0
+        csv_bytes = (tmp_path / "trajectory.csv").read_bytes() if argv[0] == "simulate" else b""
+        return capsys.readouterr().out, csv_bytes
+
+    assert run(flag, value) == run(f"{flag}={value}")
 
 
 def test_verify_json_byte_identical():
@@ -173,6 +196,22 @@ def test_rmatrix_wrong_k_injection_hook():
     assert all(good.values())
     flipped = {k for k, v in bad.items() if not v}
     assert flipped == {"reflection-kminus", "reflection-kplus"}
+    assert bad["reflection-control"] and bad["reflection-printed-variant"]
+
+
+def test_baxter_representation_guard_exits_3(capsys):
+    assert main(["baxter", "--n", "6", "--m", "4"]) == 3
+    assert capsys.readouterr().err == "cost guard: representation dimension 126 > 64\n"
+
+
+def test_verify_cost_guard_exits_3(monkeypatch, capsys):
+    def refused(*args, **kwargs):
+        raise CostGuard("refused")
+
+    monkeypatch.setattr(verify, "SUITES", {"rmatrix": refused})
+    assert main(["verify", "--suite", "rmatrix", "--json"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "cost guard: refused\n"
 
 
 def test_report_records_sorted_and_complete(monkeypatch):

@@ -338,8 +338,10 @@ def test_degree_basis_and_rep():
             assert mat[i][j] == (2 if i == j else 0)
     with pytest.raises(DegreeNotPreserved):
         rep_on_degree(WeylOp.q(2, 0), 2, 1)
+    # degree 4 on 6 sites spans C(9, 4) = 126 monomials, above the guard's 64
+    euler6 = sum((WeylOp.q(6, i) * WeylOp.dq(6, i) for i in range(6)), WeylOp.zero(6))
     with pytest.raises(CostGuard):
-        rep_on_degree(euler, 3, 2, dim_guard=3)
+        rep_on_degree(euler6, 6, 4)
 
 
 def test_twisted_transfer_preserves_degree():
@@ -477,10 +479,10 @@ def test_failing_exact_check_records_witness(monkeypatch):
 
 def test_failing_reflection_record_carries_witness(monkeypatch):
     # K_+ shifted by s against the middle argument of the shift s + eta/2
-    def mismatched(params, shift=(1, 1), n_sites=0):
+    def mismatched(params, shift=(1, 1)):
         s = rat(shift[0], shift[1]) * params.eta
-        kt = _scalar_mat2(n_sites, ([params.xi_plus], [s, 1], [0], [params.xi_plus]))
-        return exchange_check(kt, n_sites, params.eta, (-1, 1, 0),
+        kt = _scalar_mat2(0, ([params.xi_plus], [s, 1], [0], [params.xi_plus]))
+        return exchange_check(kt, 0, params.eta, (-1, 1, 0),
                               (-1, -1, -2 * s - params.eta))
 
     monkeypatch.setattr(quantum, "q_reflection_plus", mismatched)
