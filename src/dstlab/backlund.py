@@ -31,6 +31,22 @@ from .monodromy import boundary_C, generator
 POLE_GUARD = 1e-12
 NEWTON_TOL = 1e-12  # max-norm of the map's residual at which Newton stops
 
+# Certificate tolerances by name, shared by `verify --suite backlund` (which
+# scales them by --tol-scale) and `dstlab backlund`.  Twin certificates
+# share one tolerance.
+INVARIANCE_TOL = 1e-8
+DRESSING_TOL = 1e-10
+CERT_TOL = {
+    "newton_residual": 1e-11,
+    "generating_function": 1e-9,
+    "local_exchange": 1e-9,
+    "spectrum_invariance": INVARIANCE_TOL,
+    "closure_exchange": INVARIANCE_TOL,
+    "dressing_plus": DRESSING_TOL,
+    "dressing_minus": DRESSING_TOL,
+    "symplectic_jacobian": 1e-5,
+}
+
 # Evaluation grid for gauge-based identities: off the real axis and away from
 # small real sigma values, so g(lambda - sigma) stays invertible.
 BT_LAMBDA_GRID = tuple(1.37 * cmath.exp(2j * cmath.pi * (k + 0.5) / 8) for k in range(8)) \
@@ -236,6 +252,33 @@ def bt_invariance_residual(state_x, result, params, y_end=None):
         g_end = g_matrix(lam, params.sigma, -y_end, X_end)
         res_cl = max(res_cl, float(np.max(np.abs(g1 @ cm - cm @ g_end))))
     return res_gen, res_cl
+
+
+def solvable_state(rng, n):
+    """A random complex state whose sigma = 0 seed y = -1/X keeps the map
+    away from its poles."""
+    return LatticeState(
+        tuple(rng.uniform(0.6, 1.4, n) + 1j * rng.uniform(-0.3, 0.3, n)),
+        tuple(rng.uniform(0.6, 1.4, n) + 1j * rng.uniform(-0.3, 0.3, n)))
+
+
+def bt_certificates(state_x, params):
+    """Solve the map for one state; return the BTResult and {name: residual}
+    of the Newton residual, the generating function, the local exchange at
+    every site under the ring closure, and the bt_invariance_residual pair."""
+    res = bt_solve(state_x, params)
+    x, X, y = state_x.q, state_x.r, res.y
+    n, xi, sigma = len(x), params.xi, params.sigma
+    inv_gen, inv_cl = bt_invariance_residual(state_x, res, params)
+    return res, {
+        "newton_residual": res.newton_residual,
+        "generating_function": bt_generating_check(x, X, y, res.Y, sigma, xi=xi),
+        "local_exchange": max(bt_local_identity_residual(
+            x[i], X[i], y[i], y[i + 1] if i + 1 < n else xi * y[0],
+            X[i - 1] if i else xi * X[n - 1], sigma) for i in range(n)),
+        "spectrum_invariance": inv_gen,
+        "closure_exchange": inv_cl,
+    }
 
 
 def bt_symplectic_residual(state_x, params):

@@ -30,6 +30,18 @@ from .errors import (EvaluationAtRoot, GammaPole, NoConvergence, PoleInput,
 
 POLE_GUARD = 1e-12
 
+# Certificate tolerances by name, shared by `verify --suite baxter` (which
+# scales them by --tol-scale) and `dstlab baxter`.
+CERT_TOL = {
+    "bethe_residual": 1e-10,
+    "polynomiality_remainder": 1e-8,
+    "eigenvalue_degree": 1e-8,
+    "eigen_membership": 1e-6,
+    "three_term_identity": 1e-9,
+}
+# The points sigma0 at which the membership certificate samples Lambda.
+MEMBERSHIP_SAMPLES = (0.3, 1.7, -0.9)
+
 
 @dataclass(frozen=True)
 class QKernelParams:
@@ -373,6 +385,19 @@ def eigen_membership_residual(cfg, sigma0):
     dim = mat.shape[0]
     norm = np.linalg.norm(mat)
     return float(abs(np.linalg.det(mat - lam * np.eye(dim))) / norm ** dim)
+
+
+def bethe_certificates(cfg):
+    """{name: residual} of one Bethe configuration: solver residual, remainder,
+    degree probe (both 0.0 for the rootless m = 0), and the worst membership
+    residual over MEMBERSHIP_SAMPLES."""
+    return {
+        "bethe_residual": cfg.residual,
+        "polynomiality_remainder": bethe_remainder(cfg) if cfg.m else 0.0,
+        "eigenvalue_degree": lambda_degree_probe(cfg) if cfg.m else 0.0,
+        "eigen_membership": max(eigen_membership_residual(cfg, s0)
+                                for s0 in MEMBERSHIP_SAMPLES),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 Baxter/Bethe experiments.  Seeded and reproducible: identical (command,
 seed, version) produce byte-identical JSON.
 
-Exit codes: 0 success, 1 verification failure, 2 trajectory blow-up,
-3 cost guard, 64 usage error.
+Exit codes: 0 success, 1 verification failure or a run stopped by another
+DstlabError, 2 trajectory blow-up, 3 cost guard, 64 usage error.
 """
 from __future__ import annotations
 
@@ -234,134 +234,81 @@ def cmd_verify(args):
     return EXIT_OK if s["failed"] == 0 else EXIT_FAIL
 
 
+def _report_checks(args, report, residuals, tolerances):
+    """Complete `report` with the {residual, tolerance, pass} table of
+    `residuals` ({name: residual}) and the overall pass, write it, print one
+    PASS/FAIL line per check unless --json, and return the exit code."""
+    report.update(version=__version__, command=args.command, seed=args.seed)
+    report["checks"] = {k: {"residual": float(abs(v)), "tolerance": tolerances[k],
+                            "pass": float(abs(v)) <= tolerances[k]}
+                        for k, v in residuals.items()}
+    ok = report["pass"] = all(c["pass"] for c in report["checks"].values())
+    _dump(report, args)
+    if not args.json:
+        for k, c in report["checks"].items():
+            print(f"{'PASS' if c['pass'] else 'FAIL'} {k}: {c['residual']:.3e} "
+                  f"(tol {c['tolerance']:.0e})")
+    return EXIT_OK if ok else EXIT_FAIL
+
+
 def cmd_backlund(args):
-    from .backlund import (BTParams, bt_generating_check,
-                           bt_invariance_residual, bt_local_identity_residual,
-                           bt_solve, bt_symplectic_residual, v_dressing_residual)
-    from .lattice import LatticeState
+    from .backlund import (CERT_TOL, BTParams, bt_certificates, bt_symplectic_residual,
+                           solvable_state, v_dressing_residual)
     if args.bc == "open":
         print("error: the transformation acts on ring closures "
               "(--bc periodic or quasi)", file=sys.stderr)
         return EXIT_USAGE
     bc = Periodic() if args.bc == "periodic" else Quasiperiodic(args.xi)
-    rng = np.random.default_rng(args.seed)
     n = args.n
-    st = LatticeState(
-        tuple(rng.uniform(0.6, 1.4, n) + 1j * rng.uniform(-0.3, 0.3, n)),
-        tuple(rng.uniform(0.6, 1.4, n) + 1j * rng.uniform(-0.3, 0.3, n)))
+    st = solvable_state(np.random.default_rng(args.seed), n)
     params = BTParams(args.sigma, bc)
-    try:
-        res = bt_solve(st, params)
-    except DstlabError as exc:
-        print(f"solve failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    gen_res = bt_generating_check(st.q, st.r, res.y, res.Y, args.sigma,
-                                  xi=params.xi)
     xi = params.xi
-    loc = max(bt_local_identity_residual(
-        st.q[i], st.r[i], res.y[i],
-        res.y[i + 1] if i + 1 < n else xi * res.y[0],
-        st.r[i - 1] if i else xi * st.r[n - 1], args.sigma) for i in range(n))
-    inv_gen, inv_cl = bt_invariance_residual(st, res, params)
-    sympl = bt_symplectic_residual(st, params) if n <= 3 else None
-    dress_p, dress_m = v_dressing_residual(
+    res, certs = bt_certificates(st, params)
+    certs["dressing_plus"], certs["dressing_minus"] = v_dressing_residual(
         res.y[0], xi * res.y[0], xi * st.r[-1], st.r[-1], args.sigma,
         args.theta_minus, args.theta_plus)
-    checks = {
-        "newton_residual": (res.newton_residual, 1e-11),
-        "generating_function": (gen_res, 1e-9),
-        "local_exchange": (loc, 1e-9),
-        "spectrum_invariance": (inv_gen, 1e-8),
-        "closure_exchange": (inv_cl, 1e-8),
-        "dressing_plus": (dress_p, 1e-10),
-        "dressing_minus": (dress_m, 1e-10),
-    }
-    if sympl is not None:
-        checks["symplectic_jacobian"] = (sympl, 1e-5)
+    if n <= 3:
+        certs["symplectic_jacobian"] = bt_symplectic_residual(st, params)
     report = {
-        "version": __version__,
-        "command": "backlund",
         "n": n,
         "sigma": args.sigma,
         "regime": bc.label,
-        "seed": args.seed,
         "steps_used": res.steps_used,
         "y": [[z.real, z.imag] for z in res.y],
         "Y": [[z.real, z.imag] for z in res.Y],
-        "checks": {k: {"residual": float(abs(v)), "tolerance": t,
-                       "pass": float(abs(v)) <= t}
-                   for k, (v, t) in checks.items()},
     }
-    ok = all(c["pass"] for c in report["checks"].values())
-    report["pass"] = ok
-    _dump(report, args)
-    if not args.json:
-        for k, c in report["checks"].items():
-            print(f"{'PASS' if c['pass'] else 'FAIL'} {k}: {c['residual']:.3e} "
-                  f"(tol {c['tolerance']:.0e})")
-    return EXIT_OK if ok else EXIT_FAIL
+    return _report_checks(args, report, certs, CERT_TOL)
 
 
 def cmd_baxter(args):
-    from .baxter import (QKernelParams, bethe_remainder, bethe_solve,
-                         eigen_membership_residual, lambda_degree_probe,
-                         lambda_from_roots, tq_scalar_residual)
-    try:
-        samples = (0.3, 1.7, -0.9)
-        if args.m > 0:
-            cfg = bethe_solve(args.n, args.m, args.xi, args.eta, seed=args.seed)
-        else:
-            from .baxter import BetheConfig
-            cfg = BetheConfig(args.n, 0, args.xi, args.eta, (), 0.0)
-        membership = max(eigen_membership_residual(cfg, s0) for s0 in samples)
-        remainder = bethe_remainder(cfg) if args.m else 0.0
-        degree = lambda_degree_probe(cfg) if args.m else 0.0
-        rng = np.random.default_rng(args.seed)
-        y1 = 0.9 + 0.3j
-        mid = (rng.uniform(0.5, 1.5, args.n - 1)
-               + 1j * rng.uniform(-0.4, 0.4, args.n - 1)) if args.n > 1 else []
-        kp = QKernelParams(0.8 + 0.4j, args.eta, args.xi if args.xi != 0 else 1.0,
-                           (y1, *mid, (args.xi if args.xi else 1.0) * y1),
-                           tuple(rng.uniform(-0.8, 0.8, args.n)
-                                 + 1j * rng.uniform(-0.4, 0.4, args.n)))
-        tq, corr = tq_scalar_residual(kp)
-    except CostGuard:
-        raise  # main gives it its own exit code
-    except DstlabError as exc:
-        print(f"baxter run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    checks = {
-        "bethe_residual": (cfg.residual, 1e-10),
-        "polynomiality_remainder": (remainder, 1e-8),
-        "eigenvalue_degree": (degree, 1e-8),
-        "eigen_membership": (membership, 1e-6),
-        "three_term_identity": (tq, 1e-9),
-    }
+    from .baxter import (CERT_TOL, MEMBERSHIP_SAMPLES, BetheConfig, QKernelParams,
+                         bethe_certificates, bethe_solve, lambda_from_roots,
+                         tq_scalar_residual)
+    if args.m > 0:
+        cfg = bethe_solve(args.n, args.m, args.xi, args.eta, seed=args.seed)
+    else:
+        cfg = BetheConfig(args.n, 0, args.xi, args.eta, (), 0.0)
+    certs = bethe_certificates(cfg)
+    rng = np.random.default_rng(args.seed)
+    y1 = 0.9 + 0.3j
+    mid = (rng.uniform(0.5, 1.5, args.n - 1)
+           + 1j * rng.uniform(-0.4, 0.4, args.n - 1)) if args.n > 1 else []
+    kp = QKernelParams(0.8 + 0.4j, args.eta, args.xi, (y1, *mid, args.xi * y1),
+                       tuple(rng.uniform(-0.8, 0.8, args.n)
+                             + 1j * rng.uniform(-0.4, 0.4, args.n)))
+    certs["three_term_identity"], corr = tq_scalar_residual(kp)
     report = {
-        "version": __version__,
-        "command": "baxter",
         "n": args.n,
         "m": args.m,
         "xi": args.xi,
         "eta": args.eta,
-        "seed": args.seed,
         "roots": [[z.real, z.imag] for z in cfg.roots],
         "lambda_samples": {repr(s0): [lambda_from_roots(cfg, s0).real,
                                       lambda_from_roots(cfg, s0).imag]
-                           for s0 in samples},
+                           for s0 in MEMBERSHIP_SAMPLES},
         "eta_correction_factors": [abs(corr[0]), abs(corr[1])],
-        "checks": {k: {"residual": float(abs(v)), "tolerance": t,
-                       "pass": float(abs(v)) <= t}
-                   for k, (v, t) in checks.items()},
     }
-    ok = all(c["pass"] for c in report["checks"].values())
-    report["pass"] = ok
-    _dump(report, args)
-    if not args.json:
-        for k, c in report["checks"].items():
-            print(f"{'PASS' if c['pass'] else 'FAIL'} {k}: {c['residual']:.3e} "
-                  f"(tol {c['tolerance']:.0e})")
-    return EXIT_OK if ok else EXIT_FAIL
+    return _report_checks(args, report, certs, CERT_TOL)
 
 
 def main(argv=None):
@@ -379,6 +326,9 @@ def main(argv=None):
         return EXIT_COST
     except NonFiniteState:
         return EXIT_BLOWUP
+    except DstlabError as exc:
+        print(f"{args.command} run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

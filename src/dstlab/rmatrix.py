@@ -67,6 +67,24 @@ def _mat2_eval(m, lam):
                      [complex(e.a21), complex(e.a22)]])
 
 
+def quadratic_rhs(lam, mu, a, b):
+    """[r(lambda, mu), A (x) B]: the right side of the quadratic algebra."""
+    r = classical_r(lam, mu)
+    ab = _kron(a, b)
+    return r @ ab - ab @ r
+
+
+def reflection_rhs(lam, mu, x, y, x_last):
+    """[r(l-m), X (x) Y] + X1 r(l+m) Y2 - Y2 r(l+m) X1': the right side of the
+    reflection algebra for X = X(l), Y = Y(m), with X' the argument of the
+    final X1 factor."""
+    i2 = np.eye(2)
+    rp = -PERM / (lam + mu)
+    y2 = _kron(i2, y)
+    return (quadratic_rhs(lam, mu, x, y) + _kron(x, i2) @ rp @ y2
+            - y2 @ rp @ _kron(x_last, i2))
+
+
 def cism1_residual(state, lam, mu, level="monodromy", n=None, m=None):
     """Defect of the quadratic Poisson algebra {A(l) (x), A(m)} = [r, A(l) x A(m)].
 
@@ -80,23 +98,15 @@ def cism1_residual(state, lam, mu, level="monodromy", n=None, m=None):
             raise ValueError("local level needs site indices n and m")
         a_fn = lambda s: _mat2_eval(lax_L(s, n), lam)
         b_fn = lambda s: _mat2_eval(lax_L(s, m), mu)
-        lhs = bracket_table(a_fn, b_fn, state)
-        if n != m:
-            rhs = np.zeros((4, 4), dtype=complex)
-        else:
-            r = classical_r(lam, mu)
-            ab = _kron(a_fn(state), b_fn(state))
-            rhs = r @ ab - ab @ r
-        return float(np.max(np.abs(lhs - rhs)))
-    if level == "monodromy":
+    elif level == "monodromy":
         a_fn = lambda s: _mat2_eval(monodromy(s), lam)
         b_fn = lambda s: _mat2_eval(monodromy(s), mu)
-        lhs = bracket_table(a_fn, b_fn, state)
-        r = classical_r(lam, mu)
-        ab = _kron(a_fn(state), b_fn(state))
-        rhs = r @ ab - ab @ r
-        return float(np.max(np.abs(lhs - rhs)))
-    raise ValueError(f"unknown level {level!r}")
+    else:
+        raise ValueError(f"unknown level {level!r}")
+    lhs = bracket_table(a_fn, b_fn, state)
+    if level == "local" and n != m:
+        return float(np.max(np.abs(lhs)))
+    return float(np.max(np.abs(lhs - quadratic_rhs(lam, mu, a_fn(state), b_fn(state)))))
 
 
 def reflection_residual_K(k_fn, lam, mu, last_arg="lambda"):
@@ -114,13 +124,7 @@ def reflection_residual_K(k_fn, lam, mu, last_arg="lambda"):
         raise CoincidingSpectralParams("lambda == -mu")
     kl = np.asarray(k_fn(lam), dtype=complex)
     km = np.asarray(k_fn(mu), dtype=complex)
-    klast = kl if last_arg == "lambda" else km
-    i2 = np.eye(2)
-    rm = classical_r(lam, mu)
-    rp = -PERM / (lam + mu)
-    kk = _kron(kl, km)
-    expr = rm @ kk - kk @ rm + _kron(kl, i2) @ rp @ _kron(i2, km) \
-        - _kron(i2, km) @ rp @ _kron(klast, i2)
+    expr = reflection_rhs(lam, mu, kl, km, kl if last_arg == "lambda" else km)
     return float(np.max(np.abs(expr)))
 
 
@@ -153,12 +157,6 @@ def cism2_residual_U(state, bc, lam, mu):
     a_fn = lambda s: dressed_U(s, bc, lam)
     b_fn = lambda s: dressed_U(s, bc, mu)
     lhs = bracket_table(a_fn, b_fn, state)
-    ul, um = a_fn(state), b_fn(state)
-    i2 = np.eye(2)
-    rm = classical_r(lam, mu)
-    rp = -PERM / (lam + mu)
-    uu = _kron(ul, um)
-    u1 = _kron(ul, i2)
-    u2 = _kron(i2, um)
-    rhs = rm @ uu - uu @ rm + u1 @ rp @ u2 - u2 @ rp @ u1
+    ul = a_fn(state)
+    rhs = reflection_rhs(lam, mu, ul, b_fn(state), ul)
     return float(np.max(np.abs(lhs - rhs)))

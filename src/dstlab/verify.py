@@ -310,26 +310,23 @@ def suite_rmatrix(seed=1, tol_scale=1.0, inject_wrong_k=False):
                       trials=7, seed=seed))
 
     theta = 0.7
-    if inject_wrong_k:
-        km = lambda l: np.array([[theta, l], [l * l, theta]])
-        kp = km
-    else:
-        km = lambda l: np.array([[theta, l], [0.0, theta]])
-        kp = lambda l: np.array([[theta, 0.0], [l, theta]])
-    pairs = [(0.9, 0.4), (1.3, -0.6), (2.1 + 0.3j, 0.5), (0.31, 1.9), (-1.2, 0.7)]
-    recs.append(check("reflection-kminus",
-                      max(reflection_residual_K(km, l, m) for l, m in pairs),
-                      1e-12 * tol_scale, theta=theta, n_pairs=len(pairs)))
-    recs.append(check("reflection-kplus",
-                      max(reflection_residual_K(kp, l, m) for l, m in pairs),
-                      1e-12 * tol_scale, theta=theta, n_pairs=len(pairs)))
+    km = lambda l: np.array([[theta, l], [0.0, theta]])
+    kp = lambda l: np.array([[theta, 0.0], [l, theta]])
     bad = lambda l: np.array([[theta, l], [l * l, theta]])
+    # the injection replaces the two checked K matrices; the printed variant
+    # is a property of the true K_- and is evaluated on it either way
+    checked = (bad, bad) if inject_wrong_k else (km, kp)
+    pairs = [(0.9, 0.4), (1.3, -0.6), (2.1 + 0.3j, 0.5), (0.31, 1.9), (-1.2, 0.7)]
+    for side, k_fn in zip(("kminus", "kplus"), checked):
+        recs.append(check(f"reflection-{side}",
+                          max(reflection_residual_K(k_fn, l, m) for l, m in pairs),
+                          1e-12 * tol_scale, theta=theta, n_pairs=len(pairs)))
     recs.append(check_exceeds("reflection-control",
                               min(reflection_residual_K(bad, l, m) for l, m in pairs),
                               1e-3, theta=theta))
     recs.append(check_exceeds("reflection-printed-variant",
                               min(reflection_residual_K(km, l, m, last_arg="mu")
-                                  for l, m in pairs) if not inject_wrong_k else 1.0,
+                                  for l, m in pairs),
                               1e-3, note="the mu-argument variant must not vanish"))
 
     bc = Open(0.3, 0.7)
@@ -358,8 +355,7 @@ def suite_rmatrix(seed=1, tol_scale=1.0, inject_wrong_k=False):
     # scale stability: the identities are stencil-exact, so the residual is
     # roundoff noise; normalized by the identity's own magnitude it must stay
     # at machine level under simultaneous rescaling of (lambda, mu)
-    from .monodromy import monodromy as _mono
-    from .rmatrix import _kron, _mat2_eval, classical_r
+    from .rmatrix import _mat2_eval, quadratic_rhs
     rng = _sub_rng(seed, "rescale")
     st = _state(rng, 2, 1.0)
     worst = 0.0
@@ -367,10 +363,8 @@ def suite_rmatrix(seed=1, tol_scale=1.0, inject_wrong_k=False):
     for c in (0.5, 1.0, 2.0):
         lam, mu = 0.7 * c, -0.3 * c
         res = cism1_residual(st, lam, mu, "monodromy")
-        a = _mat2_eval(_mono(st), lam)
-        b = _mat2_eval(_mono(st), mu)
-        r = classical_r(lam, mu)
-        rhs = r @ _kron(a, b) - _kron(a, b) @ r
+        rhs = quadratic_rhs(lam, mu, _mat2_eval(monodromy(st), lam),
+                            _mat2_eval(monodromy(st), mu))
         scale = max(1.0, float(np.max(np.abs(rhs))))
         norms[str(c)] = float(res / scale)
         worst = max(worst, res / scale)
@@ -385,51 +379,40 @@ def suite_rmatrix(seed=1, tol_scale=1.0, inject_wrong_k=False):
 # ---------------------------------------------------------------------------
 
 def suite_backlund(seed=1, tol_scale=1.0):
-    from .backlund import (BTParams, NewtonOptions, bt_generating_check,
-                           bt_invariance_residual, bt_local_identity_residual,
-                           bt_solve, bt_symplectic_residual,
-                           jtilde_invariance_residual, v_dressing_residual)
+    from .backlund import (CERT_TOL, BTParams, NewtonOptions, bt_certificates,
+                           bt_invariance_residual, bt_solve, bt_symplectic_residual,
+                           jtilde_invariance_residual, solvable_state,
+                           v_dressing_residual)
     recs = []
     rng = _sub_rng(seed, "bt")
-
-    def solvable_state(n):
-        return LatticeState(
-            tuple(rng.uniform(0.6, 1.4, n) + 1j * rng.uniform(-0.3, 0.3, n)),
-            tuple(rng.uniform(0.6, 1.4, n) + 1j * rng.uniform(-0.3, 0.3, n)))
-
-    worst_solve = worst_gen = worst_loc = worst_inv = worst_cl = 0.0
+    worst = {}
     for n in (1, 2, 3, 4):
         for sigma in (0.1, 0.3, 1.0):
-            st = solvable_state(n)
-            p = BTParams(sigma)
-            r = bt_solve(st, p)
-            worst_solve = max(worst_solve, r.newton_residual)
-            worst_gen = max(worst_gen, bt_generating_check(st.q, st.r, r.y, r.Y, sigma))
-            worst_loc = max(worst_loc,
-                            max(bt_local_identity_residual(
-                                st.q[i], st.r[i], r.y[i], r.y[(i + 1) % n],
-                                st.r[i - 1] if i else st.r[n - 1], sigma)
-                                for i in range(n)))
-            ra, rb = bt_invariance_residual(st, r, p)
-            worst_inv = max(worst_inv, ra, rb)
-    recs.append(check("bt-newton-converged", worst_solve, 1e-11 * tol_scale,
-                      n_max=4, sigmas=[0.1, 0.3, 1.0], seed=seed))
-    recs.append(check("bt-generating-function", worst_gen, 1e-9 * tol_scale, seed=seed))
-    recs.append(check("bt-local-exchange", worst_loc, 1e-9 * tol_scale, seed=seed))
-    recs.append(check("bt-spectrum-invariance-periodic", worst_inv, 1e-8 * tol_scale,
-                      seed=seed))
+            _, certs = bt_certificates(solvable_state(rng, n), BTParams(sigma))
+            for k, v in certs.items():
+                worst[k] = max(worst.get(k, 0.0), v)
+    tol = {k: t * tol_scale for k, t in CERT_TOL.items()}
+    recs.append(check("bt-newton-converged", worst["newton_residual"],
+                      tol["newton_residual"], n_max=4, sigmas=[0.1, 0.3, 1.0], seed=seed))
+    recs.append(check("bt-generating-function", worst["generating_function"],
+                      tol["generating_function"], seed=seed))
+    recs.append(check("bt-local-exchange", worst["local_exchange"],
+                      tol["local_exchange"], seed=seed))
+    recs.append(check("bt-spectrum-invariance-periodic",
+                      max(worst["spectrum_invariance"], worst["closure_exchange"]),
+                      tol["spectrum_invariance"], seed=seed))
 
-    st = solvable_state(2)
+    st = solvable_state(rng, 2)
     pq = BTParams(0.3, Quasiperiodic(2.0))
     rq = bt_solve(st, pq)
     ra, rb = bt_invariance_residual(st, rq, pq)
     recs.append(check("bt-spectrum-invariance-twisted", max(ra, rb),
-                      1e-8 * tol_scale, xi=2.0, seed=seed))
+                      tol["spectrum_invariance"], xi=2.0, seed=seed))
 
     st_r = LatticeState(tuple(rng.uniform(0.7, 1.4, 2)), tuple(rng.uniform(0.7, 1.4, 2)))
     recs.append(check("bt-symplectic-jacobian",
                       bt_symplectic_residual(st_r, BTParams(0.3)),
-                      1e-5 * tol_scale, n=2, sigma=0.3, seed=seed))
+                      tol["symplectic_jacobian"], n=2, sigma=0.3, seed=seed))
 
     # closure-break negative control: end variable off the ring closure
     _, rb_bad = bt_invariance_residual(st, rq, pq, y_end=2.0 * rq.y[0] + 0.5)
@@ -437,8 +420,8 @@ def suite_backlund(seed=1, tol_scale=1.0):
 
     y1, x0, xn, sig = 0.7 + 0.2j, 1.1 - 0.3j, 0.9, 0.25
     rp, rm = v_dressing_residual(y1, 2.0 * y1, 2.0 * xn, xn, sig, 0.4, 0.8)
-    recs.append(check("bt-dressing-plus", rp, 1e-10 * tol_scale, sigma=sig))
-    recs.append(check("bt-dressing-minus", rm, 1e-10 * tol_scale, sigma=sig))
+    recs.append(check("bt-dressing-plus", rp, tol["dressing_plus"], sigma=sig))
+    recs.append(check("bt-dressing-minus", rm, tol["dressing_minus"], sigma=sig))
     rp_bad, _ = v_dressing_residual(y1, 2.0 * y1, 2.0 * xn, xn, sig, 0.4, 0.8,
                                     a_shift=1e-2)
     recs.append(check_exceeds("bt-dressing-control", rp_bad, 1e-3, a_shift=1e-2))
@@ -446,7 +429,7 @@ def suite_backlund(seed=1, tol_scale=1.0):
                       jtilde_invariance_residual(st, rq, pq, 0.4, 0.8),
                       1e-8 * tol_scale, seed=seed))
 
-    st3 = solvable_state(3)
+    st3 = solvable_state(rng, 3)
     ys = [bt_solve(st3, BTParams(0.3, Periodic(),
                                  NewtonOptions(continuation_steps=k))).y
           for k in (10, 20, 40)]
@@ -550,13 +533,14 @@ def suite_quantum(seed=1, tol_scale=1.0, xi_minus=None, xi_plus=None):
 # ---------------------------------------------------------------------------
 
 def suite_baxter(seed=1, tol_scale=1.0):
-    from .baxter import (BetheConfig, QKernelParams, SovParams, bethe_remainder,
-                         bethe_solve, eigen_membership_residual,
-                         gauge_triangularize, lambda_degree_probe,
-                         lambda_from_roots, sov_residual, tq_scalar_residual,
-                         w_ratio_down, w_ratio_up)
+    from .baxter import (CERT_TOL, MEMBERSHIP_SAMPLES, BetheConfig, QKernelParams,
+                         SovParams, bethe_certificates,
+                         bethe_remainder, bethe_solve, eigen_membership_residual,
+                         gauge_triangularize, lambda_from_roots, sov_residual,
+                         tq_scalar_residual, w_ratio_down, w_ratio_up)
     recs = []
     rng = _sub_rng(seed, "baxter")
+    tol = {k: t * tol_scale for k, t in CERT_TOL.items()}
 
     def rand_kernel(n, eta=1.0):
         y1 = 0.9 + 0.3j
@@ -579,7 +563,7 @@ def suite_baxter(seed=1, tol_scale=1.0):
                 worst_diag = max(worst_diag,
                                  abs(top - p.sigma * w_ratio_down(i, p) / p.eta),
                                  abs(bot - p.eta * w_ratio_up(i, p)))
-    recs.append(check("tq-three-term-eta1", worst_tq, 1e-9 * tol_scale,
+    recs.append(check("tq-three-term-eta1", worst_tq, tol["three_term_identity"],
                       n_max=4, trials=13, seed=seed))
     recs.append(check("gauge-offdiagonal", worst_ur, 1e-12 * tol_scale, seed=seed))
     recs.append(check("gauge-diagonal-vs-kernel", worst_diag, 1e-10 * tol_scale,
@@ -587,7 +571,7 @@ def suite_baxter(seed=1, tol_scale=1.0):
 
     p = rand_kernel(3, eta=0.7)
     res, corr = tq_scalar_residual(p)
-    recs.append(check("tq-three-term-eta-corrected", res, 1e-9 * tol_scale,
+    recs.append(check("tq-three-term-eta-corrected", res, tol["three_term_identity"],
                       eta=0.7, correction_down=abs(corr[0]), correction_up=abs(corr[1])))
 
     p2 = rand_kernel(2)
@@ -601,14 +585,15 @@ def suite_baxter(seed=1, tol_scale=1.0):
 
     for n, m in ((2, 1), (3, 1), (2, 2)):
         cfg = bethe_solve(n, m, 1.0, 1.0, seed=seed)
-        recs.append(check(f"bethe-residual-n{n}m{m}", cfg.residual, 1e-10 * tol_scale,
-                          roots=[f"{z:.8f}" for z in cfg.roots]))
-        recs.append(check(f"bethe-polynomiality-n{n}m{m}", bethe_remainder(cfg),
-                          1e-8 * tol_scale))
-        recs.append(check(f"bethe-degree-n{n}m{m}", lambda_degree_probe(cfg),
-                          1e-8 * tol_scale))
-        worst = max(eigen_membership_residual(cfg, s0) for s0 in (0.3, 1.7, -0.9))
-        recs.append(check(f"bethe-membership-n{n}m{m}", worst, 1e-6 * tol_scale))
+        certs = bethe_certificates(cfg)
+        recs.append(check(f"bethe-residual-n{n}m{m}", certs["bethe_residual"],
+                          tol["bethe_residual"], roots=[f"{z:.8f}" for z in cfg.roots]))
+        recs.append(check(f"bethe-polynomiality-n{n}m{m}", certs["polynomiality_remainder"],
+                          tol["polynomiality_remainder"]))
+        recs.append(check(f"bethe-degree-n{n}m{m}", certs["eigenvalue_degree"],
+                          tol["eigenvalue_degree"]))
+        recs.append(check(f"bethe-membership-n{n}m{m}", certs["eigen_membership"],
+                          tol["eigen_membership"]))
         if m == 1:
             recs.append(check(f"bethe-closed-form-n{n}m1",
                               abs(cfg.roots[0] ** n - 1.0), 1e-10 * tol_scale,
@@ -617,7 +602,7 @@ def suite_baxter(seed=1, tol_scale=1.0):
     bad = BetheConfig(2, 1, 1.0, 1.0, (1j,), 1.0)
     recs.append(check_exceeds("bethe-membership-control",
                               min(eigen_membership_residual(bad, s0)
-                                  for s0 in (0.3, 1.7, -0.9)), 1e-3,
+                                  for s0 in MEMBERSHIP_SAMPLES), 1e-3,
                               note="non-root candidate must fail membership"))
 
     vac = BetheConfig(2, 0, 1.0, 1.0, (), 0.0)
@@ -658,9 +643,6 @@ SUITES = {
 def run_suites(suite="all", seed=1, tol_scale=1.0, xi_minus=None, xi_plus=None):
     """Execute a suite (or all of them); returns the report dict."""
     names = list(SUITES) if suite == "all" else [suite]
-    for nm in names:
-        if nm not in SUITES:
-            raise KeyError(nm)
     records = []
     for nm in names:
         extra = {"xi_minus": xi_minus, "xi_plus": xi_plus} if nm == "quantum" else {}

@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
-from dstlab.backlund import (BT_LAMBDA_GRID, BTParams, NewtonOptions, bt_generating_check,
+from dstlab import backlund
+from dstlab.backlund import (BT_LAMBDA_GRID, CERT_TOL, BTParams, BTResult, NewtonOptions,
+                             bt_certificates, bt_generating_check,
                              bt_invariance_residual, bt_local_identity_residual,
                              bt_solve, bt_symplectic_residual, g_matrix,
                              generating_function, jtilde_invariance_residual,
@@ -68,6 +70,26 @@ def test_solver_and_certificates(sigma):
                 st.r[i - 1] if i else st.r[n - 1], sigma) < 1e-9
         ra, rb = bt_invariance_residual(st, r, p)
         assert ra < 1e-8 and rb < 1e-8
+
+
+@pytest.mark.parametrize("closure", [Periodic(), Quasiperiodic(2.0)])
+def test_shared_certificates_catch_a_perturbed_solution(monkeypatch, closure):
+    rng = np.random.default_rng(13)
+    st = _solvable(rng, 3)
+    p = BTParams(0.3, closure)
+    solved, certs = bt_certificates(st, p)
+    assert all(v <= CERT_TOL[k] for k, v in certs.items())
+    if isinstance(closure, Periodic):
+        # the closure-aware neighbours reduce to the cyclic ones at xi = 1
+        assert certs["local_exchange"] == max(bt_local_identity_residual(
+            st.q[i], st.r[i], solved.y[i], solved.y[(i + 1) % 3],
+            st.r[i - 1] if i else st.r[2], 0.3) for i in range(3))
+    moved = BTResult(tuple(v + 1e-3 for v in solved.y), solved.Y,
+                     solved.newton_residual, solved.steps_used)
+    monkeypatch.setattr(backlund, "bt_solve", lambda state_x, params: moved)
+    _, certs = bt_certificates(st, p)
+    assert certs["generating_function"] > CERT_TOL["generating_function"]
+    assert certs["local_exchange"] > CERT_TOL["local_exchange"]
 
 
 def test_generating_function_fd_crosscheck():

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from dstlab._rat import rat
-from dstlab.baxter import (BetheConfig, QKernelParams, SovParams,
-                           bethe_remainder, bethe_solve,
+from dstlab.baxter import (CERT_TOL, BetheConfig, QKernelParams,
+                           SovParams, bethe_certificates, bethe_remainder, bethe_solve,
                            eigen_membership_residual, gauge_triangularize,
                            lambda_degree_probe, lambda_from_roots, log_w,
                            qj_lax, sov_residual, tq_exact_rational,
@@ -216,6 +216,16 @@ def test_eigen_membership_negative_control():
     bad = BetheConfig(2, 1, 1.0, 1.0, (1j,), 1.0)
     assert min(eigen_membership_residual(bad, s0)
                for s0 in (0.3, 1.7, -0.9)) > 1e-3
+
+
+def test_shared_certificates_reject_a_non_root():
+    good = bethe_certificates(bethe_solve(2, 1, 1.0, 1.0, seed=7))
+    assert all(v <= CERT_TOL[k] for k, v in good.items())
+    bad = bethe_certificates(BetheConfig(2, 1, 1.0, 1.0, (1j,), 1.0))
+    assert bad["eigen_membership"] > CERT_TOL["eigen_membership"]
+    # the vacuum has no roots: remainder and degree are 0.0 unevaluated
+    vac = bethe_certificates(BetheConfig(2, 0, 1.0, 1.0, (), 0.0))
+    assert vac["polynomiality_remainder"] == vac["eigenvalue_degree"] == 0.0
 
 
 def test_membership_vacuum_exact():

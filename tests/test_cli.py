@@ -191,17 +191,32 @@ def test_baxter_vacuum(tmp_path):
 
 
 def test_rmatrix_wrong_k_injection_hook():
-    good = {r.identity_id: r.passed for r in suite_rmatrix(seed=1)}
-    bad = {r.identity_id: r.passed for r in suite_rmatrix(seed=1, inject_wrong_k=True)}
+    good_recs = {r.identity_id: r for r in suite_rmatrix(seed=1)}
+    bad_recs = {r.identity_id: r for r in suite_rmatrix(seed=1, inject_wrong_k=True)}
+    good = {k: r.passed for k, r in good_recs.items()}
+    bad = {k: r.passed for k, r in bad_recs.items()}
     assert all(good.values())
     flipped = {k for k, v in bad.items() if not v}
     assert flipped == {"reflection-kminus", "reflection-kplus"}
     assert bad["reflection-control"] and bad["reflection-printed-variant"]
+    # the printed variant is evaluated on the true K_- in both runs
+    observed = [recs["reflection-printed-variant"].parameters["observed"]
+                for recs in (good_recs, bad_recs)]
+    assert observed[0] == observed[1] != 1.0
 
 
 def test_baxter_representation_guard_exits_3(capsys):
     assert main(["baxter", "--n", "6", "--m", "4"]) == 3
     assert capsys.readouterr().err == "cost guard: representation dimension 126 > 64\n"
+
+
+def test_library_error_is_one_failure_line(capsys):
+    # sigma = -1.61 is a point of the certificates' lambda grid, where the
+    # gauge factor g(lambda - sigma) is singular
+    assert main(["backlund", "--sigma", "-1.61", "--json"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "backlund run failed: SingularG: lambda hit sigma on the grid\n"
 
 
 def test_verify_cost_guard_exits_3(monkeypatch, capsys):
