@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import (LogBranch, NewtonDiverged, PoleEncountered, SingularG,
                      SingularPrefactor, ZeroSeed)
-from .lattice import LatticeState, Periodic, Quasiperiodic
-from .monodromy import boundary_C, generator
+from .lattice import LatticeState, Open, Periodic, Quasiperiodic, central_differences
+from .monodromy import boundary_C, boundary_K, generator
 
 POLE_GUARD = 1e-12
 NEWTON_TOL = 1e-12  # max-norm of the map's residual at which Newton stops
@@ -90,11 +90,20 @@ def g_matrix(lam, sigma, s, S):
     return np.array([[1.0, s], [-S, lam - sigma - s * S]], dtype=complex)
 
 
+def _ring_next(v, xi):
+    """(v_2, ..., v_N, xi v_1): each site's successor under the closure
+    v_{N+1} = xi v_1."""
+    return (*v[1:], xi * v[0])
+
+
+def _ring_prev(v, xi):
+    """(xi v_N, v_1, ..., v_{N-1}): each site's predecessor under the
+    closure v_0 = xi v_N."""
+    return (xi * v[-1], *v[:-1])
+
+
 def _bt_F(y, x, X, sigma, xi):
-    n = len(y)
-    y_next = np.empty(n, dtype=complex)
-    y_next[:-1] = y[1:]
-    y_next[-1] = xi * y[0]
+    y_next = np.array(_ring_next(y, xi), dtype=complex)
     if np.min(np.abs(y)) < POLE_GUARD or np.min(np.abs(x - y_next)) < POLE_GUARD:
         raise PoleEncountered("iterate reached y_i = 0 or x_i = y_{i+1}")
     return X + 1.0 / y + sigma / (x - y_next), y_next
@@ -103,9 +112,7 @@ def _bt_F(y, x, X, sigma, xi):
 def _bt_jac(y, x, sigma, xi):
     n = len(y)
     jac = np.zeros((n, n), dtype=complex)
-    y_next = np.empty(n, dtype=complex)
-    y_next[:-1] = y[1:]
-    y_next[-1] = xi * y[0]
+    y_next = _ring_next(y, xi)
     for i in range(n):
         jac[i, i] += -1.0 / y[i] ** 2
         d = sigma / (x[i] - y_next[i]) ** 2
@@ -153,20 +160,15 @@ def bt_solve(state_x, params, initial_guess=None):
         if res > NEWTON_TOL:
             raise NewtonDiverged(f"residual {res:.3e} at continuation point sigma={sig}")
     _, y_next = _bt_F(y, x, X, params.sigma, xi)
-    X_prev = np.empty_like(X)
-    X_prev[1:] = X[:-1]
-    X_prev[0] = xi * X[-1]
-    Y = X_prev + (x - y_next) / y * X
+    Y = np.array(_ring_prev(X, xi), dtype=complex) + (x - y_next) / y * X
     return BTResult(tuple(y), tuple(Y), res, steps_used)
 
 
 def generating_function(x, y, sigma, xi=1.0):
     """G_sigma = sum_i (x_i - y_{i+1})/y_i + sigma log((x_i - y_{i+1})/y_i)."""
-    n = len(x)
     total = 0.0
-    for i in range(n):
-        y_next = y[(i + 1) % n] * (xi if i == n - 1 else 1.0)
-        z = (x[i] - y_next) / y[i]
+    for x_i, y_i, y_next in zip(x, y, _ring_next(y, xi)):
+        z = (x_i - y_next) / y_i
         if z == 0:
             raise LogBranch("log argument vanished")
         if isinstance(z, complex) or isinstance(sigma, complex):
@@ -186,20 +188,15 @@ def bt_generating_check(x, X, y, Y, sigma, xi=1.0):
     (the closure y_{N+1} = xi y_1 contributes a factor xi to dG/dy_1); the
     test suite cross-checks them against finite differences of G itself.
     """
-    n = len(x)
+    y_next = _ring_next(y, xi)
+    # term i's partial in y_{i+1}, moved to site i+1 (times xi at the closure)
+    via_prev = _ring_prev([-1.0 / y_i - sigma / (x_i - y_n)
+                           for x_i, y_i, y_n in zip(x, y, y_next)], xi)
     worst = 0.0
-    for i in range(n):
-        y_next = y[(i + 1) % n] * (xi if i == n - 1 else 1.0)
-        dg_dx = 1.0 / y[i] + sigma / (x[i] - y_next)
-        worst = max(worst, abs(X[i] + dg_dx))
-    for i in range(n):
-        y_next = y[(i + 1) % n] * (xi if i == n - 1 else 1.0)
-        dg_dy = -(x[i] - y_next) / y[i] ** 2 - sigma / y[i]
-        prev = i - 1
-        wrap = xi if i == 0 else 1.0
-        y_next_prev = y[i] * wrap
-        dg_dy += wrap * (-1.0 / y[prev] - sigma / (x[prev] - y_next_prev))
-        worst = max(worst, abs(Y[i] - dg_dy))
+    for x_i, y_i, y_n, X_i in zip(x, y, y_next, X):
+        worst = max(worst, abs(X_i + (1.0 / y_i + sigma / (x_i - y_n))))
+    for x_i, y_i, y_n, Y_i, d_prev in zip(x, y, y_next, Y, via_prev):
+        worst = max(worst, abs(Y_i - (-(x_i - y_n) / y_i ** 2 - sigma / y_i + d_prev)))
     return worst
 
 
@@ -238,9 +235,9 @@ def bt_invariance_residual(state_x, result, params, y_end=None):
     xi = params.xi
     y1 = result.y[0]
     if y_end is None:
-        y_end = xi * y1
+        y_end = _ring_next(result.y, xi)[-1]
     X_end = state_x.r[-1]
-    X0 = xi * X_end
+    X0 = _ring_prev(state_x.r, xi)[0]
     c = boundary_C(xi) if isinstance(bc, Quasiperiodic) else None
     cm = np.eye(2, dtype=complex) if c is None else np.array(
         [[complex(c.a11), 0], [0, complex(c.a22)]])
@@ -268,14 +265,13 @@ def bt_certificates(state_x, params):
     every site under the ring closure, and the bt_invariance_residual pair."""
     res = bt_solve(state_x, params)
     x, X, y = state_x.q, state_x.r, res.y
-    n, xi, sigma = len(x), params.xi, params.sigma
+    xi, sigma = params.xi, params.sigma
     inv_gen, inv_cl = bt_invariance_residual(state_x, res, params)
     return res, {
         "newton_residual": res.newton_residual,
         "generating_function": bt_generating_check(x, X, y, res.Y, sigma, xi=xi),
-        "local_exchange": max(bt_local_identity_residual(
-            x[i], X[i], y[i], y[i + 1] if i + 1 < n else xi * y[0],
-            X[i - 1] if i else xi * X[n - 1], sigma) for i in range(n)),
+        "local_exchange": max(map(bt_local_identity_residual, x, X, y, _ring_next(y, xi),
+                                  _ring_prev(X, xi), [sigma] * len(x))),
         "spectrum_invariance": inv_gen,
         "closure_exchange": inv_cl,
     }
@@ -287,20 +283,16 @@ def bt_symplectic_residual(state_x, params):
     D is built by central differences of step 1e-5, re-solving with a warm
     start from the unperturbed solution.
     """
-    h = 1e-5
     n = state_x.n_sites
-    base = bt_solve(state_x, params)
-    warm = np.asarray(base.y, dtype=complex)
+    warm = np.asarray(bt_solve(state_x, params).y, dtype=complex)
+
+    def image(z):
+        res = bt_solve(LatticeState.from_flat(z), params, initial_guess=warm)
+        return np.array(res.y + res.Y)
+
     z0 = np.array(state_x.flat(), dtype=complex)
+    D = np.column_stack(central_differences(image, z0, [1e-5] * (2 * n)))
     m = 2 * n
-    D = np.empty((m, m), dtype=complex)
-    for k in range(m):
-        zp, zm = z0.copy(), z0.copy()
-        zp[k] += h
-        zm[k] -= h
-        rp = bt_solve(LatticeState.from_flat(zp), params, initial_guess=warm)
-        rm = bt_solve(LatticeState.from_flat(zm), params, initial_guess=warm)
-        D[:, k] = (np.array(rp.y + rp.Y) - np.array(rm.y + rm.Y)) / (2 * h)
     omega = np.zeros((m, m))
     omega[:n, n:] = np.eye(n)
     omega[n:, :n] = -np.eye(n)
@@ -357,14 +349,16 @@ def v_dressing_residual(y1, y_end, X0, X_end, sigma, theta_minus, theta_plus,
 
     (the right side of the lower identity is the K_- matrix, which is the
     displayed target of the construction)."""
+    from .rmatrix import _mat2_eval
+
     v_plus, v_minus = v_matrices(y1, y_end, X0, X_end, sigma,
                                  theta_minus, theta_plus, a_shift=a_shift)
+    k_minus, k_plus = boundary_K(Open(theta_minus, theta_plus))
     res_p = res_m = 0.0
     for lam in BT_LAMBDA_GRID:
         if abs(lam - sigma) < POLE_GUARD or abs(lam + sigma) < POLE_GUARD:
             raise SingularG("gauge factor singular on the grid")
-        kp = np.array([[theta_plus, 0], [lam, theta_plus]], dtype=complex)
-        km = np.array([[theta_minus, lam], [0, theta_minus]], dtype=complex)
+        kp, km = _mat2_eval(k_plus, lam), _mat2_eval(k_minus, lam)
         g_end_m = g_matrix(-lam, sigma, -y_end, X_end)
         g_end_p = g_matrix(lam, sigma, -y_end, X_end)
         g1_p = g_matrix(lam, sigma, -y1, X0)
@@ -383,12 +377,11 @@ def jtilde_invariance_residual(state_x, result, params, theta_minus, theta_plus)
     from .rmatrix import _mat2_eval
 
     xi = params.xi
-    y1 = result.y[0]
-    y_end = xi * y1
     X_end = state_x.r[-1]
-    X0 = xi * X_end
-    v_plus, v_minus = v_matrices(y1, y_end, X0, X_end, params.sigma,
+    v_plus, v_minus = v_matrices(result.y[0], _ring_next(result.y, xi)[-1],
+                                 _ring_prev(state_x.r, xi)[0], X_end, params.sigma,
                                  theta_minus, theta_plus)
+    k_minus, k_plus = boundary_K(Open(theta_minus, theta_plus))
     t_x = monodromy(state_x)
     t_y = monodromy(result.state())
 
@@ -397,8 +390,7 @@ def jtilde_invariance_residual(state_x, result, params, theta_minus, theta_plus)
         if abs(lam) < POLE_GUARD or abs(lam - params.sigma) < POLE_GUARD \
                 or abs(lam + params.sigma) < POLE_GUARD:
             continue
-        kp = np.array([[theta_plus, 0], [lam, theta_plus]], dtype=complex)
-        km = np.array([[theta_minus, lam], [0, theta_minus]], dtype=complex)
+        kp, km = _mat2_eval(k_plus, lam), _mat2_eval(k_minus, lam)
         before = np.trace(v_plus(lam) @ _mat2_eval(t_x, lam) @ v_minus(lam)
                           @ np.linalg.inv(_mat2_eval(t_x, -lam)))
         after = np.trace(kp @ _mat2_eval(t_y, lam) @ km

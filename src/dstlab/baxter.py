@@ -82,6 +82,16 @@ class QKernelParams:
                              self.y, self.q)
 
 
+def kernel_sites(rng, n, xi):
+    """The random kernel sites (y, q) of the checks: y_1 = 0.9 + 0.3i,
+    y_2..y_N drawn from rng, y_{N+1} = xi y_1, then q_1..q_N drawn."""
+    y1 = 0.9 + 0.3j
+    mid = (rng.uniform(0.5, 1.5, n - 1) + 1j * rng.uniform(-0.4, 0.4, n - 1)
+           if n > 1 else [])
+    y = (y1, *mid, xi * y1)
+    return y, tuple(rng.uniform(-0.8, 0.8, n) + 1j * rng.uniform(-0.4, 0.4, n))
+
+
 def _check_gamma_pole(sigma, eta):
     s = complex(sigma) / complex(eta) + 1
     if abs(s.imag) < 1e-12 and s.real <= 0 and abs(s.real - round(s.real)) < 1e-12:
@@ -360,10 +370,11 @@ def lambda_degree_probe(cfg):
 def transfer_matrix_on_degree(n, m, xi, eta, sigma0):
     """Matrix of the twisted quantum transfer polynomial tr[C(xi) T(sigma0)]
     on the degree-m monomial subspace."""
-    from ._rat import rat
+    from ._rat import RAT
     from .quantum import QParams, qmonodromy, rep_of_op_poly
 
-    t = qmonodromy(n, QParams(rat(eta)))
+    # RAT(eta) keeps a float eta's exact binary value
+    t = qmonodromy(n, QParams(RAT(eta)))
     sq = cmath.sqrt(complex(xi))
     m11 = rep_of_op_poly(t.a11, sigma0, n, m)
     m22 = rep_of_op_poly(t.a22, sigma0, n, m)
@@ -376,11 +387,7 @@ def eigen_membership_residual(cfg, sigma0):
 
         |det(M - Lambda I)| / ||M||_F^dim
     """
-    if abs(complex(cfg.eta) - round(complex(cfg.eta).real)) > 1e-12:
-        eta = cfg.eta
-    else:
-        eta = int(round(complex(cfg.eta).real))
-    mat = transfer_matrix_on_degree(cfg.n_sites, cfg.m, cfg.xi, eta, sigma0)
+    mat = transfer_matrix_on_degree(cfg.n_sites, cfg.m, cfg.xi, cfg.eta, sigma0)
     lam = lambda_from_roots(cfg, sigma0)
     dim = mat.shape[0]
     norm = np.linalg.norm(mat)

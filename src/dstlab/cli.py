@@ -62,6 +62,7 @@ _positive_int = _number(int, lambda v: v > 0, "a positive integer")
 _count = _number(int, lambda v: v >= 0, "a non-negative integer")
 _positive = _number(float, lambda v: math.isfinite(v) and v > 0, "a positive number")
 _duration = _number(float, lambda v: math.isfinite(v) and v >= 0, "a non-negative number")
+_nonzero = _number(float, lambda v: math.isfinite(v) and v != 0, "a finite nonzero number")
 _rational = _number(Fraction, lambda v: True, "a rational number such as 2/3")
 
 
@@ -80,7 +81,7 @@ def _build_parser():
 
     def add_bc(sp):
         sp.add_argument("--bc", choices=["periodic", "quasi", "open"], default="periodic")
-        sp.add_argument("--xi", type=float, default=2.0, help="quasiperiodic twist")
+        sp.add_argument("--xi", type=_nonzero, default=2.0, help="quasiperiodic twist")
         sp.add_argument("--theta-minus", type=float, default=0.3)
         sp.add_argument("--theta-plus", type=float, default=0.7)
 
@@ -113,8 +114,8 @@ def _build_parser():
     sp = sub.add_parser("baxter", help="Bethe roots, eigenvalue samples and the three-term identity")
     sp.add_argument("--n", type=_positive_int, default=2)
     sp.add_argument("--m", type=_count, default=1)
-    sp.add_argument("--xi", type=float, default=1.0)
-    sp.add_argument("--eta", type=float, default=1.0)
+    sp.add_argument("--xi", type=_nonzero, default=1.0)
+    sp.add_argument("--eta", type=_nonzero, default=1.0)
     common(sp)
     return p
 
@@ -282,20 +283,15 @@ def cmd_backlund(args):
 
 def cmd_baxter(args):
     from .baxter import (CERT_TOL, MEMBERSHIP_SAMPLES, BetheConfig, QKernelParams,
-                         bethe_certificates, bethe_solve, lambda_from_roots,
-                         tq_scalar_residual)
+                         bethe_certificates, bethe_solve, kernel_sites,
+                         lambda_from_roots, tq_scalar_residual)
     if args.m > 0:
         cfg = bethe_solve(args.n, args.m, args.xi, args.eta, seed=args.seed)
     else:
         cfg = BetheConfig(args.n, 0, args.xi, args.eta, (), 0.0)
     certs = bethe_certificates(cfg)
-    rng = np.random.default_rng(args.seed)
-    y1 = 0.9 + 0.3j
-    mid = (rng.uniform(0.5, 1.5, args.n - 1)
-           + 1j * rng.uniform(-0.4, 0.4, args.n - 1)) if args.n > 1 else []
-    kp = QKernelParams(0.8 + 0.4j, args.eta, args.xi, (y1, *mid, args.xi * y1),
-                       tuple(rng.uniform(-0.8, 0.8, args.n)
-                             + 1j * rng.uniform(-0.4, 0.4, args.n)))
+    y, q = kernel_sites(np.random.default_rng(args.seed), args.n, args.xi)
+    kp = QKernelParams(0.8 + 0.4j, args.eta, args.xi, y, q)
     certs["three_term_identity"], corr = tq_scalar_residual(kp)
     report = {
         "n": args.n,

@@ -10,6 +10,10 @@ states are both supported.  The bulk flow is
 closed by (q_{N+1}, r_0) = (q_1, r_N) for the periodic ring, by
 (xi q_1, xi r_N) for the quasiperiodic twist, and by the fixed couplings
 (theta_+, theta_-) for the open chain.
+
+`central_differences` is the package's one difference stencil: Poisson
+brackets here and in `rmatrix`, the flow Jacobian of `verify` and the
+Bäcklund Jacobian of `backlund` all call it, each with its own steps.
 """
 from __future__ import annotations
 
@@ -177,25 +181,34 @@ def hamiltonian(state, bc):
 DEFAULT_FD_STEP = 1e-5
 
 
+def central_differences(f, z, steps):
+    """[(f(z + h_k e_k) - f(z - h_k e_k)) / 2 h_k for each k]: the one
+    central-difference stencil of the package, for scalar- and array-valued
+    f alike.  f takes a list like z; steps[k] is h_k; z is not mutated."""
+    out = []
+    for k, h in enumerate(steps):
+        zp, zm = list(z), list(z)
+        zp[k] = z[k] + h
+        zm[k] = z[k] - h
+        out.append((f(zp) - f(zm)) / (2 * h))
+    return out
+
+
+def relative_steps(z, h_scale):
+    """Steps h_scale * max(1, |z_k|): the bracket stencil's steps, which
+    scale with the coordinate."""
+    return [h_scale * max(1.0, abs(v)) for v in z]
+
+
 def _grad(f, state, h_scale=DEFAULT_FD_STEP):
-    """Central-difference gradient (df/dq_i, df/dr_i); step scales with |coordinate|."""
-    q, r = list(state.q), list(state.r)
-    n = len(q)
-    gq, gr = [], []
-    for arr, grad in ((q, gq), (r, gr)):
-        for i in range(n):
-            h = h_scale * max(1.0, abs(arr[i]))
-            old = arr[i]
-            arr[i] = old + h
-            fp = f(LatticeState(tuple(q), tuple(r)))
-            arr[i] = old - h
-            fm = f(LatticeState(tuple(q), tuple(r)))
-            arr[i] = old
-            d = (fp - fm) / (2 * h)
-            if not _is_finite(d):
-                raise NonFiniteDerivative(f"non-finite difference quotient at site {i + 1}")
-            grad.append(d)
-    return gq, gr
+    """Central-difference gradient (df/dq_i, df/dr_i) with relative steps."""
+    z, n = state.flat(), state.n_sites
+    d = central_differences(lambda w: f(LatticeState.from_flat(w)), z,
+                            relative_steps(z, h_scale))
+    for k, dk in enumerate(d):
+        if not _is_finite(dk):
+            raise NonFiniteDerivative(f"non-finite difference quotient at site {k % n + 1}")
+    return d[:n], d[n:]
 
 
 def poisson_bracket(f, g, state, h_scale=DEFAULT_FD_STEP):

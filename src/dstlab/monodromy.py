@@ -205,28 +205,17 @@ def sampled_trajectory(state, bc, dt, steps, sample_every):
 class ConservedSet:
     regime: str
     coeffs: tuple
-    s_total: complex
-    p2: complex
-    p2_prime: complex
-    a2: complex
     hamiltonian_value: complex
 
 
 def conserved_coeffs(state, bc):
-    """Coefficient list of the generator plus the named closed-form invariants.
+    """Coefficient list of the generator and the Hamiltonian read from it.
 
     hamiltonian_value is reassembled from the generator coefficients alone
     (small-N constant bookkeeping included), so agreement with
     lattice.hamiltonian is a genuine cross-check of the Lax construction.
     """
-    q, r = state.q, state.r
     n = state.n_sites
-    s = [q[i] * r[i] for i in range(n)]
-    s_total = sum(s)
-    pair = sum(s[i] * s[j] for i in range(n) for j in range(i + 1, n))
-    hop = sum(q[i + 1] * r[i] for i in range(n - 1))
-    p2 = hop + pair
-    p2_prime = r[-1] * q[0]
     g = generator(state, bc)
     coeffs = tuple(g.c)
     if isinstance(bc, Periodic):
@@ -236,7 +225,7 @@ def conserved_coeffs(state, bc):
         else:
             st = g.coeff(n - 1)
             h = g.coeff(n - 2) - (1 if n == 2 else 0) - st * st / 2
-        return ConservedSet("periodic", coeffs, s_total, p2, p2_prime, p2, h)
+        return ConservedSet("periodic", coeffs, h)
     if isinstance(bc, Quasiperiodic):
         sq = principal_sqrt(bc.xi)
         if n == 1:
@@ -245,11 +234,11 @@ def conserved_coeffs(state, bc):
         else:
             st = sq * g.coeff(n - 1)
             h = sq * g.coeff(n - 2) - (bc.xi if n == 2 else 0) - st * st / 2
-        return ConservedSet("quasiperiodic", coeffs, s_total, p2, p2_prime, p2, h)
+        return ConservedSet("quasiperiodic", coeffs, h)
     if isinstance(bc, Open):
         sign = -1 if n % 2 else 1
         h = g.coeff(2 * n) / (2 * sign)
-        return ConservedSet("open", coeffs, s_total, p2, p2_prime, p2, h)
+        return ConservedSet("open", coeffs, h)
     raise WrongRegime(f"unknown boundary condition {bc!r}")
 
 

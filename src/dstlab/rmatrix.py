@@ -1,18 +1,21 @@
 """Numerical checks of the classical r-matrix Poisson algebras.
 
-Brackets of matrix entries are taken by central finite differences of the
-matrix-valued functions of the state (uniform machinery for the site Lax
-matrix, the monodromy and the dressed open-chain matrix); the r-matrix side
-is plain tensor algebra.  Tensor-leg ordering: a 4x4 matrix acts on
-e1(x)e1, e1(x)e2, e2(x)e1, e2(x)e2, and the bracket table stores
-{A_ij(lambda), B_kl(mu)} at row 2i+k, column 2j+l (0-based).
+Brackets of matrix entries are taken by `lattice.central_differences`, the
+package's one difference stencil, with the bracket steps of
+`lattice.relative_steps`, applied to the matrix-valued functions of the
+state (uniform machinery for the site Lax matrix, the monodromy and the
+dressed open-chain matrix); the r-matrix side is plain tensor algebra.
+Tensor-leg ordering: a 4x4 matrix acts on e1(x)e1, e1(x)e2, e2(x)e1,
+e2(x)e2, and the bracket table stores {A_ij(lambda), B_kl(mu)} at row
+2i+k, column 2j+l (0-based).
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import CoincidingSpectralParams, WrongRegime, ZeroSpectralParam
-from .lattice import DEFAULT_FD_STEP, LatticeState, Open
+from .lattice import (DEFAULT_FD_STEP, LatticeState, Open, central_differences,
+                      relative_steps)
 from .monodromy import boundary_K, lax_L, monodromy
 from .poly import adjugate_neg
 
@@ -31,22 +34,10 @@ def classical_r(lam, mu):
 
 def _mat_fn_grads(mat_fn, state):
     """d(mat_fn)/dq_n and d(mat_fn)/dr_n, each shaped (N, 2, 2)."""
-    q, r = list(state.q), list(state.r)
-    n = len(q)
-    out = []
-    for arr in (q, r):
-        grads = np.empty((n, 2, 2), dtype=complex)
-        for i in range(n):
-            h = DEFAULT_FD_STEP * max(1.0, abs(arr[i]))
-            old = arr[i]
-            arr[i] = old + h
-            mp = mat_fn(LatticeState(tuple(q), tuple(r)))
-            arr[i] = old - h
-            mm = mat_fn(LatticeState(tuple(q), tuple(r)))
-            arr[i] = old
-            grads[i] = (np.asarray(mp) - np.asarray(mm)) / (2 * h)
-        out.append(grads)
-    return out
+    z, n = state.flat(), state.n_sites
+    d = np.array(central_differences(lambda w: mat_fn(LatticeState.from_flat(w)), z,
+                                     relative_steps(z, DEFAULT_FD_STEP)), dtype=complex)
+    return d[:n], d[n:]
 
 
 def bracket_table(a_fn, b_fn, state):

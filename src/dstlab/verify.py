@@ -23,9 +23,9 @@ from ._rat import rat
 from .errors import DstlabError, HamiltonianRejected
 # step_rk4 is unused here, but dstbench's tests look it up in this module.
 from .lattice import (LatticeState, Observable, Open, Periodic, Quasiperiodic,  # noqa: F401
-                      coordinate, eom, flow_consistency_residual, hamiltonian,
-                      poisson_bracket, step_rk4)
-from .monodromy import (conserved_coeffs, generator, lax_consistency_residual,
+                      central_differences, coordinate, eom, flow_consistency_residual,
+                      hamiltonian, poisson_bracket, step_rk4)
+from .monodromy import (boundary_K, conserved_coeffs, generator, lax_consistency_residual,
                         monodromy, monodromy_evolution_residual,
                         sampled_trajectory, sklyanin_condition_residual)
 
@@ -206,15 +206,8 @@ def _flow_vector(z, bc):
 
 
 def _flow_jacobian(z, bc):
-    h = 1e-7
-    m = len(z)
-    jac = np.zeros((m, m), dtype=complex)
-    for k in range(m):
-        zp, zm = z.copy(), z.copy()
-        zp[k] += h
-        zm[k] -= h
-        jac[:, k] = (_flow_vector(zp, bc) - _flow_vector(zm, bc)) / (2 * h)
-    return jac
+    return np.column_stack(central_differences(lambda w: _flow_vector(w, bc), z,
+                                               [1e-7] * len(z)))
 
 
 def _polish_equilibrium(z, bc, max_iter=60):
@@ -290,7 +283,7 @@ def conservation_run(n, bc, dt, t_final, seed):
 # ---------------------------------------------------------------------------
 
 def suite_rmatrix(seed=1, tol_scale=1.0, inject_wrong_k=False):
-    from .rmatrix import (cism1_residual, cism2_residual_U,
+    from .rmatrix import (_mat2_eval, cism1_residual, cism2_residual_U, quadratic_rhs,
                           reflection_residual_K)
     recs = []
     rng = _sub_rng(seed, "cism1")
@@ -310,8 +303,9 @@ def suite_rmatrix(seed=1, tol_scale=1.0, inject_wrong_k=False):
                       trials=7, seed=seed))
 
     theta = 0.7
-    km = lambda l: np.array([[theta, l], [0.0, theta]])
-    kp = lambda l: np.array([[theta, 0.0], [l, theta]])
+    k_minus, k_plus = boundary_K(Open(theta, theta))
+    km = lambda l: _mat2_eval(k_minus, l)
+    kp = lambda l: _mat2_eval(k_plus, l)
     bad = lambda l: np.array([[theta, l], [l * l, theta]])
     # the injection replaces the two checked K matrices; the printed variant
     # is a property of the true K_- and is evaluated on it either way
@@ -355,7 +349,6 @@ def suite_rmatrix(seed=1, tol_scale=1.0, inject_wrong_k=False):
     # scale stability: the identities are stencil-exact, so the residual is
     # roundoff noise; normalized by the identity's own magnitude it must stay
     # at machine level under simultaneous rescaling of (lambda, mu)
-    from .rmatrix import _mat2_eval, quadratic_rhs
     rng = _sub_rng(seed, "rescale")
     st = _state(rng, 2, 1.0)
     worst = 0.0
@@ -534,20 +527,16 @@ def suite_quantum(seed=1, tol_scale=1.0, xi_minus=None, xi_plus=None):
 
 def suite_baxter(seed=1, tol_scale=1.0):
     from .baxter import (CERT_TOL, MEMBERSHIP_SAMPLES, BetheConfig, QKernelParams,
-                         SovParams, bethe_certificates,
-                         bethe_remainder, bethe_solve, eigen_membership_residual,
-                         gauge_triangularize, lambda_from_roots, sov_residual,
-                         tq_scalar_residual, w_ratio_down, w_ratio_up)
+                         SovParams, bethe_certificates, bethe_remainder, bethe_solve,
+                         eigen_membership_residual, gauge_triangularize, kernel_sites,
+                         lambda_from_roots, sov_residual, tq_scalar_residual,
+                         w_ratio_down, w_ratio_up)
     recs = []
     rng = _sub_rng(seed, "baxter")
     tol = {k: t * tol_scale for k, t in CERT_TOL.items()}
 
     def rand_kernel(n, eta=1.0):
-        y1 = 0.9 + 0.3j
-        mid = (rng.uniform(0.5, 1.5, n - 1) + 1j * rng.uniform(-0.4, 0.4, n - 1)
-               if n > 1 else [])
-        y = (y1, *mid, 1.3 * y1)
-        q = tuple(rng.uniform(-0.8, 0.8, n) + 1j * rng.uniform(-0.4, 0.4, n))
+        y, q = kernel_sites(rng, n, 1.3)
         sigma = rng.uniform(0.4, 1.4) + 1j * rng.uniform(-0.5, 0.5)
         return QKernelParams(sigma, eta, 1.3, y, q)
 

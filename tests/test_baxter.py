@@ -12,7 +12,7 @@ from dstlab._rat import rat
 from dstlab.baxter import (CERT_TOL, BetheConfig, QKernelParams,
                            SovParams, bethe_certificates, bethe_remainder, bethe_solve,
                            eigen_membership_residual, gauge_triangularize,
-                           lambda_degree_probe, lambda_from_roots, log_w,
+                           kernel_sites, lambda_degree_probe, lambda_from_roots, log_w,
                            qj_lax, sov_residual, tq_exact_rational,
                            tq_scalar_residual, w_ratio_down, w_ratio_up)
 from dstlab.errors import (EvaluationAtRoot, GammaPole, NoConvergence,
@@ -20,13 +20,10 @@ from dstlab.errors import (EvaluationAtRoot, GammaPole, NoConvergence,
 
 
 def _params(rng, n, eta=1.0, xi=1.3, sigma=None):
-    y1 = 0.9 + 0.3j
-    mid = (rng.uniform(0.5, 1.5, n - 1) + 1j * rng.uniform(-0.4, 0.4, n - 1)
-           if n > 1 else [])
-    q = tuple(rng.uniform(-0.8, 0.8, n) + 1j * rng.uniform(-0.4, 0.4, n))
+    y, q = kernel_sites(rng, n, xi)
     if sigma is None:
         sigma = rng.uniform(0.4, 1.4) + 1j * rng.uniform(-0.5, 0.5)
-    return QKernelParams(sigma, eta, xi, (y1, *mid, xi * y1), q)
+    return QKernelParams(sigma, eta, xi, y, q)
 
 
 def test_kernel_param_validation():
@@ -226,6 +223,14 @@ def test_shared_certificates_reject_a_non_root():
     # the vacuum has no roots: remainder and degree are 0.0 unevaluated
     vac = bethe_certificates(BetheConfig(2, 0, 1.0, 1.0, (), 0.0))
     assert vac["polynomiality_remainder"] == vac["eigenvalue_degree"] == 0.0
+
+
+def test_membership_at_non_integer_eta():
+    # the transfer matrix is built at the float's exact rational value
+    good = bethe_certificates(bethe_solve(3, 1, 2.0, 0.7, seed=1))
+    assert all(v <= CERT_TOL[k] for k, v in good.items())
+    bad = bethe_certificates(BetheConfig(3, 1, 2.0, 0.7, (1j,), 1.0))
+    assert bad["eigen_membership"] > CERT_TOL["eigen_membership"]
 
 
 def test_membership_vacuum_exact():

@@ -110,6 +110,14 @@ def test_bad_flag_usage_exit():
     ["baxter", "--m", "-1"],
     ["verify", "--xi-minus", "-5/0"],
     ["verify", "--xi-plus", "--json"],
+    # --xi and --eta must be finite and nonzero, whatever --bc is
+    ["baxter", "--xi", "0", "--n", "2", "--m", "0"],
+    ["baxter", "--eta", "0"],
+    ["baxter", "--eta", "inf"],
+    ["simulate", "--xi", "nan", "--bc", "quasi"],
+    ["simulate", "--xi", "0", "--bc", "quasi"],
+    ["simulate", "--xi", "0", "--bc", "periodic"],
+    ["backlund", "--xi", "0", "--bc", "quasi"],
 ])
 def test_invalid_numbers_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     # refused while parsing, before any command runs or writes a file

@@ -7,7 +7,8 @@ import pytest
 
 from dstlab.errors import NonFiniteState, ZeroXi
 from dstlab.lattice import (LatticeState, Observable, Open, Periodic,
-                            Quasiperiodic, _all_finite, coordinate, eom,
+                            Quasiperiodic, _all_finite, central_differences,
+                            coordinate, eom,
                             flow_consistency_residual, hamiltonian,
                             poisson_bracket, step_rk4)
 
@@ -214,6 +215,31 @@ def test_complex_states_supported():
     st = LatticeState((0.1 + 0.2j, -0.3j), (0.05 - 0.1j, 0.2))
     for bc in (Periodic(), Quasiperiodic(2.0), Open(0.3, 0.7)):
         assert flow_consistency_residual(st, bc) < 1e-6
+
+
+def test_central_differences_on_a_cubic():
+    # f = a^3 + a b c: the central difference of a^3 is 3 a^2 + h^2, and
+    # that of the multilinear term is exact
+    def f(w):
+        a, b, c = w
+        return a ** 3 + a * b * c
+
+    z = [0.5, -1.25, 2.0]
+    steps = [1e-3, 2e-3, 4e-3]
+    d = central_differences(f, z, steps)
+    exact = [3 * 0.5 ** 2 + (-1.25) * 2.0, 0.5 * 2.0, 0.5 * (-1.25)]
+    assert abs(d[0] - exact[0] - steps[0] ** 2) < 1e-9
+    assert d[1] == pytest.approx(exact[1], abs=1e-12)
+    assert d[2] == pytest.approx(exact[2], abs=1e-12)
+    assert z == [0.5, -1.25, 2.0]
+
+    # an array-valued f gives one array per coordinate
+    za = np.array(z)
+    da = central_differences(lambda w: np.array([f(w), 2 * w[1]]), za, steps)
+    assert [x.shape for x in da] == [(2,)] * 3
+    assert np.allclose([x[0] for x in da], d, rtol=0, atol=1e-12)
+    assert np.allclose([x[1] for x in da], [0.0, 2.0, 0.0], rtol=0, atol=1e-12)
+    assert list(za) == z
 
 
 def test_non_finite_difference_quotient():

@@ -232,28 +232,41 @@ def test_generator_open_single_site_frozen():
     assert abs(g.coeff(2) - (q * q * r * r - 2 * q * thm - 2 * r * thp)) < 1e-12
 
 
+def _closed_forms(st):
+    """(s_total, p2, p2') of a state: the sum of q_i r_i; the hops plus the
+    pairwise products of the s_i; and the boundary hop r_N q_1."""
+    q, r = st.q, st.r
+    n = st.n_sites
+    s = [q[i] * r[i] for i in range(n)]
+    pair = sum(s[i] * s[j] for i in range(n) for j in range(i + 1, n))
+    hop = sum(q[i + 1] * r[i] for i in range(n - 1))
+    return sum(s), hop + pair, r[-1] * q[0]
+
+
 def test_conserved_closed_forms_vs_coefficients():
     rng = np.random.default_rng(13)
     for n in (2, 3, 5):
         st = _rand_state(rng, n)
+        s_total, p2, p2_prime = _closed_forms(st)
         xi = 4.0
         cs = conserved_coeffs(st, Quasiperiodic(xi))
         extra = 1.0 if n == 2 else 0.0
         assert abs(cs.coeffs[n - 2]
-                   - (0.5 * cs.p2 + 2.0 * (cs.p2_prime + extra))) < 1e-12
-        assert abs(cs.coeffs[n - 1] - 0.5 * cs.s_total) < 1e-12
+                   - (0.5 * p2 + 2.0 * (p2_prime + extra))) < 1e-12
+        assert abs(cs.coeffs[n - 1] - 0.5 * s_total) < 1e-12
 
         bc = Open(0.3, 0.7)
         cso = conserved_coeffs(st, bc)
         sign = -1 if n % 2 else 1
-        h = cso.a2 - cso.s_total ** 2 / 2 + st.q[0] * 0.3 + st.r[-1] * 0.7
+        h = p2 - s_total ** 2 / 2 + st.q[0] * 0.3 + st.r[-1] * 0.7
         assert abs(cso.coeffs[2 * n] - sign * 2 * h) < 1e-12
 
 
 def test_conserved_vanish_on_vacuum():
     st = LatticeState((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-    cs = conserved_coeffs(st, Periodic())
-    assert cs.s_total == 0 and cs.p2 == 0 and cs.p2_prime == 0
+    s_total, p2, p2_prime = _closed_forms(st)
+    assert s_total == 0 and p2 == 0 and p2_prime == 0
+    assert conserved_coeffs(st, Periodic()).hamiltonian_value == 0
     # generator reduces to lambda^N + 1 (trace of diag(lambda, 1) products)
     g = generator(st, Periodic())
     assert g.c[0] == 1 and g.c[-1] == 1 and all(c == 0 for c in g.c[1:-1])
