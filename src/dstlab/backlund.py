@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (LogBranch, NewtonDiverged, PoleEncountered, SingularG,
                      SingularPrefactor, ZeroSeed)
-from .lattice import LatticeState, Open, Periodic, Quasiperiodic, central_differences
+from .lattice import LatticeState, Open, Periodic, Quasiperiodic, central_differences, worst
 from .monodromy import boundary_C, boundary_K, generator
 
 POLE_GUARD = 1e-12
@@ -192,12 +192,10 @@ def bt_generating_check(x, X, y, Y, sigma, xi=1.0):
     # term i's partial in y_{i+1}, moved to site i+1 (times xi at the closure)
     via_prev = _ring_prev([-1.0 / y_i - sigma / (x_i - y_n)
                            for x_i, y_i, y_n in zip(x, y, y_next)], xi)
-    worst = 0.0
-    for x_i, y_i, y_n, X_i in zip(x, y, y_next, X):
-        worst = max(worst, abs(X_i + (1.0 / y_i + sigma / (x_i - y_n))))
-    for x_i, y_i, y_n, Y_i, d_prev in zip(x, y, y_next, Y, via_prev):
-        worst = max(worst, abs(Y_i - (-(x_i - y_n) / y_i ** 2 - sigma / y_i + d_prev)))
-    return worst
+    return worst([abs(X_i + (1.0 / y_i + sigma / (x_i - y_n)))
+                  for x_i, y_i, y_n, X_i in zip(x, y, y_next, X)]
+                 + [abs(Y_i - (-(x_i - y_n) / y_i ** 2 - sigma / y_i + d_prev))
+                    for x_i, y_i, y_n, Y_i, d_prev in zip(x, y, y_next, Y, via_prev)])
 
 
 def bt_local_identity_residual(x_i, X_i, y_i, y_ip1, X_im1, sigma):
@@ -208,14 +206,14 @@ def bt_local_identity_residual(x_i, X_i, y_i, y_ip1, X_im1, sigma):
     for a quintuple satisfying the implicit map (Y_i is assembled from it).
     """
     Y_i = X_im1 + (x_i - y_ip1) / y_i * X_i
-    out = 0.0
-    for lam in BT_LAMBDA_GRID:
+
+    def defect(lam):
         L_x = np.array([[lam + x_i * X_i, x_i], [X_i, 1.0]], dtype=complex)
         L_y = np.array([[lam + y_i * Y_i, y_i], [Y_i, 1.0]], dtype=complex)
         lhs = g_matrix(lam, sigma, -y_ip1, X_i) @ L_x
         rhs = L_y @ g_matrix(lam, sigma, -y_i, X_im1)
-        out = max(out, float(np.max(np.abs(lhs - rhs))))
-    return out
+        return float(np.max(np.abs(lhs - rhs)))
+    return worst(map(defect, BT_LAMBDA_GRID))
 
 
 def bt_invariance_residual(state_x, result, params, y_end=None):
@@ -241,14 +239,14 @@ def bt_invariance_residual(state_x, result, params, y_end=None):
     c = boundary_C(xi) if isinstance(bc, Quasiperiodic) else None
     cm = np.eye(2, dtype=complex) if c is None else np.array(
         [[complex(c.a11), 0], [0, complex(c.a22)]])
-    res_cl = 0.0
-    for lam in BT_LAMBDA_GRID:
+
+    def defect(lam):
         if abs(lam - params.sigma) < POLE_GUARD:
             raise SingularG("lambda hit sigma on the grid")
         g1 = g_matrix(lam, params.sigma, -y1, X0)
         g_end = g_matrix(lam, params.sigma, -y_end, X_end)
-        res_cl = max(res_cl, float(np.max(np.abs(g1 @ cm - cm @ g_end))))
-    return res_gen, res_cl
+        return float(np.max(np.abs(g1 @ cm - cm @ g_end)))
+    return res_gen, worst(map(defect, BT_LAMBDA_GRID))
 
 
 def solvable_state(rng, n):
@@ -270,8 +268,8 @@ def bt_certificates(state_x, params):
     return res, {
         "newton_residual": res.newton_residual,
         "generating_function": bt_generating_check(x, X, y, res.Y, sigma, xi=xi),
-        "local_exchange": max(map(bt_local_identity_residual, x, X, y, _ring_next(y, xi),
-                                  _ring_prev(X, xi), [sigma] * len(x))),
+        "local_exchange": worst(map(bt_local_identity_residual, x, X, y, _ring_next(y, xi),
+                                    _ring_prev(X, xi), [sigma] * len(x))),
         "spectrum_invariance": inv_gen,
         "closure_exchange": inv_cl,
     }
@@ -354,7 +352,7 @@ def v_dressing_residual(y1, y_end, X0, X_end, sigma, theta_minus, theta_plus,
     v_plus, v_minus = v_matrices(y1, y_end, X0, X_end, sigma,
                                  theta_minus, theta_plus, a_shift=a_shift)
     k_minus, k_plus = boundary_K(Open(theta_minus, theta_plus))
-    res_p = res_m = 0.0
+    res_p, res_m = [], []
     for lam in BT_LAMBDA_GRID:
         if abs(lam - sigma) < POLE_GUARD or abs(lam + sigma) < POLE_GUARD:
             raise SingularG("gauge factor singular on the grid")
@@ -363,11 +361,9 @@ def v_dressing_residual(y1, y_end, X0, X_end, sigma, theta_minus, theta_plus,
         g_end_p = g_matrix(lam, sigma, -y_end, X_end)
         g1_p = g_matrix(lam, sigma, -y1, X0)
         g1_m = g_matrix(-lam, sigma, -y1, X0)
-        res_p = max(res_p, float(np.max(np.abs(
-            g_end_m @ v_plus(lam) @ np.linalg.inv(g_end_p) - kp))))
-        res_m = max(res_m, float(np.max(np.abs(
-            g1_p @ v_minus(lam) @ np.linalg.inv(g1_m) - km))))
-    return res_p, res_m
+        res_p.append(float(np.max(np.abs(g_end_m @ v_plus(lam) @ np.linalg.inv(g_end_p) - kp))))
+        res_m.append(float(np.max(np.abs(g1_p @ v_minus(lam) @ np.linalg.inv(g1_m) - km))))
+    return worst(res_p), worst(res_m)
 
 
 def jtilde_invariance_residual(state_x, result, params, theta_minus, theta_plus):
@@ -385,7 +381,7 @@ def jtilde_invariance_residual(state_x, result, params, theta_minus, theta_plus)
     t_x = monodromy(state_x)
     t_y = monodromy(result.state())
 
-    out = 0.0
+    defects = []
     for lam in BT_LAMBDA_GRID:
         if abs(lam) < POLE_GUARD or abs(lam - params.sigma) < POLE_GUARD \
                 or abs(lam + params.sigma) < POLE_GUARD:
@@ -395,5 +391,5 @@ def jtilde_invariance_residual(state_x, result, params, theta_minus, theta_plus)
                           @ np.linalg.inv(_mat2_eval(t_x, -lam)))
         after = np.trace(kp @ _mat2_eval(t_y, lam) @ km
                          @ np.linalg.inv(_mat2_eval(t_y, -lam)))
-        out = max(out, abs(before - after))
-    return out
+        defects.append(abs(before - after))
+    return worst(defects)

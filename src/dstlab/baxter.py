@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (EvaluationAtRoot, GammaPole, NoConvergence, PoleInput,
                      RootCollision)
+from .lattice import worst
 
 POLE_GUARD = 1e-12
 
@@ -402,8 +403,8 @@ def bethe_certificates(cfg):
         "bethe_residual": cfg.residual,
         "polynomiality_remainder": bethe_remainder(cfg) if cfg.m else 0.0,
         "eigenvalue_degree": lambda_degree_probe(cfg) if cfg.m else 0.0,
-        "eigen_membership": max(eigen_membership_residual(cfg, s0)
-                                for s0 in MEMBERSHIP_SAMPLES),
+        "eigen_membership": worst(eigen_membership_residual(cfg, s0)
+                                  for s0 in MEMBERSHIP_SAMPLES),
     }
 
 

@@ -61,7 +61,8 @@ def _number(convert, accept, what):
 _positive_int = _number(int, lambda v: v > 0, "a positive integer")
 _count = _number(int, lambda v: v >= 0, "a non-negative integer")
 _positive = _number(float, lambda v: math.isfinite(v) and v > 0, "a positive number")
-_duration = _number(float, lambda v: math.isfinite(v) and v >= 0, "a non-negative number")
+_non_negative = _number(float, lambda v: math.isfinite(v) and v >= 0, "a non-negative number")
+_finite = _number(float, math.isfinite, "a finite number")
 _nonzero = _number(float, lambda v: math.isfinite(v) and v != 0, "a finite nonzero number")
 _rational = _number(Fraction, lambda v: True, "a rational number such as 2/3")
 
@@ -82,15 +83,15 @@ def _build_parser():
     def add_bc(sp):
         sp.add_argument("--bc", choices=["periodic", "quasi", "open"], default="periodic")
         sp.add_argument("--xi", type=_nonzero, default=2.0, help="quasiperiodic twist")
-        sp.add_argument("--theta-minus", type=float, default=0.3)
-        sp.add_argument("--theta-plus", type=float, default=0.7)
+        sp.add_argument("--theta-minus", type=_finite, default=0.3)
+        sp.add_argument("--theta-plus", type=_finite, default=0.7)
 
     sp = sub.add_parser("simulate", help="integrate a trajectory and track the conserved coefficients")
     sp.add_argument("--n", type=_positive_int, default=6)
     add_bc(sp)
     sp.add_argument("--dt", type=_positive, default=1e-3)
-    sp.add_argument("--t-final", type=_duration, default=10.0)
-    sp.add_argument("--scale", type=float, default=None,
+    sp.add_argument("--t-final", type=_non_negative, default=10.0)
+    sp.add_argument("--scale", type=_non_negative, default=None,
                     help="initial amplitude override (defaults to the regime's stable range)")
     sp.add_argument("--sample-every", type=_positive_int, default=50)
     common(sp)
@@ -98,7 +99,7 @@ def _build_parser():
     sp = sub.add_parser("verify", help="run identity suites and emit a verification report")
     sp.add_argument("--suite", default="all",
                     help="classical | rmatrix | backlund | quantum | baxter | all")
-    sp.add_argument("--tol-scale", type=float, default=1.0)
+    sp.add_argument("--tol-scale", type=_positive, default=1.0)
     sp.add_argument("--xi-minus", type=_rational, default=None,
                     help="rational boundary constant for the quantum suite (e.g. 2/3)")
     sp.add_argument("--xi-plus", type=_rational, default=None,
@@ -107,7 +108,7 @@ def _build_parser():
 
     sp = sub.add_parser("backlund", help="solve the Bäcklund map and report its certificates")
     sp.add_argument("--n", type=_positive_int, default=3)
-    sp.add_argument("--sigma", type=float, default=0.3)
+    sp.add_argument("--sigma", type=_finite, default=0.3)
     add_bc(sp)
     common(sp)
 
@@ -120,8 +121,21 @@ def _build_parser():
     return p
 
 
+def _json_text(report):
+    """report as sorted, indented JSON text.  A float that is not finite is
+    written as its repr string ("nan", "inf"), as exact records write
+    "exact-fail", so the text stays strict JSON."""
+    def strict(v):
+        if isinstance(v, float) and not math.isfinite(v):
+            return repr(float(v))
+        if isinstance(v, dict):
+            return {k: strict(x) for k, x in v.items()}
+        return [strict(x) for x in v] if isinstance(v, (list, tuple)) else v
+    return json.dumps(strict(report), sort_keys=True, indent=2) + "\n"
+
+
 def _dump(report, args):
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = _json_text(report)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -205,9 +219,8 @@ def cmd_simulate(args):
             for k in range(deg + 1)
         } if not blowup else {},
     }
-    text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
     if args.json:
-        sys.stdout.write(text)
+        sys.stdout.write(_json_text(summary))
     else:
         status = "blow-up" if blowup else "ok"
         print(f"simulate {bc.label} n={n}: {status}, {len(rows)} samples, "

@@ -14,6 +14,7 @@ closed by (q_{N+1}, r_0) = (q_1, r_N) for the periodic ring, by
 `central_differences` is the package's one difference stencil: Poisson
 brackets here and in `rmatrix`, the flow Jacobian of `verify` and the
 Bäcklund Jacobian of `backlund` all call it, each with its own steps.
+`worst` (and its mirror `least`) is the package's one fold of residuals.
 """
 from __future__ import annotations
 
@@ -42,6 +43,20 @@ def _all_finite(z):
     that overflow together; only then are the entries tested one by one.
     """
     return _is_finite(sum(z)) or all(_is_finite(x) for x in z)
+
+
+def worst(values):
+    """The largest of values, 0.0 if there are none, or the first NaN met: the
+    one fold of residuals, so a NaN fails wherever it falls (the builtin max
+    keeps its first argument against a NaN: max(0.0, nan) is 0.0)."""
+    values = list(values)
+    return next((v for v in values if v != v), max(values, default=0.0))
+
+
+def least(values):
+    """`worst`'s mirror, for the negative controls' smallest observation."""
+    values = list(values)
+    return next((v for v in values if v != v), min(values, default=0.0))
 
 
 # Entry types LatticeState keeps as they are; anything else with .item()
@@ -222,9 +237,8 @@ def flow_consistency_residual(state, bc):
     """Max-norm gap between `eom` and the symplectic gradient of `hamiltonian`."""
     d = eom(state, bc)
     hq, hr = _grad(lambda s: hamiltonian(s, bc), state)
-    gaps = [abs(d.dq[i] - hr[i]) for i in range(len(hq))]
-    gaps += [abs(d.dr[i] + hq[i]) for i in range(len(hq))]
-    return max(gaps)
+    return worst([abs(d.dq[i] - hr[i]) for i in range(len(hq))]
+                 + [abs(d.dr[i] + hq[i]) for i in range(len(hq))])
 
 
 def _shifted(state, h, d):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NonFiniteState, WrongRegime, ZeroXi
 from .lattice import (Open, Periodic, Quasiperiodic, _all_finite, eom,
-                      principal_sqrt, step_rk4)
+                      principal_sqrt, step_rk4, worst)
 from .poly import Mat2, Poly, adjugate_neg, poly_mat
 
 # Sample grid for floating-point residuals: 8 unit-circle points plus
@@ -197,7 +197,7 @@ def sampled_trajectory(state, bc, dt, steps, sample_every):
             raise
         if k % sample_every == 0 or k == steps:
             c = np.array(generator(state, bc).c, dtype=complex)
-            drift = max(drift, float(np.max(np.abs(c - c0) / scale)))
+            drift = worst((drift, float(np.max(np.abs(c - c0) / scale))))
             yield Sample(k, state, c, drift)
 
 
@@ -256,10 +256,6 @@ def _shifted_bc(bc, boundary_shift):
     return Open(bc.theta_minus + boundary_shift[0], bc.theta_plus + boundary_shift[1])
 
 
-def _mat_max_abs(m):
-    return max(abs(e) for e in m.entries())
-
-
 def lax_consistency_residual(state, bc, j, boundary_shift=(0.0, 0.0)):
     """Max over the lambda grid of || dL_j/dt - (M_{j+1} L_j - L_j M_j) ||.
 
@@ -272,7 +268,7 @@ def lax_consistency_residual(state, bc, j, boundary_shift=(0.0, 0.0)):
     m_next = lax_M(state, j + 1, wbc)
     m_j = lax_M(state, j, wbc)
     defect = lhs - (m_next @ lj - lj @ m_j)
-    return max(_mat_max_abs(defect.eval(lam)) for lam in LAMBDA_GRID)
+    return worst(defect.eval(lam).max_abs() for lam in LAMBDA_GRID)
 
 
 def monodromy_evolution_residual(state, bc):
@@ -310,12 +306,12 @@ def sklyanin_condition_residual(bc, state, lam, boundary_shift=(0.0, 0.0)):
         w_one_neg = lax_M(state, 1, wbc).eval(-lam)
         k_minus, k_plus = boundary_K(bc)
         km, kp = k_minus.eval(lam), k_plus.eval(lam)
-        res_plus = _mat_max_abs(kp @ w_end - w_end_neg @ kp)
-        res_minus = _mat_max_abs(w_one @ km - km @ w_one_neg)
+        res_plus = (kp @ w_end - w_end_neg @ kp).max_abs()
+        res_minus = (w_one @ km - km @ w_one_neg).max_abs()
         return res_plus, res_minus, None
     if isinstance(bc, Quasiperiodic):
         c = boundary_C(bc.xi)
         m_end = lax_M(state, n + 1, bc).eval(lam)
         m_one = lax_M(state, 1, bc).eval(lam)
-        return None, None, _mat_max_abs(c @ m_end - m_one @ c)
+        return None, None, (c @ m_end - m_one @ c).max_abs()
     raise WrongRegime("sklyanin_condition_residual needs open or quasiperiodic")

@@ -7,6 +7,8 @@ same class serves both scalar and operator-valued matrices.
 """
 from __future__ import annotations
 
+from .lattice import worst
+
 
 def _is_zero(c):
     try:
@@ -108,7 +110,7 @@ class Poly:
         return Poly([f(a) for a in self.c])
 
     def max_abs(self):
-        return max((abs(a) for a in self.c), default=0.0)
+        return worst(abs(a) for a in self.c)
 
     def __repr__(self):
         return f"Poly({self.c!r})"
@@ -170,10 +172,7 @@ class Mat2:
         return self.map(ev)
 
     def max_abs(self):
-        out = 0.0
-        for e in self.entries():
-            out = max(out, e.max_abs() if isinstance(e, Poly) else abs(e))
-        return out
+        return worst(e.max_abs() if isinstance(e, Poly) else abs(e) for e in self.entries())
 
     def __repr__(self):
         return f"Mat2({self.a11!r}, {self.a12!r}, {self.a21!r}, {self.a22!r})"

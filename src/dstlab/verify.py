@@ -10,6 +10,10 @@ store residual = threshold / observed with tolerance 1.0, so the invariant
 pass <=> residual <= tolerance holds uniformly; the raw observation is kept
 in parameters.  Reports are deterministic for a fixed (suite, seed,
 tol_scale) and records are sorted by identity_id.
+
+A NaN residual fails its record wherever it falls (`lattice.worst`).  A float
+that is not finite is written as its repr string ("nan", "inf"; a control
+observing 0 has residual "inf"), so the report stays strict JSON.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ from .errors import DstlabError, HamiltonianRejected
 # step_rk4 is unused here, but dstbench's tests look it up in this module.
 from .lattice import (LatticeState, Observable, Open, Periodic, Quasiperiodic,  # noqa: F401
                       central_differences, coordinate, eom, flow_consistency_residual,
-                      hamiltonian, poisson_bracket, step_rk4)
+                      hamiltonian, least, poisson_bracket, step_rk4, worst)
 from .monodromy import (boundary_K, conserved_coeffs, generator, lax_consistency_residual,
                         monodromy, monodromy_evolution_residual,
                         sampled_trajectory, sklyanin_condition_residual)
@@ -109,44 +113,39 @@ def suite_classical(seed=1, tol_scale=1.0):
     recs = []
     for label, bc in _regimes():
         rng = _sub_rng(seed, "flow-" + label)
-        worst = 0.0
-        for n in range(1, 7):
-            for _ in range(8):
-                worst = max(worst, flow_consistency_residual(_state(rng, n, 1.0), bc))
-        recs.append(check(f"flow-consistency-{label}", worst, 1e-6 * tol_scale,
-                          n_max=6, trials=8, seed=seed))
+        recs.append(check(f"flow-consistency-{label}",
+                          worst(flow_consistency_residual(_state(rng, n, 1.0), bc)
+                                for n in range(1, 7) for _ in range(8)),
+                          1e-6 * tol_scale, n_max=6, trials=8, seed=seed))
 
     rng = _sub_rng(seed, "brackets")
-    worst_canon = worst_zero = worst_anti = 0.0
+    canon, zero, anti = [], [], []
     for n in (1, 2, 4):
         st = _state(rng, n, 1.0)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 qr = poisson_bracket(coordinate("q", i), coordinate("r", j), st)
-                worst_canon = max(worst_canon, abs(qr - (1.0 if i == j else 0.0)))
-                worst_zero = max(worst_zero,
-                                 abs(poisson_bracket(coordinate("q", i), coordinate("q", j), st)),
-                                 abs(poisson_bracket(coordinate("r", i), coordinate("r", j), st)))
+                canon.append(abs(qr - (1.0 if i == j else 0.0)))
+                zero += [abs(poisson_bracket(coordinate("q", i), coordinate("q", j), st)),
+                         abs(poisson_bracket(coordinate("r", i), coordinate("r", j), st))]
         h_obs = Observable(lambda s: hamiltonian(s, Periodic()), "H")
         g_obs = Observable(lambda s: s.q[0] ** 2 * s.r[-1], "probe")
-        worst_anti = max(worst_anti, abs(poisson_bracket(h_obs, g_obs, st)
-                                         + poisson_bracket(g_obs, h_obs, st)))
-    recs.append(check("bracket-canonical-pairs", worst_canon, 1e-9 * tol_scale, seed=seed))
-    recs.append(check("bracket-coordinates-commute", worst_zero, 1e-9 * tol_scale, seed=seed))
-    recs.append(check("bracket-antisymmetry", worst_anti, 1e-12 * tol_scale, seed=seed))
+        anti.append(abs(poisson_bracket(h_obs, g_obs, st) + poisson_bracket(g_obs, h_obs, st)))
+    recs.append(check("bracket-canonical-pairs", worst(canon), 1e-9 * tol_scale, seed=seed))
+    recs.append(check("bracket-coordinates-commute", worst(zero), 1e-9 * tol_scale, seed=seed))
+    recs.append(check("bracket-antisymmetry", worst(anti), 1e-12 * tol_scale, seed=seed))
 
     for label, bc in _regimes():
         rng = _sub_rng(seed, "lax-" + label)
-        worst_l = worst_m = 0.0
+        lax, evolution = [], []
         for n in range(1, 6):
             for _ in range(5):
                 st = _state(rng, n, 1.0)
-                worst_l = max(worst_l, max(lax_consistency_residual(st, bc, j)
-                                           for j in range(1, n + 1)))
-                worst_m = max(worst_m, monodromy_evolution_residual(st, bc))
-        recs.append(check(f"lax-compatibility-{label}", worst_l, 1e-12 * tol_scale,
+                lax += [lax_consistency_residual(st, bc, j) for j in range(1, n + 1)]
+                evolution.append(monodromy_evolution_residual(st, bc))
+        recs.append(check(f"lax-compatibility-{label}", worst(lax), 1e-12 * tol_scale,
                           n_max=5, seed=seed))
-        recs.append(check(f"monodromy-evolution-{label}", worst_m, 1e-12 * tol_scale,
+        recs.append(check(f"monodromy-evolution-{label}", worst(evolution), 1e-12 * tol_scale,
                           n_max=5, seed=seed))
 
     rng = _sub_rng(seed, "sklyanin")
@@ -172,15 +171,12 @@ def suite_classical(seed=1, tol_scale=1.0):
     recs.append(check_exact("monodromy-determinant", ok, n_max=8, seed=seed))
 
     rng = _sub_rng(seed, "hcoeffs")
-    worst = 0.0
-    for label, bc in _regimes():
-        for n in range(1, 7):
-            for _ in range(17):
-                st = _state(rng, n, 1.0)
-                cs = conserved_coeffs(st, bc)
-                worst = max(worst, abs(cs.hamiltonian_value - hamiltonian(st, bc)))
-    recs.append(check("hamiltonian-from-coefficients", worst, 1e-10 * tol_scale,
-                      trials=17, seed=seed))
+    samples = [(bc, _state(rng, n, 1.0))
+               for _, bc in _regimes() for n in range(1, 7) for _ in range(17)]
+    recs.append(check("hamiltonian-from-coefficients",
+                      worst(abs(conserved_coeffs(st, bc).hamiltonian_value - hamiltonian(st, bc))
+                            for bc, st in samples),
+                      1e-10 * tol_scale, trials=17, seed=seed))
 
     for label, bc in _regimes():
         drift, _, _ = conservation_run(6, bc, dt=1e-3, t_final=10.0, seed=seed)
@@ -287,20 +283,15 @@ def suite_rmatrix(seed=1, tol_scale=1.0, inject_wrong_k=False):
                           reflection_residual_K)
     recs = []
     rng = _sub_rng(seed, "cism1")
-    worst_eq = worst_ne = 0.0
-    for _ in range(5):
-        st = _state(rng, 3, 1.0)
-        worst_eq = max(worst_eq, cism1_residual(st, 0.7, -0.3, "local", 2, 2))
-        worst_ne = max(worst_ne, cism1_residual(st, 0.7, -0.3, "local", 1, 3))
-    recs.append(check("cism1-local", worst_eq, 1e-6 * tol_scale, n=3, seed=seed))
-    recs.append(check("cism1-ultralocal", worst_ne, 1e-12, n=3, seed=seed))
-    worst = 0.0
-    for n in (1, 2, 3):
-        for _ in range(7):
-            st = _state(rng, n, 1.0)
-            worst = max(worst, cism1_residual(st, 0.7, -0.3, "monodromy"))
-    recs.append(check("cism1-monodromy", worst, 1e-5 * tol_scale, n_max=3,
-                      trials=7, seed=seed))
+    states = [_state(rng, 3, 1.0) for _ in range(5)]
+    recs.append(check("cism1-local", worst(cism1_residual(st, 0.7, -0.3, "local", 2, 2)
+                                           for st in states), 1e-6 * tol_scale, n=3, seed=seed))
+    recs.append(check("cism1-ultralocal", worst(cism1_residual(st, 0.7, -0.3, "local", 1, 3)
+                                                for st in states), 1e-12, n=3, seed=seed))
+    recs.append(check("cism1-monodromy",
+                      worst(cism1_residual(_state(rng, n, 1.0), 0.7, -0.3, "monodromy")
+                            for n in (1, 2, 3) for _ in range(7)),
+                      1e-5 * tol_scale, n_max=3, trials=7, seed=seed))
 
     theta = 0.7
     k_minus, k_plus = boundary_K(Open(theta, theta))
@@ -313,25 +304,23 @@ def suite_rmatrix(seed=1, tol_scale=1.0, inject_wrong_k=False):
     pairs = [(0.9, 0.4), (1.3, -0.6), (2.1 + 0.3j, 0.5), (0.31, 1.9), (-1.2, 0.7)]
     for side, k_fn in zip(("kminus", "kplus"), checked):
         recs.append(check(f"reflection-{side}",
-                          max(reflection_residual_K(k_fn, l, m) for l, m in pairs),
+                          worst(reflection_residual_K(k_fn, l, m) for l, m in pairs),
                           1e-12 * tol_scale, theta=theta, n_pairs=len(pairs)))
     recs.append(check_exceeds("reflection-control",
-                              min(reflection_residual_K(bad, l, m) for l, m in pairs),
+                              least(reflection_residual_K(bad, l, m) for l, m in pairs),
                               1e-3, theta=theta))
     recs.append(check_exceeds("reflection-printed-variant",
-                              min(reflection_residual_K(km, l, m, last_arg="mu")
-                                  for l, m in pairs),
+                              least(reflection_residual_K(km, l, m, last_arg="mu")
+                                    for l, m in pairs),
                               1e-3, note="the mu-argument variant must not vanish"))
 
     bc = Open(0.3, 0.7)
     rng = _sub_rng(seed, "cism2")
     for n, tol in ((1, 1e-5), (2, 5e-5), (3, 1e-4)):
-        worst = 0.0
-        for _ in range(5):
-            st = _state(rng, n, 0.8)
-            worst = max(worst, cism2_residual_U(st, bc, 0.9, 0.4))
-        recs.append(check(f"cism2-dressed-n{n}", worst, tol * tol_scale,
-                          trials=5, seed=seed))
+        recs.append(check(f"cism2-dressed-n{n}",
+                          worst(cism2_residual_U(_state(rng, n, 0.8), bc, 0.9, 0.4)
+                                for _ in range(5)),
+                          tol * tol_scale, trials=5, seed=seed))
 
     # convergence order of the bracket stencil, on a cubic witness (the
     # lattice identities themselves are multilinear, hence stencil-exact)
@@ -351,7 +340,6 @@ def suite_rmatrix(seed=1, tol_scale=1.0, inject_wrong_k=False):
     # at machine level under simultaneous rescaling of (lambda, mu)
     rng = _sub_rng(seed, "rescale")
     st = _state(rng, 2, 1.0)
-    worst = 0.0
     norms = {}
     for c in (0.5, 1.0, 2.0):
         lam, mu = 0.7 * c, -0.3 * c
@@ -360,9 +348,8 @@ def suite_rmatrix(seed=1, tol_scale=1.0, inject_wrong_k=False):
                             _mat2_eval(monodromy(st), mu))
         scale = max(1.0, float(np.max(np.abs(rhs))))
         norms[str(c)] = float(res / scale)
-        worst = max(worst, res / scale)
     fitted_degree = float(np.log2(max(norms["2.0"], 1e-300) / max(norms["0.5"], 1e-300)) / 2)
-    recs.append(check("rescale-stability", worst, 1e-9 * tol_scale,
+    recs.append(check("rescale-stability", worst(norms.values()), 1e-9 * tol_scale,
                       normalized=norms, noise_degree=fitted_degree, seed=seed))
     return recs
 
@@ -378,28 +365,24 @@ def suite_backlund(seed=1, tol_scale=1.0):
                            v_dressing_residual)
     recs = []
     rng = _sub_rng(seed, "bt")
-    worst = {}
-    for n in (1, 2, 3, 4):
-        for sigma in (0.1, 0.3, 1.0):
-            _, certs = bt_certificates(solvable_state(rng, n), BTParams(sigma))
-            for k, v in certs.items():
-                worst[k] = max(worst.get(k, 0.0), v)
+    runs = [bt_certificates(solvable_state(rng, n), BTParams(sigma))[1]
+            for n in (1, 2, 3, 4) for sigma in (0.1, 0.3, 1.0)]
+    top = {k: worst(certs[k] for certs in runs) for k in runs[0]}
     tol = {k: t * tol_scale for k, t in CERT_TOL.items()}
-    recs.append(check("bt-newton-converged", worst["newton_residual"],
+    recs.append(check("bt-newton-converged", top["newton_residual"],
                       tol["newton_residual"], n_max=4, sigmas=[0.1, 0.3, 1.0], seed=seed))
-    recs.append(check("bt-generating-function", worst["generating_function"],
+    recs.append(check("bt-generating-function", top["generating_function"],
                       tol["generating_function"], seed=seed))
-    recs.append(check("bt-local-exchange", worst["local_exchange"],
+    recs.append(check("bt-local-exchange", top["local_exchange"],
                       tol["local_exchange"], seed=seed))
     recs.append(check("bt-spectrum-invariance-periodic",
-                      max(worst["spectrum_invariance"], worst["closure_exchange"]),
+                      worst((top["spectrum_invariance"], top["closure_exchange"])),
                       tol["spectrum_invariance"], seed=seed))
 
     st = solvable_state(rng, 2)
     pq = BTParams(0.3, Quasiperiodic(2.0))
     rq = bt_solve(st, pq)
-    ra, rb = bt_invariance_residual(st, rq, pq)
-    recs.append(check("bt-spectrum-invariance-twisted", max(ra, rb),
+    recs.append(check("bt-spectrum-invariance-twisted", worst(bt_invariance_residual(st, rq, pq)),
                       tol["spectrum_invariance"], xi=2.0, seed=seed))
 
     st_r = LatticeState(tuple(rng.uniform(0.7, 1.4, 2)), tuple(rng.uniform(0.7, 1.4, 2)))
@@ -427,7 +410,7 @@ def suite_backlund(seed=1, tol_scale=1.0):
                                  NewtonOptions(continuation_steps=k))).y
           for k in (10, 20, 40)]
     recs.append(check("bt-branch-stability",
-                      max(max(abs(a - b) for a, b in zip(ys[0], yk)) for yk in ys[1:]),
+                      worst(abs(a - b) for yk in ys[1:] for a, b in zip(ys[0], yk)),
                       1e-10 * tol_scale, steps=[10, 20, 40], seed=seed))
 
     r1 = bt_solve(st3, BTParams(0.3))
@@ -540,22 +523,20 @@ def suite_baxter(seed=1, tol_scale=1.0):
         sigma = rng.uniform(0.4, 1.4) + 1j * rng.uniform(-0.5, 0.5)
         return QKernelParams(sigma, eta, 1.3, y, q)
 
-    worst_tq = worst_ur = worst_diag = 0.0
+    three_term, offdiagonal, diagonal = [], [], []
     for n in (1, 2, 3, 4):
         for _ in range(13):
             p = rand_kernel(n)
-            res, _ = tq_scalar_residual(p)
-            worst_tq = max(worst_tq, res)
+            three_term.append(tq_scalar_residual(p)[0])
             for i in range(n):
                 ur, (top, bot) = gauge_triangularize(i, p)
-                worst_ur = max(worst_ur, ur)
-                worst_diag = max(worst_diag,
-                                 abs(top - p.sigma * w_ratio_down(i, p) / p.eta),
-                                 abs(bot - p.eta * w_ratio_up(i, p)))
-    recs.append(check("tq-three-term-eta1", worst_tq, tol["three_term_identity"],
+                offdiagonal.append(ur)
+                diagonal += [abs(top - p.sigma * w_ratio_down(i, p) / p.eta),
+                             abs(bot - p.eta * w_ratio_up(i, p))]
+    recs.append(check("tq-three-term-eta1", worst(three_term), tol["three_term_identity"],
                       n_max=4, trials=13, seed=seed))
-    recs.append(check("gauge-offdiagonal", worst_ur, 1e-12 * tol_scale, seed=seed))
-    recs.append(check("gauge-diagonal-vs-kernel", worst_diag, 1e-10 * tol_scale,
+    recs.append(check("gauge-offdiagonal", worst(offdiagonal), 1e-12 * tol_scale, seed=seed))
+    recs.append(check("gauge-diagonal-vs-kernel", worst(diagonal), 1e-10 * tol_scale,
                       seed=seed))
 
     p = rand_kernel(3, eta=0.7)
@@ -590,14 +571,14 @@ def suite_baxter(seed=1, tol_scale=1.0):
 
     bad = BetheConfig(2, 1, 1.0, 1.0, (1j,), 1.0)
     recs.append(check_exceeds("bethe-membership-control",
-                              min(eigen_membership_residual(bad, s0)
-                                  for s0 in MEMBERSHIP_SAMPLES), 1e-3,
+                              least(eigen_membership_residual(bad, s0)
+                                    for s0 in MEMBERSHIP_SAMPLES), 1e-3,
                               note="non-root candidate must fail membership"))
 
     vac = BetheConfig(2, 0, 1.0, 1.0, (), 0.0)
     recs.append(check("bethe-vacuum",
-                      max(abs(lambda_from_roots(vac, s0) - (s0 ** 2 + 1.0))
-                          for s0 in (0.45, 1.2)) +
+                      worst(abs(lambda_from_roots(vac, s0) - (s0 ** 2 + 1.0))
+                            for s0 in (0.45, 1.2)) +
                       eigen_membership_residual(vac, 0.45),
                       1e-12, note="empty configuration"))
 

@@ -197,6 +197,18 @@ def test_dressing_identities_and_control():
     assert rp_bad > 1e-3
 
 
+def test_nan_fails_the_certificate_wherever_it_falls():
+    y1, x0, xn, sig = 0.7 + 0.2j, 1.1 - 0.3j, 0.9, 0.25
+    rp, rm = v_dressing_residual(y1, 2.0 * y1, 2.0 * xn, xn, sig, 0.4, float("nan"))
+    assert np.isnan(rp) and rm < 1e-10
+    st = _solvable(np.random.default_rng(5), 3)
+    r = bt_solve(st, BTParams(0.3))
+    for i in range(3):
+        Y = list(r.Y)
+        Y[i] = complex("nan")
+        assert np.isnan(bt_generating_check(st.q, st.r, r.y, Y, 0.3))
+
+
 def test_dressed_generator_composite():
     rng = np.random.default_rng(23)
     st = _solvable(rng, 2)

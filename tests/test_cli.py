@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from dstlab.cli import main
-from dstlab import monodromy, verify
+from dstlab import backlund, monodromy, verify
 from dstlab.errors import CostGuard
 from lax_chain import lax_chain
 from dstlab.verify import run_suites, suite_rmatrix
@@ -118,6 +118,17 @@ def test_bad_flag_usage_exit():
     ["simulate", "--xi", "0", "--bc", "quasi"],
     ["simulate", "--xi", "0", "--bc", "periodic"],
     ["backlund", "--xi", "0", "--bc", "quasi"],
+    # tolerances scale by a positive factor; amplitudes, couplings and the
+    # spectral shift are finite numbers
+    ["verify", "--tol-scale", "nan", "--suite", "baxter"],
+    ["verify", "--tol-scale", "-1", "--suite", "baxter"],
+    ["verify", "--tol-scale", "0"],
+    ["simulate", "--scale", "nan"],
+    ["simulate", "--scale", "-0.1"],
+    ["simulate", "--theta-minus", "nan", "--bc", "open"],
+    ["simulate", "--theta-plus", "inf", "--bc", "open"],
+    ["backlund", "--theta-plus", "nan"],
+    ["backlund", "--sigma", "nan"],
 ])
 def test_invalid_numbers_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     # refused while parsing, before any command runs or writes a file
@@ -125,6 +136,29 @@ def test_invalid_numbers_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     assert main(argv) == 64
     assert f"argument {argv[1]}: expected " in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_nan_certificate_fails_and_stays_strict_json(monkeypatch, capsys):
+    monkeypatch.setattr(backlund, "v_dressing_residual", lambda *args: (float("nan"), 0.0))
+    assert main(["backlund", "--json"]) == 1
+    report = _strict_json(capsys.readouterr().out)
+    assert report["checks"]["dressing_plus"] == {
+        "residual": "nan", "tolerance": backlund.CERT_TOL["dressing_plus"], "pass": False}
+    assert report["checks"]["dressing_minus"]["pass"] and not report["pass"]
+
+
+def test_control_observing_zero_stays_strict_json(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "SUITES",
+                        {"rmatrix": lambda *args: [verify.check_exceeds("control", 0.0, 1e-3)]})
+    assert main(["verify", "--suite", "rmatrix", "--json"]) == 1
+    (record,) = _strict_json(capsys.readouterr().out)["records"]
+    assert record["residual"] == "inf" and record["pass"] is False
 
 
 def test_verify_rational_overrides(capsys):

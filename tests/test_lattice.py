@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies
 
 from dstlab.errors import NonFiniteState, ZeroXi
 from dstlab.lattice import (LatticeState, Observable, Open, Periodic,
                             Quasiperiodic, _all_finite, central_differences,
                             coordinate, eom,
-                            flow_consistency_residual, hamiltonian,
-                            poisson_bracket, step_rk4)
+                            flow_consistency_residual, hamiltonian, least,
+                            poisson_bracket, step_rk4, worst)
 
 
 def test_eom_periodic_hand_values():
@@ -262,3 +263,16 @@ def test_open_chain_equilibrium_is_elliptic():
     assert float(np.max(np.abs(eigs.real))) < 1e-5
     st = initial_state(6, bc, seed=42)
     assert st.n_sites == 6
+
+
+@given(strategies.lists(strategies.floats(allow_nan=False, allow_infinity=False)),
+       strategies.data())
+def test_residual_folds_keep_a_nan_wherever_it_falls(values, data):
+    # on finite values the folds are the builtins, to the bit
+    assert repr(worst(values)) == repr(max(values, default=0.0))
+    assert repr(least(values)) == repr(min(values, default=0.0))
+    at = data.draw(strategies.integers(0, len(values)))
+    with_nan = values[:at] + [float("nan")] + values[at:]
+    assert math.isnan(worst(with_nan)) and math.isnan(least(with_nan))
+    assert math.isnan(worst(iter(with_nan)))
+    assert worst([]) == least([]) == 0.0

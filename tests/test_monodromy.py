@@ -402,6 +402,21 @@ def test_sampled_trajectory_steps_and_blowup():
     assert info.value.steps_done == done
 
 
+def test_sampled_drift_stays_nan_after_a_nan_generator(monkeypatch):
+    from dstlab import monodromy as mod
+    real, calls = mod.generator, []
+
+    def generator_nan_at_step_1(state, bc):
+        calls.append(state)
+        g = real(state, bc)
+        return Poly([float("nan")] + g.c[1:]) if len(calls) == 2 else g
+
+    monkeypatch.setattr(mod, "generator", generator_nan_at_step_1)
+    st = LatticeState((0.3, -0.2), (0.1, 0.25))
+    drifts = [s.drift for s in sampled_trajectory(st, Periodic(), 1e-2, 3, 1)]
+    assert drifts[0] == 0.0 and all(np.isnan(d) for d in drifts[1:])
+
+
 def test_open_generator_poisson_commutes():
     # {tau(l), tau(m)} = 0 by finite differences, 20 random triples
     from dstlab.lattice import Observable, poisson_bracket
