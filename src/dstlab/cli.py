@@ -20,7 +20,7 @@ from . import __version__
 from .errors import CostGuard, DstlabError, NonFiniteState
 # step_rk4 is unused here, but dstbench's tests look it up in this module.
 from .lattice import Open, Periodic, Quasiperiodic, step_rk4  # noqa: F401
-from .monodromy import sampled_trajectory
+from .monodromy import relative_drift, sampled_trajectory
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -162,13 +162,12 @@ def cmd_simulate(args):
     samples = sampled_trajectory(st, bc, args.dt, steps, args.sample_every)
     first = next(samples)
     c0 = first.coeffs
-    deg = len(c0) - 1
 
     header = ["t"]
     for name, count in (("q", n), ("r", n)):
         for i in range(1, count + 1):
             header += [f"{name}{i}_re", f"{name}{i}_im"] if is_complex else [f"{name}{i}"]
-    for k in range(deg + 1):
+    for k in range(len(c0)):
         header += [f"c{k}_re", f"c{k}_im"] if is_complex else [f"c{k}"]
     header.append("max_relative_drift")
 
@@ -215,8 +214,7 @@ def cmd_simulate(args):
         "blowup": blowup,
         "last_time": last_t,
         "coefficient_drift": {
-            f"c{k}": float(abs(last.coeffs[k] - c0[k]) / max(1.0, abs(c0[k])))
-            for k in range(deg + 1)
+            f"c{k}": float(d) for k, d in enumerate(relative_drift(last.coeffs, c0))
         } if not blowup else {},
     }
     if args.json:

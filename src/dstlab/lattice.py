@@ -15,6 +15,8 @@ closed by (q_{N+1}, r_0) = (q_1, r_N) for the periodic ring, by
 brackets here and in `rmatrix`, the flow Jacobian of `verify` and the
 Bäcklund Jacobian of `backlund` all call it, each with its own steps.
 `worst` (and its mirror `least`) is the package's one fold of residuals.
+`_rates` is the flow's one formula, shared by `eom` and the four stages
+of `step_rk4`, which build no `Derivative` or stage object.
 """
 from __future__ import annotations
 
@@ -135,13 +137,6 @@ class Derivative(NamedTuple):
     dr: tuple
 
 
-class _Point(NamedTuple):
-    """Unvalidated (q, r) pair: the intermediate RK4 stages, read by `eom`."""
-
-    q: tuple
-    r: tuple
-
-
 class Observable:
     """Named scalar function of a LatticeState, differentiable nearby."""
 
@@ -162,15 +157,18 @@ def coordinate(kind, i):
     raise ValueError(kind)
 
 
+def _rates(q, r, bc):
+    """The flow's one formula: lists (dq, dr) at the tuples (q, r)."""
+    q_np1, r_0 = bc.closure(q, r)
+    # zip q_{n+1} and r_{n-1} with (q_n, r_n), closure values at the ends
+    return ([qn1 - qn * qn * rn for qn1, qn, rn in zip(q[1:] + (q_np1,), q, r)],
+            [-rm1 + qn * rn * rn for rm1, qn, rn in zip((r_0,) + r[:-1], q, r)])
+
+
 def eom(state, bc):
     """Time derivative of (q, r) with the regime's closure."""
-    q, r = state.q, state.r
-    q_np1, r_0 = bc.closure(q, r)
-    # zip q_{n+1} and r_{n-1} with (q_n, r_n), closure values at the ends;
-    # tuple([...]) because list comprehensions beat generators on CPython 3.11
-    dq = tuple([qn1 - qn * qn * rn for qn1, qn, rn in zip(q[1:] + (q_np1,), q, r)])
-    dr = tuple([-rm1 + qn * rn * rn for rm1, qn, rn in zip((r_0,) + r[:-1], q, r)])
-    return Derivative(dq, dr)
+    dq, dr = _rates(state.q, state.r, bc)
+    return Derivative(tuple(dq), tuple(dr))
 
 
 def hamiltonian(state, bc):
@@ -241,36 +239,30 @@ def flow_consistency_residual(state, bc):
                  + [abs(d.dr[i] + hq[i]) for i in range(len(hq))])
 
 
-def _shifted(state, h, d):
-    """The stage point state + h d, entry by entry."""
-    return _Point(tuple([a + h * k for a, k in zip(state.q, d.dq)]),
-                  tuple([a + h * k for a, k in zip(state.r, d.dr)]))
-
-
-def _rk4_update(z0, c, k1, k2, k3, k4):
-    """z0 + c (k1 + 2 k2 + 2 k3 + k4), entry by entry, summed in that order."""
-    return tuple([a + c * (p1 + 2 * p2 + 2 * p3 + p4)
-                  for a, p1, p2, p3, p4 in zip(z0, k1, k2, k3, k4)])
-
-
 def step_rk4(state, bc, dt):
     """One classical RK4 step; raises NonFiniteState on blow-up.
 
-    The stages are unvalidated points: a non-finite stage makes the update
-    non-finite, which the finiteness check of LatticeState on the result
-    catches.
+    The stages are unvalidated: a non-finite stage makes the update
+    non-finite, which the finiteness check of LatticeState catches.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
     half = 0.5 * dt
-    k1 = eom(state, bc)
-    k2 = eom(_shifted(state, half, k1), bc)
-    k3 = eom(_shifted(state, half, k2), bc)
-    k4 = eom(_shifted(state, dt, k3), bc)
+    q, r = state.q, state.r
+    kq1, kr1 = _rates(q, r, bc)
+    kq2, kr2 = _rates(tuple([x + half * k for x, k in zip(q, kq1)]),
+                      tuple([x + half * k for x, k in zip(r, kr1)]), bc)
+    kq3, kr3 = _rates(tuple([x + half * k for x, k in zip(q, kq2)]),
+                      tuple([x + half * k for x, k in zip(r, kr2)]), bc)
+    kq4, kr4 = _rates(tuple([x + dt * k for x, k in zip(q, kq3)]),
+                      tuple([x + dt * k for x, k in zip(r, kr3)]), bc)
     c = dt / 6
-    q1 = _rk4_update(state.q, c, k1.dq, k2.dq, k3.dq, k4.dq)
-    r1 = _rk4_update(state.r, c, k1.dr, k2.dr, k3.dr, k4.dr)
-    return LatticeState(q1, r1)
+    # x + c (k1 + 2 k2 + 2 k3 + k4), entry by entry, summed in that order
+    return LatticeState(
+        tuple([x + c * (p1 + 2 * p2 + 2 * p3 + p4)
+               for x, p1, p2, p3, p4 in zip(q, kq1, kq2, kq3, kq4)]),
+        tuple([x + c * (p1 + 2 * p2 + 2 * p3 + p4)
+               for x, p1, p2, p3, p4 in zip(r, kr1, kr2, kr3, kr4)]))
 
 
 def principal_sqrt(x):

@@ -177,16 +177,25 @@ class Sample(NamedTuple):
     drift: float
 
 
+def relative_drift(c, c0):
+    """|c - c0| / max(1, |c0|) per coefficient: the one drift formula."""
+    return np.abs(c - c0) / np.maximum(1.0, np.abs(c0))
+
+
 def sampled_trajectory(state, bc, dt, steps, sample_every):
     """Integrate `steps` RK4 steps from `state`; yield a Sample at step 0,
     every `sample_every`-th step and the last step.
 
-    A coefficient's relative drift is |c - c0| / max(1, |c0|).  On blow-up
-    the step's NonFiniteState propagates, carrying `steps_done`: the number
-    of steps completed before it.
+    On blow-up the step's NonFiniteState propagates, carrying `steps_done`:
+    the number of steps completed before it.  A non-finite step-0 generator
+    is a blow-up at step 0, raised after its sample (drift NaN).
     """
     c0 = np.array(generator(state, bc).c, dtype=complex)
-    scale = np.maximum(1.0, np.abs(c0))
+    if not np.isfinite(c0).all():
+        yield Sample(0, state, c0, float("nan"))
+        exc = NonFiniteState("the step-0 generator is not finite")
+        exc.steps_done = 0
+        raise exc
     drift = 0.0
     yield Sample(0, state, c0, drift)
     for k in range(1, steps + 1):
@@ -197,7 +206,7 @@ def sampled_trajectory(state, bc, dt, steps, sample_every):
             raise
         if k % sample_every == 0 or k == steps:
             c = np.array(generator(state, bc).c, dtype=complex)
-            drift = worst((drift, float(np.max(np.abs(c - c0) / scale))))
+            drift = worst((drift, float(np.max(relative_drift(c, c0)))))
             yield Sample(k, state, c, drift)
 
 

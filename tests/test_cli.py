@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from dstlab.cli import main
@@ -72,6 +73,33 @@ def test_simulate_blowup_exit_code(tmp_path):
     code = main(["simulate", "--n", "4", "--bc", "periodic", "--scale", "0.5",
                  "--seed", "1", "--t-final", "10", "--out", str(out)])
     assert code == 2
+
+
+def test_simulate_step0_generator_overflow_is_a_blowup(tmp_path, capsys):
+    # a finite state whose monodromy overflows: no drift can be measured
+    out = tmp_path / "big.csv"
+    code = main(["simulate", "--scale", "1e150", "--t-final", "0", "--json",
+                 "--out", str(out)])
+    assert code == 2
+    summary = _strict_json(capsys.readouterr().out)
+    assert summary["blowup"] is True and summary["coefficient_drift"] == {}
+    assert summary["max_relative_drift"] == "nan" and summary["last_time"] == 0.0
+    rows = list(csv.reader(out.open()))
+    assert len(rows) == 2 and rows[1][-1] == "nan"
+
+
+def test_simulate_coefficient_drift_is_the_trajectory_formula(tmp_path, capsys):
+    out = tmp_path / "open.csv"
+    assert main(["simulate", "--bc", "open", "--n", "4", "--seed", "3", "--t-final", "1",
+                 "--json", "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    rows = list(csv.DictReader(out.open()))
+    coeffs = [np.array([complex(float(row[f"c{k}_re"]), float(row[f"c{k}_im"]))
+                        for k in range(len(summary["coefficient_drift"]))])
+              for row in (rows[0], rows[-1])]
+    expected = monodromy.relative_drift(coeffs[1], coeffs[0])
+    assert [summary["coefficient_drift"][f"c{k}"] for k in range(len(expected))] \
+        == list(map(float, expected))
 
 
 def test_verify_exit_codes(tmp_path):

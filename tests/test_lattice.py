@@ -122,15 +122,6 @@ def test_rk4_linear_case_matrix_exponential():
     assert cur.r == (0.0, 0.0)
 
 
-def test_rk4_blowup_raises():
-    st = LatticeState((10.0, 10.0), (10.0, 10.0))
-    bc = Periodic()
-    with pytest.raises(NonFiniteState):
-        cur = st
-        for _ in range(10000):
-            cur = step_rk4(cur, bc, 0.05)
-
-
 def _reference_rk4(state, bc, dt):
     """RK4 that rebuilds and validates a LatticeState at every stage."""
     z0 = state.flat()
@@ -148,24 +139,52 @@ def _reference_rk4(state, bc, dt):
     return LatticeState.from_flat(z1)
 
 
-@pytest.mark.parametrize("bc, complex_state", [(Periodic(), False),
-                                               (Quasiperiodic(2.0), False),
-                                               (Open(0.3, 0.7), True)])
-def test_rk4_bitwise_equal_to_stagewise_reference(bc, complex_state):
-    rng = np.random.default_rng(11)
-    n = 5
-    q = rng.uniform(-0.3, 0.3, n)
-    r = rng.uniform(-0.3, 0.3, n)
-    if complex_state:
-        q = q + 1j * rng.uniform(-0.3, 0.3, n)
-        r = r + 1j * rng.uniform(-0.3, 0.3, n)
-    fast = ref = LatticeState(tuple(q), tuple(r))
+def test_rk4_blowup_raises():
+    """A blow-up raises, at the same step as under the stagewise reference."""
+    bc = Periodic()
+    steps = {}
+    for name, step in (("fast", step_rk4), ("reference", _reference_rk4)):
+        cur = LatticeState((10.0, 10.0), (10.0, 10.0))
+        with pytest.raises(NonFiniteState):
+            for k in range(10000):
+                cur = step(cur, bc, 0.05)
+        steps[name] = k
+    assert steps["fast"] == steps["reference"] > 0
+
+
+@pytest.mark.parametrize("bc, start", [
+    (Periodic(), False),
+    (Quasiperiodic(2.0), False),
+    (Open(0.3, 0.7), True),
+    (Quasiperiodic(-2.0), False),
+    # r_1 stays -0.0 while q_1 < 0: dr_1 = -0.0 + q_1 (-0.0)^2 is -0.0
+    pytest.param(Open(0.0, -0.7), ((-0.3, -0.2, -0.1), (-0.0, 0.1, 0.0)),
+                 id="signed-zero"),
+    pytest.param(Open(Fraction(1, 2), 1), ((Fraction(1, 3), 0, Fraction(-1, 5)),
+                                           (1, Fraction(1, 4), 0)), id="exact-entries"),
+])
+def test_rk4_bitwise_equal_to_stagewise_reference(bc, start):
+    """start is False / True for a seeded real / complex state, or (q, r)."""
+    if isinstance(start, bool):
+        rng = np.random.default_rng(11)
+        n = 5
+        q = rng.uniform(-0.3, 0.3, n)
+        r = rng.uniform(-0.3, 0.3, n)
+        if start:
+            q = q + 1j * rng.uniform(-0.3, 0.3, n)
+            r = r + 1j * rng.uniform(-0.3, 0.3, n)
+        start = tuple(q), tuple(r)
+    fast = ref = first = LatticeState(*start)
     for _ in range(200):
         fast = step_rk4(fast, bc, 1e-2)
         ref = _reference_rk4(ref, bc, 1e-2)
-        assert fast.q == ref.q and fast.r == ref.r
-    assert fast != LatticeState(tuple(q), tuple(r))
-    assert all(type(v) is (complex if complex_state else float) for v in fast.flat())
+        # repr, not ==: 0.0 == -0.0
+        assert list(map(repr, fast.flat())) == list(map(repr, ref.flat()))
+    assert fast != first
+    is_complex = any(isinstance(v, complex) for v in first.flat())
+    assert all(type(v) is (complex if is_complex else float) for v in fast.flat())
+    if "-0.0" in map(repr, first.flat()):
+        assert "-0.0" in map(repr, fast.flat())
 
 
 def test_all_finite_edge_cases():

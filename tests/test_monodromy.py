@@ -400,6 +400,14 @@ def test_sampled_trajectory_steps_and_blowup():
     with pytest.raises(NonFiniteState) as info:
         list(sampled_trajectory(big, bc, 0.05, 10000, 7))
     assert info.value.steps_done == done
+    # a finite state whose generator overflows blows up at step 0, after its sample
+    huge = LatticeState((1e150, -2e150, 3e150), (2e150, 1e150, -1e150))
+    samples = sampled_trajectory(huge, bc, 1e-3, 5, 1)
+    first = next(samples)
+    assert first.step == 0 and first.state is huge and np.isnan(first.drift)
+    with pytest.raises(NonFiniteState) as info:
+        next(samples)
+    assert info.value.steps_done == 0
 
 
 def test_sampled_drift_stays_nan_after_a_nan_generator(monkeypatch):
