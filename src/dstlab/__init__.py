@@ -10,10 +10,10 @@ three-term functional identity with Bethe-root cross-checks.
 
 __version__ = "0.1.0"
 
-from .lattice import (LatticeState, Observable, Open, Periodic, Quasiperiodic,
+from .lattice import (LatticeState, Open, Periodic, Quasiperiodic,
                       eom, hamiltonian, poisson_bracket, step_rk4)
 
 __all__ = [
-    "LatticeState", "Observable", "Open", "Periodic", "Quasiperiodic",
+    "LatticeState", "Open", "Periodic", "Quasiperiodic",
     "eom", "hamiltonian", "poisson_bracket", "step_rk4", "__version__",
 ]

@@ -30,10 +30,10 @@ from .monodromy import boundary_C, boundary_K, generator
 
 POLE_GUARD = 1e-12
 NEWTON_TOL = 1e-12  # max-norm of the map's residual at which Newton stops
+NEWTON_MAX_ITER = 50  # Newton iterations at one continuation point before NewtonDiverged
 
-# Certificate tolerances by name, shared by `verify --suite backlund` (which
-# scales them by --tol-scale) and `dstlab backlund`.  Twin certificates
-# share one tolerance.
+# Certificate tolerances by name, applied as written by `verify --suite
+# backlund` and `dstlab backlund`.  Twin certificates share one tolerance.
 INVARIANCE_TOL = 1e-8
 DRESSING_TOL = 1e-10
 CERT_TOL = {
@@ -55,7 +55,6 @@ BT_LAMBDA_GRID = tuple(1.37 * cmath.exp(2j * cmath.pi * (k + 0.5) / 8) for k in 
 
 @dataclass(frozen=True)
 class NewtonOptions:
-    max_iter: int = 50
     continuation_steps: int = 10
 
     def __post_init__(self):
@@ -145,7 +144,7 @@ def bt_solve(state_x, params, initial_guess=None):
                   for k in range(1, opts.continuation_steps + 1)]
     res = 0.0
     for sig in sigmas:
-        for _ in range(opts.max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             f, _ = _bt_F(y, x, X, sig, xi)
             res = float(np.max(np.abs(f)))
             if res <= NEWTON_TOL:
@@ -154,7 +153,8 @@ def bt_solve(state_x, params, initial_guess=None):
             y = y + np.linalg.solve(jac, -f)
             steps_used += 1
         else:
-            raise NewtonDiverged(f"residual {res:.3e} after {opts.max_iter} iterations at sigma={sig}")
+            raise NewtonDiverged(f"residual {res:.3e} after {NEWTON_MAX_ITER} iterations "
+                                 f"at sigma={sig}")
         f, _ = _bt_F(y, x, X, sig, xi)
         res = float(np.max(np.abs(f)))
         if res > NEWTON_TOL:
@@ -313,7 +313,7 @@ def v_minus_coeffs(y1, X0, sigma, theta_minus):
     return A1, A0, delta, beta, B0, C0
 
 
-def v_matrices(y1, y_end, X0, X_end, sigma, theta_minus, theta_plus, a_shift=0.0):
+def v_matrices(y1, y_end, X0, sigma, theta_minus, theta_plus, a_shift=0.0):
     """The lambda-dependent dressing matrices (V_plus, V_minus) as callables.
 
     a_shift perturbs the V_plus coefficient a (negative control hook).
@@ -349,8 +349,8 @@ def v_dressing_residual(y1, y_end, X0, X_end, sigma, theta_minus, theta_plus,
     displayed target of the construction)."""
     from .rmatrix import _mat2_eval
 
-    v_plus, v_minus = v_matrices(y1, y_end, X0, X_end, sigma,
-                                 theta_minus, theta_plus, a_shift=a_shift)
+    v_plus, v_minus = v_matrices(y1, y_end, X0, sigma, theta_minus, theta_plus,
+                                 a_shift=a_shift)
     k_minus, k_plus = boundary_K(Open(theta_minus, theta_plus))
     res_p, res_m = [], []
     for lam in BT_LAMBDA_GRID:
@@ -373,9 +373,8 @@ def jtilde_invariance_residual(state_x, result, params, theta_minus, theta_plus)
     from .rmatrix import _mat2_eval
 
     xi = params.xi
-    X_end = state_x.r[-1]
     v_plus, v_minus = v_matrices(result.y[0], _ring_next(result.y, xi)[-1],
-                                 _ring_prev(state_x.r, xi)[0], X_end, params.sigma,
+                                 _ring_prev(state_x.r, xi)[0], params.sigma,
                                  theta_minus, theta_plus)
     k_minus, k_plus = boundary_K(Open(theta_minus, theta_plus))
     t_x = monodromy(state_x)

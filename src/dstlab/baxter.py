@@ -30,9 +30,10 @@ from .errors import (EvaluationAtRoot, GammaPole, NoConvergence, PoleInput,
 from .lattice import worst
 
 POLE_GUARD = 1e-12
+BETHE_MAX_STARTS = 64  # randomized Newton starts before bethe_solve gives up
 
-# Certificate tolerances by name, shared by `verify --suite baxter` (which
-# scales them by --tol-scale) and `dstlab baxter`.
+# Certificate tolerances by name, applied as written by `verify --suite
+# baxter` and `dstlab baxter`.
 CERT_TOL = {
     "bethe_residual": 1e-10,
     "polynomiality_remainder": 1e-8,
@@ -276,7 +277,7 @@ def _bethe_jacobian(roots, n, xi, eta):
     return jac
 
 
-def bethe_solve(n, m, xi, eta, seed=0, tol=1e-12, max_starts=64, avoid=()):
+def bethe_solve(n, m, xi, eta, seed=0, tol=1e-12, avoid=()):
     """Solve the m-root algebraic system by Newton from randomized starts.
 
     Deflation: converged root sets matching `avoid` (or colliding roots)
@@ -285,7 +286,7 @@ def bethe_solve(n, m, xi, eta, seed=0, tol=1e-12, max_starts=64, avoid=()):
     rng = np.random.default_rng(seed)
     radius = 2.0 + abs(complex(eta)) * m
     collided = False
-    for _ in range(max_starts):
+    for _ in range(BETHE_MAX_STARTS):
         roots = radius * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m))
         ok = False
         for _ in range(80):
@@ -321,7 +322,7 @@ def bethe_solve(n, m, xi, eta, seed=0, tol=1e-12, max_starts=64, avoid=()):
         return BetheConfig(n, m, xi, eta, tuple(roots), res)
     if collided:
         raise RootCollision("only colliding root sets found")
-    raise NoConvergence(f"no Bethe solution in {max_starts} starts")
+    raise NoConvergence(f"no Bethe solution in {BETHE_MAX_STARTS} starts")
 
 
 def lambda_from_roots(cfg, sigma0):

@@ -99,7 +99,6 @@ def _build_parser():
     sp = sub.add_parser("verify", help="run identity suites and emit a verification report")
     sp.add_argument("--suite", default="all",
                     help="classical | rmatrix | backlund | quantum | baxter | all")
-    sp.add_argument("--tol-scale", type=_positive, default=1.0)
     sp.add_argument("--xi-minus", type=_rational, default=None,
                     help="rational boundary constant for the quantum suite (e.g. 2/3)")
     sp.add_argument("--xi-plus", type=_rational, default=None,
@@ -232,8 +231,7 @@ def cmd_verify(args):
         print(f"error: unknown suite {args.suite!r} "
               f"(choose from {', '.join(list(SUITES) + ['all'])})", file=sys.stderr)
         return EXIT_USAGE
-    report = run_suites(args.suite, seed=args.seed, tol_scale=args.tol_scale,
-                        xi_minus=args.xi_minus, xi_plus=args.xi_plus)
+    report = run_suites(args.suite, seed=args.seed, xi_minus=args.xi_minus, xi_plus=args.xi_plus)
     _dump(report, args)
     s = report["summary"]
     if not args.json:

@@ -137,23 +137,12 @@ class Derivative(NamedTuple):
     dr: tuple
 
 
-class Observable:
-    """Named scalar function of a LatticeState, differentiable nearby."""
-
-    def __init__(self, fn, name="observable"):
-        self.fn = fn
-        self.name = name
-
-    def __call__(self, state):
-        return self.fn(state)
-
-
 def coordinate(kind, i):
-    """Observable picking q_i or r_i (1-based index)."""
+    """The function of a LatticeState picking q_i or r_i (1-based index)."""
     if kind == "q":
-        return Observable(lambda s: s.q[i - 1], f"q_{i}")
+        return lambda s: s.q[i - 1]
     if kind == "r":
-        return Observable(lambda s: s.r[i - 1], f"r_{i}")
+        return lambda s: s.r[i - 1]
     raise ValueError(kind)
 
 
@@ -225,7 +214,8 @@ def _grad(f, state, h_scale=DEFAULT_FD_STEP):
 
 
 def poisson_bracket(f, g, state, h_scale=DEFAULT_FD_STEP):
-    """{f, g} = sum_n df/dq_n dg/dr_n - df/dr_n dg/dq_n by central differences."""
+    """{f, g} = sum_n df/dq_n dg/dr_n - df/dr_n dg/dq_n by central differences,
+    for scalar functions f, g of a LatticeState."""
     fq, fr = _grad(f, state, h_scale)
     gq, gr = _grad(g, state, h_scale)
     return sum(fq[i] * gr[i] - fr[i] * gq[i] for i in range(len(fq)))

@@ -181,11 +181,11 @@ def test_v_matrix_coefficients():
     assert a == 0.0 and d == -sigma * thp and b == y_end ** 2
     a1, a0, delta, beta, b0, c0 = v_minus_coeffs(0.7, 0.0, sigma, 0.0)
     assert a1 == 0.0 and c0 == 0.0 and delta == 0.0
-    vp, vm = v_matrices(0.7, 0.9, 0.0, 0.5, 0.0, 0.0, thp)
+    vp, vm = v_matrices(0.7, 0.9, 0.0, 0.0, 0.0, thp)
     m = vp(1.3)
     assert abs(m[0, 0] / (-1.0) - (0.9 - thp)) < 1e-14  # prefactor -1, d = 0
     with pytest.raises(SingularPrefactor):
-        v_matrices(0.7, 0.9, 0.0, 0.5, 0.25, 0.0, thp)[0](-0.25)
+        v_matrices(0.7, 0.9, 0.0, 0.25, 0.0, thp)[0](-0.25)
 
 
 def test_dressing_identities_and_control():
@@ -217,12 +217,14 @@ def test_dressed_generator_composite():
     assert jtilde_invariance_residual(st, r, p, 0.4, 0.8) < 1e-8
 
 
-def test_solver_failure_modes():
+def test_solver_failure_modes(monkeypatch):
     from dstlab.errors import NewtonDiverged, PoleEncountered, SingularG
     rng = np.random.default_rng(31)
     st = _solvable(rng, 2)
-    with pytest.raises(NewtonDiverged):
-        bt_solve(st, BTParams(0.3, Periodic(), NewtonOptions(max_iter=0)))
+    with monkeypatch.context() as m:
+        m.setattr(backlund, "NEWTON_MAX_ITER", 0)
+        with pytest.raises(NewtonDiverged):
+            bt_solve(st, BTParams(0.3))
     # a guess on the pole set trips the guard immediately
     with pytest.raises(PoleEncountered):
         bt_solve(st, BTParams(0.3), initial_guess=[0.0, 1.0])

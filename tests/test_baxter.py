@@ -244,10 +244,11 @@ def test_tq_residual_tracks_solver_tolerance():
     assert bethe_remainder(tight) <= 100 * max(bethe_remainder(loose), 1e-14)
 
 
-def test_bethe_no_convergence_budget():
+def test_bethe_no_convergence_budget(monkeypatch):
+    from dstlab import baxter
+    monkeypatch.setattr(baxter, "BETHE_MAX_STARTS", 1)
     with pytest.raises(NoConvergence):
-        bethe_solve(2, 1, 1.0, 1.0, seed=1, max_starts=1,
-                    avoid=[(1.0,), (-1.0,)])
+        bethe_solve(2, 1, 1.0, 1.0, seed=1, avoid=[(1.0,), (-1.0,)])
 
 
 def test_sov_residual_values():

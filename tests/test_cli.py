@@ -146,11 +146,11 @@ def test_bad_flag_usage_exit():
     ["simulate", "--xi", "0", "--bc", "quasi"],
     ["simulate", "--xi", "0", "--bc", "periodic"],
     ["backlund", "--xi", "0", "--bc", "quasi"],
-    # tolerances scale by a positive factor; amplitudes, couplings and the
-    # spectral shift are finite numbers
-    ["verify", "--tol-scale", "nan", "--suite", "baxter"],
-    ["verify", "--tol-scale", "-1", "--suite", "baxter"],
-    ["verify", "--tol-scale", "0"],
+    # times, Bäcklund parameters and counts are finite numbers
+    ["simulate", "--t-final", "nan"],
+    ["backlund", "--sigma", "inf"],
+    ["baxter", "--m", "1.5"],
+    # amplitudes, couplings and the spectral shift are finite numbers
     ["simulate", "--scale", "nan"],
     ["simulate", "--scale", "-0.1"],
     ["simulate", "--theta-minus", "nan", "--bc", "open"],
@@ -164,6 +164,12 @@ def test_invalid_numbers_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     assert main(argv) == 64
     assert f"argument {argv[1]}: expected " in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_no_tolerance_scale_flag(capsys):
+    # every tolerance applies as written: no flag scales them
+    assert main(["verify", "--tol-scale", "2"]) == 64
+    assert "unrecognized arguments: --tol-scale 2" in capsys.readouterr().err
 
 
 def _strict_json(text):
@@ -305,5 +311,5 @@ def test_report_records_sorted_and_complete(monkeypatch):
     monkeypatch.setattr(verify, "SUITES", quick)
     ids = [r["identity_id"] for r in run_suites("all", seed=2)["records"]]
     assert ids == sorted(ids)
-    per_suite = [{r.identity_id for r in fn(2, 1.0)} for fn in quick.values()]
+    per_suite = [{r.identity_id for r in fn(2)} for fn in quick.values()]
     assert all(per_suite) and set(ids) == set().union(*per_suite)

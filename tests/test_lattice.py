@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies
 
 from dstlab.errors import NonFiniteState, ZeroXi
-from dstlab.lattice import (LatticeState, Observable, Open, Periodic,
+from dstlab.lattice import (LatticeState, Open, Periodic,
                             Quasiperiodic, _all_finite, central_differences,
                             coordinate, eom,
                             flow_consistency_residual, hamiltonian, least,
@@ -87,8 +87,8 @@ def test_canonical_brackets():
 def test_bracket_antisymmetry_same_stencil():
     rng = np.random.default_rng(5)
     st = LatticeState(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
-    h = Observable(lambda s: hamiltonian(s, Open(0.3, 0.7)), "H")
-    g = Observable(lambda s: s.q[0] ** 2 * s.r[2] + s.r[0], "probe")
+    h = lambda s: hamiltonian(s, Open(0.3, 0.7))
+    g = lambda s: s.q[0] ** 2 * s.r[2] + s.r[0]
     assert abs(poisson_bracket(h, g, st) + poisson_bracket(g, h, st)) < 1e-12
     assert abs(poisson_bracket(h, h, st)) < 1e-12
 
@@ -265,8 +265,8 @@ def test_central_differences_on_a_cubic():
 def test_non_finite_difference_quotient():
     from dstlab.errors import NonFiniteDerivative
     st = LatticeState((1.0,), (1.0,))
-    bad = Observable(lambda s: float("inf") if s.q[0] > 1.0 else 0.0, "step")
-    f = Observable(lambda s: s.r[0], "r")
+    bad = lambda s: float("inf") if s.q[0] > 1.0 else 0.0
+    f = lambda s: s.r[0]
     with pytest.raises(NonFiniteDerivative):
         poisson_bracket(bad, f, st)
 

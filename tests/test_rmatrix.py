@@ -121,11 +121,11 @@ def test_cism2_degenerate_nilpotent():
 def test_stencil_convergence_order_on_cubic_witness():
     # the lattice identities are multilinear per coordinate, hence exact for
     # the central stencil; the order is certified on a cubic observable
-    from dstlab.lattice import Observable, poisson_bracket
+    from dstlab.lattice import poisson_bracket
     rng = np.random.default_rng(5)
     st = _rand_state(rng, 2)
-    f = Observable(lambda s: s.q[0] ** 3, "q^3")
-    g = Observable(lambda s: s.r[0], "r")
+    f = lambda s: s.q[0] ** 3
+    g = lambda s: s.r[0]
     exact = 3.0 * st.q[0] ** 2
     e1 = abs(poisson_bracket(f, g, st, h_scale=1e-3) - exact)
     e2 = abs(poisson_bracket(f, g, st, h_scale=5e-4) - exact)
