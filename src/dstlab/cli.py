@@ -149,6 +149,12 @@ def _fmt_c(z):
 
 def cmd_simulate(args):
     from .verify import initial_state
+    steps = args.t_final / args.dt
+    if not math.isfinite(steps):
+        print(f"error: --t-final {args.t_final!r} / --dt {args.dt!r} "
+              "is not a finite number of steps", file=sys.stderr)
+        return EXIT_USAGE
+    steps = round(steps)
     bc = {"periodic": Periodic(),
           "quasi": Quasiperiodic(args.xi),
           "open": Open(args.theta_minus, args.theta_plus)}[args.bc]
@@ -157,7 +163,6 @@ def cmd_simulate(args):
     is_complex = any(isinstance(v, complex) or getattr(v, "imag", 0) != 0
                      for v in st.flat())
     n = args.n
-    steps = int(round(args.t_final / args.dt))
     samples = sampled_trajectory(st, bc, args.dt, steps, args.sample_every)
     first = next(samples)
     c0 = first.coeffs

@@ -15,12 +15,17 @@ closed by (q_{N+1}, r_0) = (q_1, r_N) for the periodic ring, by
 brackets here and in `rmatrix`, the flow Jacobian of `verify` and the
 Bäcklund Jacobian of `backlund` all call it, each with its own steps.
 `worst` (and its mirror `least`) is the package's one fold of residuals.
-`_rates` is the flow's one formula, shared by `eom` and the four stages
-of `step_rk4`, which build no `Derivative` or stage object.
+The flow's formula is written once, in `_rate_lines`, which emits it as
+Python source.  `_kernels(N)` compiles that source, once per chain length,
+into two straight-line functions on local variables: `rates`, which `eom`
+runs, and `rk4`, which `step_rk4` runs.  The RK4 kernel writes its four
+stages and the update as plain expressions, with no loop, comprehension or
+stage object, so one step builds one `LatticeState`, its result.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -146,18 +151,63 @@ def coordinate(kind, i):
     raise ValueError(kind)
 
 
-def _rates(q, r, bc):
-    """The flow's one formula: lists (dq, dr) at the tuples (q, r)."""
-    q_np1, r_0 = bc.closure(q, r)
-    # zip q_{n+1} and r_{n-1} with (q_n, r_n), closure values at the ends
-    return ([qn1 - qn * qn * rn for qn1, qn, rn in zip(q[1:] + (q_np1,), q, r)],
-            [-rm1 + qn * rn * rn for rm1, qn, rn in zip((r_0,) + r[:-1], q, r)])
+def _rate_lines(n, x, y, kx, ky):
+    """Source lines setting the locals kx0.., ky0.. to the flow's rates at
+    the point x0.., y0.. of an n-site chain: the flow's one formula,
+
+        dq_n/dt = q_{n+1} - q_n q_n r_n,   dr_n/dt = -r_{n-1} + q_n r_n r_n,
+
+    with (q_{N+1}, r_0) from `closure` of the end sites (q_1,), (r_N,)."""
+    xs = [f"{x}{i}" for i in range(n)] + [f"{x}hi"]
+    ys = [f"{y}lo"] + [f"{y}{i}" for i in range(n)]
+    lines = [f"{x}hi, {y}lo = closure(({x}0,), ({y}{n - 1},))"]
+    for i in range(n):
+        qn, rn = xs[i], ys[i + 1]
+        lines.append(f"{kx}{i} = {xs[i + 1]} - {qn} * {qn} * {rn}")
+        lines.append(f"{ky}{i} = -{ys[i]} + {qn} * {rn} * {rn}")
+    return lines
+
+
+def _kernel_source(n):
+    """Source of `rates(q, r, closure)` and `rk4(q, r, closure, dt)` for
+    n-site chains, built from integers and fixed names only.  Each returns
+    a pair of n-tuples: the rates (dq, dr), or the state after one RK4 step,
+    x + c (k1 + 2 k2 + 2 k3 + k4) with c = dt/6 and the stages k2, k3, k4
+    at x + half k1, x + half k2 and x + dt k3, half = 0.5 dt."""
+    def names(prefix):
+        return "".join(f"{prefix}{i}, " for i in range(n))
+
+    unpack = [f"{names('q')}= q", f"{names('r')}= r"]
+    rates = unpack + _rate_lines(n, "q", "r", "dq", "dr")
+    rates.append(f"return ({names('dq')}), ({names('dr')})")
+    rk4 = unpack + ["half = 0.5 * dt"] + _rate_lines(n, "q", "r", "kq1_", "kr1_")
+    for s, h in ((2, "half"), (3, "half"), (4, "dt")):
+        for x in "qr":
+            rk4 += [f"{x}{s}_{i} = {x}{i} + {h} * k{x}{s - 1}_{i}" for i in range(n)]
+        rk4 += _rate_lines(n, f"q{s}_", f"r{s}_", f"kq{s}_", f"kr{s}_")
+    rk4.append("c = dt / 6")
+    rk4.append("return " + ", ".join(
+        "(" + "".join(f"{x}{i} + c * (k{x}1_{i} + 2 * k{x}2_{i} + 2 * k{x}3_{i}"
+                      f" + k{x}4_{i}), " for i in range(n)) + ")"
+        for x in "qr"))
+    return "".join(f"def {head}:\n" + "".join(f"    {line}\n" for line in body)
+                   for head, body in (("rates(q, r, closure)", rates),
+                                      ("rk4(q, r, closure, dt)", rk4)))
+
+
+@functools.lru_cache
+def _kernels(n):
+    """(rates, rk4): the functions of `_kernel_source(n)`, compiled once
+    per chain length."""
+    namespace = {}
+    exec(compile(_kernel_source(n), f"<rk4 n={n}>", "exec"), namespace)
+    return namespace["rates"], namespace["rk4"]
 
 
 def eom(state, bc):
     """Time derivative of (q, r) with the regime's closure."""
-    dq, dr = _rates(state.q, state.r, bc)
-    return Derivative(tuple(dq), tuple(dr))
+    rates, _ = _kernels(state.n_sites)
+    return Derivative(*rates(state.q, state.r, bc.closure))
 
 
 def hamiltonian(state, bc):
@@ -237,22 +287,8 @@ def step_rk4(state, bc, dt):
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    half = 0.5 * dt
-    q, r = state.q, state.r
-    kq1, kr1 = _rates(q, r, bc)
-    kq2, kr2 = _rates(tuple([x + half * k for x, k in zip(q, kq1)]),
-                      tuple([x + half * k for x, k in zip(r, kr1)]), bc)
-    kq3, kr3 = _rates(tuple([x + half * k for x, k in zip(q, kq2)]),
-                      tuple([x + half * k for x, k in zip(r, kr2)]), bc)
-    kq4, kr4 = _rates(tuple([x + dt * k for x, k in zip(q, kq3)]),
-                      tuple([x + dt * k for x, k in zip(r, kr3)]), bc)
-    c = dt / 6
-    # x + c (k1 + 2 k2 + 2 k3 + k4), entry by entry, summed in that order
-    return LatticeState(
-        tuple([x + c * (p1 + 2 * p2 + 2 * p3 + p4)
-               for x, p1, p2, p3, p4 in zip(q, kq1, kq2, kq3, kq4)]),
-        tuple([x + c * (p1 + 2 * p2 + 2 * p3 + p4)
-               for x, p1, p2, p3, p4 in zip(r, kr1, kr2, kr3, kr4)]))
+    _, rk4 = _kernels(state.n_sites)
+    return LatticeState(*rk4(state.q, state.r, bc.closure, dt))
 
 
 def principal_sqrt(x):

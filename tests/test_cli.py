@@ -166,6 +166,15 @@ def test_invalid_numbers_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_simulate_step_count_overflow_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # each number is valid, but t_final / dt overflows to inf
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--t-final", "1e300", "--dt", "1e-300"]) == 64
+    assert capsys.readouterr().err == (
+        "error: --t-final 1e+300 / --dt 1e-300 is not a finite number of steps\n")
+    assert not list(tmp_path.iterdir())
+
+
 def test_no_tolerance_scale_flag(capsys):
     # every tolerance applies as written: no flag scales them
     assert main(["verify", "--tol-scale", "2"]) == 64

@@ -122,14 +122,23 @@ def test_rk4_linear_case_matrix_exponential():
     assert cur.r == (0.0, 0.0)
 
 
+def _reference_rates(q, r, bc):
+    """The flow's formula as comprehensions: lists (dq, dr) at the tuples (q, r)."""
+    q_np1, r_0 = bc.closure(q, r)
+    return ([qn1 - qn * qn * rn for qn1, qn, rn in zip(q[1:] + (q_np1,), q, r)],
+            [-rm1 + qn * rn * rn for rm1, qn, rn in zip((r_0,) + r[:-1], q, r)])
+
+
 def _reference_rk4(state, bc, dt):
-    """RK4 that rebuilds and validates a LatticeState at every stage."""
+    """RK4 that rebuilds and validates a LatticeState at every stage, with
+    its own copy of the flow's formula."""
     z0 = state.flat()
     m = len(z0)
 
     def f(z):
-        d = eom(LatticeState.from_flat(z), bc)
-        return list(d.dq) + list(d.dr)
+        s = LatticeState.from_flat(z)
+        dq, dr = _reference_rates(s.q, s.r, bc)
+        return dq + dr
 
     k1 = f(z0)
     k2 = f([z0[i] + 0.5 * dt * k1[i] for i in range(m)])
@@ -140,16 +149,17 @@ def _reference_rk4(state, bc, dt):
 
 
 def test_rk4_blowup_raises():
-    """A blow-up raises, at the same step as under the stagewise reference."""
-    bc = Periodic()
-    steps = {}
-    for name, step in (("fast", step_rk4), ("reference", _reference_rk4)):
-        cur = LatticeState((10.0, 10.0), (10.0, 10.0))
-        with pytest.raises(NonFiniteState):
-            for k in range(10000):
-                cur = step(cur, bc, 0.05)
-        steps[name] = k
-    assert steps["fast"] == steps["reference"] > 0
+    """A blow-up raises, at the same step as under the stagewise reference,
+    in every regime (after about 1000, 10 and 12 steps)."""
+    for bc in (Periodic(), Quasiperiodic(2.0), Open(0.3, 0.7)):
+        steps = {}
+        for name, step in (("fast", step_rk4), ("reference", _reference_rk4)):
+            cur = LatticeState((3.0, 3.0), (3.0, 3.0))
+            with pytest.raises(NonFiniteState):
+                for k in range(10000):
+                    cur = step(cur, bc, 0.05)
+            steps[name] = k
+        assert steps["fast"] == steps["reference"] > 0, bc
 
 
 @pytest.mark.parametrize("bc, start", [
@@ -164,27 +174,32 @@ def test_rk4_blowup_raises():
                                            (1, Fraction(1, 4), 0)), id="exact-entries"),
 ])
 def test_rk4_bitwise_equal_to_stagewise_reference(bc, start):
-    """start is False / True for a seeded real / complex state, or (q, r)."""
+    """start is False / True for seeded real / complex states of 5, 1, 2, 24
+    and 300 sites (at N=1 both closure ends come from one site; N=300 takes
+    5 steps, the others 200), or one (q, r)."""
+    starts = [(start, 200)]
     if isinstance(start, bool):
         rng = np.random.default_rng(11)
-        n = 5
-        q = rng.uniform(-0.3, 0.3, n)
-        r = rng.uniform(-0.3, 0.3, n)
-        if start:
-            q = q + 1j * rng.uniform(-0.3, 0.3, n)
-            r = r + 1j * rng.uniform(-0.3, 0.3, n)
-        start = tuple(q), tuple(r)
-    fast = ref = first = LatticeState(*start)
-    for _ in range(200):
-        fast = step_rk4(fast, bc, 1e-2)
-        ref = _reference_rk4(ref, bc, 1e-2)
-        # repr, not ==: 0.0 == -0.0
-        assert list(map(repr, fast.flat())) == list(map(repr, ref.flat()))
-    assert fast != first
-    is_complex = any(isinstance(v, complex) for v in first.flat())
-    assert all(type(v) is (complex if is_complex else float) for v in fast.flat())
-    if "-0.0" in map(repr, first.flat()):
-        assert "-0.0" in map(repr, fast.flat())
+        starts = []
+        for n, steps in ((5, 200), (1, 200), (2, 200), (24, 200), (300, 5)):
+            q = rng.uniform(-0.3, 0.3, n)
+            r = rng.uniform(-0.3, 0.3, n)
+            if start:
+                q = q + 1j * rng.uniform(-0.3, 0.3, n)
+                r = r + 1j * rng.uniform(-0.3, 0.3, n)
+            starts.append(((tuple(q), tuple(r)), steps))
+    for start, steps in starts:
+        fast = ref = first = LatticeState(*start)
+        for _ in range(steps):
+            fast = step_rk4(fast, bc, 1e-2)
+            ref = _reference_rk4(ref, bc, 1e-2)
+            # repr, not ==: 0.0 == -0.0
+            assert list(map(repr, fast.flat())) == list(map(repr, ref.flat()))
+        assert fast != first
+        is_complex = any(isinstance(v, complex) for v in first.flat())
+        assert all(type(v) is (complex if is_complex else float) for v in fast.flat())
+        if "-0.0" in map(repr, first.flat()):
+            assert "-0.0" in map(repr, fast.flat())
 
 
 def test_all_finite_edge_cases():
