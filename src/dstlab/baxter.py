@@ -21,6 +21,7 @@ eta = 1 and carries correction factors eta^{-N}, eta^{+N} otherwise.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,14 +101,54 @@ def _check_gamma_pole(sigma, eta):
         raise GammaPole(f"sigma/eta + 1 = {s} hits a Gamma pole")
 
 
+# B_2k / (2k (2k - 1)) for k = 1..8: the coefficients of z^(1 - 2k) in
+# Stirling's series for log Gamma.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
+             1 / 156, -3617 / 122400)
+_HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
+
+
+def _loggamma(z):
+    """Principal branch of log Gamma(z): analytic off (-inf, 0] and real on
+    the positive axis, as scipy.special.loggamma.  On the negative axis the
+    sign of Im z picks the side, so x + 0j takes the value from above,
+    ln|Gamma(x)| - i pi ceil(-x).
+
+    Re z >= 1/2 shifts up to Re z >= 8 by log Gamma(z) = log Gamma(z + 1)
+    - log z, then sums Stirling's series; Re z < 1/2 reflects.  Neither
+    loop depends on |z|."""
+    z = complex(z)
+    if math.copysign(1.0, z.imag) < 0:
+        return _loggamma(z.conjugate()).conjugate()
+    if z.real < 0.5:
+        # log sin(pi z) on its branch analytic in the upper half-plane,
+        # log(i/2) - i pi z + log(1 - e^(2 pi i z)): |e^(2 pi i z)| <= 1, so
+        # nothing overflows at large Im z, and 1 - e^(2 pi i z) is formed
+        # from sines so that it keeps its digits near the poles.
+        x = z.real - round(z.real)     # exact; e^(2 pi i z) has period 1 in Re z
+        a, theta = 2 * math.pi * z.imag, 2 * math.pi * x
+        one_minus = complex(2 * math.sin(math.pi * x) ** 2 - math.expm1(-a) * math.cos(theta),
+                            -math.exp(-a) * math.sin(theta))
+        log_sin = (complex(math.pi * z.imag - math.log(2), math.pi * (0.5 - z.real))
+                   + cmath.log(one_minus))
+        return math.log(math.pi) - log_sin - _loggamma(1 - z)
+    shift = 0j
+    while z.real < 8:
+        shift += cmath.log(z)
+        z += 1
+    r = 1 / z
+    series = 0j
+    for c in reversed(_STIRLING):
+        series = series * r * r + c
+    return (z - 0.5) * cmath.log(z) - z + _HALF_LOG_2PI + series * r - shift
+
+
 def log_w(i, p):
     """log of the site kernel (constant prefactor dropped), principal branches."""
-    from scipy.special import loggamma     # its only user; the import costs about 0.3 s
-
     _check_gamma_pole(p.sigma, p.eta)
     z = complex(p.z(i))
     s = complex(p.sigma) / complex(p.eta)
-    return (loggamma(s + 1) - cmath.log(complex(p.y[i]))
+    return (_loggamma(s + 1) - cmath.log(complex(p.y[i]))
             + (-s - 1) * cmath.log(z) + z / complex(p.eta))
 
 

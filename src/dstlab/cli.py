@@ -163,46 +163,42 @@ def cmd_simulate(args):
     is_complex = any(isinstance(v, complex) or getattr(v, "imag", 0) != 0
                      for v in st.flat())
     n = args.n
-    samples = sampled_trajectory(st, bc, args.dt, steps, args.sample_every)
-    first = next(samples)
-    c0 = first.coeffs
 
-    header = ["t"]
-    for name, count in (("q", n), ("r", n)):
-        for i in range(1, count + 1):
-            header += [f"{name}{i}_re", f"{name}{i}_im"] if is_complex else [f"{name}{i}"]
-    for k in range(len(c0)):
-        header += [f"c{k}_re", f"c{k}_im"] if is_complex else [f"c{k}"]
-    header.append("max_relative_drift")
-
-    rows = []
-
-    def emit(t, sample):
-        row = [repr(float(t))]
+    def row(t, sample):
+        cells = [repr(float(t))]
         for v in sample.state.flat():
-            row += _fmt_c(v) if is_complex else [repr(float(v))]
+            cells += _fmt_c(v) if is_complex else [repr(float(v))]
         for c in sample.coeffs:
-            row += _fmt_c(c) if is_complex else [repr(float(c.real))]
-        row.append(repr(float(sample.drift)))
-        rows.append(row)
+            cells += _fmt_c(c) if is_complex else [repr(float(c.real))]
+        cells.append(repr(float(sample.drift)))
+        return ",".join(cells) + "\n"
 
-    emit(0.0, first)
-    last = first
-    blowup = False
-    try:
-        for last in samples:
-            emit(last.step * args.dt, last)
-        done = last.step
-    except NonFiniteState as exc:
-        blowup, done = True, exc.steps_done
-    last_t = done * args.dt if done else 0.0
-    drift = last.drift
-
+    # Each row is written as it is sampled, so an interrupted run keeps the
+    # rows before the interruption.
     out_path = args.out or "trajectory.csv"
     with open(out_path, "w") as fh:
+        samples = sampled_trajectory(st, bc, args.dt, steps, args.sample_every)
+        first = last = next(samples)
+        c0 = first.coeffs
+        header = ["t"]
+        for name, count in (("q", n), ("r", n)):
+            for i in range(1, count + 1):
+                header += [f"{name}{i}_re", f"{name}{i}_im"] if is_complex else [f"{name}{i}"]
+        for k in range(len(c0)):
+            header += [f"c{k}_re", f"c{k}_im"] if is_complex else [f"c{k}"]
+        header.append("max_relative_drift")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.write(row(0.0, first))
+        rows, blowup = 1, False
+        try:
+            for last in samples:
+                fh.write(row(last.step * args.dt, last))
+                rows += 1
+            done = last.step
+        except NonFiniteState as exc:
+            blowup, done = True, exc.steps_done
+    last_t = done * args.dt if done else 0.0
+    drift = last.drift
 
     summary = {
         "version": __version__,
@@ -212,7 +208,7 @@ def cmd_simulate(args):
         "dt": args.dt,
         "t_final": args.t_final,
         "seed": args.seed,
-        "rows": len(rows),
+        "rows": rows,
         "csv": out_path,
         "max_relative_drift": drift,
         "blowup": blowup,
@@ -225,7 +221,7 @@ def cmd_simulate(args):
         sys.stdout.write(_json_text(summary))
     else:
         status = "blow-up" if blowup else "ok"
-        print(f"simulate {bc.label} n={n}: {status}, {len(rows)} samples, "
+        print(f"simulate {bc.label} n={n}: {status}, {rows} samples, "
               f"max drift {drift:.3e}, csv -> {out_path}")
     return EXIT_BLOWUP if blowup else EXIT_OK
 
@@ -336,7 +332,7 @@ def main(argv=None):
         return EXIT_COST
     except NonFiniteState:
         return EXIT_BLOWUP
-    except DstlabError as exc:
+    except (DstlabError, OSError) as exc:     # OSError: an --out that cannot be written
         print(f"{args.command} run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -18,6 +18,7 @@ observing 0 has residual "inf"), so the report stays strict JSON.
 """
 from __future__ import annotations
 
+import sys
 import zlib
 from dataclasses import dataclass
 
@@ -263,6 +264,12 @@ def initial_state(n, bc, seed, amplitude=None, t_final=10.0):
         return LatticeState.from_flat(list(z0 + noise))
     rate = abs(bc.xi) ** (1.0 / n) if isinstance(bc, Quasiperiodic) else 1.0
     scale = amplitude if amplitude is not None else 0.05 * float(np.exp(-rate * t_final))
+    if amplitude is None and scale < sys.float_info.min:
+        # a zero (or subnormal) scale integrates the exact vacuum, whose drift
+        # 0.0 would check nothing
+        raise DstlabError(f"the default amplitude 0.05 exp(-{rate!r} t_final) = {scale!r} "
+                          f"underflows at t_final = {t_final!r}; "
+                          "set the amplitude (simulate --scale)")
     return _state(rng, n, scale)
 
 

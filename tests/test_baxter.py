@@ -4,13 +4,14 @@ import cmath
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from dstlab._rat import rat
 from dstlab.baxter import (CERT_TOL, BetheConfig, QKernelParams,
-                           SovParams, bethe_certificates, bethe_remainder, bethe_solve,
+                           SovParams, _loggamma, bethe_certificates, bethe_remainder, bethe_solve,
                            eigen_membership_residual, gauge_triangularize,
                            kernel_sites, lambda_degree_probe, lambda_from_roots, log_w,
                            qj_lax, sov_residual, tq_exact_rational,
@@ -260,7 +261,76 @@ def test_sov_residual_values():
     assert sov_residual(sv, 0.5, variant="alt") == 1.0
 
 
-def test_baxter_and_verify_imports_load_no_scipy_special():
-    # scipy.special costs about 0.3 s to import; only log_w needs it
-    code = "import sys, dstlab.baxter, dstlab.verify; sys.exit('scipy.special' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+def _close(a, b, rel=1e-14):
+    return abs(a - b) <= rel * max(1.0, abs(b))
+
+
+@pytest.mark.parametrize("x", [1e-3, 0.1, 0.25, 0.5, 0.7, 1.0, 1.5, 2.0, 3.7, 7.9, 8.0,
+                               10.3, 50.0, 171.5, 1e4])
+def test_loggamma_matches_lgamma_on_the_positive_axis(x):
+    assert _close(_loggamma(x), math.lgamma(x))
+
+
+def _off_axis_points(count=400):
+    rng = np.random.default_rng(11)
+    return [complex(a, s * b) for a, b, s in zip(rng.uniform(-20, 20, count),
+                                                 rng.uniform(0.1, 30, count),
+                                                 rng.choice([-1, 1], count))]
+
+
+def test_loggamma_recurrence_off_the_real_axis():
+    # Re z in [-20, 20]: the recurrence links the reflected and the shifted path
+    for z in _off_axis_points():
+        step = _loggamma(z + 1) - _loggamma(z)
+        assert abs(step - cmath.log(z)) <= 1e-14 * max(1.0, abs(_loggamma(z)))
+
+
+def test_loggamma_conjugate_symmetry():
+    for z in _off_axis_points() + [complex(-2.5, 0.0), complex(0.3, 0.0)]:
+        assert _close(_loggamma(z.conjugate()), _loggamma(z).conjugate())
+
+
+def test_loggamma_closed_forms():
+    assert _close(_loggamma(0.5), 0.5 * math.log(math.pi))
+    # |Gamma(iy)|^2 = pi / (y sinh(pi y)); Re z = 0 takes the reflection path
+    for y in (0.1, 1.0, 5.0, 30.0, 100.0):
+        expected = math.log(math.pi) - math.log(y) - math.log(math.sinh(math.pi * y))
+        assert _close(2 * _loggamma(1j * y).real, expected)
+
+
+@pytest.mark.parametrize("x", [0.25, 0.5, 1.0, 3.3, 12.0])
+def test_loggamma_continuous_across_the_positive_axis(x):
+    on_axis = _loggamma(x)
+    for eps in (1e-300, 1e-9):
+        above, below = _loggamma(complex(x, eps)), _loggamma(complex(x, -eps))
+        assert abs(above - on_axis) <= 10 * eps * max(1.0, abs(on_axis)) + 1e-14
+        assert abs(below - on_axis) <= 10 * eps * max(1.0, abs(on_axis)) + 1e-14
+
+
+@pytest.mark.parametrize("x", [-0.5, -1.3, -2.5, -7.9, -49.3,
+                               -0.9999999999, -3.0000001, -49.999999])
+def test_loggamma_negative_axis_branch(x):
+    # from above (+0.0): ln|Gamma(x)| - i pi ceil(-x); from below (-0.0): its
+    # conjugate.  The last three sit near poles, where sin(pi x) must keep
+    # its digits.
+    above = complex(math.lgamma(x), -math.pi * math.ceil(-x))
+    assert _close(_loggamma(complex(x, 0.0)), above)
+    assert _close(_loggamma(complex(x, -0.0)), above.conjugate())
+
+
+def test_loggamma_far_from_the_origin_returns_at_once():
+    z = -1e7 - 5e6j
+    start = time.perf_counter()
+    value = _loggamma(z)
+    assert time.perf_counter() - start < 0.1      # no loop grows with |z|
+    assert cmath.isfinite(value)
+    assert abs(_loggamma(z + 1) - value - cmath.log(z)) <= 1e-14 * abs(value)
+
+
+def test_baxter_commands_run_without_scipy():
+    code = ("import sys; sys.modules['scipy'] = None; from dstlab.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    for argv in (["verify", "--suite", "baxter", "--json"], ["baxter", "--json"]):
+        proc = subprocess.run([sys.executable, "-c", code, *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dstlab.cli import main
-from dstlab import backlund, monodromy, verify
+from dstlab import backlund, cli, monodromy, verify
 from dstlab.errors import CostGuard
 from lax_chain import lax_chain
 from dstlab.verify import run_suites, suite_rmatrix
@@ -86,6 +86,61 @@ def test_simulate_step0_generator_overflow_is_a_blowup(tmp_path, capsys):
     assert summary["max_relative_drift"] == "nan" and summary["last_time"] == 0.0
     rows = list(csv.reader(out.open()))
     assert len(rows) == 2 and rows[1][-1] == "nan"
+
+
+def test_simulate_streams_rows_as_sampled(tmp_path, monkeypatch):
+    # an interrupted run keeps the rows sampled before the interruption
+    k = 3
+    real = monodromy.sampled_trajectory
+
+    def interrupted(*args):
+        samples = real(*args)
+        for _ in range(k):
+            yield next(samples)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "sampled_trajectory", interrupted)
+    out = tmp_path / "traj.csv"
+    with pytest.raises(KeyboardInterrupt):
+        main(["simulate", "--t-final", "1", "--out", str(out)])
+    rows = list(csv.reader(out.open()))
+    assert rows[0][0] == "t" and [float(r[0]) for r in rows[1:]] == [0.0, 0.05, 0.1]
+
+
+_QUICK = {"simulate": ["simulate", "--t-final", "0.01"],
+          "verify": ["verify", "--suite", "rmatrix"],
+          "backlund": ["backlund"],
+          "baxter": ["baxter"]}
+
+
+@pytest.mark.parametrize("command", sorted(_QUICK))
+def test_unwritable_out_is_one_failure_line(command, tmp_path, monkeypatch, capsys):
+    def not_reached(*args):
+        raise AssertionError("simulate integrated before opening --out")
+
+    monkeypatch.setattr(cli, "sampled_trajectory", not_reached)
+    for out, error in ((tmp_path / "missing" / "x.out", "FileNotFoundError"),
+                       (tmp_path, "IsADirectoryError")):
+        assert main([*_QUICK[command], "--json", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{command} run failed: {error}: ")
+        assert captured.err.count("\n") == 1
+
+
+def test_simulate_refuses_an_underflowing_default_amplitude(tmp_path, capsys):
+    # 0.05 exp(-1000) is 0.0: the run would integrate the exact vacuum
+    out = tmp_path / "vacuum.csv"
+    argv = ["simulate", "--t-final", "1000", "--dt", "0.5", "--json", "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("simulate run failed: DstlabError: the default amplitude")
+    assert not out.exists()
+    # an explicit amplitude still runs (and, this long, blows up)
+    assert main([*argv, "--scale", "1e-3"]) == 2
+    assert _strict_json(capsys.readouterr().out)["rows"] >= 1
+    assert out.exists()
 
 
 def test_simulate_coefficient_drift_is_the_trajectory_formula(tmp_path, capsys):
