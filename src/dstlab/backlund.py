@@ -6,14 +6,16 @@ The map (x, X) -> (y, Y) is defined implicitly by
     Y_i = X_{i-1} + (x_i - y_{i+1})/y_i * X_i,
 
 with the ring closure y_{N+1} = xi y_1, X_0 = xi X_N (xi = 1 periodic).
-It is solved by Newton continuation in sigma from the exact sigma=0 seed
-y_i = -1/X_i.
+It is solved by Newton continuation in sigma, over
+BTParams.continuation_steps points, from the exact sigma=0 seed y_i = -1/X_i.
 
 The gauge matrices certifying the map carry the *auxiliary* variables of the
 extended phase space, which are the negatives of the new site variables
 (t_i = -y_i); using +y_i in the local exchange identity leaves an O(1)
 defect, and the negated convention is what makes the dressing coefficients
-of the boundary matrices come out in closed form.
+of the boundary matrices come out in closed form.  The dressed-generator
+check compares the dressed trace before the map with the open generator of
+`monodromy` after it, so the transfer polynomial is written once.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ import numpy as np
 from .errors import (LogBranch, NewtonDiverged, PoleEncountered, SingularG,
                      SingularPrefactor, ZeroSeed)
 from .lattice import LatticeState, Open, Periodic, Quasiperiodic, central_differences, worst
-from .monodromy import boundary_C, boundary_K, generator
+from .monodromy import boundary_C, boundary_K, generator, monodromy
 
 POLE_GUARD = 1e-12
 NEWTON_TOL = 1e-12  # max-norm of the map's residual at which Newton stops
@@ -54,19 +56,14 @@ BT_LAMBDA_GRID = tuple(1.37 * cmath.exp(2j * cmath.pi * (k + 0.5) / 8) for k in 
 
 
 @dataclass(frozen=True)
-class NewtonOptions:
-    continuation_steps: int = 10
+class BTParams:
+    sigma: complex
+    closure: object = field(default_factory=Periodic)
+    continuation_steps: int = 10  # sigma points of the Newton continuation ramp
 
     def __post_init__(self):
         if self.continuation_steps < 1:
             raise ValueError("continuation_steps >= 1 required")
-
-
-@dataclass(frozen=True)
-class BTParams:
-    sigma: complex
-    closure: object = field(default_factory=Periodic)
-    newton: NewtonOptions = field(default_factory=NewtonOptions)
 
     @property
     def xi(self):
@@ -132,7 +129,7 @@ def bt_solve(state_x, params, initial_guess=None):
     X = np.asarray(state_x.r, dtype=complex)
     if np.min(np.abs(X)) < POLE_GUARD:
         raise ZeroSeed("sigma=0 seed needs all X_i nonzero")
-    opts = params.newton
+    steps = params.continuation_steps
     xi = params.xi
     steps_used = 0
     if initial_guess is not None:
@@ -140,8 +137,7 @@ def bt_solve(state_x, params, initial_guess=None):
         sigmas = [params.sigma]
     else:
         y = -1.0 / X
-        sigmas = [params.sigma * k / opts.continuation_steps
-                  for k in range(1, opts.continuation_steps + 1)]
+        sigmas = [params.sigma * k / steps for k in range(1, steps + 1)]
     res = 0.0
     for sig in sigmas:
         for _ in range(NEWTON_MAX_ITER):
@@ -368,27 +364,27 @@ def v_dressing_residual(y1, y_end, X0, X_end, sigma, theta_minus, theta_plus,
 
 def jtilde_invariance_residual(state_x, result, params, theta_minus, theta_plus):
     """Composite check: tr[V_+(l) T(x;l) V_-(l) T(x;-l)^{-1}] before the map
-    equals tr[K_+(l) T(y;l) K_-(l) T(y;-l)^{-1}] after it."""
-    from .monodromy import monodromy
+    equals tr[K_+(l) T(y;l) K_-(l) T(y;-l)^{-1}] after it.
+
+    The after side is g(l) / (-l)^N for the open generator g of the new
+    state: by the adjugate identity of the monodromy module's docstring,
+    T^{-1}(-l) is adjugate_neg(T)(l) / (-l)^N."""
     from .rmatrix import _mat2_eval
 
     xi = params.xi
     v_plus, v_minus = v_matrices(result.y[0], _ring_next(result.y, xi)[-1],
                                  _ring_prev(state_x.r, xi)[0], params.sigma,
                                  theta_minus, theta_plus)
-    k_minus, k_plus = boundary_K(Open(theta_minus, theta_plus))
     t_x = monodromy(state_x)
-    t_y = monodromy(result.state())
+    g_y = generator(result.state(), Open(theta_minus, theta_plus))
+    n = state_x.n_sites
 
     defects = []
     for lam in BT_LAMBDA_GRID:
         if abs(lam) < POLE_GUARD or abs(lam - params.sigma) < POLE_GUARD \
                 or abs(lam + params.sigma) < POLE_GUARD:
             continue
-        kp, km = _mat2_eval(k_plus, lam), _mat2_eval(k_minus, lam)
         before = np.trace(v_plus(lam) @ _mat2_eval(t_x, lam) @ v_minus(lam)
                           @ np.linalg.inv(_mat2_eval(t_x, -lam)))
-        after = np.trace(kp @ _mat2_eval(t_y, lam) @ km
-                         @ np.linalg.inv(_mat2_eval(t_y, -lam)))
-        defects.append(abs(before - after))
+        defects.append(abs(before - g_y(lam) / (-lam) ** n))
     return worst(defects)

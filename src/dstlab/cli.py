@@ -8,6 +8,7 @@ DstlabError, 2 trajectory blow-up, 3 cost guard, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import re
@@ -74,7 +75,8 @@ def _build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--seed", type=int, default=1, help="64-bit RNG seed")
+        sp.add_argument("--seed", type=_count, default=1,
+                        help="RNG seed, a non-negative integer")
         sp.add_argument("--json", action="store_true",
                         help="print the machine-readable report to stdout")
         sp.add_argument("--out", type=str, default=None,
@@ -133,11 +135,18 @@ def _json_text(report):
     return json.dumps(strict(report), sort_keys=True, indent=2) + "\n"
 
 
-def _dump(report, args):
+def _open_out(args):
+    """The --out file, opened for writing before the run so that a path that
+    cannot be written fails at once; without --out, a context giving None."""
+    return open(args.out, "w") if args.out else contextlib.nullcontext()
+
+
+def _dump(report, args, out):
+    """Write the report's JSON text to `out` (the file _open_out gave, or
+    None) and, with --json, to stdout."""
     text = _json_text(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    if out is not None:
+        out.write(text)
     if args.json:
         sys.stdout.write(text)
 
@@ -232,8 +241,10 @@ def cmd_verify(args):
         print(f"error: unknown suite {args.suite!r} "
               f"(choose from {', '.join(list(SUITES) + ['all'])})", file=sys.stderr)
         return EXIT_USAGE
-    report = run_suites(args.suite, seed=args.seed, xi_minus=args.xi_minus, xi_plus=args.xi_plus)
-    _dump(report, args)
+    with _open_out(args) as out:
+        report = run_suites(args.suite, seed=args.seed, xi_minus=args.xi_minus,
+                            xi_plus=args.xi_plus)
+        _dump(report, args, out)
     s = report["summary"]
     if not args.json:
         for r in report["records"]:
@@ -245,16 +256,17 @@ def cmd_verify(args):
     return EXIT_OK if s["failed"] == 0 else EXIT_FAIL
 
 
-def _report_checks(args, report, residuals, tolerances):
+def _report_checks(args, out, report, residuals, tolerances):
     """Complete `report` with the {residual, tolerance, pass} table of
-    `residuals` ({name: residual}) and the overall pass, write it, print one
-    PASS/FAIL line per check unless --json, and return the exit code."""
+    `residuals` ({name: residual}) and the overall pass, write it to `out`
+    and --json, print one PASS/FAIL line per check unless --json, and return
+    the exit code."""
     report.update(version=__version__, command=args.command, seed=args.seed)
     report["checks"] = {k: {"residual": float(abs(v)), "tolerance": tolerances[k],
                             "pass": float(abs(v)) <= tolerances[k]}
                         for k, v in residuals.items()}
     ok = report["pass"] = all(c["pass"] for c in report["checks"].values())
-    _dump(report, args)
+    _dump(report, args, out)
     if not args.json:
         for k, c in report["checks"].items():
             print(f"{'PASS' if c['pass'] else 'FAIL'} {k}: {c['residual']:.3e} "
@@ -274,47 +286,49 @@ def cmd_backlund(args):
     st = solvable_state(np.random.default_rng(args.seed), n)
     params = BTParams(args.sigma, bc)
     xi = params.xi
-    res, certs = bt_certificates(st, params)
-    certs["dressing_plus"], certs["dressing_minus"] = v_dressing_residual(
-        res.y[0], xi * res.y[0], xi * st.r[-1], st.r[-1], args.sigma,
-        args.theta_minus, args.theta_plus)
-    if n <= 3:
-        certs["symplectic_jacobian"] = bt_symplectic_residual(st, params)
-    report = {
-        "n": n,
-        "sigma": args.sigma,
-        "regime": bc.label,
-        "steps_used": res.steps_used,
-        "y": [[z.real, z.imag] for z in res.y],
-        "Y": [[z.real, z.imag] for z in res.Y],
-    }
-    return _report_checks(args, report, certs, CERT_TOL)
+    with _open_out(args) as out:
+        res, certs = bt_certificates(st, params)
+        certs["dressing_plus"], certs["dressing_minus"] = v_dressing_residual(
+            res.y[0], xi * res.y[0], xi * st.r[-1], st.r[-1], args.sigma,
+            args.theta_minus, args.theta_plus)
+        if n <= 3:
+            certs["symplectic_jacobian"] = bt_symplectic_residual(st, params)
+        report = {
+            "n": n,
+            "sigma": args.sigma,
+            "regime": bc.label,
+            "steps_used": res.steps_used,
+            "y": [[z.real, z.imag] for z in res.y],
+            "Y": [[z.real, z.imag] for z in res.Y],
+        }
+        return _report_checks(args, out, report, certs, CERT_TOL)
 
 
 def cmd_baxter(args):
     from .baxter import (CERT_TOL, MEMBERSHIP_SAMPLES, BetheConfig, QKernelParams,
                          bethe_certificates, bethe_solve, kernel_sites,
                          lambda_from_roots, tq_scalar_residual)
-    if args.m > 0:
-        cfg = bethe_solve(args.n, args.m, args.xi, args.eta, seed=args.seed)
-    else:
-        cfg = BetheConfig(args.n, 0, args.xi, args.eta, (), 0.0)
-    certs = bethe_certificates(cfg)
-    y, q = kernel_sites(np.random.default_rng(args.seed), args.n, args.xi)
-    kp = QKernelParams(0.8 + 0.4j, args.eta, args.xi, y, q)
-    certs["three_term_identity"], corr = tq_scalar_residual(kp)
-    report = {
-        "n": args.n,
-        "m": args.m,
-        "xi": args.xi,
-        "eta": args.eta,
-        "roots": [[z.real, z.imag] for z in cfg.roots],
-        "lambda_samples": {repr(s0): [lambda_from_roots(cfg, s0).real,
-                                      lambda_from_roots(cfg, s0).imag]
-                           for s0 in MEMBERSHIP_SAMPLES},
-        "eta_correction_factors": [abs(corr[0]), abs(corr[1])],
-    }
-    return _report_checks(args, report, certs, CERT_TOL)
+    with _open_out(args) as out:
+        if args.m > 0:
+            cfg = bethe_solve(args.n, args.m, args.xi, args.eta, seed=args.seed)
+        else:
+            cfg = BetheConfig(args.n, 0, args.xi, args.eta, (), 0.0)
+        certs = bethe_certificates(cfg)
+        y, q = kernel_sites(np.random.default_rng(args.seed), args.n, args.xi)
+        kp = QKernelParams(0.8 + 0.4j, args.eta, args.xi, y, q)
+        certs["three_term_identity"], corr = tq_scalar_residual(kp)
+        report = {
+            "n": args.n,
+            "m": args.m,
+            "xi": args.xi,
+            "eta": args.eta,
+            "roots": [[z.real, z.imag] for z in cfg.roots],
+            "lambda_samples": {repr(s0): [lambda_from_roots(cfg, s0).real,
+                                          lambda_from_roots(cfg, s0).imag]
+                               for s0 in MEMBERSHIP_SAMPLES},
+            "eta_correction_factors": [abs(corr[0]), abs(corr[1])],
+        }
+        return _report_checks(args, out, report, certs, CERT_TOL)
 
 
 def main(argv=None):

@@ -7,10 +7,16 @@ telescopes to  M_{N+1} T - T M_1.  `monodromy` is the one place T is built,
 for every caller: it runs the Lax recurrence on coefficient lists, which
 gives the Mat2[Poly] chain's coefficients bit for bit.
 
-The open-chain generator is built inverse-free: since det T(lambda) =
+The open-chain generator is Sklyanin's transfer polynomial
+tr[K_+ T K_- T^{-1}(-lambda)], built inverse-free: since det T(lambda) =
 lambda^N, the inverse T^{-1}(-lambda) is replaced by the adjugate
-sigma2 T^t(-lambda) sigma2, which multiplies the generator by the harmless
-scalar factor (-lambda)^N and shifts its degree to 2N+2.
+sigma2 T^t(-lambda) sigma2 = (-lambda)^N T^{-1}(-lambda), which multiplies
+the generator by the harmless scalar factor (-lambda)^N and shifts its
+degree to 2N+2.  With U = T K_- adj(T) and K_+ = [[theta_+, 0],
+[lambda, theta_+]], the trace is read off U as
+theta_+ U11 + (lambda U12 + theta_+ U22), as quantum.qtau reads tau off the
+dressed operator matrix: no K_+ product is formed, and the sums keep the
+grouping of tr(K_+ U), whose finite coefficients they give bit for bit.
 """
 from __future__ import annotations
 
@@ -139,20 +145,13 @@ def boundary_K(bc):
     return k_minus, k_plus
 
 
-def open_generator_matrix(state, bc):
-    """T(lambda) K_-(lambda) adjugate_neg(T)(lambda): the dressed matrix
-    up to the scalar (-lambda)^N."""
-    k_minus, _ = boundary_K(bc)
-    t = monodromy(state)
-    return t @ k_minus @ adjugate_neg(t)
-
-
 def generator(state, bc):
     """Polynomial generator of conserved quantities for the regime.
 
     periodic:      tr T(lambda)                        degree N
     quasiperiodic: tr[C(xi) T(lambda)]                 degree N
-    open:          tr[K_+ T K_- sigma2 T^t(-l) sigma2] degree 2N+2
+    open:          tr[K_+ T K_- sigma2 T^t(-l) sigma2] degree 2N+2,
+                   read off U = T K_- adj(T) (see the module docstring)
     """
     if isinstance(bc, Periodic):
         return monodromy(state).trace()
@@ -161,8 +160,11 @@ def generator(state, bc):
         s = principal_sqrt(bc.xi)
         return t.a11 * (1 / s) + t.a22 * s
     if isinstance(bc, Open):
-        _, k_plus = boundary_K(bc)
-        return (k_plus @ open_generator_matrix(state, bc)).trace()
+        k_minus, _ = boundary_K(bc)
+        t = monodromy(state)
+        u = t @ k_minus @ adjugate_neg(t)
+        tp = bc.theta_plus
+        return u.a11 * tp + (u.a12.shift_up(1) + u.a22 * tp)
     raise WrongRegime(f"unknown boundary condition {bc!r}")
 
 

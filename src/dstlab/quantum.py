@@ -70,7 +70,8 @@ commutator tables, swapped differences and assembled residual are all
 keyed by packed ints, which hash and add faster than tuples.  Only what
 leaves the check is unpacked: the terms of the witness's degree pair, whose
 lowest key is taken in tuple order (an int compares the last slot first),
-and each nonzero entry that exchange_residual yields.
+and each nonzero entry that exchange_residual yields, which is where
+exchange_check reads its witness.
 """
 from __future__ import annotations
 
@@ -337,12 +338,11 @@ def _exchange_entries(lifted, n, eta, outer, middle):
 def exchange_check(x, n, eta, outer, middle=None):
     """Exact check of the exchange relation of exchange_residual.  Returns
     (ok, witness), the witness at the first nonzero residual entry in
-    row-major order, lowest degree pair and exponent key; only the
-    witness's terms are unpacked."""
-    size, lifted = _packed([_lift_terms(e, n) for e in x.entries()])
-    for entry, res in _exchange_entries(lifted, n, eta, outer, middle):
+    row-major order, lowest degree pair and exponent key; entries after it
+    are not formed."""
+    for entry, res in exchange_residual(x, n, eta, outer, middle):
         if res:
-            return _verdict(res, entry, (n, size))
+            return _verdict(res, entry)
     return True, None
 
 

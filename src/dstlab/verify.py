@@ -367,7 +367,7 @@ def suite_rmatrix(seed=1, inject_wrong_k=False):
 # ---------------------------------------------------------------------------
 
 def suite_backlund(seed=1):
-    from .backlund import (CERT_TOL, BTParams, NewtonOptions, bt_certificates,
+    from .backlund import (CERT_TOL, BTParams, bt_certificates,
                            bt_invariance_residual, bt_solve, bt_symplectic_residual,
                            jtilde_invariance_residual, solvable_state,
                            v_dressing_residual)
@@ -413,8 +413,7 @@ def suite_backlund(seed=1):
                       1e-8, seed=seed))
 
     st3 = solvable_state(rng, 3)
-    ys = [bt_solve(st3, BTParams(0.3, Periodic(),
-                                 NewtonOptions(continuation_steps=k))).y
+    ys = [bt_solve(st3, BTParams(0.3, Periodic(), continuation_steps=k)).y
           for k in (10, 20, 40)]
     recs.append(check("bt-branch-stability",
                       worst(abs(a - b) for yk in ys[1:] for a, b in zip(ys[0], yk)),

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from dstlab import backlund
-from dstlab.backlund import (BT_LAMBDA_GRID, CERT_TOL, BTParams, BTResult, NewtonOptions,
+from dstlab.backlund import (BT_LAMBDA_GRID, CERT_TOL, BTParams, BTResult,
                              bt_certificates, bt_generating_check,
                              bt_invariance_residual, bt_local_identity_residual,
                              bt_solve, bt_symplectic_residual, g_matrix,
@@ -159,11 +159,15 @@ def test_symplectic_jacobian():
 def test_branch_stability_under_continuation_refinement():
     rng = np.random.default_rng(17)
     st = _solvable(rng, 3)
-    ys = [bt_solve(st, BTParams(0.3, Periodic(),
-                                NewtonOptions(continuation_steps=k))).y
+    ys = [bt_solve(st, BTParams(0.3, Periodic(), continuation_steps=k)).y
           for k in (10, 20, 40)]
     for yk in ys[1:]:
         assert max(abs(a - b) for a, b in zip(ys[0], yk)) < 1e-10
+
+
+def test_continuation_needs_a_step():
+    with pytest.raises(ValueError):
+        BTParams(0.3, continuation_steps=0)
 
 
 def test_composition_preserves_spectrum():

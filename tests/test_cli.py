@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dstlab.cli import main
-from dstlab import backlund, cli, monodromy, verify
+from dstlab import backlund, baxter, cli, monodromy, verify
 from dstlab.errors import CostGuard
 from lax_chain import lax_chain
 from dstlab.verify import run_suites, suite_rmatrix
@@ -115,10 +115,14 @@ _QUICK = {"simulate": ["simulate", "--t-final", "0.01"],
 
 @pytest.mark.parametrize("command", sorted(_QUICK))
 def test_unwritable_out_is_one_failure_line(command, tmp_path, monkeypatch, capsys):
-    def not_reached(*args):
-        raise AssertionError("simulate integrated before opening --out")
+    def not_reached(*args, **kwargs):
+        raise AssertionError(f"{command} ran before opening --out")
 
+    # each command's run: nothing runs before --out is open
     monkeypatch.setattr(cli, "sampled_trajectory", not_reached)
+    monkeypatch.setattr(verify, "run_suites", not_reached)
+    monkeypatch.setattr(backlund, "bt_certificates", not_reached)
+    monkeypatch.setattr(baxter, "bethe_solve", not_reached)
     for out, error in ((tmp_path / "missing" / "x.out", "FileNotFoundError"),
                        (tmp_path, "IsADirectoryError")):
         assert main([*_QUICK[command], "--json", "--out", str(out)]) == 1
@@ -212,6 +216,11 @@ def test_bad_flag_usage_exit():
     ["simulate", "--theta-plus", "inf", "--bc", "open"],
     ["backlund", "--theta-plus", "nan"],
     ["backlund", "--sigma", "nan"],
+    # a seed is a non-negative integer
+    ["simulate", "--seed", "-1"],
+    ["verify", "--seed", "-1"],
+    ["backlund", "--seed", "-1"],
+    ["baxter", "--seed", "-1"],
 ])
 def test_invalid_numbers_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     # refused while parsing, before any command runs or writes a file

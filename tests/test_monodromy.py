@@ -1,4 +1,5 @@
 """Lax matrices, monodromy, boundary matrices and conserved generators."""
+import cmath
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from dstlab._rat import rat
+from dstlab.backlund import BTParams, bt_solve, jtilde_invariance_residual, solvable_state
 from dstlab.errors import WrongRegime, ZeroXi
 from dstlab.lattice import LatticeState, Open, Periodic, Quasiperiodic, hamiltonian
 from dstlab.monodromy import (adjugate_neg, boundary_C, boundary_K,
@@ -230,6 +232,52 @@ def test_generator_open_single_site_frozen():
     assert g.coeff(4) == -1
     assert g.coeff(3) == 0 and g.coeff(1) == 0 and g.coeff(0) == 0
     assert abs(g.coeff(2) - (q * q * r * r - 2 * q * thm - 2 * r * thp)) < 1e-12
+
+
+def _open_generator_by_k_plus(st, bc):
+    """The open generator as the trace of the full product K_+ U."""
+    k_minus, k_plus = boundary_K(bc)
+    t = monodromy(st)
+    return (k_plus @ (t @ k_minus @ adjugate_neg(t))).trace()
+
+
+def _finite(p):
+    return all(cmath.isfinite(complex(c)) for c in p.c)
+
+
+# default, negative, signed-zero, complex and rational boundary constants
+_THETAS = ((0.3, 0.7), (-1.25, 2.0), (0.0, -0.0), (-0.0, 0.0), (1.0, -0.5),
+           (0.4 + 0.2j, -0.6j), (Fraction(2, 3), Fraction(-5, 4)))
+
+
+@pytest.mark.parametrize("kind", ["float", "complex", "signed-zeros"])
+def test_open_generator_matches_the_k_plus_trace_bit_for_bit(kind):
+    # theta_+ U11 + (lambda U12 + theta_+ U22) is tr(K_+ U) in the same
+    # grouping.  A generator that overflows is a blow-up either way: there
+    # only its being non-finite is compared.
+    rng = random.Random(kind)
+    compared = 0
+    for n in range(1, 7):
+        for _ in range(20):
+            st = LatticeState(tuple(_scalar(rng, kind) for _ in range(n)),
+                              tuple(_scalar(rng, kind) for _ in range(n)))
+            for thetas in _THETAS:
+                want = _open_generator_by_k_plus(st, Open(*thetas))
+                got = generator(st, Open(*thetas))
+                if not _finite(want):
+                    assert not _finite(got), (st, thetas)
+                    continue
+                assert [repr(c) for c in got.c] == [repr(c) for c in want.c], (st, thetas)
+                compared += 1
+    assert compared >= 300
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dressed_generator_reads_the_open_generator(seed):
+    # the map and boundary constants of verify's bt-dressed-generator record
+    st = solvable_state(np.random.default_rng(seed), 2)
+    p = BTParams(0.3, Quasiperiodic(2.0))
+    assert jtilde_invariance_residual(st, bt_solve(st, p), p, 0.4, 0.8) < 1e-8
 
 
 def _closed_forms(st):
