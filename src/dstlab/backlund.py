@@ -28,7 +28,7 @@ import numpy as np
 from .errors import (LogBranch, NewtonDiverged, PoleEncountered, SingularG,
                      SingularPrefactor, ZeroSeed)
 from .lattice import LatticeState, Open, Periodic, Quasiperiodic, central_differences, worst
-from .monodromy import boundary_C, boundary_K, generator, monodromy
+from .monodromy import boundary_C, boundary_K, generator, mat2_array, monodromy
 
 POLE_GUARD = 1e-12
 NEWTON_TOL = 1e-12  # max-norm of the map's residual at which Newton stops
@@ -151,10 +151,6 @@ def bt_solve(state_x, params, initial_guess=None):
         else:
             raise NewtonDiverged(f"residual {res:.3e} after {NEWTON_MAX_ITER} iterations "
                                  f"at sigma={sig}")
-        f, _ = _bt_F(y, x, X, sig, xi)
-        res = float(np.max(np.abs(f)))
-        if res > NEWTON_TOL:
-            raise NewtonDiverged(f"residual {res:.3e} at continuation point sigma={sig}")
     _, y_next = _bt_F(y, x, X, params.sigma, xi)
     Y = np.array(_ring_prev(X, xi), dtype=complex) + (x - y_next) / y * X
     return BTResult(tuple(y), tuple(Y), res, steps_used)
@@ -232,9 +228,7 @@ def bt_invariance_residual(state_x, result, params, y_end=None):
         y_end = _ring_next(result.y, xi)[-1]
     X_end = state_x.r[-1]
     X0 = _ring_prev(state_x.r, xi)[0]
-    c = boundary_C(xi) if isinstance(bc, Quasiperiodic) else None
-    cm = np.eye(2, dtype=complex) if c is None else np.array(
-        [[complex(c.a11), 0], [0, complex(c.a22)]])
+    cm = mat2_array(boundary_C(xi), 0.0)  # boundary_C(1.0) is the identity
 
     def defect(lam):
         if abs(lam - params.sigma) < POLE_GUARD:
@@ -343,8 +337,6 @@ def v_dressing_residual(y1, y_end, X0, X_end, sigma, theta_minus, theta_plus,
 
     (the right side of the lower identity is the K_- matrix, which is the
     displayed target of the construction)."""
-    from .rmatrix import _mat2_eval
-
     v_plus, v_minus = v_matrices(y1, y_end, X0, sigma, theta_minus, theta_plus,
                                  a_shift=a_shift)
     k_minus, k_plus = boundary_K(Open(theta_minus, theta_plus))
@@ -352,7 +344,7 @@ def v_dressing_residual(y1, y_end, X0, X_end, sigma, theta_minus, theta_plus,
     for lam in BT_LAMBDA_GRID:
         if abs(lam - sigma) < POLE_GUARD or abs(lam + sigma) < POLE_GUARD:
             raise SingularG("gauge factor singular on the grid")
-        kp, km = _mat2_eval(k_plus, lam), _mat2_eval(k_minus, lam)
+        kp, km = mat2_array(k_plus, lam), mat2_array(k_minus, lam)
         g_end_m = g_matrix(-lam, sigma, -y_end, X_end)
         g_end_p = g_matrix(lam, sigma, -y_end, X_end)
         g1_p = g_matrix(lam, sigma, -y1, X0)
@@ -369,8 +361,6 @@ def jtilde_invariance_residual(state_x, result, params, theta_minus, theta_plus)
     The after side is g(l) / (-l)^N for the open generator g of the new
     state: by the adjugate identity of the monodromy module's docstring,
     T^{-1}(-l) is adjugate_neg(T)(l) / (-l)^N."""
-    from .rmatrix import _mat2_eval
-
     xi = params.xi
     v_plus, v_minus = v_matrices(result.y[0], _ring_next(result.y, xi)[-1],
                                  _ring_prev(state_x.r, xi)[0], params.sigma,
@@ -384,7 +374,7 @@ def jtilde_invariance_residual(state_x, result, params, theta_minus, theta_plus)
         if abs(lam) < POLE_GUARD or abs(lam - params.sigma) < POLE_GUARD \
                 or abs(lam + params.sigma) < POLE_GUARD:
             continue
-        before = np.trace(v_plus(lam) @ _mat2_eval(t_x, lam) @ v_minus(lam)
-                          @ np.linalg.inv(_mat2_eval(t_x, -lam)))
+        before = np.trace(v_plus(lam) @ mat2_array(t_x, lam) @ v_minus(lam)
+                          @ np.linalg.inv(mat2_array(t_x, -lam)))
         defects.append(abs(before - g_y(lam) / (-lam) ** n))
     return worst(defects)

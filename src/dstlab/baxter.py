@@ -318,12 +318,13 @@ def _bethe_jacobian(roots, n, xi, eta):
     return jac
 
 
-def bethe_solve(n, m, xi, eta, seed=0, tol=1e-12, avoid=()):
+def bethe_solve(n, m, xi, eta, seed=0, tol=1e-12):
     """Solve the m-root algebraic system by Newton from randomized starts.
 
-    Deflation: converged root sets matching `avoid` (or colliding roots)
-    are rejected and the search continues.  Raises NoConvergence after the
-    start budget, RootCollision if only collided solutions were found."""
+    Converged root sets with colliding roots are rejected and the search
+    continues; m = 0 gives the empty configuration.  Raises NoConvergence
+    after the start budget, RootCollision if only collided solutions were
+    found."""
     rng = np.random.default_rng(seed)
     radius = 2.0 + abs(complex(eta)) * m
     collided = False
@@ -332,7 +333,7 @@ def bethe_solve(n, m, xi, eta, seed=0, tol=1e-12, avoid=()):
         ok = False
         for _ in range(80):
             f = bethe_system(roots, n, xi, eta)
-            res = float(np.max(np.abs(f)))
+            res = float(worst(np.abs(f)))
             if res <= tol:
                 ok = True
                 break
@@ -350,16 +351,7 @@ def bethe_solve(n, m, xi, eta, seed=0, tol=1e-12, avoid=()):
                          for i in range(m) for j in range(i + 1, m)) < 1e-10:
             collided = True
             continue
-        key = sorted(roots, key=lambda z: (round(z.real, 6), round(z.imag, 6)))
-        rejected = False
-        for prev in avoid:
-            prev_key = sorted(prev, key=lambda z: (round(z.real, 6), round(z.imag, 6)))
-            if len(prev_key) == m and max(abs(a - b) for a, b in zip(key, prev_key)) < 1e-6:
-                rejected = True
-                break
-        if rejected:
-            continue
-        res = float(np.max(np.abs(bethe_system(roots, n, xi, eta))))
+        res = float(worst(np.abs(bethe_system(roots, n, xi, eta))))
         return BetheConfig(n, m, xi, eta, tuple(roots), res)
     if collided:
         raise RootCollision("only colliding root sets found")

@@ -305,14 +305,11 @@ def cmd_backlund(args):
 
 
 def cmd_baxter(args):
-    from .baxter import (CERT_TOL, MEMBERSHIP_SAMPLES, BetheConfig, QKernelParams,
+    from .baxter import (CERT_TOL, MEMBERSHIP_SAMPLES, QKernelParams,
                          bethe_certificates, bethe_solve, kernel_sites,
                          lambda_from_roots, tq_scalar_residual)
     with _open_out(args) as out:
-        if args.m > 0:
-            cfg = bethe_solve(args.n, args.m, args.xi, args.eta, seed=args.seed)
-        else:
-            cfg = BetheConfig(args.n, 0, args.xi, args.eta, (), 0.0)
+        cfg = bethe_solve(args.n, args.m, args.xi, args.eta, seed=args.seed)
         certs = bethe_certificates(cfg)
         y, q = kernel_sites(np.random.default_rng(args.seed), args.n, args.xi)
         kp = QKernelParams(0.8 + 0.4j, args.eta, args.xi, y, q)

@@ -11,9 +11,12 @@ closed by (q_{N+1}, r_0) = (q_1, r_N) for the periodic ring, by
 (xi q_1, xi r_N) for the quasiperiodic twist, and by the fixed couplings
 (theta_+, theta_-) for the open chain.
 
-`central_differences` is the package's one difference stencil: Poisson
-brackets here and in `rmatrix`, the flow Jacobian of `verify` and the
-Bäcklund Jacobian of `backlund` all call it, each with its own steps.
+`central_differences` is the package's one difference stencil: the Poisson
+bracket, the flow Jacobian of `verify` and the Bäcklund Jacobian of
+`backlund` all call it, each with its own steps.  `poisson_bracket` is the
+one canonical bracket, for scalar and array observables alike: `verify`
+takes its coordinate and Hamiltonian brackets from it, and `rmatrix` its
+tables of matrix-entry brackets.
 `worst` (and its mirror `least`) is the package's one fold of residuals.
 The flow's formula is written once, in `_rate_lines`, which emits it as
 Python source.  `_kernels(N)` compiles that source, once per chain length,
@@ -34,12 +37,17 @@ from .errors import NonFiniteDerivative, NonFiniteState, WrongRegime, ZeroXi
 
 
 def _is_finite(x):
+    """True when x, or every entry of an array x, is finite."""
     if isinstance(x, complex):
         return math.isfinite(x.real) and math.isfinite(x.imag)
     try:
         return math.isfinite(x)
-    except (TypeError, OverflowError):
-        return True  # exact scalars (rationals, ints too large for a float) are finite
+    except OverflowError:
+        return True  # ints and rationals too large for a float are finite
+    except TypeError:
+        if hasattr(x, "ravel"):  # a numpy array: every entry is tested
+            return _all_finite(x.ravel().tolist())
+        return True  # other exact scalars are finite
 
 
 def _all_finite(z):
@@ -264,11 +272,14 @@ def _grad(f, state, h_scale=DEFAULT_FD_STEP):
 
 
 def poisson_bracket(f, g, state, h_scale=DEFAULT_FD_STEP):
-    """{f, g} = sum_n df/dq_n dg/dr_n - df/dr_n dg/dq_n by central differences,
-    for scalar functions f, g of a LatticeState."""
+    """{f, g} = sum_n df/dq_n dg/dr_n - sum_n df/dr_n dg/dq_n by central
+    differences: the package's one canonical bracket.  f and g map a
+    LatticeState to a scalar or an array; for arrays the products are
+    elementwise and broadcast, so `rmatrix` forms the tensor product of two
+    matrix observables by giving one of them trailing unit axes."""
     fq, fr = _grad(f, state, h_scale)
     gq, gr = _grad(g, state, h_scale)
-    return sum(fq[i] * gr[i] - fr[i] * gq[i] for i in range(len(fq)))
+    return sum(a * b for a, b in zip(fq, gr)) - sum(a * b for a, b in zip(fr, gq))
 
 
 def flow_consistency_residual(state, bc):

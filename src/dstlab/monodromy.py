@@ -145,6 +145,13 @@ def boundary_K(bc):
     return k_minus, k_plus
 
 
+def mat2_array(m, lam):
+    """The Mat2 m evaluated at lambda, as a 2x2 complex numpy array."""
+    e = m.eval(lam)
+    return np.array([[complex(e.a11), complex(e.a12)],
+                     [complex(e.a21), complex(e.a22)]])
+
+
 def generator(state, bc):
     """Polynomial generator of conserved quantities for the regime.
 

@@ -1,10 +1,10 @@
 """Numerical checks of the classical r-matrix Poisson algebras.
 
-Brackets of matrix entries are taken by `lattice.central_differences`, the
-package's one difference stencil, with the bracket steps of
-`lattice.relative_steps`, applied to the matrix-valued functions of the
-state (uniform machinery for the site Lax matrix, the monodromy and the
-dressed open-chain matrix); the r-matrix side is plain tensor algebra.
+Brackets of matrix entries are taken by `lattice.poisson_bracket`, the
+package's one canonical bracket, applied to the matrix-valued functions of
+the state (uniform machinery for the site Lax matrix, the monodromy and the
+dressed open-chain matrix); the r-matrix side is plain tensor algebra, with
+r(lambda, mu) written once in `classical_r`.
 Tensor-leg ordering: a 4x4 matrix acts on e1(x)e1, e1(x)e2, e2(x)e1,
 e2(x)e2, and the bracket table stores {A_ij(lambda), B_kl(mu)} at row
 2i+k, column 2j+l (0-based).
@@ -14,9 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CoincidingSpectralParams, WrongRegime, ZeroSpectralParam
-from .lattice import (DEFAULT_FD_STEP, LatticeState, Open, central_differences,
-                      relative_steps)
-from .monodromy import boundary_K, lax_L, monodromy
+from .lattice import Open, poisson_bracket
+from .monodromy import boundary_K, lax_L, mat2_array, monodromy
 from .poly import adjugate_neg
 
 PERM = np.array([[1, 0, 0, 0],
@@ -32,30 +31,17 @@ def classical_r(lam, mu):
     return -PERM / (lam - mu)
 
 
-def _mat_fn_grads(mat_fn, state):
-    """d(mat_fn)/dq_n and d(mat_fn)/dr_n, each shaped (N, 2, 2)."""
-    z, n = state.flat(), state.n_sites
-    d = np.array(central_differences(lambda w: mat_fn(LatticeState.from_flat(w)), z,
-                                     relative_steps(z, DEFAULT_FD_STEP)), dtype=complex)
-    return d[:n], d[n:]
-
-
 def bracket_table(a_fn, b_fn, state):
-    """4x4 table of {A_ij, B_kl} at row (i,k), column (j,l)."""
-    daq, dar = _mat_fn_grads(a_fn, state)
-    dbq, dbr = _mat_fn_grads(b_fn, state)
-    table = np.einsum("nij,nkl->ikjl", daq, dbr) - np.einsum("nij,nkl->ikjl", dar, dbq)
-    return table.reshape(4, 4)
+    """4x4 table of {A_ij, B_kl} at row (i,k), column (j,l).
+
+    A gets two trailing unit axes, so the bracket's products broadcast to the
+    tensor [i, j, k, l]; the transpose puts its legs in table order."""
+    table = poisson_bracket(lambda s: a_fn(s).reshape(2, 2, 1, 1), b_fn, state)
+    return table.transpose(0, 2, 1, 3).reshape(4, 4)
 
 
 def _kron(a, b):
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def _mat2_eval(m, lam):
-    e = m.eval(lam)
-    return np.array([[complex(e.a11), complex(e.a12)],
-                     [complex(e.a21), complex(e.a22)]])
 
 
 def quadratic_rhs(lam, mu, a, b):
@@ -70,7 +56,7 @@ def reflection_rhs(lam, mu, x, y, x_last):
     reflection algebra for X = X(l), Y = Y(m), with X' the argument of the
     final X1 factor."""
     i2 = np.eye(2)
-    rp = -PERM / (lam + mu)
+    rp = classical_r(lam, -mu)
     y2 = _kron(i2, y)
     return (quadratic_rhs(lam, mu, x, y) + _kron(x, i2) @ rp @ y2
             - y2 @ rp @ _kron(x_last, i2))
@@ -87,11 +73,11 @@ def cism1_residual(state, lam, mu, level="monodromy", n=None, m=None):
     if level == "local":
         if n is None or m is None:
             raise ValueError("local level needs site indices n and m")
-        a_fn = lambda s: _mat2_eval(lax_L(s, n), lam)
-        b_fn = lambda s: _mat2_eval(lax_L(s, m), mu)
+        a_fn = lambda s: mat2_array(lax_L(s, n), lam)
+        b_fn = lambda s: mat2_array(lax_L(s, m), mu)
     elif level == "monodromy":
-        a_fn = lambda s: _mat2_eval(monodromy(s), lam)
-        b_fn = lambda s: _mat2_eval(monodromy(s), mu)
+        a_fn = lambda s: mat2_array(monodromy(s), lam)
+        b_fn = lambda s: mat2_array(monodromy(s), mu)
     else:
         raise ValueError(f"unknown level {level!r}")
     lhs = bracket_table(a_fn, b_fn, state)
@@ -131,7 +117,7 @@ def dressed_U(state, bc, lam):
     n = state.n_sites
     t = monodromy(state)
     k_minus, _ = boundary_K(bc)
-    u = _mat2_eval(t, lam) @ _mat2_eval(k_minus, lam) @ _mat2_eval(adjugate_neg(t), lam)
+    u = mat2_array(t, lam) @ mat2_array(k_minus, lam) @ mat2_array(adjugate_neg(t), lam)
     return u / (-lam) ** n
 
 

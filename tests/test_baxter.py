@@ -166,8 +166,9 @@ def test_bethe_single_root_closed_form():
 
 
 def test_bethe_both_roots_n2():
+    # seed 1 lands on mu = +1, seed 2 on mu = -1
     c1 = bethe_solve(2, 1, 1.0, 1.0, seed=1)
-    c2 = bethe_solve(2, 1, 1.0, 1.0, seed=2, avoid=[c1.roots])
+    c2 = bethe_solve(2, 1, 1.0, 1.0, seed=2)
     found = sorted([c1.roots[0].real, c2.roots[0].real])
     assert abs(found[0] + 1.0) < 1e-8 and abs(found[1] - 1.0) < 1e-8
 
@@ -247,9 +248,14 @@ def test_tq_residual_tracks_solver_tolerance():
 
 def test_bethe_no_convergence_budget(monkeypatch):
     from dstlab import baxter
-    monkeypatch.setattr(baxter, "BETHE_MAX_STARTS", 1)
+    monkeypatch.setattr(baxter, "BETHE_MAX_STARTS", 0)
     with pytest.raises(NoConvergence):
-        bethe_solve(2, 1, 1.0, 1.0, seed=1, avoid=[(1.0,), (-1.0,)])
+        bethe_solve(2, 1, 1.0, 1.0, seed=1)
+
+
+def test_bethe_solve_without_roots_is_the_vacuum():
+    for n, seed in ((2, 1), (3, 7)):
+        assert bethe_solve(n, 0, 1.0, 1.0, seed=seed) == BetheConfig(n, 0, 1.0, 1.0, (), 0.0)
 
 
 def test_sov_residual_values():

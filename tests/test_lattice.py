@@ -286,6 +286,20 @@ def test_non_finite_difference_quotient():
         poisson_bracket(bad, f, st)
 
 
+def test_non_finite_entry_of_a_matrix_quotient():
+    # one NaN entry of an array-valued observable fails the bracket as a
+    # non-finite scalar does, whichever side it is on
+    from dstlab.errors import NonFiniteDerivative
+    st = LatticeState((0.5, -0.2), (0.3, 0.9))
+    bad = lambda s: np.array([[s.q[0], 1.0], [2.0, float("nan")]])
+    good = lambda s: np.array([[s.q[0] * s.r[0], s.q[1]], [s.r[1], 1.0]])
+    for f, g in ((bad, good), (good, bad), (bad, lambda s: s.r[0])):
+        with pytest.raises(NonFiniteDerivative):
+            poisson_bracket(f, g, st)
+    table = poisson_bracket(good, good, st)
+    assert table.shape == (2, 2) and np.all(np.isfinite(table))
+
+
 def test_open_chain_equilibrium_is_elliptic():
     import numpy as np
     from dstlab.verify import (_flow_jacobian, _flow_vector, equilibrium_state,

@@ -48,13 +48,12 @@ def test_cism1_monodromy():
 
 
 def test_bracket_table_antisymmetry():
-    from dstlab.monodromy import monodromy
-    from dstlab.rmatrix import _mat2_eval
+    from dstlab.monodromy import mat2_array, monodromy
     rng = np.random.default_rng(2)
     st = _rand_state(rng, 2)
     lam, mu = 0.8, -0.5
-    a_fn = lambda s: _mat2_eval(monodromy(s), lam)
-    b_fn = lambda s: _mat2_eval(monodromy(s), mu)
+    a_fn = lambda s: mat2_array(monodromy(s), lam)
+    b_fn = lambda s: mat2_array(monodromy(s), mu)
     t1 = bracket_table(a_fn, b_fn, st)
     t2 = bracket_table(b_fn, a_fn, st)
     # {A_ij(l), B_kl(m)} = -{B_kl(m), A_ij(l)}: swap both tensor legs
@@ -133,15 +132,80 @@ def test_stencil_convergence_order_on_cubic_witness():
 
 
 def test_residual_scale_stability():
-    from dstlab.monodromy import monodromy
-    from dstlab.rmatrix import _kron, _mat2_eval
+    from dstlab.monodromy import mat2_array, monodromy
+    from dstlab.rmatrix import _kron
     rng = np.random.default_rng(6)
     st = _rand_state(rng, 2)
     for c in (0.5, 1.0, 2.0):
         lam, mu = 0.7 * c, -0.3 * c
         res = cism1_residual(st, lam, mu, "monodromy")
-        a = _mat2_eval(monodromy(st), lam)
-        b = _mat2_eval(monodromy(st), mu)
+        a = mat2_array(monodromy(st), lam)
+        b = mat2_array(monodromy(st), mu)
         r = classical_r(lam, mu)
         rhs = r @ _kron(a, b) - _kron(a, b) @ r
         assert res / max(1.0, float(np.max(np.abs(rhs)))) < 1e-9
+
+
+def _einsum_table(a_fn, b_fn, st):
+    """The bracket table as an einsum over per-site gradients: the reference
+    `bracket_table` must reproduce."""
+    from dstlab.lattice import DEFAULT_FD_STEP, central_differences, relative_steps
+    z, n = st.flat(), st.n_sites
+
+    def grads(fn):
+        d = np.array(central_differences(lambda w: fn(LatticeState.from_flat(w)), z,
+                                         relative_steps(z, DEFAULT_FD_STEP)), dtype=complex)
+        return d[:n], d[n:]
+
+    daq, dar = grads(a_fn)
+    dbq, dbr = grads(b_fn)
+    table = np.einsum("nij,nkl->ikjl", daq, dbr) - np.einsum("nij,nkl->ikjl", dar, dbq)
+    bound = (np.einsum("nij,nkl->ikjl", abs(daq), abs(dbr))
+             + np.einsum("nij,nkl->ikjl", abs(dar), abs(dbq)))
+    return table.reshape(4, 4), bound.reshape(4, 4)
+
+
+def _complex_products_round_per_term():
+    """True when numpy's complex `*` rounds each real product as einsum's
+    loop does; SIMD loops built on fused multiply-add (x86-64-v3 and up)
+    round once per pair of products instead, which moves the last bit."""
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=64) + 1j * rng.normal(size=64)
+    b = rng.normal(size=64) + 1j * rng.normal(size=64)
+    return all(complex(x) * complex(y) == p for x, y, p in zip(a, b, a * b))
+
+
+def test_bracket_table_matches_the_einsum_reference():
+    from dstlab.monodromy import mat2_array, monodromy
+    bit_for_bit = _complex_products_round_per_term()
+    bc = Open(0.3, 0.7)
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3):
+        for st in (_rand_state(rng, n),
+                   LatticeState(tuple(rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)),
+                                tuple(rng.uniform(-1, 1, n)))):
+            for lam, mu in ((0.7, -0.3), (2.1 + 0.3j, 0.5)):
+                for make in (lambda l: lambda s: mat2_array(monodromy(s), l),
+                             lambda l: lambda s: dressed_U(s, bc, l)):
+                    a_fn, b_fn = make(lam), make(mu)
+                    table = bracket_table(a_fn, b_fn, st)
+                    ref, bound = _einsum_table(a_fn, b_fn, st)
+                    if bit_for_bit:
+                        assert table.tobytes() == ref.tobytes()
+                    else:
+                        # one rounding per product apart, summed over 2N terms
+                        eps = np.finfo(float).eps
+                        assert np.all(abs(table - ref) <= 4 * n * eps * bound)
+
+
+def test_reflection_rhs_takes_r_of_the_sum_from_classical_r():
+    from dstlab.rmatrix import _kron, quadratic_rhs, reflection_rhs
+    rng = np.random.default_rng(8)
+    for lam, mu in ((0.9, 0.4), (2.1 + 0.3j, 0.5), (-1.2, 0.7)):
+        x, y, x_last = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                        for _ in range(3))
+        rp = -PERM / (lam + mu)
+        y2 = _kron(np.eye(2), y)
+        inline = (quadratic_rhs(lam, mu, x, y) + _kron(x, np.eye(2)) @ rp @ y2
+                  - y2 @ rp @ _kron(x_last, np.eye(2)))
+        assert reflection_rhs(lam, mu, x, y, x_last).tobytes() == inline.tobytes()
