@@ -28,7 +28,7 @@ import numpy as np
 from .errors import (LogBranch, NewtonDiverged, PoleEncountered, SingularG,
                      SingularPrefactor, ZeroSeed)
 from .lattice import LatticeState, Open, Periodic, Quasiperiodic, central_differences, worst
-from .monodromy import boundary_C, boundary_K, generator, mat2_array, monodromy
+from .monodromy import boundary_C, boundary_K, generator, lax_L, mat2_array, monodromy
 
 POLE_GUARD = 1e-12
 NEWTON_TOL = 1e-12  # max-norm of the map's residual at which Newton stops
@@ -198,12 +198,12 @@ def bt_local_identity_residual(x_i, X_i, y_i, y_ip1, X_im1, sigma):
     for a quintuple satisfying the implicit map (Y_i is assembled from it).
     """
     Y_i = X_im1 + (x_i - y_ip1) / y_i * X_i
+    L_x = lax_L(LatticeState((x_i,), (X_i,)), 1)
+    L_y = lax_L(LatticeState((y_i,), (Y_i,)), 1)
 
     def defect(lam):
-        L_x = np.array([[lam + x_i * X_i, x_i], [X_i, 1.0]], dtype=complex)
-        L_y = np.array([[lam + y_i * Y_i, y_i], [Y_i, 1.0]], dtype=complex)
-        lhs = g_matrix(lam, sigma, -y_ip1, X_i) @ L_x
-        rhs = L_y @ g_matrix(lam, sigma, -y_i, X_im1)
+        lhs = g_matrix(lam, sigma, -y_ip1, X_i) @ mat2_array(L_x, lam)
+        rhs = mat2_array(L_y, lam) @ g_matrix(lam, sigma, -y_i, X_im1)
         return float(np.max(np.abs(lhs - rhs)))
     return worst(map(defect, BT_LAMBDA_GRID))
 

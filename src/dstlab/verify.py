@@ -18,6 +18,7 @@ observing 0 has residual "inf"), so the report stays strict JSON.
 """
 from __future__ import annotations
 
+import math
 import sys
 import zlib
 from dataclasses import dataclass
@@ -187,62 +188,86 @@ def suite_classical(seed=1):
     return recs
 
 
-# Deterministic Newton seed for the elliptic equilibrium of the default
-# open chain (N=6, theta = (0.3, 0.7)); all eigenvalues of the linearized
-# flow there are purely imaginary, so noise around it stays bounded.
-_OPEN_EQ_GUESS = [
-    -2.2565 + 0.0j, 0.0 - 1.8566j, 1.5275 + 0.0j, 0.0 + 1.2568j,
-    1.0341 + 0.0j, 0.0 - 0.8508j,
-    0.0 - 0.3646j, -0.4432 + 0.0j, 0.0 + 0.5386j, -0.6547 + 0.0j,
-    0.0 - 0.7957j, -0.9671 + 0.0j,
-]
-
-
 def _flow_vector(z, bc):
     d = eom(LatticeState.from_flat(list(z)), bc)
     return np.array(list(d.dq) + list(d.dr), dtype=complex)
 
 
+# The tests read the open equilibrium's spectrum off this Jacobian.
 def _flow_jacobian(z, bc):
     return np.column_stack(central_differences(lambda w: _flow_vector(w, bc), z,
                                                [1e-7] * len(z)))
 
 
-def _polish_equilibrium(z, bc, max_iter=60):
-    z = np.asarray(z, dtype=complex).copy()
-    for _ in range(max_iter):
-        f = _flow_vector(z, bc)
-        if np.max(np.abs(f)) < 1e-13:
-            return z
-        z = z + np.linalg.solve(_flow_jacobian(z, bc), -f)
-    return None
+def equilibrium_state(n, bc):
+    """An elliptic equilibrium of the open chain in closed form, as a flat
+    array (q_1..q_N, r_1..r_N).
 
+    Fixed points.  At a fixed point q_{n+1} = q_n p_n and r_{n-1} = r_n p_n,
+    with p_n = q_n r_n.  So p_{n+1} = q_n r_{n+1} p_n and p_n = q_n r_{n+1} p_{n+1},
+    and p_{n+1}^2 = p_n^2: p_n = s_n p with each s_n = +-1, or every p_n = 0,
+    which needs theta_+ = theta_- = 0 (and the vacuum is then one).  For
+    p != 0, q_n = q_1 p_1...p_{n-1} and r_n = r_N p_{n+1}...p_N, and the
+    closure (q_{N+1}, r_0) = (theta_+, theta_-) gives q_1 = theta_+/P and
+    r_N = theta_-/P with P = p_1...p_N.  So p_1 = q_1 r_1 reads
+    p^(N+2) s_1...s_N = theta_+ theta_-, and with exactly one coupling 0 there
+    is no fixed point.
 
-def equilibrium_state(n, bc, seed=0):
-    """A fixed point of the flow whose linearization is elliptic (all
-    eigenvalues purely imaginary up to 1e-5) from 400 starts at most, or None."""
-    if isinstance(bc, Open) and n == 6 and (bc.theta_minus, bc.theta_plus) == (0.3, 0.7):
-        z = _polish_equilibrium(np.array(_OPEN_EQ_GUESS), bc)
-        if z is not None:
-            return z
-    rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(400):
-        guess = rng.uniform(0.3, 1.5, 2 * n) * np.exp(2j * np.pi * rng.uniform(0, 1, 2 * n))
-        try:
-            z = _polish_equilibrium(guess, bc, max_iter=100)
-        except np.linalg.LinAlgError:
-            continue
-        if z is None or np.max(np.abs(z)) > 20:
-            continue
-        mre = float(np.max(np.abs(np.linalg.eigvals(_flow_jacobian(z, bc)).real)))
-        if best is None or mre < best[0]:
-            best = (mre, z)
-        if mre < 1e-9:
-            break
-    if best and best[0] < 1e-5:
-        return best[1]
-    return None
+    Linearization.  In the gauge dq_n = q_n u_n, dr_n = r_n v_n the
+    linearized flow is p B, with B real:
+
+        du_n/dt = p s_n (u_{n+1} - 2 u_n - v_n),
+        dv_n/dt = p s_n (u_n + 2 v_n - v_{n-1}),      u_{N+1} = v_0 = 0.
+
+    For an eigenvalue x != +-2 of B, eliminating v gives
+    (2 - s_n x) (u_{n+1}, v_n) = T (u_n, v_{n-1}) with T = [[3 - x^2, 1], [-1, 1]]
+    at every site.  So x is an eigenvalue iff [T^N]_11 = 0, whatever the
+    signs: x = +-2 sin(k pi/(N+2)) for 0 < k < (N+2)/2, each with one
+    eigenvector.  At x = 2 a site with s_n = -1 sends (u_n, v_{n-1}) to a
+    multiple of (1, 1), and a site with s_n = 1 asks u_n = v_{n-1} and leaves
+    v_n free; at x = -2 the signs swap roles.  Along the alternating pattern
+    s_n = (-1)^(n-1), n < N, counting the free parameters site by site leaves
+    floor(N/2) of them at x = 2 and at x = -2.  These kernels and the
+    2 floor((N+1)/2) simple eigenvalues fill the 2N dimensions, so B is
+    diagonalizable.  Other patterns can have Jordan blocks at +-2, which grow
+    perturbations secularly.
+
+    The spectrum of B is real and nonzero, so only an imaginary p makes that
+    of p B imaginary.  With p = i |theta_+ theta_-|^(1/(N+2)) and the
+    alternating pattern, s_N set by the product, the linearized flow is
+    diagonalizable with an imaginary spectrum: the equilibrium is elliptic.
+    It needs theta_+ theta_- / p^(N+2) = +-1, which for real couplings means
+    even N; a chain without it raises DstlabError naming the reason.  The
+    flow residual of the point is checked, relative to its largest coordinate.
+    """
+    tm, tp = complex(bc.theta_minus), complex(bc.theta_plus)
+    c = tp * tm
+    if c == 0:
+        if tp != 0 or tm != 0:
+            raise DstlabError(f"the open chain with one coupling 0 (theta_- = {bc.theta_minus!r}, "
+                              f"theta_+ = {bc.theta_plus!r}) has no fixed point")
+        return np.zeros(2 * n, dtype=complex)
+    # s_1...s_N = theta_+ theta_- / p^(N+2): c/|c| is exactly +-1 or +-i for a
+    # real or imaginary c, and 1j ** (N+2) is an exact power of i
+    product = c / abs(c) / 1j ** (n + 2)
+    if product not in (1, -1):
+        reason = (f"N = {n} is odd" if c.imag == 0 else
+                  f"theta_+ theta_- = {c!r} is not {'imaginary' if n % 2 else 'real'}")
+        raise DstlabError(f"the open chain has no elliptic fixed point: {reason}")
+    signs = [(-1) ** k for k in range(n - 1)]
+    signs.append(int(product.real) * math.prod(signs))
+    p = 1j * abs(c) ** (1.0 / (n + 2))
+    ps = [s * p for s in signs]
+    big_p = math.prod(ps)
+    q, r = [tp / big_p], [tm / big_p]
+    for k in range(n - 1):
+        q.append(q[-1] * ps[k])
+        r.append(r[-1] * ps[n - 1 - k])
+    z = np.array(q + r[::-1])
+    residual = float(np.max(np.abs(_flow_vector(z, bc))))
+    if not residual <= 1e-12 * max(1.0, float(np.max(np.abs(z)))):
+        raise DstlabError(f"the closed-form equilibrium has flow residual {residual!r}")
+    return z
 
 
 def initial_state(n, bc, seed, amplitude=None, t_final=10.0):
@@ -256,9 +281,7 @@ def initial_state(n, bc, seed, amplitude=None, t_final=10.0):
     """
     rng = _sub_rng(seed, "traj")
     if isinstance(bc, Open):
-        z0 = equilibrium_state(n, bc, seed=seed)
-        if z0 is None:
-            raise DstlabError("no elliptic equilibrium found for this open chain")
+        z0 = equilibrium_state(n, bc)
         amp = 1e-3 if amplitude is None else amplitude
         noise = amp * (rng.uniform(-1, 1, 2 * n) + 1j * rng.uniform(-1, 1, 2 * n))
         return LatticeState.from_flat(list(z0 + noise))

@@ -382,6 +382,18 @@ def test_verify_cost_guard_exits_3(monkeypatch, capsys):
     assert out.out == "" and out.err == "cost guard: refused\n"
 
 
+def test_simulate_open_chain_at_large_and_odd_n(tmp_path, capsys):
+    # the open chain's equilibrium is in closed form at every even N; odd N
+    # with real couplings has none, and says why
+    out = tmp_path / "open.csv"
+    assert main(["simulate", "--bc", "open", "--n", "24", "--t-final", "1", "--json",
+                 "--out", str(out)]) == 0
+    assert _strict_json(capsys.readouterr().out)["blowup"] is False
+    assert main(["simulate", "--bc", "open", "--n", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("simulate run failed: DstlabError: the open chain "
+                                       "has no elliptic fixed point: N = 5 is odd\n")
+
+
 def test_report_records_sorted_and_complete(monkeypatch):
     # Three quick suites, so that records from different suites interleave.
     quick = {nm: verify.SUITES[nm] for nm in ("rmatrix", "backlund", "baxter")}

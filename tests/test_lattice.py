@@ -313,6 +313,77 @@ def test_open_chain_equilibrium_is_elliptic():
     assert st.n_sites == 6
 
 
+# An equilibrium of the open chain at N = 6, theta = (0.3, 0.7), found by
+# Newton's method and kept to four digits: reference data for the closed form.
+_NEWTON_EQ_N6 = [
+    -2.2565 + 0.0j, 0.0 - 1.8566j, 1.5275 + 0.0j, 0.0 + 1.2568j,
+    1.0341 + 0.0j, 0.0 - 0.8508j,
+    0.0 - 0.3646j, -0.4432 + 0.0j, 0.0 + 0.5386j, -0.6547 + 0.0j,
+    0.0 - 0.7957j, -0.9671 + 0.0j,
+]
+
+
+def test_newton_equilibrium_has_the_closed_form():
+    # p_n = q_n r_n = +-p with p imaginary, p^8 s_1...s_6 = theta_+ theta_-,
+    # q_1 = theta_+ / P and r_6 = theta_- / P with P = p_1...p_6
+    z = np.array(_NEWTON_EQ_N6)
+    q, r = z[:6], z[6:]
+    p_n = q * r
+    a = (0.3 * 0.7) ** (1 / 8)
+    assert np.max(np.abs(p_n ** 2 + a ** 2)) < 1e-3
+    big_p = np.prod(p_n)
+    assert abs(q[0] * big_p - 0.7) < 1e-3 and abs(r[-1] * big_p - 0.3) < 1e-3
+
+
+@pytest.mark.parametrize("theta", [(0.3, 0.7), (-1.0, 2.0), (2.0, 3.0), (0.3, -0.7)])
+def test_open_chain_equilibrium_is_a_diagonalizable_elliptic_point(theta):
+    # the spectrum p {+-2 sin(k pi/(N+2))} and +-2p with N/2-dimensional
+    # eigenspaces, from the docstring's derivation, read off the flow Jacobian
+    from dstlab.errors import DstlabError
+    from dstlab.verify import _flow_jacobian, _flow_vector, equilibrium_state
+    bc = Open(*theta)
+    for n in [*range(1, 9), 16, 24]:
+        if n % 2:
+            with pytest.raises(DstlabError, match="odd"):
+                equilibrium_state(n, bc)
+            continue
+        z = equilibrium_state(n, bc)
+        assert float(np.max(np.abs(_flow_vector(z, bc)))) <= 1e-12 * max(1, np.max(np.abs(z)))
+        jac = _flow_jacobian(z, bc)
+        p = z[0] * z[n]
+        assert abs(p.real) < 1e-12 * abs(p)
+        assert abs(p) == pytest.approx(abs(theta[0] * theta[1]) ** (1 / (n + 2)))
+        simple = [2 * math.sin(k * math.pi / (n + 2)) for k in range(1, n // 2 + 1)]
+        expected = sorted([*simple, *(-x for x in simple), *[2.0, -2.0] * (n // 2)])
+        eigs = np.linalg.eigvals(jac) / p
+        assert np.max(np.abs(eigs.imag)) < 1e-7
+        assert np.allclose(sorted(eigs.real), expected, atol=1e-6)
+        eye = np.eye(2 * n)
+        for mu in (2 * p, -2 * p):
+            assert np.linalg.matrix_rank(jac - mu * eye, tol=1e-6 * abs(p)) == 2 * n - n // 2
+
+
+@pytest.mark.parametrize("n, theta", [(1, (0.3, 0.7)), (3, (0.3, 0.7)), (6, (0.0, 0.7))])
+def test_open_chain_without_equilibria_is_refused_before_the_flow_is_evaluated(
+        n, theta, monkeypatch):
+    from dstlab import verify
+    from dstlab.errors import DstlabError
+
+    def eom(*args):
+        raise AssertionError("the flow was evaluated")
+
+    monkeypatch.setattr(verify, "eom", eom)
+    with pytest.raises(DstlabError):
+        verify.initial_state(n, Open(*theta), seed=1)
+
+
+def test_open_chain_without_couplings_rests_at_the_vacuum():
+    from dstlab.verify import equilibrium_state
+    for n in (1, 4):
+        z = equilibrium_state(n, Open(0.0, 0.0))
+        assert z.shape == (2 * n,) and not np.any(z)
+
+
 @given(strategies.lists(strategies.floats(allow_nan=False, allow_infinity=False)),
        strategies.data())
 def test_residual_folds_keep_a_nan_wherever_it_falls(values, data):
