@@ -29,6 +29,7 @@ from .errors import (LogBranch, NewtonDiverged, PoleEncountered, SingularG,
                      SingularPrefactor, ZeroSeed)
 from .lattice import LatticeState, Open, Periodic, Quasiperiodic, central_differences, worst
 from .monodromy import boundary_C, boundary_K, generator, lax_L, mat2_array, monodromy
+from .poly import adjugate_neg
 
 POLE_GUARD = 1e-12
 NEWTON_TOL = 1e-12  # max-norm of the map's residual at which Newton stops
@@ -358,14 +359,15 @@ def jtilde_invariance_residual(state_x, result, params, theta_minus, theta_plus)
     """Composite check: tr[V_+(l) T(x;l) V_-(l) T(x;-l)^{-1}] before the map
     equals tr[K_+(l) T(y;l) K_-(l) T(y;-l)^{-1}] after it.
 
-    The after side is g(l) / (-l)^N for the open generator g of the new
-    state: by the adjugate identity of the monodromy module's docstring,
-    T^{-1}(-l) is adjugate_neg(T)(l) / (-l)^N."""
+    Both sides take T^{-1}(-l) as adjugate_neg(T)(l) / (-l)^N, by the
+    adjugate identity of the monodromy module's docstring; the after side
+    is g(l) / (-l)^N for the open generator g of the new state."""
     xi = params.xi
     v_plus, v_minus = v_matrices(result.y[0], _ring_next(result.y, xi)[-1],
                                  _ring_prev(state_x.r, xi)[0], params.sigma,
                                  theta_minus, theta_plus)
     t_x = monodromy(state_x)
+    adj_x = adjugate_neg(t_x)
     g_y = generator(result.state(), Open(theta_minus, theta_plus))
     n = state_x.n_sites
 
@@ -375,6 +377,6 @@ def jtilde_invariance_residual(state_x, result, params, theta_minus, theta_plus)
                 or abs(lam + params.sigma) < POLE_GUARD:
             continue
         before = np.trace(v_plus(lam) @ mat2_array(t_x, lam) @ v_minus(lam)
-                          @ np.linalg.inv(mat2_array(t_x, -lam)))
+                          @ mat2_array(adj_x, lam)) / (-lam) ** n
         defects.append(abs(before - g_y(lam) / (-lam) ** n))
     return worst(defects)

@@ -12,7 +12,8 @@ tr[K_+ T K_- T^{-1}(-lambda)], built inverse-free: since det T(lambda) =
 lambda^N, the inverse T^{-1}(-lambda) is replaced by the adjugate
 sigma2 T^t(-lambda) sigma2 = (-lambda)^N T^{-1}(-lambda), which multiplies
 the generator by the harmless scalar factor (-lambda)^N and shifts its
-degree to 2N+2.  With U = T K_- adj(T) and K_+ = [[theta_+, 0],
+degree to 2N+2.  `dressed_U` is the one classical U = T K_- adj(T), for
+the generator and `rmatrix` alike.  With it and K_+ = [[theta_+, 0],
 [lambda, theta_+]], the trace is read off U as
 theta_+ U11 + (lambda U12 + theta_+ U22), as quantum.qtau reads tau off the
 dressed operator matrix: no K_+ product is formed, and the sums keep the
@@ -145,6 +146,15 @@ def boundary_K(bc):
     return k_minus, k_plus
 
 
+def dressed_U(state, bc):
+    """Sklyanin's dressed matrix U = T K_- adj(T), with adj(T)(lambda) =
+    adjugate_neg(T)(lambda) = (-lambda)^N T^{-1}(-lambda): the one place the
+    classical U is formed.  Open regime only."""
+    k_minus, _ = boundary_K(bc)
+    t = monodromy(state)
+    return t @ k_minus @ adjugate_neg(t)
+
+
 def mat2_array(m, lam):
     """The Mat2 m evaluated at lambda, as a 2x2 complex numpy array."""
     e = m.eval(lam)
@@ -167,9 +177,7 @@ def generator(state, bc):
         s = principal_sqrt(bc.xi)
         return t.a11 * (1 / s) + t.a22 * s
     if isinstance(bc, Open):
-        k_minus, _ = boundary_K(bc)
-        t = monodromy(state)
-        u = t @ k_minus @ adjugate_neg(t)
+        u = dressed_U(state, bc)
         tp = bc.theta_plus
         return u.a11 * tp + (u.a12.shift_up(1) + u.a22 * tp)
     raise WrongRegime(f"unknown boundary condition {bc!r}")

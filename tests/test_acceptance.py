@@ -63,6 +63,7 @@ def test_criterion_2_lax_compatibility():
 
 def test_criterion_3_rmatrix():
     from dstlab.lattice import poisson_bracket
+    from dstlab.monodromy import boundary_K, lax_L, monodromy
     from dstlab.rmatrix import (cism1_residual, cism2_residual_U,
                                 reflection_residual_K)
     rng = np.random.default_rng(1)
@@ -73,12 +74,10 @@ def test_criterion_3_rmatrix():
                               tuple(rng.uniform(-1, 1, n)))
             if n >= 2:
                 worst_local = max(worst_local,
-                                  cism1_residual(st, 0.7, -0.3, "local", n, n))
-            worst_mono = max(worst_mono, cism1_residual(st, 0.7, -0.3, "monodromy"))
+                                  cism1_residual(st, 0.7, -0.3, lambda s: lax_L(s, n)))
+            worst_mono = max(worst_mono, cism1_residual(st, 0.7, -0.3, monodromy))
             worst_u = max(worst_u, cism2_residual_U(st, Open(0.3, 0.7), 0.9, 0.4))
-    theta = 0.7
-    km = lambda l: np.array([[theta, l], [0.0, theta]])
-    kp = lambda l: np.array([[theta, 0.0], [l, theta]])
+    km, kp = boundary_K(Open(0.7, 0.7))
     worst_k = max(max(reflection_residual_K(km, l, m), reflection_residual_K(kp, l, m))
                   for l, m in ((0.9, 0.4), (1.3, -0.6), (2.1 + 0.3j, 0.5)))
     st = LatticeState(tuple(rng.uniform(-1, 1, 2)), tuple(rng.uniform(-1, 1, 2)))

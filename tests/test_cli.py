@@ -24,7 +24,7 @@ def test_simulate_periodic(tmp_path):
     code = main(["simulate", "--n", "6", "--bc", "periodic", "--seed", "42",
                  "--dt", "1e-3", "--t-final", "10", "--out", str(out), "--json"])
     assert code == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     header = rows[0]
     assert header[0] == "t"
     assert header[1] == "q1" and "r6" in header
@@ -38,7 +38,7 @@ def test_simulate_open_complex_columns(tmp_path):
     code = main(["simulate", "--n", "6", "--bc", "open", "--seed", "42",
                  "--t-final", "2", "--out", str(out)])
     assert code == 0
-    header = next(csv.reader(out.open()))
+    header = next(csv.reader(out.read_text().splitlines()))
     assert "q1_re" in header and "q1_im" in header
 
 
@@ -63,7 +63,7 @@ def test_simulate_t_final_zero(tmp_path):
     code = main(["simulate", "--n", "2", "--t-final", "0", "--seed", "3",
                  "--out", str(out)])
     assert code == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert len(rows) == 2          # header + single sample
     assert float(rows[1][-1]) == 0.0
 
@@ -84,7 +84,7 @@ def test_simulate_step0_generator_overflow_is_a_blowup(tmp_path, capsys):
     summary = _strict_json(capsys.readouterr().out)
     assert summary["blowup"] is True and summary["coefficient_drift"] == {}
     assert summary["max_relative_drift"] == "nan" and summary["last_time"] == 0.0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert len(rows) == 2 and rows[1][-1] == "nan"
 
 
@@ -103,7 +103,7 @@ def test_simulate_streams_rows_as_sampled(tmp_path, monkeypatch):
     out = tmp_path / "traj.csv"
     with pytest.raises(KeyboardInterrupt):
         main(["simulate", "--t-final", "1", "--out", str(out)])
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0][0] == "t" and [float(r[0]) for r in rows[1:]] == [0.0, 0.05, 0.1]
 
 
@@ -152,7 +152,7 @@ def test_simulate_coefficient_drift_is_the_trajectory_formula(tmp_path, capsys):
     assert main(["simulate", "--bc", "open", "--n", "4", "--seed", "3", "--t-final", "1",
                  "--json", "--out", str(out)]) == 0
     summary = json.loads(capsys.readouterr().out)
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     coeffs = [np.array([complex(float(row[f"c{k}_re"]), float(row[f"c{k}_im"]))
                         for k in range(len(summary["coefficient_drift"]))])
               for row in (rows[0], rows[-1])]

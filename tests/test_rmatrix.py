@@ -2,11 +2,16 @@
 import numpy as np
 import pytest
 
+from dstlab import rmatrix
 from dstlab.errors import CoincidingSpectralParams, ZeroSpectralParam
 from dstlab.lattice import LatticeState, Open
+from dstlab.monodromy import dressed_U, lax_L, mat2_array, monodromy
+from dstlab.poly import Poly, poly_mat
 from dstlab.rmatrix import (PERM, bracket_table, cism1_residual,
-                            cism2_residual_U, classical_r, dressed_U,
+                            cism2_residual_U, classical_r,
                             reflection_residual_K)
+
+LAM = Poly([0, 1])
 
 
 def _rand_state(rng, n, scale=1.0):
@@ -34,28 +39,26 @@ def test_cism1_local():
     rng = np.random.default_rng(0)
     for _ in range(20):
         st = _rand_state(rng, 3)
-        assert cism1_residual(st, 0.7, -0.3, "local", 2, 2) < 1e-6
-        assert cism1_residual(st, 1.3, 0.4, "local", 1, 1) < 1e-6
+        assert cism1_residual(st, 0.7, -0.3, lambda s: lax_L(s, 2)) < 1e-6
+        assert cism1_residual(st, 1.3, 0.4, lambda s: lax_L(s, 1)) < 1e-6
         # ultralocality: disjoint variables give the exact zero table
-        assert cism1_residual(st, 0.7, -0.3, "local", 1, 3) == 0.0
+        table = bracket_table(lambda s: lax_L(s, 1), lambda s: lax_L(s, 3), st, 0.7, -0.3)
+        assert np.max(np.abs(table)) == 0.0
 
 
 def test_cism1_monodromy():
     rng = np.random.default_rng(1)
     for _ in range(20):
         st = _rand_state(rng, 3)
-        assert cism1_residual(st, 0.7, -0.3, "monodromy") < 1e-5
+        assert cism1_residual(st, 0.7, -0.3, monodromy) < 1e-5
 
 
 def test_bracket_table_antisymmetry():
-    from dstlab.monodromy import mat2_array, monodromy
     rng = np.random.default_rng(2)
     st = _rand_state(rng, 2)
     lam, mu = 0.8, -0.5
-    a_fn = lambda s: mat2_array(monodromy(s), lam)
-    b_fn = lambda s: mat2_array(monodromy(s), mu)
-    t1 = bracket_table(a_fn, b_fn, st)
-    t2 = bracket_table(b_fn, a_fn, st)
+    t1 = bracket_table(monodromy, monodromy, st, lam, mu)
+    t2 = bracket_table(monodromy, monodromy, st, mu, lam)
     # {A_ij(l), B_kl(m)} = -{B_kl(m), A_ij(l)}: swap both tensor legs
     swapped = t2.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
     assert np.max(np.abs(t1 + swapped)) < 1e-12
@@ -63,8 +66,8 @@ def test_bracket_table_antisymmetry():
 
 def test_reflection_equation_for_boundary_matrices():
     theta = 0.7
-    km = lambda l: np.array([[theta, l], [0.0, theta]])
-    kp = lambda l: np.array([[theta, 0.0], [l, theta]])
+    km = poly_mat(theta, LAM, 0.0, theta)
+    kp = poly_mat(theta, 0.0, LAM, theta)
     rng = np.random.default_rng(3)
     for _ in range(50):
         lam = rng.uniform(0.2, 2.0) + 1j * rng.uniform(-0.5, 0.5)
@@ -74,7 +77,7 @@ def test_reflection_equation_for_boundary_matrices():
 
 
 def test_reflection_identity_matrix_trivial():
-    k_id = lambda l: np.eye(2)
+    k_id = poly_mat(1.0, 0.0, 0.0, 1.0)
     assert reflection_residual_K(k_id, 0.9, 0.4) < 1e-15
 
 
@@ -82,12 +85,12 @@ def test_reflection_negative_controls():
     # theta I + lambda M with M^2 proportional to I *solves* the algebra,
     # so the genuine control needs a non-involutive lambda-dependence
     theta = 0.7
-    sym = lambda l: np.array([[theta, l], [l, theta]])
+    sym = poly_mat(theta, LAM, LAM, theta)
     assert reflection_residual_K(sym, 0.9, 0.4) < 1e-12
-    bad = lambda l: np.array([[theta, l], [l * l, theta]])
+    bad = poly_mat(theta, LAM, LAM * LAM, theta)
     assert reflection_residual_K(bad, 0.9, 0.4) > 1e-3
     # the printed last-argument variant does not vanish for K_-
-    km = lambda l: np.array([[theta, l], [0.0, theta]])
+    km = poly_mat(theta, LAM, 0.0, theta)
     assert reflection_residual_K(km, 0.9, 0.4, last_arg="mu") > 1e-3
     with pytest.raises(CoincidingSpectralParams):
         reflection_residual_K(km, 0.5, -0.5)
@@ -112,7 +115,7 @@ def test_cism2_degenerate_nilpotent():
     # theta_+- = 0 and vacuum state: U is nilpotent and every term vanishes
     bc = Open(0.0, 0.0)
     st = LatticeState((0.0,), (0.0,))
-    u = dressed_U(st, bc, 0.9)
+    u = mat2_array(dressed_U(st, bc), 0.9)
     assert np.allclose(u @ u, 0)
     assert cism2_residual_U(st, bc, 0.9, 0.4) < 1e-12
 
@@ -132,13 +135,12 @@ def test_stencil_convergence_order_on_cubic_witness():
 
 
 def test_residual_scale_stability():
-    from dstlab.monodromy import mat2_array, monodromy
     from dstlab.rmatrix import _kron
     rng = np.random.default_rng(6)
     st = _rand_state(rng, 2)
     for c in (0.5, 1.0, 2.0):
         lam, mu = 0.7 * c, -0.3 * c
-        res = cism1_residual(st, lam, mu, "monodromy")
+        res = cism1_residual(st, lam, mu, monodromy)
         a = mat2_array(monodromy(st), lam)
         b = mat2_array(monodromy(st), mu)
         r = classical_r(lam, mu)
@@ -176,7 +178,6 @@ def _complex_products_round_per_term():
 
 
 def test_bracket_table_matches_the_einsum_reference():
-    from dstlab.monodromy import mat2_array, monodromy
     bit_for_bit = _complex_products_round_per_term()
     bc = Open(0.3, 0.7)
     rng = np.random.default_rng(7)
@@ -185,11 +186,10 @@ def test_bracket_table_matches_the_einsum_reference():
                    LatticeState(tuple(rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)),
                                 tuple(rng.uniform(-1, 1, n)))):
             for lam, mu in ((0.7, -0.3), (2.1 + 0.3j, 0.5)):
-                for make in (lambda l: lambda s: mat2_array(monodromy(s), l),
-                             lambda l: lambda s: dressed_U(s, bc, l)):
-                    a_fn, b_fn = make(lam), make(mu)
-                    table = bracket_table(a_fn, b_fn, st)
-                    ref, bound = _einsum_table(a_fn, b_fn, st)
+                for matrix in (monodromy, lambda s: dressed_U(s, bc)):
+                    table = bracket_table(matrix, matrix, st, lam, mu)
+                    ref, bound = _einsum_table(lambda s: mat2_array(matrix(s), lam),
+                                               lambda s: mat2_array(matrix(s), mu), st)
                     if bit_for_bit:
                         assert table.tobytes() == ref.tobytes()
                     else:
@@ -209,3 +209,23 @@ def test_reflection_rhs_takes_r_of_the_sum_from_classical_r():
         inline = (quadratic_rhs(lam, mu, x, y) + _kron(x, np.eye(2)) @ rp @ y2
                   - y2 @ rp @ _kron(x_last, np.eye(2)))
         assert reflection_rhs(lam, mu, x, y, x_last).tobytes() == inline.tobytes()
+
+
+def test_each_matrix_is_built_once_per_stencil_state(monkeypatch):
+    # N = 3 has 12 stencil states and the centre: 13 builds per residual
+    calls = []
+
+    def counted(build):
+        def wrapper(*args):
+            calls.append(args[0])
+            return build(*args)
+        return wrapper
+
+    st = _rand_state(np.random.default_rng(9), 3)
+    cism1_residual(st, 0.7, -0.3, counted(monodromy))
+    assert len(calls) == 13
+    calls.clear()
+    monkeypatch.setattr(rmatrix, "dressed_U", counted(rmatrix.dressed_U))
+    cism2_residual_U(st, Open(0.3, 0.7), 0.9, 0.4)
+    assert len(calls) == 13
+    assert len(set(calls)) == 13
