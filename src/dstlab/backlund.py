@@ -140,18 +140,26 @@ def bt_solve(state_x, params, initial_guess=None):
         y = -1.0 / X
         sigmas = [params.sigma * k / steps for k in range(1, steps + 1)]
     res = 0.0
-    for sig in sigmas:
-        for _ in range(NEWTON_MAX_ITER):
-            f, _ = _bt_F(y, x, X, sig, xi)
-            res = float(np.max(np.abs(f)))
-            if res <= NEWTON_TOL:
-                break
-            jac = _bt_jac(y, x, sig, xi)
-            y = y + np.linalg.solve(jac, -f)
-            steps_used += 1
-        else:
-            raise NewtonDiverged(f"residual {res:.3e} after {NEWTON_MAX_ITER} iterations "
-                                 f"at sigma={sig}")
+    # A diverging iterate overflows, or makes its Jacobian singular, before
+    # the iteration budget runs out: either ends the solve as NewtonDiverged.
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for sig in sigmas:
+                for _ in range(NEWTON_MAX_ITER):
+                    f, _ = _bt_F(y, x, X, sig, xi)
+                    res = float(np.max(np.abs(f)))
+                    if res <= NEWTON_TOL:
+                        break
+                    step = np.linalg.solve(_bt_jac(y, x, sig, xi), -f)
+                    if not np.all(np.isfinite(step)):
+                        raise NewtonDiverged(f"non-finite Newton step at sigma={sig}")
+                    y = y + step
+                    steps_used += 1
+                else:
+                    raise NewtonDiverged(f"residual {res:.3e} after {NEWTON_MAX_ITER} "
+                                         f"iterations at sigma={sig}")
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        raise NewtonDiverged(f"no Newton step at sigma={sig}: {exc}") from exc
     _, y_next = _bt_F(y, x, X, params.sigma, xi)
     Y = np.array(_ring_prev(X, xi), dtype=complex) + (x - y_next) / y * X
     return BTResult(tuple(y), tuple(Y), res, steps_used)

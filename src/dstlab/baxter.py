@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (EvaluationAtRoot, GammaPole, NoConvergence, PoleInput,
                      RootCollision)
-from .lattice import worst
+from .lattice import DEFAULT_FD_STEP, central_differences, relative_steps, worst
 
 POLE_GUARD = 1e-12
 BETHE_MAX_STARTS = 64  # randomized Newton starts before bethe_solve gives up
@@ -95,10 +95,10 @@ def kernel_sites(rng, n, xi):
     return y, tuple(rng.uniform(-0.8, 0.8, n) + 1j * rng.uniform(-0.4, 0.4, n))
 
 
-def _check_gamma_pole(sigma, eta):
-    s = complex(sigma) / complex(eta) + 1
-    if abs(s.imag) < 1e-12 and s.real <= 0 and abs(s.real - round(s.real)) < 1e-12:
-        raise GammaPole(f"sigma/eta + 1 = {s} hits a Gamma pole")
+def _check_gamma_pole(z):
+    """GammaPole if z is within 1e-12 of a pole 0, -1, -2, ... of Gamma."""
+    if abs(z.imag) < 1e-12 and z.real <= 0 and abs(z.real - round(z.real)) < 1e-12:
+        raise GammaPole(f"Gamma argument {z} hits a pole")
 
 
 # B_2k / (2k (2k - 1)) for k = 1..8: the coefficients of z^(1 - 2k) in
@@ -136,18 +136,41 @@ def _loggamma(z):
     while z.real < 8:
         shift += cmath.log(z)
         z += 1
-    r = 1 / z
+    return (z - 0.5) * cmath.log(z) - z + _HALF_LOG_2PI + _stirling_tail(1 / z) - shift
+
+
+def _stirling_tail(r):
+    """The terms of Stirling's series for log Gamma(z) past its leading
+    ones, sum_k _STIRLING[k - 1] r^(2k - 1) at r = 1/z."""
     series = 0j
     for c in reversed(_STIRLING):
         series = series * r * r + c
-    return (z - 0.5) * cmath.log(z) - z + _HALF_LOG_2PI + series * r - shift
+    return series * r
+
+
+def _log1p(w):
+    """log(1 + w) for complex w, keeping its digits at small |w|."""
+    return complex(0.5 * math.log1p(w.real * (2 + w.real) + w.imag ** 2),
+                   math.atan2(w.imag, 1 + w.real))
+
+
+def _loggamma_step(z, a):
+    """log Gamma(z + a) - log Gamma(z) for a = +1 or -1, up to a multiple of
+    2 pi i.  At |z| >= 8 neither value is formed: Stirling's series is
+    differenced term by term, its leading terms as
+    a log z + (z + a - 1/2) log1p(a/z) - a, which is good to rounding in every
+    direction, the negative axis included.  At |z| < 8 the values are small."""
+    if abs(z) < 8:
+        return _loggamma(z + a) - _loggamma(z)
+    return (a * cmath.log(z) + (z + a - 0.5) * _log1p(a / z) - a
+            + _stirling_tail(1 / (z + a)) - _stirling_tail(1 / z))
 
 
 def log_w(i, p):
     """log of the site kernel (constant prefactor dropped), principal branches."""
-    _check_gamma_pole(p.sigma, p.eta)
     z = complex(p.z(i))
     s = complex(p.sigma) / complex(p.eta)
+    _check_gamma_pole(s + 1)
     return (_loggamma(s + 1) - cmath.log(complex(p.y[i]))
             + (-s - 1) * cmath.log(z) + z / complex(p.eta))
 
@@ -221,11 +244,17 @@ def tq_scalar_residual(p):
     special-function path), against J from the triangularization diagonals
     (the matrix path).  The eta^(-+N) factors are the corrections away from
     eta = 1, where the identity is literal; they are returned alongside.
-    """
+
+    Each site's log-ratio, with s = sigma/eta, is
+    [log Gamma(s + 1 -+ 1) - log Gamma(s + 1)] +- log z_i: no term of log w
+    that cancels (near 1e9 at eta = 1e-8) is formed."""
     n = p.n_sites
-    down = sum(log_w(i, p.shifted(-p.eta)) - log_w(i, p) for i in range(n))
-    up = sum(log_w(i, p.shifted(+p.eta)) - log_w(i, p) for i in range(n))
     eta, sigma = complex(p.eta), complex(p.sigma)
+    s = sigma / eta
+    _check_gamma_pole(s)  # s + 1 or s + 2 at a pole of Gamma puts s at one too
+    log_z = sum(cmath.log(complex(p.z(i))) for i in range(n))
+    down = n * _loggamma_step(s + 1, -1) + log_z
+    up = n * _loggamma_step(s + 1, 1) - log_z
     sq = cmath.sqrt(complex(p.xi))
     rhs = (sigma ** n / sq) * eta ** (-n) * cmath.exp(down) \
         + sq * eta ** n * cmath.exp(up)
@@ -274,52 +303,28 @@ class BetheConfig:
     residual: float
 
 
-def _bethe_rhs_terms(sigma, roots, n, xi, eta):
-    """The two products of the algebraic form at argument sigma."""
+def _tq_rhs(roots, n, xi, eta):
+    """Coefficients, highest power first, of the right side of the Baxter
+    relation Lambda(sigma) Q(sigma) = sigma^N/s Q(sigma - eta) + s Q(sigma + eta),
+    Q(sigma) = prod_j (sigma - mu_j), s = xi^(1/2): the one form of it that the
+    Bethe system, Lambda and the polynomiality remainder read."""
     sq = cmath.sqrt(complex(xi))
-    p_down = 1.0 + 0j
-    p_up = 1.0 + 0j
+    down = up = np.ones(1, dtype=complex)
     for mu in roots:
-        p_down *= sigma - mu - eta
-        p_up *= sigma - mu + eta
-    return (sigma ** n / sq) * p_down, sq * p_up
+        down = np.convolve(down, [1.0, -eta - mu])
+        up = np.convolve(up, [1.0, eta - mu])
+    return np.polyadd(np.concatenate([down, np.zeros(n)]) / sq, sq * up)
 
 
 def bethe_system(roots, n, xi, eta):
-    """Residual vector R(mu_j): the right side of the functional form must
-    vanish at every root for the eigenvalue to be a polynomial.  The
-    products run over all roots (the j = i factors contribute -+eta)."""
-    out = np.empty(len(roots), dtype=complex)
-    for j, mu in enumerate(roots):
-        a, b = _bethe_rhs_terms(mu, roots, n, xi, eta)
-        out[j] = a + b
-    return out
+    """Residual vector R(mu_j): the right side of the Baxter relation must
+    vanish at every root for the eigenvalue to be a polynomial."""
+    return np.polyval(_tq_rhs(roots, n, xi, eta), np.asarray(roots, dtype=complex))
 
 
-def _bethe_jacobian(roots, n, xi, eta):
-    m = len(roots)
-    sq = cmath.sqrt(complex(xi))
-    jac = np.zeros((m, m), dtype=complex)
-    for j in range(m):
-        mu = roots[j]
-        down = [mu - roots[i] - eta for i in range(m)]
-        up = [mu - roots[i] + eta for i in range(m)]
-        prod_down = np.prod(down)
-        prod_up = np.prod(up)
-        for k in range(m):
-            if k == j:
-                # d/dmu_j [mu_j^n prod down]: the i = j factor is the constant -eta
-                s_down = sum(prod_down / down[i] for i in range(m) if i != j)
-                s_up = sum(prod_up / up[i] for i in range(m) if i != j)
-                jac[j, j] = (n * mu ** (n - 1) * prod_down + mu ** n * s_down) / sq \
-                    + sq * s_up
-            else:
-                jac[j, k] = -(mu ** n) * (prod_down / down[k]) / sq - sq * prod_up / up[k]
-    return jac
-
-
-def bethe_solve(n, m, xi, eta, seed=0, tol=1e-12):
-    """Solve the m-root algebraic system by Newton from randomized starts.
+def bethe_solve(n, m, xi, eta, seed, tol=1e-12):
+    """Solve the m-root algebraic system by Newton from randomized starts,
+    with the Jacobian from the package's one difference stencil.
 
     Converged root sets with colliding roots are rejected and the search
     continues; m = 0 gives the empty configuration.  Raises NoConvergence
@@ -337,7 +342,8 @@ def bethe_solve(n, m, xi, eta, seed=0, tol=1e-12):
             if res <= tol:
                 ok = True
                 break
-            jac = _bethe_jacobian(roots, n, xi, eta)
+            jac = np.column_stack(central_differences(lambda z: bethe_system(z, n, xi, eta),
+                                                      roots, relative_steps(roots, DEFAULT_FD_STEP)))
             try:
                 step = np.linalg.solve(jac, -f)
             except np.linalg.LinAlgError:
@@ -351,7 +357,6 @@ def bethe_solve(n, m, xi, eta, seed=0, tol=1e-12):
                          for i in range(m) for j in range(i + 1, m)) < 1e-10:
             collided = True
             continue
-        res = float(worst(np.abs(bethe_system(roots, n, xi, eta))))
         return BetheConfig(n, m, xi, eta, tuple(roots), res)
     if collided:
         raise RootCollision("only colliding root sets found")
@@ -359,35 +364,20 @@ def bethe_solve(n, m, xi, eta, seed=0, tol=1e-12):
 
 
 def lambda_from_roots(cfg, sigma0):
-    """Eigenvalue polynomial value Lambda(sigma0) from the root data."""
+    """Eigenvalue polynomial value Lambda(sigma0): the Baxter relation's right
+    side divided by Q(sigma0)."""
     for mu in cfg.roots:
         if abs(sigma0 - mu) < POLE_GUARD:
             raise EvaluationAtRoot(f"sigma0 = {sigma0} hits root {mu}")
-    a, b = _bethe_rhs_terms(sigma0, cfg.roots, cfg.n_sites, cfg.xi, cfg.eta)
-    denom = np.prod([sigma0 - mu for mu in cfg.roots]) if cfg.m else 1.0
-    return (a + b) / denom
+    return (np.polyval(_tq_rhs(cfg.roots, cfg.n_sites, cfg.xi, cfg.eta), sigma0)
+            / np.prod([sigma0 - mu for mu in cfg.roots]))
 
 
 def bethe_remainder(cfg):
-    """Max |coefficient| of the remainder of (right side) / prod(sigma - mu_i):
-    zero when Lambda is a polynomial, i.e. when the roots solve the system."""
-    sq = cmath.sqrt(complex(cfg.xi))
-    num = np.array([1.0 + 0j])
-    for mu in cfg.roots:
-        num = np.convolve(num, [1.0, -(mu + cfg.eta)])
-    num = np.concatenate([num, np.zeros(cfg.n_sites)])  # * sigma^N
-    num = num / sq
-    up = np.array([sq + 0j])
-    for mu in cfg.roots:
-        up = np.convolve(up, [1.0, -(mu - cfg.eta)])
-    width = max(len(num), len(up))
-    total = np.zeros(width, dtype=complex)
-    total[width - len(num):] += num
-    total[width - len(up):] += up
-    den = np.array([1.0 + 0j])
-    for mu in cfg.roots:
-        den = np.convolve(den, [1.0, -mu])
-    _, rem = np.polydiv(total, den)
+    """Max |coefficient| of the remainder of the Baxter relation's right side
+    divided by Q: zero when Lambda is a polynomial, i.e. when the roots solve
+    the system."""
+    _, rem = np.polydiv(_tq_rhs(cfg.roots, cfg.n_sites, cfg.xi, cfg.eta), np.poly(cfg.roots))
     return float(np.max(np.abs(rem))) if len(rem) else 0.0
 
 

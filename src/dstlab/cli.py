@@ -291,8 +291,7 @@ def cmd_backlund(args):
         certs["dressing_plus"], certs["dressing_minus"] = v_dressing_residual(
             res.y[0], xi * res.y[0], xi * st.r[-1], st.r[-1], args.sigma,
             args.theta_minus, args.theta_plus)
-        if n <= 3:
-            certs["symplectic_jacobian"] = bt_symplectic_residual(st, params)
+        certs["symplectic_jacobian"] = bt_symplectic_residual(st, params)
         report = {
             "n": n,
             "sigma": args.sigma,

@@ -221,6 +221,17 @@ def test_dressed_generator_composite():
     assert jtilde_invariance_residual(st, r, p, 0.4, 0.8) < 1e-8
 
 
+@pytest.mark.parametrize("scale, message", [(0.0, "Singular matrix"),
+                                            (1e-310, "non-finite Newton step")])
+def test_newton_step_that_is_no_step_is_newton_diverged(scale, message, monkeypatch):
+    from dstlab.errors import NewtonDiverged
+    st = _solvable(np.random.default_rng(31), 2)
+    # a singular Jacobian, and one whose step overflows inside the solve
+    monkeypatch.setattr(backlund, "_bt_jac", lambda y, x, sig, xi: scale * np.eye(len(y)))
+    with pytest.raises(NewtonDiverged, match=message):
+        bt_solve(st, BTParams(0.3))
+
+
 def test_solver_failure_modes(monkeypatch):
     from dstlab.errors import NewtonDiverged, PoleEncountered, SingularG
     rng = np.random.default_rng(31)

@@ -11,7 +11,8 @@ import pytest
 
 from dstlab._rat import rat
 from dstlab.baxter import (CERT_TOL, BetheConfig, QKernelParams,
-                           SovParams, _loggamma, bethe_certificates, bethe_remainder, bethe_solve,
+                           SovParams, _loggamma, _loggamma_step, bethe_certificates,
+                           bethe_remainder, bethe_solve, bethe_system,
                            eigen_membership_residual, gauge_triangularize,
                            kernel_sites, lambda_degree_probe, lambda_from_roots, log_w,
                            qj_lax, sov_residual, tq_exact_rational,
@@ -147,6 +148,31 @@ def test_three_term_overflow_free():
     assert res < 1e-9
 
 
+@pytest.mark.parametrize("eta", [1e-8, -1e-8, 1e-6, -0.001, 0.7, 3.0])
+def test_three_term_identity_from_small_to_large_eta(eta):
+    # the kernel of `dstlab baxter --eta <eta>`: at |eta| = 1e-8 the kernel
+    # ratios may not be taken as differences of log-gamma values near 1e9
+    y, q = kernel_sites(np.random.default_rng(1), 2, 1.0)
+    res, _ = tq_scalar_residual(QKernelParams(0.8 + 0.4j, eta, 1.0, y, q))
+    assert res <= CERT_TOL["three_term_identity"]
+
+
+def test_three_term_identity_refuses_the_gamma_poles():
+    # Gamma(s), Gamma(s + 1) and Gamma(s + 2) at s = sigma/eta all enter
+    for sigma in (0.0, -1.0, -2.0, -5.0):
+        with pytest.raises(GammaPole):
+            tq_scalar_residual(QKernelParams(sigma, 1.0, 1.5, (2.0, 3.0), (1.0,)))
+
+
+def test_loggamma_step_at_large_argument():
+    # Gamma(z + 1) = z Gamma(z), also beside the negative axis, where Stirling's
+    # series alone does not hold; exp carries the log's rounding, |log| eps
+    for z in (8.5, -8.5 + 1e-9j, -731.4 + 1e-3j, 8e7 + 4e7j, -8e7 - 4e7j, 1e300 + 1j):
+        up, down = _loggamma_step(z, 1), _loggamma_step(z, -1)
+        assert abs(cmath.exp(up) / z - 1) <= 1e-15 * max(1.0, abs(up))
+        assert abs(cmath.exp(down) * (z - 1) - 1) <= 1e-15 * max(1.0, abs(down))
+
+
 def test_exact_rational_single_site():
     lhs, rhs = tq_exact_rational(rat(3, 2), rat(1), rat(2),
                                  (rat(1, 3), rat(4, 3)), (rat(-1, 2),))
@@ -244,6 +270,50 @@ def test_tq_residual_tracks_solver_tolerance():
     loose = bethe_solve(2, 2, 1.0, 1.0, seed=3, tol=1e-6)
     tight = bethe_solve(2, 2, 1.0, 1.0, seed=3, tol=1e-13)
     assert bethe_remainder(tight) <= 100 * max(bethe_remainder(loose), 1e-14)
+
+
+def test_one_baxter_relation_feeds_system_eigenvalue_and_remainder(monkeypatch):
+    from dstlab import baxter
+    cfg = bethe_solve(2, 2, 1.0, 1.0, seed=1)
+
+    def readings():
+        return (bethe_system(cfg.roots, 2, 1.0, 1.0), lambda_from_roots(cfg, 0.3),
+                bethe_remainder(cfg))
+
+    before = readings()
+    tq_rhs = baxter._tq_rhs
+    monkeypatch.setattr(baxter, "_tq_rhs", lambda *args: tq_rhs(*args) + 1e-3)
+    for old, new in zip(before, readings()):
+        assert np.max(np.abs(np.subtract(new, old))) > 1e-5
+
+
+# Roots found before the Baxter relation was written once, at the `verify`
+# configurations and the `dstlab baxter` runs of CI: (n, m, xi, eta, seed).
+_PINNED_ROOTS = [
+    ((2, 1, 1.0, 1.0, 1), (1.0000000000000009 - 8.635733103399148e-16j,)),
+    ((3, 1, 1.0, 1.0, 1), (-0.5 + 0.8660254037844387j,)),
+    ((2, 2, 1.0, 1.0, 1), (-0.7807764064044151 - 0.6248105338438266j,
+                           -0.7807764064044151 + 0.6248105338438266j)),
+    ((2, 1, 1.0, 1.0, 2), (-1 + 2.768747993625444e-21j,)),
+    ((3, 1, 1.0, 1.0, 2), (-0.49999999999999056 - 0.8660254037844481j,)),
+    ((2, 2, 1.0, 1.0, 2), (-0.7807764064044151 + 0.6248105338438266j,
+                           -0.7807764064044151 - 0.6248105338438266j)),
+    ((2, 1, 1.0, 1.0, 3), (-1.0000000000000002 + 4.735257248310595e-17j,)),
+    ((3, 1, 1.0, 1.0, 3), (-0.5 - 0.8660254037844387j,)),
+    ((2, 2, 1.0, 1.0, 3), (-0.78077640640442 + 0.6248105338438318j,
+                           -0.7807764064044184 - 0.6248105338438261j)),
+    ((3, 1, 2.0, 0.7, 1), (-0.6299605249474366 + 1.0911236359717214j,)),
+    ((2, 1, 1.0, -0.001, 1), (1.0000000002530987 + 6.3948882052667246e-12j,)),
+    ((2, 0, 1.0, 1.0, 1), ()),
+]
+
+
+@pytest.mark.parametrize("config, roots", _PINNED_ROOTS)
+def test_bethe_roots_are_pinned(config, roots):
+    n, m, xi, eta, seed = config
+    found = bethe_solve(n, m, xi, eta, seed=seed).roots
+    assert len(found) == len(roots)
+    assert all(abs(a - b) <= 1e-12 for a, b in zip(found, roots))
 
 
 def test_bethe_no_convergence_budget(monkeypatch):

@@ -315,6 +315,12 @@ def test_backlund_command(tmp_path):
     assert all(c["pass"] for c in data["checks"].values())
 
 
+def test_backlund_certifies_symplecticity_past_three_sites(capsys):
+    assert main(["backlund", "--n", "6", "--json"]) == 0
+    check = json.loads(capsys.readouterr().out)["checks"]["symplectic_jacobian"]
+    assert check["pass"]
+
+
 def test_backlund_rejects_open():
     assert main(["backlund", "--bc", "open"]) == 64
 
@@ -370,6 +376,16 @@ def test_library_error_is_one_failure_line(capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "backlund run failed: SingularG: lambda hit sigma on the grid\n"
+
+
+def test_diverging_newton_is_one_failure_line(capsys):
+    # the iterate overflows, then the Jacobian turns singular: a run failure,
+    # with no numpy warning or traceback
+    assert main(["backlund", "--n", "6", "--seed", "5", "--bc", "quasi", "--xi", "-1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("backlund run failed: NewtonDiverged: ")
+    assert out.err.count("\n") == 1
 
 
 def test_verify_cost_guard_exits_3(monkeypatch, capsys):
