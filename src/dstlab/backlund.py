@@ -6,8 +6,8 @@ The map (x, X) -> (y, Y) is defined implicitly by
     Y_i = X_{i-1} + (x_i - y_{i+1})/y_i * X_i,
 
 with the ring closure y_{N+1} = xi y_1, X_0 = xi X_N (xi = 1 periodic).
-It is solved by Newton continuation in sigma, over
-BTParams.continuation_steps points, from the exact sigma=0 seed y_i = -1/X_i.
+It is solved by `lattice.newton`, continued in sigma over
+BTParams.continuation_steps points from the exact sigma=0 seed y_i = -1/X_i.
 
 The gauge matrices certifying the map carry the *auxiliary* variables of the
 extended phase space, which are the negatives of the new site variables
@@ -27,13 +27,15 @@ import numpy as np
 
 from .errors import (LogBranch, NewtonDiverged, PoleEncountered, SingularG,
                      SingularPrefactor, ZeroSeed)
-from .lattice import LatticeState, Open, Periodic, Quasiperiodic, central_differences, worst
+from .lattice import (LatticeState, Open, Periodic, Quasiperiodic, central_differences, newton,
+                      worst)
 from .monodromy import boundary_C, boundary_K, generator, lax_L, mat2_array, monodromy
 from .poly import adjugate_neg
 
 POLE_GUARD = 1e-12
 NEWTON_TOL = 1e-12  # max-norm of the map's residual at which Newton stops
 NEWTON_MAX_ITER = 50  # Newton iterations at one continuation point before NewtonDiverged
+NEWTON_MAX_STEP = 0.5  # max-norm of one Newton step in y, so an overshoot cannot run away
 
 # Certificate tolerances by name, applied as written by `verify --suite
 # backlund` and `dstlab backlund`.  Twin certificates share one tolerance.
@@ -113,10 +115,7 @@ def _bt_jac(y, x, sigma, xi):
     for i in range(n):
         jac[i, i] += -1.0 / y[i] ** 2
         d = sigma / (x[i] - y_next[i]) ** 2
-        if i < n - 1:
-            jac[i, i + 1] += d
-        else:
-            jac[i, 0] += xi * d
+        jac[i, (i + 1) % n] += d if i < n - 1 else xi * d
     return jac
 
 
@@ -130,36 +129,20 @@ def bt_solve(state_x, params, initial_guess=None):
     X = np.asarray(state_x.r, dtype=complex)
     if np.min(np.abs(X)) < POLE_GUARD:
         raise ZeroSeed("sigma=0 seed needs all X_i nonzero")
-    steps = params.continuation_steps
-    xi = params.xi
-    steps_used = 0
-    if initial_guess is not None:
-        y = np.asarray(initial_guess, dtype=complex).copy()
-        sigmas = [params.sigma]
+    if initial_guess is None:
+        steps = params.continuation_steps
+        y, sigmas = -1.0 / X, [params.sigma * k / steps for k in range(1, steps + 1)]
     else:
-        y = -1.0 / X
-        sigmas = [params.sigma * k / steps for k in range(1, steps + 1)]
-    res = 0.0
-    # A diverging iterate overflows, or makes its Jacobian singular, before
-    # the iteration budget runs out: either ends the solve as NewtonDiverged.
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            for sig in sigmas:
-                for _ in range(NEWTON_MAX_ITER):
-                    f, _ = _bt_F(y, x, X, sig, xi)
-                    res = float(np.max(np.abs(f)))
-                    if res <= NEWTON_TOL:
-                        break
-                    step = np.linalg.solve(_bt_jac(y, x, sig, xi), -f)
-                    if not np.all(np.isfinite(step)):
-                        raise NewtonDiverged(f"non-finite Newton step at sigma={sig}")
-                    y = y + step
-                    steps_used += 1
-                else:
-                    raise NewtonDiverged(f"residual {res:.3e} after {NEWTON_MAX_ITER} "
-                                         f"iterations at sigma={sig}")
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
-        raise NewtonDiverged(f"no Newton step at sigma={sig}: {exc}") from exc
+        y, sigmas = initial_guess, [params.sigma]
+    xi, steps_used = params.xi, 0
+    for sig in sigmas:
+        try:
+            y, res, used = newton(lambda z: _bt_F(z, x, X, sig, xi)[0], y,
+                                  lambda z: _bt_jac(z, x, sig, xi),
+                                  NEWTON_TOL, NEWTON_MAX_ITER, NEWTON_MAX_STEP)
+        except NewtonDiverged as exc:
+            raise NewtonDiverged(f"{exc} at sigma={sig}") from exc
+        steps_used += used
     _, y_next = _bt_F(y, x, X, params.sigma, xi)
     Y = np.array(_ring_prev(X, xi), dtype=complex) + (x - y_next) / y * X
     return BTResult(tuple(y), tuple(Y), res, steps_used)

@@ -26,12 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (EvaluationAtRoot, GammaPole, NoConvergence, PoleInput,
-                     RootCollision)
-from .lattice import DEFAULT_FD_STEP, central_differences, relative_steps, worst
+from .errors import (EvaluationAtRoot, GammaPole, NewtonDiverged, NoConvergence,
+                     PoleInput, RootCollision)
+from .lattice import DEFAULT_FD_STEP, central_differences, newton, relative_steps, worst
 
 POLE_GUARD = 1e-12
 BETHE_MAX_STARTS = 64  # randomized Newton starts before bethe_solve gives up
+BETHE_MAX_ITER = 80  # Newton iterations from one start before it counts as failed
+BETHE_TOL = 1e-12  # max-norm of the Bethe system at which Newton stops
 
 # Certificate tolerances by name, applied as written by `verify --suite
 # baxter` and `dstlab baxter`.
@@ -322,36 +324,29 @@ def bethe_system(roots, n, xi, eta):
     return np.polyval(_tq_rhs(roots, n, xi, eta), np.asarray(roots, dtype=complex))
 
 
-def bethe_solve(n, m, xi, eta, seed, tol=1e-12):
-    """Solve the m-root algebraic system by Newton from randomized starts,
-    with the Jacobian from the package's one difference stencil.
+def bethe_solve(n, m, xi, eta, seed):
+    """Solve the m-root algebraic system by `lattice.newton` from randomized
+    starts, with the Jacobian from the package's one difference stencil.
 
-    Converged root sets with colliding roots are rejected and the search
-    continues; m = 0 gives the empty configuration.  Raises NoConvergence
-    after the start budget, RootCollision if only collided solutions were
-    found."""
+    A diverging start, or a converged root set with colliding roots, is
+    rejected and the search continues; m = 0 gives the empty configuration.
+    Raises NoConvergence after the start budget, RootCollision if only
+    collided solutions were found."""
     rng = np.random.default_rng(seed)
     radius = 2.0 + abs(complex(eta)) * m
+
+    def system(z):
+        return bethe_system(z, n, xi, eta)
+
+    def jacobian(z):
+        return np.column_stack(central_differences(system, z, relative_steps(z, DEFAULT_FD_STEP)))
+
     collided = False
     for _ in range(BETHE_MAX_STARTS):
-        roots = radius * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m))
-        ok = False
-        for _ in range(80):
-            f = bethe_system(roots, n, xi, eta)
-            res = float(worst(np.abs(f)))
-            if res <= tol:
-                ok = True
-                break
-            jac = np.column_stack(central_differences(lambda z: bethe_system(z, n, xi, eta),
-                                                      roots, relative_steps(roots, DEFAULT_FD_STEP)))
-            try:
-                step = np.linalg.solve(jac, -f)
-            except np.linalg.LinAlgError:
-                break
-            if np.max(np.abs(step)) > 10 * radius:
-                step *= 10 * radius / np.max(np.abs(step))
-            roots = roots + step
-        if not ok:
+        start = radius * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m))
+        try:
+            roots, res, _ = newton(system, start, jacobian, BETHE_TOL, BETHE_MAX_ITER, 10 * radius)
+        except NewtonDiverged:
             continue
         if m > 1 and min(abs(roots[i] - roots[j])
                          for i in range(m) for j in range(i + 1, m)) < 1e-10:

@@ -17,6 +17,7 @@ bracket, the flow Jacobian of `verify` and the Bäcklund Jacobian of
 one canonical bracket, for scalar and array observables alike: `verify`
 takes its coordinate and Hamiltonian brackets from it, and `rmatrix` its
 tables of matrix-entry brackets.
+`newton` is the one Newton loop, of the Bäcklund map and the Bethe roots.
 `worst` (and its mirror `least`) is the package's one fold of residuals.
 The flow's formula is written once, in `_rate_lines`, which emits it as
 Python source.  `_kernels(N)` compiles that source, once per chain length,
@@ -33,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import NonFiniteDerivative, NonFiniteState, WrongRegime, ZeroXi
+from .errors import NewtonDiverged, NonFiniteDerivative, NonFiniteState, WrongRegime, ZeroXi
 
 
 def _is_finite(x):
@@ -252,6 +253,29 @@ def central_differences(f, z, steps):
         zm[k] = z[k] - h
         out.append((f(zp) - f(zm)) / (2 * h))
     return out
+
+
+def newton(f, z, jacobian, tol, max_iter, max_step):
+    """The package's one Newton loop for f(z) = 0: (z, max |f(z)|, steps) once
+    max |f(z)| <= tol, each step solving jacobian(z) step = -f(z), cut to
+    max-norm max_step.  NewtonDiverged on a singular Jacobian, a non-finite
+    step, a numpy overflow, invalid or divide error, or max_iter steps."""
+    import numpy as np  # here: the exact engine imports this module without numpy
+    z, res = np.asarray(z, dtype=complex), math.inf
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for steps in range(max_iter):
+                fz = f(z)
+                res = float(worst(np.abs(fz)))
+                if res <= tol:
+                    return z, res, steps
+                step = np.linalg.solve(jacobian(z), -fz)
+                if not np.all(np.isfinite(step)):
+                    raise NewtonDiverged("non-finite Newton step")
+                z = z + step * min(1.0, max_step / np.max(np.abs(step)))
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        raise NewtonDiverged(f"no Newton step: {exc}") from exc
+    raise NewtonDiverged(f"residual {res:.3e} after {max_iter} iterations")
 
 
 def relative_steps(z, h_scale):

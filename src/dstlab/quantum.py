@@ -716,7 +716,11 @@ def degree_basis(n_sites, m):
     return sorted(gen((), m, n_sites), reverse=True)
 
 
-REP_DIM_GUARD = 64  # largest dimension comb(N+m-1, m) of a represented subspace
+# Largest dimension comb(N+m-1, m) of a represented subspace.  Past cost, it keeps
+# the float Bethe certificates meaningful: |det(M - Lambda I)| / ||M||_F^dim shrinks
+# with the dimension, so an unguarded `baxter --n 6 --m 4` (126, about 1 s) reads
+# eigen_membership 4.1e-127, certifying nothing, and fails eigenvalue_degree.
+REP_DIM_GUARD = 64
 
 
 def rep_on_degree(op, n_sites, m):

@@ -541,8 +541,8 @@ def suite_quantum(seed, xi_minus=None, xi_plus=None):
 def suite_baxter(seed):
     from .baxter import (CERT_TOL, MEMBERSHIP_SAMPLES, BetheConfig, QKernelParams,
                          SovParams, bethe_certificates, bethe_remainder, bethe_solve,
-                         eigen_membership_residual, gauge_triangularize, kernel_sites,
-                         lambda_from_roots, sov_residual, tq_scalar_residual,
+                         bethe_system, eigen_membership_residual, gauge_triangularize,
+                         kernel_sites, lambda_from_roots, sov_residual, tq_scalar_residual,
                          w_ratio_down, w_ratio_up)
     recs = []
     rng = _sub_rng(seed, "baxter")
@@ -610,14 +610,12 @@ def suite_baxter(seed):
                       eigen_membership_residual(vac, 0.45),
                       1e-12, note="empty configuration"))
 
-    loose = bethe_solve(2, 2, 1.0, 1.0, seed=seed, tol=1e-6)
-    tight = bethe_solve(2, 2, 1.0, 1.0, seed=seed, tol=1e-13)
-    r_loose = max(bethe_remainder(loose), 1e-300)
-    r_tight = max(bethe_remainder(tight), 1e-300)
-    ratio = (r_tight / max(tight.residual, 1e-300)) / \
-            max(r_loose / max(loose.residual, 1e-300), 1e-300)
-    recs.append(check("tq-residual-tracks-solver", ratio, 100.0,
-                      loose=float(r_loose), tight=float(r_tight)))
+    # roots moved off by 1e-6: the Baxter remainder follows the system's residual
+    near = np.asarray(bethe_solve(2, 2, 1.0, 1.0, seed=seed).roots) * (1 + 1e-6 * (1 + 1j))
+    off = BetheConfig(2, 2, 1.0, 1.0, tuple(near), worst(np.abs(bethe_system(near, 2, 1.0, 1.0))))
+    ratio = bethe_remainder(off) / off.residual
+    recs.append(check("tq-residual-tracks-solver", max(ratio, 1 / ratio) if ratio > 0 else math.inf,
+                      10.0, remainder=bethe_remainder(off), system_residual=off.residual))
 
     sv = SovParams(1.0, 1.0, 1.0, lambda u: 1.0, lambda u: 1.0)
     recs.append(check("sov-pinned-value", abs(sov_residual(sv, 0.5) - (-1.0)), 1e-12,

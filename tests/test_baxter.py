@@ -266,10 +266,50 @@ def test_membership_vacuum_exact():
     assert eigen_membership_residual(vac, 0.77) < 1e-14
 
 
-def test_tq_residual_tracks_solver_tolerance():
-    loose = bethe_solve(2, 2, 1.0, 1.0, seed=3, tol=1e-6)
-    tight = bethe_solve(2, 2, 1.0, 1.0, seed=3, tol=1e-13)
-    assert bethe_remainder(tight) <= 100 * max(bethe_remainder(loose), 1e-14)
+def test_tq_remainder_tracks_the_system_residual():
+    cfg = bethe_solve(2, 2, 1.0, 1.0, seed=3)
+    assert bethe_remainder(cfg) < 1e-12
+    for eps in (1e-4, 1e-6, 1e-8):
+        near = tuple(np.asarray(cfg.roots) * (1 + eps * (1 + 1j)))
+        residual = float(np.max(np.abs(bethe_system(near, 2, 1.0, 1.0))))
+        remainder = bethe_remainder(BetheConfig(2, 2, 1.0, 1.0, near, residual))
+        assert eps < residual < 100 * eps
+        assert 0.1 < remainder / residual < 10
+
+
+def _tq_record(seed):
+    from dstlab.verify import suite_baxter
+    return next(r for r in suite_baxter(seed) if r.identity_id == "tq-residual-tracks-solver")
+
+
+@pytest.mark.parametrize("seed", [1, 4, 8])
+def test_tq_residual_record_passes_at_every_root_set(seed):
+    # the three (2, 2) root sets: the complex pair, (0.48, 2.08), (-0.62, 1.62)
+    assert _tq_record(seed).passed
+
+
+@pytest.mark.parametrize("constant", [0.0, 1e-12, 1.0])
+def test_tq_residual_record_fails_on_a_constant_remainder(constant, monkeypatch):
+    from dstlab import baxter
+    monkeypatch.setattr(baxter, "bethe_remainder", lambda cfg: constant)
+    assert not _tq_record(1).passed
+
+
+def test_bethe_start_that_overflows_is_a_failed_start(monkeypatch):
+    from dstlab import baxter
+    calls = []
+    system = baxter.bethe_system
+
+    def first_call_overflows(roots, n, xi, eta):
+        calls.append(roots)
+        f = system(roots, n, xi, eta)
+        return f * 1e308 * 1e308 if len(calls) == 1 else f
+
+    monkeypatch.setattr(baxter, "bethe_system", first_call_overflows)
+    cfg = bethe_solve(2, 1, 1.0, 1.0, seed=1)
+    # the first start ended at its first evaluation; a later one found mu^2 = 1
+    assert not np.array_equal(calls[1], calls[0])
+    assert cfg.residual <= baxter.BETHE_TOL and abs(cfg.roots[0] ** 2 - 1) < 1e-10
 
 
 def test_one_baxter_relation_feeds_system_eigenvalue_and_remainder(monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 from dstlab.cli import main
 from dstlab import backlund, baxter, cli, monodromy, verify
 from dstlab.errors import CostGuard
+from dstlab.lattice import Quasiperiodic
 from lax_chain import lax_chain
 from dstlab.verify import run_suites, suite_rmatrix
 
@@ -379,13 +380,26 @@ def test_library_error_is_one_failure_line(capsys):
 
 
 def test_diverging_newton_is_one_failure_line(capsys):
-    # the iterate overflows, then the Jacobian turns singular: a run failure,
-    # with no numpy warning or traceback
-    assert main(["backlund", "--n", "6", "--seed", "5", "--bc", "quasi", "--xi", "-1"]) == 1
+    # Newton spends its iteration budget at sigma = 0.3 of the ramp to 3: a
+    # run failure, with no numpy warning or traceback
+    assert main(["backlund", "--n", "3", "--seed", "12", "--bc", "quasi", "--xi", "-1",
+                 "--sigma", "3"]) == 1
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("backlund run failed: NewtonDiverged: ")
     assert out.err.count("\n") == 1
+
+
+def test_capped_newton_steps_stay_on_the_continuation_branch(capsys):
+    # uncapped, this ramp's iterate overflowed at sigma = 0.12; with capped
+    # steps it lands where a four times finer continuation does
+    assert main(["backlund", "--n", "6", "--seed", "5", "--bc", "quasi", "--xi", "-1",
+                 "--json"]) == 0
+    y = [complex(*z) for z in json.loads(capsys.readouterr().out)["y"]]
+    st = backlund.solvable_state(np.random.default_rng(5), 6)
+    fine = backlund.bt_solve(st, backlund.BTParams(0.3, Quasiperiodic(-1.0),
+                                                   continuation_steps=40))
+    assert np.max(np.abs(np.subtract(y, fine.y))) < 1e-12
 
 
 def test_verify_cost_guard_exits_3(monkeypatch, capsys):

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies
 
-from dstlab.errors import NonFiniteState, ZeroXi
+from dstlab.errors import NewtonDiverged, NonFiniteState, ZeroXi
 from dstlab.lattice import (LatticeState, Open, Periodic,
                             Quasiperiodic, _all_finite, central_differences,
                             coordinate, eom,
-                            flow_consistency_residual, hamiltonian, least,
+                            flow_consistency_residual, hamiltonian, least, newton,
                             poisson_bracket, step_rk4, worst)
 
 
@@ -395,3 +395,46 @@ def test_residual_folds_keep_a_nan_wherever_it_falls(values, data):
     assert math.isnan(worst(with_nan)) and math.isnan(least(with_nan))
     assert math.isnan(worst(iter(with_nan)))
     assert worst([]) == least([]) == 0.0
+
+
+def _square_roots(z):
+    return z * z - np.array([4.0, 9.0])
+
+
+def test_newton_converges_and_counts_its_steps():
+    jacobians = []
+
+    def jacobian(z):
+        jacobians.append(z)
+        return np.diag(2 * z)
+
+    z, res, steps = newton(_square_roots, [1.0, 1.0], jacobian, 1e-12, 50, 10.0)
+    assert np.allclose(z, [2.0, 3.0], rtol=0, atol=1e-12) and res <= 1e-12
+    assert steps == len(jacobians) > 0
+    # a start on the root takes no step
+    assert newton(_square_roots, [2.0, 3.0], jacobian, 1e-12, 50, 10.0)[2] == 0
+
+
+def test_newton_shortens_a_long_step_to_max_step():
+    seen = []
+
+    def f(z):
+        seen.append(z)
+        return z - 10.0
+
+    z, _, steps = newton(f, [0.0], lambda z: np.eye(1), 1e-12, 50, 1.0)
+    # the full step of 10 is cut to 1: the first iterate is 1, then nine more
+    assert seen[1][0] == 1.0
+    assert z[0] == 10.0 and steps == 10
+
+
+@pytest.mark.parametrize("f, jacobian, max_iter, message", [
+    (lambda z: z - 1.0, lambda z: np.zeros((1, 1)), 50, "Singular matrix"),
+    (lambda z: z - 1.0, lambda z: 1e-310 * np.eye(1), 50, "non-finite Newton step"),
+    (lambda z: z * 1e308 * 1e308, lambda z: np.eye(1), 50, "overflow"),
+    # no iteration at all, even from the root itself
+    (lambda z: z - 0.5, lambda z: np.eye(1), 0, "after 0 iterations"),
+])
+def test_newton_failures_are_newton_diverged(f, jacobian, max_iter, message):
+    with pytest.raises(NewtonDiverged, match=message):
+        newton(f, [0.5], jacobian, 1e-12, max_iter, 1.0)
