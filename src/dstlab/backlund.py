@@ -7,7 +7,8 @@ The map (x, X) -> (y, Y) is defined implicitly by
 
 with the ring closure y_{N+1} = xi y_1, X_0 = xi X_N (xi = 1 periodic).
 It is solved by `lattice.newton`, continued in sigma over
-BTParams.continuation_steps points from the exact sigma=0 seed y_i = -1/X_i.
+BTParams.continuation_steps points from the exact sigma=0 seed y_i = -1/X_i,
+halving the step where Newton fails, up to MAX_RAMP_POINTS points.
 
 The gauge matrices certifying the map carry the *auxiliary* variables of the
 extended phase space, which are the negatives of the new site variables
@@ -36,6 +37,7 @@ POLE_GUARD = 1e-12
 NEWTON_TOL = 1e-12  # max-norm of the map's residual at which Newton stops
 NEWTON_MAX_ITER = 50  # Newton iterations at one continuation point before NewtonDiverged
 NEWTON_MAX_STEP = 0.5  # max-norm of one Newton step in y, so an overshoot cannot run away
+MAX_RAMP_POINTS = 200  # sigma points a refined continuation ramp may reach
 
 # Certificate tolerances by name, applied as written by `verify --suite
 # backlund` and `dstlab backlund`.  Twin certificates share one tolerance.
@@ -122,8 +124,11 @@ def _bt_jac(y, x, sigma, xi):
 def bt_solve(state_x, params, initial_guess=None):
     """Solve the implicit map for y, then assemble Y.
 
-    Continuation ramps sigma linearly from 0 (seed y = -1/X) to the target;
-    an explicit initial_guess skips the ramp (used for warm restarts).
+    Continuation ramps sigma linearly from 0 (seed y = -1/X) to the target.
+    Where Newton fails at a point, the ramp is refined: the midpoint between
+    the last converged sigma and the failed one is solved first, from the
+    last converged y, until the ramp holds MAX_RAMP_POINTS points.  An
+    explicit initial_guess skips the ramp (used for warm restarts).
     """
     x = np.asarray(state_x.q, dtype=complex)
     X = np.asarray(state_x.r, dtype=complex)
@@ -131,17 +136,24 @@ def bt_solve(state_x, params, initial_guess=None):
         raise ZeroSeed("sigma=0 seed needs all X_i nonzero")
     if initial_guess is None:
         steps = params.continuation_steps
-        y, sigmas = -1.0 / X, [params.sigma * k / steps for k in range(1, steps + 1)]
+        y, todo = -1.0 / X, [params.sigma * k / steps for k in range(steps, 0, -1)]
+        points = steps
     else:
-        y, sigmas = initial_guess, [params.sigma]
-    xi, steps_used = params.xi, 0
-    for sig in sigmas:
+        y, todo, points = initial_guess, [params.sigma], MAX_RAMP_POINTS  # no ramp to refine
+    xi, steps_used, done = params.xi, 0, 0.0
+    while todo:  # the next sigma point is todo[-1]
+        sig = todo[-1]
         try:
-            y, res, used = newton(lambda z: _bt_F(z, x, X, sig, xi)[0], y,
-                                  lambda z: _bt_jac(z, x, sig, xi),
-                                  NEWTON_TOL, NEWTON_MAX_ITER, NEWTON_MAX_STEP)
+            y_sig, res, used = newton(lambda z: _bt_F(z, x, X, sig, xi)[0], y,
+                                      lambda z: _bt_jac(z, x, sig, xi),
+                                      NEWTON_TOL, NEWTON_MAX_ITER, NEWTON_MAX_STEP)
         except NewtonDiverged as exc:
-            raise NewtonDiverged(f"{exc} at sigma={sig}") from exc
+            if points >= MAX_RAMP_POINTS:
+                raise NewtonDiverged(f"{exc} at sigma={sig}") from exc
+            todo.append((done + sig) / 2)
+            points += 1
+            continue
+        y, done = y_sig, todo.pop()
         steps_used += used
     _, y_next = _bt_F(y, x, X, params.sigma, xi)
     Y = np.array(_ring_prev(X, xi), dtype=complex) + (x - y_next) / y * X

@@ -33,7 +33,7 @@ from .lattice import DEFAULT_FD_STEP, central_differences, newton, relative_step
 POLE_GUARD = 1e-12
 BETHE_MAX_STARTS = 64  # randomized Newton starts before bethe_solve gives up
 BETHE_MAX_ITER = 80  # Newton iterations from one start before it counts as failed
-BETHE_TOL = 1e-12  # max-norm of the Bethe system at which Newton stops
+BETHE_TOL = 1e-12  # max-norm of the Bethe system at which Newton stops, times min(1, |eta|)
 
 # Certificate tolerances by name, applied as written by `verify --suite
 # baxter` and `dstlab baxter`.
@@ -334,6 +334,7 @@ def bethe_solve(n, m, xi, eta, seed):
     collided solutions were found."""
     rng = np.random.default_rng(seed)
     radius = 2.0 + abs(complex(eta)) * m
+    tol = BETHE_TOL * min(1.0, abs(eta))  # the system scales with |eta|
 
     def system(z):
         return bethe_system(z, n, xi, eta)
@@ -345,7 +346,7 @@ def bethe_solve(n, m, xi, eta, seed):
     for _ in range(BETHE_MAX_STARTS):
         start = radius * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m))
         try:
-            roots, res, _ = newton(system, start, jacobian, BETHE_TOL, BETHE_MAX_ITER, 10 * radius)
+            roots, res, _ = newton(system, start, jacobian, tol, BETHE_MAX_ITER, 10 * radius)
         except NewtonDiverged:
             continue
         if m > 1 and min(abs(roots[i] - roots[j])

@@ -21,10 +21,14 @@ tables of matrix-entry brackets.
 `worst` (and its mirror `least`) is the package's one fold of residuals.
 The flow's formula is written once, in `_rate_lines`, which emits it as
 Python source.  `_kernels(N)` compiles that source, once per chain length,
-into two straight-line functions on local variables: `rates`, which `eom`
-runs, and `rk4`, which `step_rk4` runs.  The RK4 kernel writes its four
-stages and the update as plain expressions, with no loop, comprehension or
-stage object, so one step builds one `LatticeState`, its result.
+into two functions on local variables: `rates`, which `eom` runs, and
+`rk4`, which `step_rk4` runs.  The RK4 kernel writes its four stages and
+the update as plain expressions, with no comprehension or stage object,
+inside one loop over the steps of a block, so one block (a sample interval
+of `monodromy.sampled_trajectory`) builds one `LatticeState`, its result.
+A blow-up inside a block leaves the result non-finite, since no update
+turns an inf or nan entry finite again; only then does `step_rk4` replay
+the block one validated step at a time, to name the step that blew up.
 """
 from __future__ import annotations
 
@@ -178,30 +182,33 @@ def _rate_lines(n, x, y, kx, ky):
 
 
 def _kernel_source(n):
-    """Source of `rates(q, r, closure)` and `rk4(q, r, closure, dt)` for
-    n-site chains, built from integers and fixed names only.  Each returns
-    a pair of n-tuples: the rates (dq, dr), or the state after one RK4 step,
-    x + c (k1 + 2 k2 + 2 k3 + k4) with c = dt/6 and the stages k2, k3, k4
-    at x + half k1, x + half k2 and x + dt k3, half = 0.5 dt."""
+    """Source of `rates(q, r, closure)` and `rk4(q, r, closure, dt, steps)`
+    for n-site chains, built from integers and fixed names only.  Each
+    returns a pair of n-tuples: the rates (dq, dr), or the state after
+    `steps` RK4 steps, each x <- x + c (k1 + 2 k2 + 2 k3 + k4) with c = dt/6
+    and the stages k2, k3, k4 at x + half k1, x + half k2 and x + dt k3,
+    half = 0.5 dt.  The update is one tuple assignment, whose right side is
+    evaluated before any entry is assigned."""
     def names(prefix):
         return "".join(f"{prefix}{i}, " for i in range(n))
 
     unpack = [f"{names('q')}= q", f"{names('r')}= r"]
     rates = unpack + _rate_lines(n, "q", "r", "dq", "dr")
     rates.append(f"return ({names('dq')}), ({names('dr')})")
-    rk4 = unpack + ["half = 0.5 * dt"] + _rate_lines(n, "q", "r", "kq1_", "kr1_")
+    step = _rate_lines(n, "q", "r", "kq1_", "kr1_")
     for s, h in ((2, "half"), (3, "half"), (4, "dt")):
         for x in "qr":
-            rk4 += [f"{x}{s}_{i} = {x}{i} + {h} * k{x}{s - 1}_{i}" for i in range(n)]
-        rk4 += _rate_lines(n, f"q{s}_", f"r{s}_", f"kq{s}_", f"kr{s}_")
-    rk4.append("c = dt / 6")
-    rk4.append("return " + ", ".join(
-        "(" + "".join(f"{x}{i} + c * (k{x}1_{i} + 2 * k{x}2_{i} + 2 * k{x}3_{i}"
-                      f" + k{x}4_{i}), " for i in range(n)) + ")"
-        for x in "qr"))
+            step += [f"{x}{s}_{i} = {x}{i} + {h} * k{x}{s - 1}_{i}" for i in range(n)]
+        step += _rate_lines(n, f"q{s}_", f"r{s}_", f"kq{s}_", f"kr{s}_")
+    step.append(f"{names('q')}{names('r')}= " + "".join(
+        f"{x}{i} + c * (k{x}1_{i} + 2 * k{x}2_{i} + 2 * k{x}3_{i} + k{x}4_{i}), "
+        for x in "qr" for i in range(n)))
+    rk4 = (unpack + ["half = 0.5 * dt", "c = dt / 6", "for _ in range(steps):"]
+           + [f"    {line}" for line in step]
+           + [f"return ({names('q')}), ({names('r')})"])
     return "".join(f"def {head}:\n" + "".join(f"    {line}\n" for line in body)
                    for head, body in (("rates(q, r, closure)", rates),
-                                      ("rk4(q, r, closure, dt)", rk4)))
+                                      ("rk4(q, r, closure, dt, steps)", rk4)))
 
 
 @functools.lru_cache
@@ -314,16 +321,34 @@ def flow_consistency_residual(state, bc):
                  + [abs(d.dr[i] + hq[i]) for i in range(len(hq))])
 
 
-def step_rk4(state, bc, dt):
-    """One classical RK4 step; raises NonFiniteState on blow-up.
+def step_rk4(state, bc, dt, steps):
+    """`steps` classical RK4 steps in one kernel call, validated once: the
+    state they reach.  On blow-up NonFiniteState carries `steps_done`, the
+    steps completed before the first non-finite state.
 
-    The stages are unvalidated: a non-finite stage makes the update
-    non-finite, which the finiteness check of LatticeState catches.
+    Neither the stages nor the states between the first and the last are
+    validated.  Each entry's update is x + c (...), with no division or
+    power, and Python float and complex arithmetic never raises: an entry
+    that turns inf or nan stays non-finite, so the last state is non-finite
+    exactly when some step's state was.  Only then are the steps replayed
+    one at a time from `state`, each validated, to find the first blow-up.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
     _, rk4 = _kernels(state.n_sites)
-    return LatticeState(*rk4(state.q, state.r, bc.closure, dt))
+    try:
+        return LatticeState(*rk4(state.q, state.r, bc.closure, dt, steps))
+    except NonFiniteState:
+        pass
+    for done in range(steps):
+        try:
+            state = LatticeState(*rk4(state.q, state.r, bc.closure, dt, 1))
+        except NonFiniteState as exc:
+            exc.steps_done = done
+            raise
+    return state
 
 
 def principal_sqrt(x):

@@ -201,11 +201,14 @@ def relative_drift(c, c0):
 
 def sampled_trajectory(state, bc, dt, steps, sample_every):
     """Integrate `steps` RK4 steps from `state`; yield a Sample at step 0,
-    every `sample_every`-th step and the last step.
+    every `sample_every`-th step and the last step.  Each sample interval
+    is one `step_rk4` block of `sample_every` steps (the last may be
+    shorter), so only the sampled states are validated.
 
-    On blow-up the step's NonFiniteState propagates, carrying `steps_done`:
-    the number of steps completed before it.  A non-finite step-0 generator
-    is a blow-up at step 0, raised after its sample (drift NaN).
+    On blow-up the block's NonFiniteState propagates, its `steps_done`
+    counted from step 0: the number of steps completed before it.  A
+    non-finite step-0 generator is a blow-up at step 0, raised after its
+    sample (drift NaN).
     """
     c0 = np.array(generator(state, bc).c, dtype=complex)
     if not np.isfinite(c0).all():
@@ -215,16 +218,16 @@ def sampled_trajectory(state, bc, dt, steps, sample_every):
         raise exc
     drift = 0.0
     yield Sample(0, state, c0, drift)
-    for k in range(1, steps + 1):
+    for start in range(0, steps, sample_every):
+        k = min(start + sample_every, steps)
         try:
-            state = step_rk4(state, bc, dt)
+            state = step_rk4(state, bc, dt, k - start)
         except NonFiniteState as exc:
-            exc.steps_done = k - 1
+            exc.steps_done += start
             raise
-        if k % sample_every == 0 or k == steps:
-            c = np.array(generator(state, bc).c, dtype=complex)
-            drift = worst((drift, float(np.max(relative_drift(c, c0)))))
-            yield Sample(k, state, c, drift)
+        c = np.array(generator(state, bc).c, dtype=complex)
+        drift = worst((drift, float(np.max(relative_drift(c, c0)))))
+        yield Sample(k, state, c, drift)
 
 
 @dataclass(frozen=True)

@@ -232,6 +232,51 @@ def test_newton_step_that_is_no_step_is_newton_diverged(scale, message, monkeypa
         bt_solve(st, BTParams(0.3))
 
 
+def _jacobian_failing_at(fails):
+    """A `_bt_jac` that records each sigma it is asked at and raises
+    NewtonDiverged where fails(sigma, tries so far at sigma) is true."""
+    from dstlab.errors import NewtonDiverged
+    real, asked = backlund._bt_jac, []
+
+    def jac(y, x, sig, xi):
+        asked.append(sig)
+        if fails(sig, asked.count(sig)):
+            raise NewtonDiverged("injected")
+        return real(y, x, sig, xi)
+
+    return jac, asked
+
+
+def test_failed_ramp_point_is_refined_from_the_last_converged_one(monkeypatch):
+    st = _solvable(np.random.default_rng(17), 3)
+    plain = bt_solve(st, BTParams(0.3))
+    # Newton fails on its first try at sigma = 0.12: the ramp solves the
+    # midpoint 0.105, then 0.12 again from there
+    jac, asked = _jacobian_failing_at(lambda sig, tries: sig == 0.3 * 4 / 10 and tries == 1)
+    monkeypatch.setattr(backlund, "_bt_jac", jac)
+    refined = bt_solve(st, BTParams(0.3))
+    ramp = list(dict.fromkeys(asked))
+    assert ramp[:5] == [0.3 * k / 10 for k in (1, 2, 3, 4)] + [(0.09 + 0.12) / 2]
+    assert ramp[5:] == [0.3 * k / 10 for k in range(5, 11)]
+    assert max(abs(a - b) for a, b in zip(plain.y, refined.y)) < 1e-12
+
+
+def test_ramp_refinement_stops_at_max_ramp_points(monkeypatch):
+    from dstlab.errors import NewtonDiverged
+    st = _solvable(np.random.default_rng(17), 3)
+    jac, asked = _jacobian_failing_at(lambda sig, tries: sig > 0.1)
+    monkeypatch.setattr(backlund, "_bt_jac", jac)
+    with pytest.raises(NewtonDiverged, match="injected at sigma="):
+        bt_solve(st, BTParams(0.3))
+    # each failure but the last adds a point to the 10-point ramp
+    assert sum(sig > 0.1 for sig in asked) == backlund.MAX_RAMP_POINTS - 10 + 1
+    # an explicit initial guess has no ramp to refine
+    asked.clear()
+    with pytest.raises(NewtonDiverged):
+        bt_solve(st, BTParams(0.3), initial_guess=list(st.q))
+    assert asked == [0.3]
+
+
 def test_solver_failure_modes(monkeypatch):
     from dstlab.errors import NewtonDiverged, PoleEncountered, SingularG
     rng = np.random.default_rng(31)

@@ -295,6 +295,17 @@ def test_tq_residual_record_fails_on_a_constant_remainder(constant, monkeypatch)
     assert not _tq_record(1).passed
 
 
+@pytest.mark.parametrize("eta", [1e-8, -1e-6, 1e-4, 1e-8j])
+def test_bethe_roots_converge_at_small_eta(eta):
+    # N=2, m=1, xi=1: the system is eta (1 - mu^2), so its size scales with
+    # |eta|; an absolute stop at 1e-12 left mu^2 - 1 at 4.5e-5 for eta = 1e-8
+    from dstlab import baxter
+    for seed in (1, 2, 3):
+        cfg = bethe_solve(2, 1, 1.0, eta, seed=seed)
+        assert cfg.residual <= baxter.BETHE_TOL * abs(eta)
+        assert abs(cfg.roots[0] ** 2 - 1) < 1e-7
+
+
 def test_bethe_start_that_overflows_is_a_failed_start(monkeypatch):
     from dstlab import baxter
     calls = []
@@ -329,6 +340,9 @@ def test_one_baxter_relation_feeds_system_eigenvalue_and_remainder(monkeypatch):
 
 # Roots found before the Baxter relation was written once, at the `verify`
 # configurations and the `dstlab baxter` runs of CI: (n, m, xi, eta, seed).
+# The eta = -0.001 root is the one found once Newton's stop scaled with
+# |eta|: the absolute stop had left it at 1 + 2.5e-10 + 6.4e-12j, and the
+# exact root (the system is eta (1 - mu^2)) is 1.
 _PINNED_ROOTS = [
     ((2, 1, 1.0, 1.0, 1), (1.0000000000000009 - 8.635733103399148e-16j,)),
     ((3, 1, 1.0, 1.0, 1), (-0.5 + 0.8660254037844387j,)),
@@ -343,7 +357,7 @@ _PINNED_ROOTS = [
     ((2, 2, 1.0, 1.0, 3), (-0.78077640640442 + 0.6248105338438318j,
                            -0.7807764064044184 - 0.6248105338438261j)),
     ((3, 1, 2.0, 0.7, 1), (-0.6299605249474366 + 1.0911236359717214j,)),
-    ((2, 1, 1.0, -0.001, 1), (1.0000000002530987 + 6.3948882052667246e-12j,)),
+    ((2, 1, 1.0, -0.001, 1), (0.9999999999999098 + 3.052036997026969e-20j,)),
     ((2, 0, 1.0, 1.0, 1), ()),
 ]
 

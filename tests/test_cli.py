@@ -1,5 +1,6 @@
 """CLI harness: exit codes, file outputs, determinism, suite hooks."""
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -57,6 +58,45 @@ def test_simulate_bytes_match_the_lax_chain(bc, n, tmp_path, capsys, monkeypatch
     recurrence = run()
     monkeypatch.setattr(monodromy, "monodromy", lax_chain)
     assert run() == recurrence
+
+
+# sha256 of (trajectory CSV, --json summary) of `simulate --seed 1 --out traj.csv`
+# plus each row's options, with the RK4 kernel that stepped one state per call:
+# any later change to the stepping that moves a bit of a run fails here.
+_PINNED_SIMULATE = {
+    ("--bc", "periodic", "--n", "6"): (
+        "e4e520d6bd1cd967a81ad55909252deb7ffddbc6beeb43fc5111a1882ce9d18c",
+        "f9a0b8b27377611a0222c28eaee9cc3c39c905aa6f76f277d834283b218387a4"),
+    ("--bc", "quasi", "--n", "6"): (
+        "9432d932d1203f99445161a4b48c7ac68e1efe06322ed1505e4214a7393b207e",
+        "eac18e90ad610b27da25385cd5c723c3c79949a3208e9a317519545cb6d499f2"),
+    ("--bc", "open", "--n", "6"): (
+        "05515e031ebfb5fb10e372fd5809169d220269ee367e7a9c7c437c7504601dc3",
+        "e578b30ce15d8c60009d9435e8c1f0fce340d183b265615287d2f48b0484cd39"),
+    ("--bc", "periodic", "--n", "24"): (
+        "d70f65d077bc29a159ba16617e44b1125d26c47d852caa00fddf7efb66f56fe5",
+        "b0726648186645fb56899bdc9f9f06c5a0db81ec878facdc0a0533ec008734e9"),
+    # blow-ups (exit 2) at t = 1.158, sampled every 50, 7 and 1 steps
+    ("--scale", "3", "--t-final", "50"): (
+        "f698e697d5048abe90fa5d1b193af9ceaf1a8baa7fe580615b3789dfbae1e39e",
+        "2d44d924667cdb2b734b82b66f9ecac29e9ca3484f03184716c086390f816b94"),
+    ("--scale", "3", "--t-final", "50", "--sample-every", "7"): (
+        "98312e8482bcf69e507af33fdc0809a54807742e994beb232d70cadadbac07c2",
+        "e4ec00abdce2712ec4c010e75e150bd06c5d1566d475084554a6f4a57c004e66"),
+    ("--scale", "3", "--t-final", "50", "--sample-every", "1"): (
+        "7a566a8f9a02c82f5dbe7e3a83fddc052661ee78a9e4d17361971ee90d084c8f",
+        "dee4b40846ef5a09448cfc1c6007f5b015ff6aa6db725cf631f875edc40eabf4"),
+}
+
+
+@pytest.mark.parametrize("options", sorted(_PINNED_SIMULATE), ids=" ".join)
+def test_simulate_bytes_are_pinned(options, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the summary names the CSV by the path given
+    code = main(["simulate", *options, "--seed", "1", "--json", "--out", "traj.csv"])
+    assert code == (2 if "--scale" in options else 0)
+    digests = (hashlib.sha256((tmp_path / "traj.csv").read_bytes()).hexdigest(),
+               hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert digests == _PINNED_SIMULATE[options]
 
 
 def test_simulate_t_final_zero(tmp_path):
@@ -380,14 +420,24 @@ def test_library_error_is_one_failure_line(capsys):
 
 
 def test_diverging_newton_is_one_failure_line(capsys):
-    # Newton spends its iteration budget at sigma = 0.3 of the ramp to 3: a
-    # run failure, with no numpy warning or traceback
-    assert main(["backlund", "--n", "3", "--seed", "12", "--bc", "quasi", "--xi", "-1",
-                 "--sigma", "3"]) == 1
+    # at sigma of order 1e4 the map's residual stalls above NEWTON_TOL, so
+    # Newton spends its iteration budget at every refined ramp point: a run
+    # failure, with no numpy warning or traceback
+    assert main(["backlund", "--n", "6", "--seed", "12", "--bc", "quasi", "--xi", "-1",
+                 "--sigma", "1e4"]) == 1
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("backlund run failed: NewtonDiverged: ")
     assert out.err.count("\n") == 1
+
+
+def test_refined_ramp_completes_where_newton_failed(capsys):
+    # Newton spends its iteration budget at sigma = 0.3 of the 10-point ramp
+    # to 3; refining the ramp there completes the map, every certificate passing
+    assert main(["backlund", "--n", "3", "--seed", "12", "--bc", "quasi", "--xi", "-1",
+                 "--sigma", "3", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is True
 
 
 def test_capped_newton_steps_stay_on_the_continuation_branch(capsys):

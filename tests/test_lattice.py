@@ -101,7 +101,7 @@ def test_rk4_local_order():
     d = eom(st, bc)
     errs = []
     for dt in (1e-2, 5e-3):
-        s1 = step_rk4(st, bc, dt)
+        s1 = step_rk4(st, bc, dt, 1)
         lin = [abs(s1.q[i] - st.q[i] - dt * d.dq[i]) for i in range(3)]
         lin += [abs(s1.r[i] - st.r[i] - dt * d.dr[i]) for i in range(3)]
         errs.append(max(lin))
@@ -116,7 +116,7 @@ def test_rk4_linear_case_matrix_exponential():
     t, dt = 0.5, 1e-3
     cur = st
     for _ in range(int(t / dt)):
-        cur = step_rk4(cur, bc, dt)
+        cur = step_rk4(cur, bc, dt, 1)
     assert abs(cur.q[0] - math.cosh(t)) < 1e-10
     assert abs(cur.q[1] - math.sinh(t)) < 1e-10
     assert cur.r == (0.0, 0.0)
@@ -148,12 +148,16 @@ def _reference_rk4(state, bc, dt):
     return LatticeState.from_flat(z1)
 
 
+_BLOWUP_REGIMES = (Periodic(), Quasiperiodic(2.0), Open(0.3, 0.7))
+
+
 def test_rk4_blowup_raises():
     """A blow-up raises, at the same step as under the stagewise reference,
     in every regime (after about 1000, 10 and 12 steps)."""
-    for bc in (Periodic(), Quasiperiodic(2.0), Open(0.3, 0.7)):
+    for bc in _BLOWUP_REGIMES:
         steps = {}
-        for name, step in (("fast", step_rk4), ("reference", _reference_rk4)):
+        for name, step in (("fast", lambda s, bc, dt: step_rk4(s, bc, dt, 1)),
+                           ("reference", _reference_rk4)):
             cur = LatticeState((3.0, 3.0), (3.0, 3.0))
             with pytest.raises(NonFiniteState):
                 for k in range(10000):
@@ -162,7 +166,26 @@ def test_rk4_blowup_raises():
         assert steps["fast"] == steps["reference"] > 0, bc
 
 
-@pytest.mark.parametrize("bc, start", [
+def test_rk4_blowup_in_a_block_counts_the_steps_before_it():
+    """A block reports the steps_done of single steps wherever the blow-up
+    falls in it: the first step, the last, or in between."""
+    start = LatticeState((3.0, 3.0), (3.0, 3.0))
+    for bc in _BLOWUP_REGIMES:
+        cur, done = start, 0
+        with pytest.raises(NonFiniteState):
+            while True:
+                cur = step_rk4(cur, bc, 0.05, 1)
+                done += 1
+        for first, steps, expected in ((start, done + 1, done),   # last step
+                                       (start, 3 * done, done),
+                                       (cur, 1, 0),               # first step
+                                       (cur, 5, 0)):
+            with pytest.raises(NonFiniteState) as info:
+                step_rk4(first, bc, 0.05, steps)
+            assert info.value.steps_done == expected, (bc, steps)
+
+
+_RK4_CASES = [
     (Periodic(), False),
     (Quasiperiodic(2.0), False),
     (Open(0.3, 0.7), True),
@@ -172,26 +195,33 @@ def test_rk4_blowup_raises():
                  id="signed-zero"),
     pytest.param(Open(Fraction(1, 2), 1), ((Fraction(1, 3), 0, Fraction(-1, 5)),
                                            (1, Fraction(1, 4), 0)), id="exact-entries"),
-])
+]
+
+
+def _rk4_starts(start):
+    """[(state, steps)]: for start False / True, seeded real / complex
+    states of 5, 1, 2, 24 and 300 sites (at N=1 both closure ends come from
+    one site; N=300 takes 5 steps, the others 200); else the one (q, r)."""
+    if not isinstance(start, bool):
+        return [(LatticeState(*start), 200)]
+    rng = np.random.default_rng(11)
+    starts = []
+    for n, steps in ((5, 200), (1, 200), (2, 200), (24, 200), (300, 5)):
+        q = rng.uniform(-0.3, 0.3, n)
+        r = rng.uniform(-0.3, 0.3, n)
+        if start:
+            q = q + 1j * rng.uniform(-0.3, 0.3, n)
+            r = r + 1j * rng.uniform(-0.3, 0.3, n)
+        starts.append((LatticeState(tuple(q), tuple(r)), steps))
+    return starts
+
+
+@pytest.mark.parametrize("bc, start", _RK4_CASES)
 def test_rk4_bitwise_equal_to_stagewise_reference(bc, start):
-    """start is False / True for seeded real / complex states of 5, 1, 2, 24
-    and 300 sites (at N=1 both closure ends come from one site; N=300 takes
-    5 steps, the others 200), or one (q, r)."""
-    starts = [(start, 200)]
-    if isinstance(start, bool):
-        rng = np.random.default_rng(11)
-        starts = []
-        for n, steps in ((5, 200), (1, 200), (2, 200), (24, 200), (300, 5)):
-            q = rng.uniform(-0.3, 0.3, n)
-            r = rng.uniform(-0.3, 0.3, n)
-            if start:
-                q = q + 1j * rng.uniform(-0.3, 0.3, n)
-                r = r + 1j * rng.uniform(-0.3, 0.3, n)
-            starts.append(((tuple(q), tuple(r)), steps))
-    for start, steps in starts:
-        fast = ref = first = LatticeState(*start)
+    for first, steps in _rk4_starts(start):
+        fast = ref = first
         for _ in range(steps):
-            fast = step_rk4(fast, bc, 1e-2)
+            fast = step_rk4(fast, bc, 1e-2, 1)
             ref = _reference_rk4(ref, bc, 1e-2)
             # repr, not ==: 0.0 == -0.0
             assert list(map(repr, fast.flat())) == list(map(repr, ref.flat()))
@@ -200,6 +230,23 @@ def test_rk4_bitwise_equal_to_stagewise_reference(bc, start):
         assert all(type(v) is (complex if is_complex else float) for v in fast.flat())
         if "-0.0" in map(repr, first.flat()):
             assert "-0.0" in map(repr, fast.flat())
+
+
+@pytest.mark.parametrize("bc, start", _RK4_CASES)
+def test_rk4_block_bitwise_equal_to_single_steps(bc, start):
+    for first, steps in _rk4_starts(start):
+        single = first
+        for _ in range(steps):
+            single = step_rk4(single, bc, 1e-2, 1)
+        block = step_rk4(first, bc, 1e-2, steps)
+        assert list(map(repr, block.flat())) == list(map(repr, single.flat()))
+
+
+def test_rk4_refuses_no_steps_and_a_non_positive_dt():
+    st = LatticeState((1.0,), (1.0,))
+    for dt, steps in ((1e-3, 0), (1e-3, -1), (0.0, 1), (-1e-3, 1), (float("nan"), 1)):
+        with pytest.raises(ValueError):
+            step_rk4(st, Periodic(), dt, steps)
 
 
 def test_all_finite_edge_cases():
@@ -231,8 +278,6 @@ def test_state_validation():
         LatticeState((float("nan"),), (0.0,))
     with pytest.raises(ZeroXi):
         Quasiperiodic(0.0)
-    with pytest.raises(ValueError):
-        step_rk4(LatticeState((1.0,), (1.0,)), Periodic(), 0.0)
 
 
 def test_single_site_all_regimes():

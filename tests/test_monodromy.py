@@ -415,7 +415,7 @@ def test_generator_conserved_along_flow():
         h0 = hamiltonian(st, bc)
         worst = 0.0
         for k in range(10000):
-            st = step_rk4(st, bc, 1e-3)
+            st = step_rk4(st, bc, 1e-3, 1)
             if k % 500 == 0:
                 worst = max(worst, abs(hamiltonian(st, bc) - h0) / max(1.0, abs(h0)))
         assert worst < 1e-8
@@ -431,7 +431,7 @@ def test_sampled_trajectory_steps_and_blowup():
     assert samples[0].state is st and samples[0].drift == 0.0
     cur = st
     for _ in range(23):
-        cur = step_rk4(cur, bc, 1e-2)
+        cur = step_rk4(cur, bc, 1e-2, 1)
     assert samples[-1].state == cur
     assert list(samples[-1].coeffs) == list(np.array(generator(cur, bc).c, dtype=complex))
     drifts = [s.drift for s in samples]
@@ -442,7 +442,7 @@ def test_sampled_trajectory_steps_and_blowup():
     with pytest.raises(NonFiniteState):
         cur = big
         for _ in range(10000):
-            cur = step_rk4(cur, bc, 0.05)
+            cur = step_rk4(cur, bc, 0.05, 1)
             done += 1
     assert done > 0
     with pytest.raises(NonFiniteState) as info:
@@ -456,6 +456,60 @@ def test_sampled_trajectory_steps_and_blowup():
     with pytest.raises(NonFiniteState) as info:
         next(samples)
     assert info.value.steps_done == 0
+
+
+def _per_step_samples(state, bc, dt, steps, sample_every):
+    """sampled_trajectory's samples from one step_rk4 step per call, as
+    (step, state, coeffs, drift) with the floats as repr."""
+    from dstlab.lattice import step_rk4
+    from dstlab.monodromy import relative_drift
+
+    def sample(k, st, drift):
+        c = np.array(generator(st, bc).c, dtype=complex)
+        drift = max(drift, float(np.max(relative_drift(c, c0))))
+        out.append((k, list(map(repr, st.flat())), list(map(repr, c)), repr(drift)))
+        return drift
+
+    c0 = np.array(generator(state, bc).c, dtype=complex)
+    out = []
+    drift = sample(0, state, 0.0)
+    for k in range(1, steps + 1):
+        state = step_rk4(state, bc, dt, 1)
+        if k % sample_every == 0 or k == steps:
+            drift = sample(k, state, drift)
+    return out
+
+
+@pytest.mark.parametrize("steps, sample_every", [(0, 5), (3, 10), (10, 10), (23, 10),
+                                                 (20, 10), (5, 1), (7, 3)])
+def test_sampled_blocks_match_per_step_sampling(steps, sample_every):
+    st = LatticeState((0.3, -0.2, 0.1 + 0.05j), (0.1, 0.25, -0.15))
+    for bc in (Periodic(), Quasiperiodic(2.0), Open(0.3, 0.7)):
+        got = [(s.step, list(map(repr, s.state.flat())), list(map(repr, s.coeffs)),
+                repr(s.drift))
+               for s in sampled_trajectory(st, bc, 1e-2, steps, sample_every)]
+        assert got == _per_step_samples(st, bc, 1e-2, steps, sample_every)
+
+
+def test_sampled_blowup_counts_single_steps_in_every_block_layout():
+    """The blow-up's steps_done is the single-step count whether it falls on
+    a block's first step (sample_every = done), its last (done + 1), in the
+    shorter last block (steps = done + 1, sample_every = done) or with
+    sample_every = 1, in all three regimes."""
+    from dstlab.errors import NonFiniteState
+    from dstlab.lattice import step_rk4
+    start = LatticeState((3.0, 3.0), (3.0, 3.0))
+    for bc in (Periodic(), Quasiperiodic(2.0), Open(0.3, 0.7)):
+        cur, done = start, 0
+        with pytest.raises(NonFiniteState):
+            while True:
+                cur = step_rk4(cur, bc, 0.05, 1)
+                done += 1
+        for sample_every in (1, 2, 7, done - 1, done, done + 1, 2 * done):
+            for steps in (done + 1, done + 2, 10 * done + 3):
+                with pytest.raises(NonFiniteState) as info:
+                    list(sampled_trajectory(start, bc, 0.05, steps, sample_every))
+                assert info.value.steps_done == done, (bc, steps, sample_every)
 
 
 def test_sampled_drift_stays_nan_after_a_nan_generator(monkeypatch):
