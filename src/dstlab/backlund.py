@@ -127,7 +127,9 @@ def bt_solve(state_x, params, initial_guess=None):
     Continuation ramps sigma linearly from 0 (seed y = -1/X) to the target.
     Where Newton fails at a point, the ramp is refined: the midpoint between
     the last converged sigma and the failed one is solved first, from the
-    last converged y, until the ramp holds MAX_RAMP_POINTS points.  An
+    last converged y, until the ramp holds MAX_RAMP_POINTS points or a
+    solve would repeat the last failed one (the same sigma from the same y,
+    as when the midpoint rounds onto an end of its interval).  An
     explicit initial_guess skips the ramp (used for warm restarts).
     """
     x = np.asarray(state_x.q, dtype=complex)
@@ -140,9 +142,13 @@ def bt_solve(state_x, params, initial_guess=None):
         points = steps
     else:
         y, todo, points = initial_guess, [params.sigma], MAX_RAMP_POINTS  # no ramp to refine
-    xi, steps_used, done = params.xi, 0, 0.0
+    xi, steps_used, done, failure = params.xi, 0, 0.0, None
     while todo:  # the next sigma point is todo[-1]
-        sig = todo[-1]
+        sig, start = todo[-1], tuple(y)
+        if failure is not None and failure[:2] == (sig, start):
+            # the solve would repeat the last failed one: the midpoint rounded
+            # onto an end of its interval, or Newton took no step there
+            raise NewtonDiverged(f"{failure[2]} at sigma={sig}") from failure[2]
         try:
             y_sig, res, used = newton(lambda z: _bt_F(z, x, X, sig, xi)[0], y,
                                       lambda z: _bt_jac(z, x, sig, xi),
@@ -152,6 +158,7 @@ def bt_solve(state_x, params, initial_guess=None):
                 raise NewtonDiverged(f"{exc} at sigma={sig}") from exc
             todo.append((done + sig) / 2)
             points += 1
+            failure = (sig, start, exc)
             continue
         y, done = y_sig, todo.pop()
         steps_used += used
@@ -245,10 +252,11 @@ def bt_invariance_residual(state_x, result, params, y_end=None):
 
 def solvable_state(rng, n):
     """A random complex state whose sigma = 0 seed y = -1/X keeps the map
-    away from its poles."""
-    return LatticeState(
-        tuple(rng.uniform(0.6, 1.4, n) + 1j * rng.uniform(-0.3, 0.3, n)),
-        tuple(rng.uniform(0.6, 1.4, n) + 1j * rng.uniform(-0.3, 0.3, n)))
+    away from its poles; rng is a `_rng.PCG64`."""
+    def sites():
+        re, im = rng.uniform(0.6, 1.4, n), rng.uniform(-0.3, 0.3, n)
+        return tuple(a + 1j * b for a, b in zip(re, im))
+    return LatticeState(sites(), sites())
 
 
 def bt_certificates(state_x, params):

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rng import PCG64
 from .errors import (EvaluationAtRoot, GammaPole, NewtonDiverged, NoConvergence,
                      PoleInput, RootCollision)
 from .lattice import DEFAULT_FD_STEP, central_differences, newton, relative_steps, worst
@@ -89,12 +90,15 @@ class QKernelParams:
 
 def kernel_sites(rng, n, xi):
     """The random kernel sites (y, q) of the checks: y_1 = 0.9 + 0.3i,
-    y_2..y_N drawn from rng, y_{N+1} = xi y_1, then q_1..q_N drawn."""
+    y_2..y_N drawn from rng (a `_rng.PCG64`), y_{N+1} = xi y_1, then
+    q_1..q_N drawn, as numpy complex scalars: the kernel's arithmetic on
+    them is numpy's, whose complex division and abs round differently from
+    Python's."""
+    def draw(size, low, high, spread):
+        re, im = rng.uniform(low, high, size), rng.uniform(-spread, spread, size)
+        return np.array(re) + 1j * np.array(im)
     y1 = 0.9 + 0.3j
-    mid = (rng.uniform(0.5, 1.5, n - 1) + 1j * rng.uniform(-0.4, 0.4, n - 1)
-           if n > 1 else [])
-    y = (y1, *mid, xi * y1)
-    return y, tuple(rng.uniform(-0.8, 0.8, n) + 1j * rng.uniform(-0.4, 0.4, n))
+    return (y1, *draw(n - 1, 0.5, 1.5, 0.4), xi * y1), tuple(draw(n, -0.8, 0.8, 0.4))
 
 
 def _check_gamma_pole(z):
@@ -332,7 +336,7 @@ def bethe_solve(n, m, xi, eta, seed):
     rejected and the search continues; m = 0 gives the empty configuration.
     Raises NoConvergence after the start budget, RootCollision if only
     collided solutions were found."""
-    rng = np.random.default_rng(seed)
+    rng = PCG64(seed)
     radius = 2.0 + abs(complex(eta)) * m
     tol = BETHE_TOL * min(1.0, abs(eta))  # the system scales with |eta|
 
@@ -344,7 +348,8 @@ def bethe_solve(n, m, xi, eta, seed):
 
     collided = False
     for _ in range(BETHE_MAX_STARTS):
-        start = radius * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m))
+        re, im = rng.uniform(-1, 1, m), rng.uniform(-1, 1, m)
+        start = [radius * (a + 1j * b) for a, b in zip(re, im)]
         try:
             roots, res, _ = newton(system, start, jacobian, tol, BETHE_MAX_ITER, 10 * radius)
         except NewtonDiverged:

@@ -15,9 +15,8 @@ import re
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
+from ._rng import PCG64
 from .errors import CostGuard, DstlabError, NonFiniteState
 # step_rk4 is unused here, but dstbench's tests look it up in this module.
 from .lattice import Open, Periodic, Quasiperiodic, step_rk4  # noqa: F401
@@ -279,7 +278,7 @@ def cmd_backlund(args):
                            solvable_state, v_dressing_residual)
     bc = Periodic() if args.bc == "periodic" else Quasiperiodic(args.xi)
     n = args.n
-    st = solvable_state(np.random.default_rng(args.seed), n)
+    st = solvable_state(PCG64(args.seed), n)
     params = BTParams(args.sigma, bc)
     xi = params.xi
     with _open_out(args) as out:
@@ -306,7 +305,7 @@ def cmd_baxter(args):
     with _open_out(args) as out:
         cfg = bethe_solve(args.n, args.m, args.xi, args.eta, seed=args.seed)
         certs = bethe_certificates(cfg)
-        y, q = kernel_sites(np.random.default_rng(args.seed), args.n, args.xi)
+        y, q = kernel_sites(PCG64(args.seed), args.n, args.xi)
         kp = QKernelParams(0.8 + 0.4j, args.eta, args.xi, y, q)
         certs["three_term_identity"], corr = tq_scalar_residual(kp)
         report = {

@@ -25,8 +25,6 @@ import cmath
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import NonFiniteState, WrongRegime, ZeroXi
 from .lattice import (Open, Periodic, Quasiperiodic, _all_finite, eom,
                       principal_sqrt, step_rk4, worst)
@@ -157,6 +155,7 @@ def dressed_U(state, bc):
 
 def mat2_array(m, lam):
     """The Mat2 m evaluated at lambda, as a 2x2 complex numpy array."""
+    import numpy as np  # here: the trajectory path runs without numpy
     e = m.eval(lam)
     return np.array([[complex(e.a11), complex(e.a12)],
                      [complex(e.a21), complex(e.a22)]])
@@ -185,18 +184,24 @@ def generator(state, bc):
 
 class Sample(NamedTuple):
     """A sampled point of a trajectory: the step index, the state, the
-    generator coefficients as a complex array, and the largest relative
+    generator coefficients as a tuple of complex, and the largest relative
     drift of any coefficient from step 0 over the samples so far."""
 
     step: int
     state: object
-    coeffs: np.ndarray
+    coeffs: tuple
     drift: float
 
 
 def relative_drift(c, c0):
-    """|c - c0| / max(1, |c0|) per coefficient: the one drift formula."""
-    return np.abs(c - c0) / np.maximum(1.0, np.abs(c0))
+    """|c - c0| / max(1, |c0|) per coefficient, as a list: the one drift
+    formula.  c0 is finite (a step-0 generator that is not is a blow-up)."""
+    return [abs(x - x0) / max(1.0, abs(x0)) for x, x0 in zip(c, c0)]
+
+
+def _coeffs(state, bc):
+    """The generator's coefficients as a tuple of complex."""
+    return tuple(map(complex, generator(state, bc).c))
 
 
 def sampled_trajectory(state, bc, dt, steps, sample_every):
@@ -210,8 +215,8 @@ def sampled_trajectory(state, bc, dt, steps, sample_every):
     non-finite step-0 generator is a blow-up at step 0, raised after its
     sample (drift NaN).
     """
-    c0 = np.array(generator(state, bc).c, dtype=complex)
-    if not np.isfinite(c0).all():
+    c0 = _coeffs(state, bc)
+    if not _all_finite(c0):
         yield Sample(0, state, c0, float("nan"))
         exc = NonFiniteState("the step-0 generator is not finite")
         exc.steps_done = 0
@@ -225,8 +230,8 @@ def sampled_trajectory(state, bc, dt, steps, sample_every):
         except NonFiniteState as exc:
             exc.steps_done += start
             raise
-        c = np.array(generator(state, bc).c, dtype=complex)
-        drift = worst((drift, float(np.max(relative_drift(c, c0)))))
+        c = _coeffs(state, bc)
+        drift = worst((drift, worst(relative_drift(c, c0))))
         yield Sample(k, state, c, drift)
 
 

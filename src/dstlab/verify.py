@@ -23,10 +23,9 @@ import sys
 import zlib
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import __version__
 from ._rat import rat
+from ._rng import PCG64
 from .errors import DstlabError, HamiltonianRejected
 # step_rk4 is unused here, but dstbench's tests look it up in this module.
 from .lattice import (LatticeState, Open, Periodic, Quasiperiodic,  # noqa: F401
@@ -106,7 +105,7 @@ def _regimes():
 
 
 def _sub_rng(seed, tag):
-    return np.random.default_rng((int(seed) << 16) ^ zlib.crc32(tag.encode()))
+    return PCG64((int(seed) << 16) ^ zlib.crc32(tag.encode()))
 
 
 # ---------------------------------------------------------------------------
@@ -189,20 +188,26 @@ def suite_classical(seed):
     return recs
 
 
-def _flow_vector(z, bc):
+def _flow_rates(z, bc):
     d = eom(LatticeState.from_flat(list(z)), bc)
-    return np.array(list(d.dq) + list(d.dr), dtype=complex)
+    return list(d.dq) + list(d.dr)
+
+
+def _flow_vector(z, bc):
+    import numpy as np
+    return np.array(_flow_rates(z, bc), dtype=complex)
 
 
 # The tests read the open equilibrium's spectrum off this Jacobian.
 def _flow_jacobian(z, bc):
+    import numpy as np
     return np.column_stack(central_differences(lambda w: _flow_vector(w, bc), z,
                                                [1e-7] * len(z)))
 
 
 def equilibrium_state(n, bc):
     """An elliptic equilibrium of the open chain in closed form, as a flat
-    array (q_1..q_N, r_1..r_N).
+    list (q_1..q_N, r_1..r_N) of complex.
 
     Fixed points.  At a fixed point q_{n+1} = q_n p_n and r_{n-1} = r_n p_n,
     with p_n = q_n r_n.  So p_{n+1} = q_n r_{n+1} p_n and p_n = q_n r_{n+1} p_{n+1},
@@ -247,7 +252,7 @@ def equilibrium_state(n, bc):
         if tp != 0 or tm != 0:
             raise DstlabError(f"the open chain with one coupling 0 (theta_- = {bc.theta_minus!r}, "
                               f"theta_+ = {bc.theta_plus!r}) has no fixed point")
-        return np.zeros(2 * n, dtype=complex)
+        return [0j] * (2 * n)
     # s_1...s_N = theta_+ theta_- / p^(N+2): c/|c| is exactly +-1 or +-i for a
     # real or imaginary c, and 1j ** (N+2) is an exact power of i
     product = c / abs(c) / 1j ** (n + 2)
@@ -264,9 +269,9 @@ def equilibrium_state(n, bc):
     for k in range(n - 1):
         q.append(q[-1] * ps[k])
         r.append(r[-1] * ps[n - 1 - k])
-    z = np.array(q + r[::-1])
-    residual = float(np.max(np.abs(_flow_vector(z, bc))))
-    if not residual <= 1e-12 * max(1.0, float(np.max(np.abs(z)))):
+    z = q + r[::-1]
+    residual = worst(map(abs, _flow_rates(z, bc)))
+    if not residual <= 1e-12 * max(1.0, worst(map(abs, z))):
         raise DstlabError(f"the closed-form equilibrium has flow residual {residual!r}")
     return z
 
@@ -284,10 +289,10 @@ def initial_state(n, bc, seed, amplitude=None, t_final=10.0):
     if isinstance(bc, Open):
         z0 = equilibrium_state(n, bc)
         amp = 1e-3 if amplitude is None else amplitude
-        noise = amp * (rng.uniform(-1, 1, 2 * n) + 1j * rng.uniform(-1, 1, 2 * n))
-        return LatticeState.from_flat(list(z0 + noise))
+        re, im = rng.uniform(-1, 1, 2 * n), rng.uniform(-1, 1, 2 * n)
+        return LatticeState.from_flat([z + amp * (a + 1j * b) for z, a, b in zip(z0, re, im)])
     rate = abs(bc.xi) ** (1.0 / n) if isinstance(bc, Quasiperiodic) else 1.0
-    scale = amplitude if amplitude is not None else 0.05 * float(np.exp(-rate * t_final))
+    scale = amplitude if amplitude is not None else 0.05 * math.exp(-rate * t_final)
     if amplitude is None and scale < sys.float_info.min:
         # a zero (or subnormal) scale integrates the exact vacuum, whose drift
         # 0.0 would check nothing
@@ -311,6 +316,8 @@ def conservation_run(n, bc, dt, t_final, seed):
 # ---------------------------------------------------------------------------
 
 def suite_rmatrix(seed):
+    import numpy as np
+
     from .rmatrix import (bracket_table, cism1_residual, cism2_residual_U,
                           quadratic_rhs, reflection_residual_K)
     recs = []
@@ -539,6 +546,8 @@ def suite_quantum(seed, xi_minus=None, xi_plus=None):
 # ---------------------------------------------------------------------------
 
 def suite_baxter(seed):
+    import numpy as np
+
     from .baxter import (CERT_TOL, MEMBERSHIP_SAMPLES, BetheConfig, QKernelParams,
                          SovParams, bethe_certificates, bethe_remainder, bethe_solve,
                          bethe_system, eigen_membership_residual, gauge_triangularize,
@@ -549,7 +558,8 @@ def suite_baxter(seed):
 
     def rand_kernel(n, eta=1.0):
         y, q = kernel_sites(rng, n, 1.3)
-        sigma = rng.uniform(0.4, 1.4) + 1j * rng.uniform(-0.5, 0.5)
+        (re,), (im,) = rng.uniform(0.4, 1.4, 1), rng.uniform(-0.5, 0.5, 1)
+        sigma = re + 1j * im
         return QKernelParams(sigma, eta, 1.3, y, q)
 
     three_term, offdiagonal, diagonal = [], [], []

@@ -1,4 +1,6 @@
 """The Bäcklund map: solver, certificates and boundary-matrix dressing."""
+import math
+
 import numpy as np
 import pytest
 
@@ -234,17 +236,19 @@ def test_newton_step_that_is_no_step_is_newton_diverged(scale, message, monkeypa
 
 def _jacobian_failing_at(fails):
     """A `_bt_jac` that records each sigma it is asked at and raises
-    NewtonDiverged where fails(sigma, tries so far at sigma) is true."""
+    NewtonDiverged where fails(sigma, tries so far at sigma) is true; the
+    failed solves are recorded as (sigma, the y they started from)."""
     from dstlab.errors import NewtonDiverged
-    real, asked = backlund._bt_jac, []
+    real, asked, failed = backlund._bt_jac, [], []
 
     def jac(y, x, sig, xi):
         asked.append(sig)
         if fails(sig, asked.count(sig)):
+            failed.append((sig, tuple(y)))
             raise NewtonDiverged("injected")
         return real(y, x, sig, xi)
 
-    return jac, asked
+    return jac, asked, failed
 
 
 def test_failed_ramp_point_is_refined_from_the_last_converged_one(monkeypatch):
@@ -252,7 +256,7 @@ def test_failed_ramp_point_is_refined_from_the_last_converged_one(monkeypatch):
     plain = bt_solve(st, BTParams(0.3))
     # Newton fails on its first try at sigma = 0.12: the ramp solves the
     # midpoint 0.105, then 0.12 again from there
-    jac, asked = _jacobian_failing_at(lambda sig, tries: sig == 0.3 * 4 / 10 and tries == 1)
+    jac, asked, _ = _jacobian_failing_at(lambda sig, tries: sig == 0.3 * 4 / 10 and tries == 1)
     monkeypatch.setattr(backlund, "_bt_jac", jac)
     refined = bt_solve(st, BTParams(0.3))
     ramp = list(dict.fromkeys(asked))
@@ -261,15 +265,34 @@ def test_failed_ramp_point_is_refined_from_the_last_converged_one(monkeypatch):
     assert max(abs(a - b) for a, b in zip(plain.y, refined.y)) < 1e-12
 
 
+def test_ramp_refinement_stops_where_the_midpoint_collapses(monkeypatch):
+    from dstlab.errors import NewtonDiverged
+    st = _solvable(np.random.default_rng(17), 3)
+    jac, _, failed = _jacobian_failing_at(lambda sig, tries: sig > 0.1)
+    monkeypatch.setattr(backlund, "_bt_jac", jac)
+    with pytest.raises(NewtonDiverged, match="injected at sigma=") as info:
+        bt_solve(st, BTParams(0.3))
+    # the midpoints close in on 0.1 until the converged one is so near that
+    # Newton takes no step there; refinement stops at the failed sigma above
+    # it, long before MAX_RAMP_POINTS.  A failed sigma is tried again only
+    # from a y nearer to it, so no solve fails twice from the same start
+    assert len(failed) == len(set(failed)) < 60
+    last = failed[-1][0]
+    assert str(info.value).endswith(f"at sigma={last}")
+    assert last == min(sig for sig, _ in failed) and last - 0.1 < 1e-10
+
+
 def test_ramp_refinement_stops_at_max_ramp_points(monkeypatch):
     from dstlab.errors import NewtonDiverged
     st = _solvable(np.random.default_rng(17), 3)
-    jac, asked = _jacobian_failing_at(lambda sig, tries: sig > 0.1)
+    jac, asked, failed = _jacobian_failing_at(lambda sig, tries: sig > 0.1)
     monkeypatch.setattr(backlund, "_bt_jac", jac)
+    # a cap reached before the midpoints collapse
+    monkeypatch.setattr(backlund, "MAX_RAMP_POINTS", 20)
     with pytest.raises(NewtonDiverged, match="injected at sigma="):
         bt_solve(st, BTParams(0.3))
     # each failure but the last adds a point to the 10-point ramp
-    assert sum(sig > 0.1 for sig in asked) == backlund.MAX_RAMP_POINTS - 10 + 1
+    assert len(failed) == len(set(failed)) == backlund.MAX_RAMP_POINTS - 10 + 1
     # an explicit initial guess has no ramp to refine
     asked.clear()
     with pytest.raises(NewtonDiverged):

@@ -22,3 +22,11 @@ def _defaulted_parameters():
 
 def test_defaulted_parameters_do_not_grow():
     assert _defaulted_parameters() <= MAX_DEFAULTED_PARAMETERS
+
+
+def test_one_random_stream_in_the_package():
+    # every seeded draw goes through dstlab._rng; numpy's generator is only
+    # the tests' reference
+    for path in pathlib.Path(dstlab.__file__).parent.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        assert "np.random" not in text and "default_rng" not in text, path.name

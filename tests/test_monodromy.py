@@ -465,12 +465,12 @@ def _per_step_samples(state, bc, dt, steps, sample_every):
     from dstlab.monodromy import relative_drift
 
     def sample(k, st, drift):
-        c = np.array(generator(st, bc).c, dtype=complex)
-        drift = max(drift, float(np.max(relative_drift(c, c0))))
+        c = tuple(map(complex, generator(st, bc).c))
+        drift = max(drift, max(relative_drift(c, c0)))
         out.append((k, list(map(repr, st.flat())), list(map(repr, c)), repr(drift)))
         return drift
 
-    c0 = np.array(generator(state, bc).c, dtype=complex)
+    c0 = tuple(map(complex, generator(state, bc).c))
     out = []
     drift = sample(0, state, 0.0)
     for k in range(1, steps + 1):
