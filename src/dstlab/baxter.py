@@ -351,7 +351,7 @@ def bethe_solve(n, m, xi, eta, seed):
         re, im = rng.uniform(-1, 1, m), rng.uniform(-1, 1, m)
         start = [radius * (a + 1j * b) for a, b in zip(re, im)]
         try:
-            roots, res, _ = newton(system, start, jacobian, tol, BETHE_MAX_ITER, 10 * radius)
+            roots, res = newton(system, start, jacobian, tol, BETHE_MAX_ITER, 10 * radius)
         except NewtonDiverged:
             continue
         if m > 1 and min(abs(roots[i] - roots[j])

@@ -291,7 +291,7 @@ def cmd_backlund(args):
             "n": n,
             "sigma": args.sigma,
             "regime": bc.label,
-            "steps_used": res.steps_used,
+            "mu": [res.mu.real, res.mu.imag],
             "y": [[z.real, z.imag] for z in res.y],
             "Y": [[z.real, z.imag] for z in res.Y],
         }

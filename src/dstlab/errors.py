@@ -37,10 +37,6 @@ class PoleEncountered(DstlabError):
     """Iterates drifted into the pole set of the transformation."""
 
 
-class ZeroSeed(DstlabError, ValueError):
-    """The sigma=0 seed y_i = -1/X_i needs every X_i nonzero."""
-
-
 class LogBranch(DstlabError, ValueError):
     """Logarithm of a nonpositive real argument in real mode."""
 

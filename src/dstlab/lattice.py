@@ -17,7 +17,7 @@ bracket, the flow Jacobian of `verify` and the Bäcklund Jacobian of
 one canonical bracket, for scalar and array observables alike: `verify`
 takes its coordinate and Hamiltonian brackets from it, and `rmatrix` its
 tables of matrix-entry brackets.
-`newton` is the one Newton loop, of the Bäcklund map and the Bethe roots.
+`newton` is the Newton loop of the Bethe roots (`baxter.bethe_solve`).
 `worst` (and its mirror `least`) is the package's one fold of residuals.
 The flow's formula is written once, in `_rate_lines`, which emits it as
 Python source.  `_kernels(N)` compiles that source, once per chain length,
@@ -263,7 +263,7 @@ def central_differences(f, z, steps):
 
 
 def newton(f, z, jacobian, tol, max_iter, max_step):
-    """The package's one Newton loop for f(z) = 0: (z, max |f(z)|, steps) once
+    """The package's one Newton loop for f(z) = 0: (z, max |f(z)|) once
     max |f(z)| <= tol, each step solving jacobian(z) step = -f(z), cut to
     max-norm max_step.  NewtonDiverged on a singular Jacobian, a non-finite
     step, a numpy overflow, invalid or divide error, or max_iter steps."""
@@ -271,11 +271,11 @@ def newton(f, z, jacobian, tol, max_iter, max_step):
     z, res = np.asarray(z, dtype=complex), math.inf
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            for steps in range(max_iter):
+            for _ in range(max_iter):
                 fz = f(z)
                 res = float(worst(np.abs(fz)))
                 if res <= tol:
-                    return z, res, steps
+                    return z, res
                 step = np.linalg.solve(jacobian(z), -fz)
                 if not np.all(np.isfinite(step)):
                     raise NewtonDiverged("non-finite Newton step")

@@ -399,16 +399,16 @@ def suite_rmatrix(seed):
 
 def suite_backlund(seed):
     from .backlund import (CERT_TOL, BTParams, bt_certificates,
-                           bt_invariance_residual, bt_solve, bt_symplectic_residual,
-                           jtilde_invariance_residual, solvable_state,
-                           v_dressing_residual)
+                           bt_invariance_residual, bt_solve, bt_spectrality_residual,
+                           bt_symplectic_residual, jtilde_invariance_residual,
+                           solvable_state, v_dressing_residual)
     recs = []
     rng = _sub_rng(seed, "bt")
     runs = [bt_certificates(solvable_state(rng, n), BTParams(sigma))[1]
             for n in (1, 2, 3, 4) for sigma in (0.1, 0.3, 1.0)]
     top = {k: worst(certs[k] for certs in runs) for k in runs[0]}
-    recs.append(check("bt-newton-converged", top["newton_residual"],
-                      CERT_TOL["newton_residual"], n_max=4, sigmas=[0.1, 0.3, 1.0], seed=seed))
+    recs.append(check("bt-map-residual", top["map_residual"],
+                      CERT_TOL["map_residual"], n_max=4, sigmas=[0.1, 0.3, 1.0], seed=seed))
     recs.append(check("bt-generating-function", top["generating_function"],
                       CERT_TOL["generating_function"], seed=seed))
     recs.append(check("bt-local-exchange", top["local_exchange"],
@@ -443,14 +443,17 @@ def suite_backlund(seed):
                       jtilde_invariance_residual(st, rq, pq, 0.4, 0.8),
                       1e-8, seed=seed))
 
-    st3 = solvable_state(rng, 3)
-    ys = [bt_solve(st3, BTParams(0.3, Periodic(), continuation_steps=k)).y
-          for k in (10, 20, 40)]
-    recs.append(check("bt-branch-stability",
-                      worst(abs(a - b) for yk in ys[1:] for a, b in zip(ys[0], yk)),
-                      1e-10, steps=[10, 20, 40], seed=seed))
+    recs.append(check("bt-spectrality-periodic", top["spectrality"],
+                      CERT_TOL["spectrality"], n_max=4, sigmas=[0.1, 0.3, 1.0], seed=seed))
+    recs.append(check("bt-spectrality-twisted", bt_spectrality_residual(st, rq, pq, 0.3),
+                      CERT_TOL["spectrality"], xi=2.0, seed=seed))
 
+    st3 = solvable_state(rng, 3)
     r1 = bt_solve(st3, BTParams(0.3))
+    # the sheet's mu is off the spectral curve at -sigma
+    recs.append(check_exceeds("bt-spectrality-control",
+                              bt_spectrality_residual(st3, r1, BTParams(0.3), -0.3), 1e-3,
+                              sigma=-0.3, seed=seed))
     r2 = bt_solve(r1.state(), BTParams(-0.3))
     recs.append(check("bt-composition-spectrum",
                       (generator(st3, Periodic()) - generator(r2.state(), Periodic())).max_abs(),

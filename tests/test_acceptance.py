@@ -112,7 +112,7 @@ def test_criterion_4_backlund():
                 r = bt_solve(st, p)
                 xi = p.xi
                 worst_map = max(
-                    worst_map, r.newton_residual,
+                    worst_map, r.map_residual,
                     bt_generating_check(st.q, st.r, r.y, r.Y, sigma, xi=xi),
                     max(bt_local_identity_residual(
                         st.q[i], st.r[i], r.y[i],

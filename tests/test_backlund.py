@@ -1,18 +1,21 @@
 """The Bäcklund map: solver, certificates and boundary-matrix dressing."""
+import cmath
 import math
 
 import numpy as np
 import pytest
+from branch_track import tracked_y1
 
 from dstlab import backlund
 from dstlab.backlund import (BT_LAMBDA_GRID, CERT_TOL, BTParams, BTResult,
                              bt_certificates, bt_generating_check,
                              bt_invariance_residual, bt_local_identity_residual,
-                             bt_solve, bt_symplectic_residual, g_matrix,
-                             generating_function, jtilde_invariance_residual,
-                             v_dressing_residual, v_matrices, v_minus_coeffs,
-                             v_plus_coeffs)
-from dstlab.errors import LogBranch, SingularPrefactor, ZeroSeed
+                             bt_solve, bt_spectrality_residual, bt_symplectic_residual,
+                             g_matrix, generating_function, jtilde_invariance_residual,
+                             solvable_state, v_dressing_residual, v_matrices,
+                             v_minus_coeffs, v_plus_coeffs)
+from dstlab._rng import PCG64
+from dstlab.errors import LogBranch, PoleEncountered, SingularG, SingularPrefactor
 from dstlab.lattice import LatticeState, Periodic, Quasiperiodic
 from dstlab.monodromy import generator
 
@@ -36,25 +39,58 @@ def test_sigma_zero_seed_exact():
     st = _solvable(rng, 3)
     res = bt_solve(st, BTParams(0.0))
     assert max(abs(res.y[i] + 1.0 / st.r[i]) for i in range(3)) < 1e-14
-    with pytest.raises(ZeroSeed):
-        bt_solve(LatticeState((1.0, 1.0), (0.5, 0.0)), BTParams(0.1))
+    # a zero X_i is no pole of the map away from sigma = 0
+    _, certs = bt_certificates(LatticeState((1.0, 1.0), (0.5, 0.0)), BTParams(0.1))
+    assert all(v <= CERT_TOL[k] for k, v in certs.items())
 
 
 def test_single_site_quadratic_oracle():
-    # X = -1/y - sigma/(x - y) is a quadratic in y; continuation picks the
-    # branch connected to y = -1/X at sigma = 0
+    # X = -1/y - sigma/(x - y) is a quadratic in y; its two roots are the two
+    # sheets, named by mu = -(x - y)/y, and the larger |mu| is reported
     x, X, sigma = 2.0, -1.0, 0.1
     res = bt_solve(LatticeState((x,), (X,)), BTParams(sigma))
     roots = np.roots([X, -(X * x + sigma - 1.0), -x])
-    assert min(abs(res.y[0] - r) for r in roots) < 1e-12
-    # the continuation branch is the one near -1/X = 1
-    near = roots[np.argmin(np.abs(roots - 1.0))]
-    far = roots[np.argmax(np.abs(roots - 1.0))]
-    assert abs(res.y[0] - near) < 1e-12
-    # the other branch is reachable through an explicit initial guess
-    other = bt_solve(LatticeState((x,), (X,)), BTParams(sigma),
-                     initial_guess=[far + 0.01])
-    assert abs(other.y[0] - far) < 1e-12
+    mus = -(x - roots) / roots
+    larger, smaller = np.argmax(np.abs(mus)), np.argmin(np.abs(mus))
+    assert abs(res.y[0] - roots[larger]) < 1e-12
+    assert abs(res.mu - mus[larger]) < 1e-12
+    # here that sheet is also the branch near the sigma = 0 seed -1/X = 1
+    assert abs(roots[larger] - 1.0) < abs(roots[smaller] - 1.0)
+
+
+def _mu_from_y(st, y, xi):
+    """(-1)^N xi^(-1/2) prod (x_i - y_{i+1})/y_i, from the state and y alone."""
+    y_next = (*y[1:], xi * y[0])
+    return (-1) ** len(y) / cmath.sqrt(xi) * math.prod(
+        (x_i - y_n) / y_i for x_i, y_i, y_n in zip(st.q, y, y_next))
+
+
+def test_the_map_reports_the_larger_mu_sheet():
+    # on this grid a 10-point Newton ramp in sigma sometimes ended on the
+    # other sheet; the explicit map's mu is the larger root of
+    # mu^2 - t(sigma) mu + sigma^N = 0 at every point
+    for n in (2, 3, 4, 6, 10):
+        for xi in (-1.0, -2.0, 0.5, 3.0):
+            bc = Quasiperiodic(xi)
+            for seed in range(1, 16):
+                st = solvable_state(PCG64(seed), n)
+                t = generator(st, bc)
+                for sigma in (0.3, 1.0, 3.0):
+                    r = bt_solve(st, BTParams(sigma, bc))
+                    mu = _mu_from_y(st, r.y, xi)
+                    smaller, larger = sorted(np.roots([1.0, -t(sigma), sigma ** n]), key=abs)
+                    assert abs(mu - larger) <= 1e-10 * abs(larger)
+                    assert abs(mu - smaller) > 1e-3 * abs(larger)
+                    assert abs(r.mu - mu) <= 1e-12 * abs(mu)
+
+
+@pytest.mark.parametrize("n, seed, sigma", [(2, 7, 1.0), (2, 7, 3.0), (3, 5, 3.0), (3, 10, 3.0)])
+def test_the_sheet_is_the_tracked_branch_where_a_short_ramp_was_not(n, seed, sigma):
+    # at xi = -2 a 10-point Newton ramp ended here on the smaller-|mu| sheet;
+    # the fixed point tracked from sigma = 0 over 1000 steps is the larger one
+    st = solvable_state(PCG64(seed), n)
+    y1 = tracked_y1(st, sigma, -2.0)
+    assert abs(bt_solve(st, BTParams(sigma, Quasiperiodic(-2.0))).y[0] - y1) <= 1e-12 * abs(y1)
 
 
 @pytest.mark.parametrize("sigma", [0.1, 0.3, 1.0])
@@ -64,8 +100,8 @@ def test_solver_and_certificates(sigma):
         st = _solvable(rng, n)
         p = BTParams(sigma)
         r = bt_solve(st, p)
-        assert r.newton_residual < 1e-11
-        assert bt_generating_check(st.q, st.r, r.y, r.Y, sigma) < 1e-9
+        assert r.map_residual < 1e-11
+        assert bt_generating_check(st.q, st.r, r.y, r.Y, sigma, 1.0) < 1e-9
         for i in range(n):
             assert bt_local_identity_residual(
                 st.q[i], st.r[i], r.y[i], r.y[(i + 1) % n],
@@ -87,7 +123,7 @@ def test_shared_certificates_catch_a_perturbed_solution(monkeypatch, closure):
             st.q[i], st.r[i], solved.y[i], solved.y[(i + 1) % 3],
             st.r[i - 1] if i else st.r[2], 0.3) for i in range(3))
     moved = BTResult(tuple(v + 1e-3 for v in solved.y), solved.Y,
-                     solved.newton_residual, solved.steps_used)
+                     solved.map_residual, solved.mu)
     monkeypatch.setattr(backlund, "bt_solve", lambda state_x, params: moved)
     _, certs = bt_certificates(st, p)
     assert certs["generating_function"] > CERT_TOL["generating_function"]
@@ -106,21 +142,23 @@ def test_generating_function_fd_crosscheck():
         xp, xm = x[:], x[:]
         xp[i] += h
         xm[i] -= h
-        fd = (generating_function(xp, y, sigma) - generating_function(xm, y, sigma)) / (2 * h)
+        fd = (generating_function(xp, y, sigma, 1.0)
+              - generating_function(xm, y, sigma, 1.0)) / (2 * h)
         assert abs(st.r[i] + fd) < 1e-6
     for i in range(3):
         yp, ym = y[:], y[:]
         yp[i] += h
         ym[i] -= h
-        fd = (generating_function(x, yp, sigma) - generating_function(x, ym, sigma)) / (2 * h)
+        fd = (generating_function(x, yp, sigma, 1.0)
+              - generating_function(x, ym, sigma, 1.0)) / (2 * h)
         assert abs(r.Y[i] - fd) < 1e-6
 
 
 def test_generating_function_branch_guard():
     with pytest.raises(LogBranch):
-        generating_function([1.0], [-0.5], 0.3)   # (x - y)/y < 0 in real mode
+        generating_function([1.0], [-0.5], 0.3, 1.0)   # (x - y)/y < 0 in real mode
     # complex inputs take the principal branch instead
-    generating_function([1.0 + 0j], [-0.5 + 0j], 0.3)
+    generating_function([1.0 + 0j], [-0.5 + 0j], 0.3, 1.0)
 
 
 def test_local_identity_negative_control():
@@ -148,6 +186,16 @@ def test_invariance_quasiperiodic_and_control():
     assert rb_bad > 1e-3
 
 
+@pytest.mark.parametrize("closure", [Periodic(), Quasiperiodic(0.5 + 0.5j)])
+def test_spectrality_and_its_control(closure):
+    st = _solvable(np.random.default_rng(37), 4)
+    p = BTParams(0.3, closure)
+    r = bt_solve(st, p)
+    assert bt_spectrality_residual(st, r, p, 0.3) <= CERT_TOL["spectrality"]
+    # the sheet's mu is off the curve at -sigma
+    assert bt_spectrality_residual(st, r, p, -0.3) > 1e-3
+
+
 def test_symplectic_jacobian():
     rng = np.random.default_rng(13)
     st = LatticeState(tuple(rng.uniform(0.7, 1.4, 2)),
@@ -156,20 +204,6 @@ def test_symplectic_jacobian():
     st1 = LatticeState(tuple(rng.uniform(0.7, 1.4, 1)),
                        tuple(rng.uniform(0.7, 1.4, 1)))
     assert bt_symplectic_residual(st1, BTParams(0.0)) < 1e-5
-
-
-def test_branch_stability_under_continuation_refinement():
-    rng = np.random.default_rng(17)
-    st = _solvable(rng, 3)
-    ys = [bt_solve(st, BTParams(0.3, Periodic(), continuation_steps=k)).y
-          for k in (10, 20, 40)]
-    for yk in ys[1:]:
-        assert max(abs(a - b) for a, b in zip(ys[0], yk)) < 1e-10
-
-
-def test_continuation_needs_a_step():
-    with pytest.raises(ValueError):
-        BTParams(0.3, continuation_steps=0)
 
 
 def test_composition_preserves_spectrum():
@@ -212,7 +246,7 @@ def test_nan_fails_the_certificate_wherever_it_falls():
     for i in range(3):
         Y = list(r.Y)
         Y[i] = complex("nan")
-        assert np.isnan(bt_generating_check(st.q, st.r, r.y, Y, 0.3))
+        assert np.isnan(bt_generating_check(st.q, st.r, r.y, Y, 0.3, 1.0))
 
 
 def test_dressed_generator_composite():
@@ -223,94 +257,18 @@ def test_dressed_generator_composite():
     assert jtilde_invariance_residual(st, r, p, 0.4, 0.8) < 1e-8
 
 
-@pytest.mark.parametrize("scale, message", [(0.0, "Singular matrix"),
-                                            (1e-310, "non-finite Newton step")])
-def test_newton_step_that_is_no_step_is_newton_diverged(scale, message, monkeypatch):
-    from dstlab.errors import NewtonDiverged
+def test_solver_failure_modes():
+    # X_2 = 0 at sigma = 0 puts y_2 at infinity
+    with pytest.raises(PoleEncountered, match="infinite"):
+        bt_solve(LatticeState((1.0, 1.0), (0.5, 0.0)), BTParams(0.0))
+    # one site with X = 0 has T(sigma) = [[sigma, x], [0, 1]]: one fixed
+    # point sits at y = infinity
+    with pytest.raises(PoleEncountered, match="infinity"):
+        bt_solve(LatticeState((1.0,), (0.0,)), BTParams(0.3))
+    # one site with x = 0 and sigma = 3: the larger-|mu| fixed point is y = 0
+    with pytest.raises(PoleEncountered, match="y_i = 0"):
+        bt_solve(LatticeState((0.0,), (1.0,)), BTParams(3.0))
     st = _solvable(np.random.default_rng(31), 2)
-    # a singular Jacobian, and one whose step overflows inside the solve
-    monkeypatch.setattr(backlund, "_bt_jac", lambda y, x, sig, xi: scale * np.eye(len(y)))
-    with pytest.raises(NewtonDiverged, match=message):
-        bt_solve(st, BTParams(0.3))
-
-
-def _jacobian_failing_at(fails):
-    """A `_bt_jac` that records each sigma it is asked at and raises
-    NewtonDiverged where fails(sigma, tries so far at sigma) is true; the
-    failed solves are recorded as (sigma, the y they started from)."""
-    from dstlab.errors import NewtonDiverged
-    real, asked, failed = backlund._bt_jac, [], []
-
-    def jac(y, x, sig, xi):
-        asked.append(sig)
-        if fails(sig, asked.count(sig)):
-            failed.append((sig, tuple(y)))
-            raise NewtonDiverged("injected")
-        return real(y, x, sig, xi)
-
-    return jac, asked, failed
-
-
-def test_failed_ramp_point_is_refined_from_the_last_converged_one(monkeypatch):
-    st = _solvable(np.random.default_rng(17), 3)
-    plain = bt_solve(st, BTParams(0.3))
-    # Newton fails on its first try at sigma = 0.12: the ramp solves the
-    # midpoint 0.105, then 0.12 again from there
-    jac, asked, _ = _jacobian_failing_at(lambda sig, tries: sig == 0.3 * 4 / 10 and tries == 1)
-    monkeypatch.setattr(backlund, "_bt_jac", jac)
-    refined = bt_solve(st, BTParams(0.3))
-    ramp = list(dict.fromkeys(asked))
-    assert ramp[:5] == [0.3 * k / 10 for k in (1, 2, 3, 4)] + [(0.09 + 0.12) / 2]
-    assert ramp[5:] == [0.3 * k / 10 for k in range(5, 11)]
-    assert max(abs(a - b) for a, b in zip(plain.y, refined.y)) < 1e-12
-
-
-def test_ramp_refinement_stops_where_the_midpoint_collapses(monkeypatch):
-    from dstlab.errors import NewtonDiverged
-    st = _solvable(np.random.default_rng(17), 3)
-    jac, _, failed = _jacobian_failing_at(lambda sig, tries: sig > 0.1)
-    monkeypatch.setattr(backlund, "_bt_jac", jac)
-    with pytest.raises(NewtonDiverged, match="injected at sigma=") as info:
-        bt_solve(st, BTParams(0.3))
-    # the midpoints close in on 0.1 until the converged one is so near that
-    # Newton takes no step there; refinement stops at the failed sigma above
-    # it, long before MAX_RAMP_POINTS.  A failed sigma is tried again only
-    # from a y nearer to it, so no solve fails twice from the same start
-    assert len(failed) == len(set(failed)) < 60
-    last = failed[-1][0]
-    assert str(info.value).endswith(f"at sigma={last}")
-    assert last == min(sig for sig, _ in failed) and last - 0.1 < 1e-10
-
-
-def test_ramp_refinement_stops_at_max_ramp_points(monkeypatch):
-    from dstlab.errors import NewtonDiverged
-    st = _solvable(np.random.default_rng(17), 3)
-    jac, asked, failed = _jacobian_failing_at(lambda sig, tries: sig > 0.1)
-    monkeypatch.setattr(backlund, "_bt_jac", jac)
-    # a cap reached before the midpoints collapse
-    monkeypatch.setattr(backlund, "MAX_RAMP_POINTS", 20)
-    with pytest.raises(NewtonDiverged, match="injected at sigma="):
-        bt_solve(st, BTParams(0.3))
-    # each failure but the last adds a point to the 10-point ramp
-    assert len(failed) == len(set(failed)) == backlund.MAX_RAMP_POINTS - 10 + 1
-    # an explicit initial guess has no ramp to refine
-    asked.clear()
-    with pytest.raises(NewtonDiverged):
-        bt_solve(st, BTParams(0.3), initial_guess=list(st.q))
-    assert asked == [0.3]
-
-
-def test_solver_failure_modes(monkeypatch):
-    from dstlab.errors import NewtonDiverged, PoleEncountered, SingularG
-    rng = np.random.default_rng(31)
-    st = _solvable(rng, 2)
-    with monkeypatch.context() as m:
-        m.setattr(backlund, "NEWTON_MAX_ITER", 0)
-        with pytest.raises(NewtonDiverged):
-            bt_solve(st, BTParams(0.3))
-    # a guess on the pole set trips the guard immediately
-    with pytest.raises(PoleEncountered):
-        bt_solve(st, BTParams(0.3), initial_guess=[0.0, 1.0])
     r = bt_solve(st, BTParams(0.3))
     # sigma on the evaluation grid makes g(lambda - sigma) singular there
     assert -1.61 in BT_LAMBDA_GRID
@@ -324,8 +282,8 @@ def test_all_certificates_hold_simultaneously():
     sigma = 0.45
     p = BTParams(sigma)
     r = bt_solve(st, p)
-    assert r.newton_residual < 1e-11
-    assert bt_generating_check(st.q, st.r, r.y, r.Y, sigma) < 1e-9
+    assert r.map_residual < 1e-11
+    assert bt_generating_check(st.q, st.r, r.y, r.Y, sigma, 1.0) < 1e-9
     assert max(bt_local_identity_residual(
         st.q[i], st.r[i], r.y[i], r.y[(i + 1) % 3],
         st.r[i - 1] if i else st.r[2], sigma) for i in range(3)) < 1e-9

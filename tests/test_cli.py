@@ -11,7 +11,7 @@ import pytest
 from dstlab.cli import main
 from dstlab import backlund, baxter, cli, monodromy, verify
 from dstlab.errors import CostGuard
-from dstlab.lattice import Quasiperiodic
+from branch_track import tracked_y1
 from lax_chain import lax_chain
 from dstlab.verify import run_suites, suite_rmatrix
 
@@ -439,36 +439,27 @@ def test_library_error_is_one_failure_line(capsys):
 
 
 def test_diverging_newton_is_one_failure_line(capsys):
-    # at sigma of order 1e4 the map's residual stalls above NEWTON_TOL, so
-    # Newton spends its iteration budget at every refined ramp point: a run
-    # failure, with no numpy warning or traceback
+    # at sigma = 1e4 the map solves to rounding (its residual, 3.5e-12 on
+    # terms of 1e4, passes), while the absolute generating-function
+    # certificate, whose terms reach 1e8, fails: one FAIL line, exit 1
     assert main(["backlund", "--n", "6", "--seed", "12", "--bc", "quasi", "--xi", "-1",
                  "--sigma", "1e4"]) == 1
     out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err.startswith("backlund run failed: NewtonDiverged: ")
-    assert out.err.count("\n") == 1
-
-
-def test_refined_ramp_completes_where_newton_failed(capsys):
-    # Newton spends its iteration budget at sigma = 0.3 of the 10-point ramp
-    # to 3; refining the ramp there completes the map, every certificate passing
-    assert main(["backlund", "--n", "3", "--seed", "12", "--bc", "quasi", "--xi", "-1",
-                 "--sigma", "3", "--json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["pass"] is True
+    assert out.err == ""
+    lines = out.out.splitlines()
+    assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
+        "FAIL generating_function"]
+    assert "PASS map_residual: " in out.out
 
 
 def test_capped_newton_steps_stay_on_the_continuation_branch(capsys):
-    # uncapped, this ramp's iterate overflowed at sigma = 0.12; with capped
-    # steps it lands where a four times finer continuation does
+    # the map's y_1 is the fixed point tracked from sigma = 0 over 1000 steps
     assert main(["backlund", "--n", "6", "--seed", "5", "--bc", "quasi", "--xi", "-1",
                  "--json"]) == 0
     y = [complex(*z) for z in json.loads(capsys.readouterr().out)["y"]]
     st = backlund.solvable_state(np.random.default_rng(5), 6)
-    fine = backlund.bt_solve(st, backlund.BTParams(0.3, Quasiperiodic(-1.0),
-                                                   continuation_steps=40))
-    assert np.max(np.abs(np.subtract(y, fine.y))) < 1e-12
+    y1 = tracked_y1(st, 0.3, -1.0)
+    assert abs(y[0] - y1) < 1e-12 * abs(y1)
 
 
 def test_verify_cost_guard_exits_3(monkeypatch, capsys):

@@ -452,11 +452,13 @@ def test_newton_converges_and_counts_its_steps():
         jacobians.append(z)
         return np.diag(2 * z)
 
-    z, res, steps = newton(_square_roots, [1.0, 1.0], jacobian, 1e-12, 50, 10.0)
+    z, res = newton(_square_roots, [1.0, 1.0], jacobian, 1e-12, 50, 10.0)
     assert np.allclose(z, [2.0, 3.0], rtol=0, atol=1e-12) and res <= 1e-12
-    assert steps == len(jacobians) > 0
+    assert len(jacobians) > 0
     # a start on the root takes no step
-    assert newton(_square_roots, [2.0, 3.0], jacobian, 1e-12, 50, 10.0)[2] == 0
+    jacobians.clear()
+    newton(_square_roots, [2.0, 3.0], jacobian, 1e-12, 50, 10.0)
+    assert jacobians == []
 
 
 def test_newton_shortens_a_long_step_to_max_step():
@@ -466,10 +468,10 @@ def test_newton_shortens_a_long_step_to_max_step():
         seen.append(z)
         return z - 10.0
 
-    z, _, steps = newton(f, [0.0], lambda z: np.eye(1), 1e-12, 50, 1.0)
+    z, _ = newton(f, [0.0], lambda z: np.eye(1), 1e-12, 50, 1.0)
     # the full step of 10 is cut to 1: the first iterate is 1, then nine more
     assert seen[1][0] == 1.0
-    assert z[0] == 10.0 and steps == 10
+    assert z[0] == 10.0 and len(seen) == 11
 
 
 @pytest.mark.parametrize("f, jacobian, max_iter, message", [
