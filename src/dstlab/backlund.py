@@ -32,26 +32,26 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import LogBranch, PoleEncountered, SingularG, SingularPrefactor
 from .lattice import (LatticeState, Open, Periodic, Quasiperiodic, central_differences,
                       principal_sqrt, worst)
 from .monodromy import boundary_C, boundary_K, generator, lax_L, mat2_array, monodromy
-from .poly import adjugate_neg
+from .poly import Mat2, adjugate_neg
 
 POLE_GUARD = 1e-12
 
 # Certificate tolerances by name, applied as written by `verify --suite
 # backlund` and `dstlab backlund`.  Twin certificates share one tolerance.
-INVARIANCE_TOL = 1e-8
 DRESSING_TOL = 1e-10
 CERT_TOL = {
     "map_residual": 1e-11,
     "generating_function": 1e-9,
     "local_exchange": 1e-9,
-    "spectrum_invariance": INVARIANCE_TOL,
-    "closure_exchange": INVARIANCE_TOL,
+    # relative to the larger generator coefficient, which reaches 1.8e9 at
+    # N = 24: measured <= 1.03e-15 at sigma = 0.3 over N in {3, 6, 10, 16,
+    # 24} and seeds {1, 5, 12}, a 100-fold margin
+    "spectrum_invariance": 1e-13,
+    "closure_exchange": 1e-8,
     # measured <= 1.1e-12 over 3150 solves of `solvable_state` (N <= 24, six
     # xi, five sigma, seeds 1-15): a 9-fold margin
     "spectrality": 1e-11,
@@ -89,7 +89,13 @@ class BTResult:
 
 def g_matrix(lam, sigma, s, S):
     """Elementary gauge matrix [[1, s], [-S, lam - sigma - s S]]; det = lam - sigma."""
-    return np.array([[1.0, s], [-S, lam - sigma - s * S]], dtype=complex)
+    return Mat2(1.0, s, -S, lam - sigma - s * S)
+
+
+def _g_inverse(lam, sigma, s, S):
+    """g_matrix(lam, sigma, s, S)^{-1} = [[lam - sigma - s S, -s], [S, 1]] / (lam - sigma)."""
+    det = lam - sigma
+    return Mat2((det - s * S) / det, -s / det, S / det, 1.0 / det)
 
 
 def _ring_next(v, xi):
@@ -201,7 +207,7 @@ def bt_local_identity_residual(x_i, X_i, y_i, y_ip1, X_im1, sigma):
     def defect(lam):
         lhs = g_matrix(lam, sigma, -y_ip1, X_i) @ mat2_array(L_x, lam)
         rhs = mat2_array(L_y, lam) @ g_matrix(lam, sigma, -y_i, X_im1)
-        return float(np.max(np.abs(lhs - rhs)))
+        return (lhs - rhs).max_abs()
     return worst(map(defect, BT_LAMBDA_GRID))
 
 
@@ -209,7 +215,8 @@ def bt_invariance_residual(state_x, result, params, y_end=None):
     """(generator defect, closure-exchange defect) certifying spectrum invariance.
 
     (a) coefficient-wise difference of the conserved-quantity generator on the
-        old and new states; (b) defect of  g_1 C = C g_{N+1}  with the gauge
+        old and new states, relative to max(1, the largest coefficient of
+        either); (b) defect of  g_1 C = C g_{N+1}  with the gauge
         matrices at (-y_1, X_0) and (-y_{N+1}, X_N), X_0 = xi X_N.  y_end
         defaults to the ring closure xi y_1; passing a broken y_end is the
         negative control for (b).
@@ -217,7 +224,7 @@ def bt_invariance_residual(state_x, result, params, y_end=None):
     bc = params.closure
     g_old = generator(state_x, bc)
     g_new = generator(result.state(), bc)
-    res_gen = (g_old - g_new).max_abs()
+    res_gen = (g_old - g_new).max_abs() / max(1.0, g_old.max_abs(), g_new.max_abs())
 
     xi = params.xi
     y1 = result.y[0]
@@ -232,7 +239,7 @@ def bt_invariance_residual(state_x, result, params, y_end=None):
             raise SingularG("lambda hit sigma on the grid")
         g1 = g_matrix(lam, params.sigma, -y1, X0)
         g_end = g_matrix(lam, params.sigma, -y_end, X_end)
-        return float(np.max(np.abs(g1 @ cm - cm @ g_end)))
+        return (g1 @ cm - cm @ g_end).max_abs()
     return res_gen, worst(map(defect, BT_LAMBDA_GRID))
 
 
@@ -276,23 +283,26 @@ def bt_spectrality_residual(state_x, result, params, sigma):
 
 
 def bt_symplectic_residual(state_x, params):
-    """Max-norm of D^T Omega D - Omega for the Jacobian D of (x,X) -> (y,Y).
+    """Max-norm of D^T Omega D - Omega for the Jacobian D of (x,X) -> (y,Y),
+    Omega = [[0, I], [-I, 0]].
 
     D is built by central differences of step 1e-5 of `bt_solve` itself.
+    Entry (a, b) of D^T Omega D is the symplectic product of D's columns a
+    and b, sum_i D_ia D_(i+N)b - D_(i+N)a D_ib.
     """
     n = state_x.n_sites
 
     def image(z):
         res = bt_solve(LatticeState.from_flat(z), params)
-        return np.array(res.y + res.Y)
+        return res.y + res.Y
 
-    z0 = np.array(state_x.flat(), dtype=complex)
-    D = np.column_stack(central_differences(image, z0, [1e-5] * (2 * n)))
-    m = 2 * n
-    omega = np.zeros((m, m))
-    omega[:n, n:] = np.eye(n)
-    omega[n:, :n] = -np.eye(n)
-    return float(np.max(np.abs(D.T @ omega @ D - omega)))
+    cols = central_differences(image, [complex(v) for v in state_x.flat()], [1e-5] * (2 * n))
+
+    def omega(a, b):
+        return 1.0 if b == a + n else -1.0 if a == b + n else 0.0
+
+    return worst(abs(sum(u[i] * v[i + n] - u[i + n] * v[i] for i in range(n)) - omega(a, b))
+                 for a, u in enumerate(cols) for b, v in enumerate(cols))
 
 
 def v_plus_coeffs(y_end, sigma, theta_plus):
@@ -324,14 +334,14 @@ def v_matrices(y1, y_end, X0, sigma, theta_minus, theta_plus, a_shift=0.0):
         if abs(lam + sigma) < POLE_GUARD:
             raise SingularPrefactor("lambda == -sigma")
         pre = -lam / (lam + sigma)
-        return pre * np.array([[a + d / lam, b], [1.0, -a + d / lam]], dtype=complex)
+        return Mat2(a + d / lam, b, 1.0, -a + d / lam).map(lambda e: pre * e)
 
     def v_minus(lam):
         if abs(lam - sigma) < POLE_GUARD:
             raise SingularPrefactor("lambda == sigma")
         pre = -lam / (lam - sigma)
-        return pre * np.array([[lam * A1 + A0 + delta / lam, beta * lam ** 2 + B0],
-                               [C0, lam * A1 - A0 + delta / lam]], dtype=complex)
+        return Mat2(lam * A1 + A0 + delta / lam, beta * lam ** 2 + B0,
+                    C0, lam * A1 - A0 + delta / lam).map(lambda e: pre * e)
 
     return v_plus, v_minus
 
@@ -354,11 +364,10 @@ def v_dressing_residual(y1, y_end, X0, X_end, sigma, theta_minus, theta_plus,
             raise SingularG("gauge factor singular on the grid")
         kp, km = mat2_array(k_plus, lam), mat2_array(k_minus, lam)
         g_end_m = g_matrix(-lam, sigma, -y_end, X_end)
-        g_end_p = g_matrix(lam, sigma, -y_end, X_end)
         g1_p = g_matrix(lam, sigma, -y1, X0)
-        g1_m = g_matrix(-lam, sigma, -y1, X0)
-        res_p.append(float(np.max(np.abs(g_end_m @ v_plus(lam) @ np.linalg.inv(g_end_p) - kp))))
-        res_m.append(float(np.max(np.abs(g1_p @ v_minus(lam) @ np.linalg.inv(g1_m) - km))))
+        res_p.append((g_end_m @ v_plus(lam) @ _g_inverse(lam, sigma, -y_end, X_end) - kp)
+                     .max_abs())
+        res_m.append((g1_p @ v_minus(lam) @ _g_inverse(-lam, sigma, -y1, X0) - km).max_abs())
     return worst(res_p), worst(res_m)
 
 
@@ -383,7 +392,7 @@ def jtilde_invariance_residual(state_x, result, params, theta_minus, theta_plus)
         if abs(lam) < POLE_GUARD or abs(lam - params.sigma) < POLE_GUARD \
                 or abs(lam + params.sigma) < POLE_GUARD:
             continue
-        before = np.trace(v_plus(lam) @ mat2_array(t_x, lam) @ v_minus(lam)
-                          @ mat2_array(adj_x, lam)) / (-lam) ** n
+        before = (v_plus(lam) @ mat2_array(t_x, lam) @ v_minus(lam)
+                  @ mat2_array(adj_x, lam)).trace() / (-lam) ** n
         defects.append(abs(before - g_y(lam) / (-lam) ** n))
     return worst(defects)

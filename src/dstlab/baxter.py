@@ -24,12 +24,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._rng import PCG64
 from .errors import (EvaluationAtRoot, GammaPole, NewtonDiverged, NoConvergence,
                      PoleInput, RootCollision)
-from .lattice import DEFAULT_FD_STEP, central_differences, newton, relative_steps, worst
+from .lattice import (DEFAULT_FD_STEP, central_differences, lu_factor, newton, relative_steps,
+                      worst)
+from .poly import Mat2
 
 POLE_GUARD = 1e-12
 BETHE_MAX_STARTS = 64  # randomized Newton starts before bethe_solve gives up
@@ -91,12 +91,10 @@ class QKernelParams:
 def kernel_sites(rng, n, xi):
     """The random kernel sites (y, q) of the checks: y_1 = 0.9 + 0.3i,
     y_2..y_N drawn from rng (a `_rng.PCG64`), y_{N+1} = xi y_1, then
-    q_1..q_N drawn, as numpy complex scalars: the kernel's arithmetic on
-    them is numpy's, whose complex division and abs round differently from
-    Python's."""
+    q_1..q_N drawn, as Python complex."""
     def draw(size, low, high, spread):
         re, im = rng.uniform(low, high, size), rng.uniform(-spread, spread, size)
-        return np.array(re) + 1j * np.array(im)
+        return [complex(a, b) for a, b in zip(re, im)]
     y1 = 0.9 + 0.3j
     return (y1, *draw(n - 1, 0.5, 1.5, 0.4), xi * y1), tuple(draw(n, -0.8, 0.8, 0.4))
 
@@ -196,12 +194,12 @@ def qj_lax(i, p):
     [[sigma + eta + eta q d_q log w, q], [eta d_q log w, 1]] with the
     derivative in closed form: eta d_q log w = (sigma+eta)/(y_{i+1}-q) - 1/y_i."""
     dlog = (p.sigma + p.eta) / (p.y[i + 1] - p.q[i]) - 1 / p.y[i]
-    return np.array([[p.sigma + p.eta + p.q[i] * dlog, p.q[i]],
-                     [dlog, 1.0]], dtype=complex)
+    return Mat2(p.sigma + p.eta + p.q[i] * dlog, p.q[i], dlog, 1.0)
 
 
 def gauge_S(y_val):
-    return np.array([[1.0, y_val], [0.0, 1.0]], dtype=complex)
+    """[[1, y], [0, 1]], whose inverse is gauge_S(-y)."""
+    return Mat2(1.0, y_val, 0.0, 1.0)
 
 
 def gauge_triangularize(i, p, wrong_index=False):
@@ -216,14 +214,9 @@ def gauge_triangularize(i, p, wrong_index=False):
     wrong_index=True builds the gauge with the shifted index (S_i carrying
     y_{i+1}); the upper-right entry then stays O(1), which is the negative
     control pinning the index convention."""
-    if wrong_index:
-        s_in = gauge_S(p.y[i + 1])
-        s_out = gauge_S(p.y[i + 2])  # needs i + 2 <= N
-    else:
-        s_in = gauge_S(p.y[i])
-        s_out = gauge_S(p.y[i + 1])
-    g = np.linalg.inv(s_out) @ qj_lax(i, p) @ s_in
-    return abs(g[0, 1]), (g[0, 0], g[1, 1])
+    k = i + 1 if wrong_index else i  # the wrong index needs i + 2 <= N
+    g = gauge_S(-p.y[k + 1]) @ qj_lax(i, p) @ gauge_S(p.y[k])
+    return abs(g.a12), (g.a11, g.a22)
 
 
 def twisted_transfer_value(p):
@@ -315,17 +308,37 @@ def _tq_rhs(roots, n, xi, eta):
     Q(sigma) = prod_j (sigma - mu_j), s = xi^(1/2): the one form of it that the
     Bethe system, Lambda and the polynomiality remainder read."""
     sq = cmath.sqrt(complex(xi))
-    down = up = np.ones(1, dtype=complex)
+    down = up = [1 + 0j]
     for mu in roots:
-        down = np.convolve(down, [1.0, -eta - mu])
-        up = np.convolve(up, [1.0, eta - mu])
-    return np.polyadd(np.concatenate([down, np.zeros(n)]) / sq, sq * up)
+        down = _times_linear(down, -eta - mu)
+        up = _times_linear(up, eta - mu)
+    rhs = [c / sq for c in down] + [0j] * n  # sigma^N/s Q(sigma - eta)
+    shift = len(rhs) - len(up)
+    for k, c in enumerate(up):
+        rhs[shift + k] += sq * c  # + s Q(sigma + eta), aligned at the constant term
+    return rhs
+
+
+def _times_linear(coeffs, c):
+    """Coefficients, highest power first, of p(sigma) (sigma + c) for the
+    coefficients of p."""
+    return [a + c * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+
+
+def _horner(coeffs, x):
+    """The polynomial with coefficients `coeffs`, highest power first, at x."""
+    acc = 0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
 
 
 def bethe_system(roots, n, xi, eta):
-    """Residual vector R(mu_j): the right side of the Baxter relation must
-    vanish at every root for the eigenvalue to be a polynomial."""
-    return np.polyval(_tq_rhs(roots, n, xi, eta), np.asarray(roots, dtype=complex))
+    """Residual vector R(mu_j), a tuple: the right side of the Baxter
+    relation must vanish at every root for the eigenvalue to be a
+    polynomial."""
+    rhs = _tq_rhs(roots, n, xi, eta)
+    return tuple(_horner(rhs, mu) for mu in roots)
 
 
 def bethe_solve(n, m, xi, eta, seed):
@@ -344,7 +357,7 @@ def bethe_solve(n, m, xi, eta, seed):
         return bethe_system(z, n, xi, eta)
 
     def jacobian(z):
-        return np.column_stack(central_differences(system, z, relative_steps(z, DEFAULT_FD_STEP)))
+        return list(zip(*central_differences(system, z, relative_steps(z, DEFAULT_FD_STEP))))
 
     collided = False
     for _ in range(BETHE_MAX_STARTS):
@@ -370,16 +383,24 @@ def lambda_from_roots(cfg, sigma0):
     for mu in cfg.roots:
         if abs(sigma0 - mu) < POLE_GUARD:
             raise EvaluationAtRoot(f"sigma0 = {sigma0} hits root {mu}")
-    return (np.polyval(_tq_rhs(cfg.roots, cfg.n_sites, cfg.xi, cfg.eta), sigma0)
-            / np.prod([sigma0 - mu for mu in cfg.roots]))
+    return (_horner(_tq_rhs(cfg.roots, cfg.n_sites, cfg.xi, cfg.eta), sigma0)
+            / math.prod(sigma0 - mu for mu in cfg.roots))
 
 
 def bethe_remainder(cfg):
     """Max |coefficient| of the remainder of the Baxter relation's right side
     divided by Q: zero when Lambda is a polynomial, i.e. when the roots solve
-    the system."""
-    _, rem = np.polydiv(_tq_rhs(cfg.roots, cfg.n_sites, cfg.xi, cfg.eta), np.poly(cfg.roots))
-    return float(np.max(np.abs(rem))) if len(rem) else 0.0
+    the system.  Q is monic, so each step of the long division subtracts the
+    leading coefficient times Q."""
+    q = [1 + 0j]
+    for mu in cfg.roots:
+        q = _times_linear(q, -mu)
+    r = _tq_rhs(cfg.roots, cfg.n_sites, cfg.xi, cfg.eta)
+    top = len(r) - len(q) + 1
+    for k in range(top):
+        for j in range(1, len(q)):
+            r[k + j] -= r[k] * q[j]
+    return worst(map(abs, r[top:]))
 
 
 def lambda_degree_probe(cfg):
@@ -387,15 +408,15 @@ def lambda_degree_probe(cfg):
     k = 0..N+2; vanishes when Lambda is a polynomial of degree N."""
     n = cfg.n_sites
     base = 0.31 + 0.17j
-    vals = np.array([lambda_from_roots(cfg, base + 1.7 * k) for k in range(n + 3)])
+    vals = [lambda_from_roots(cfg, base + 1.7 * k) for k in range(n + 3)]
     for _ in range(n + 1):
-        vals = np.diff(vals)
-    return float(np.max(np.abs(vals)))
+        vals = [b - a for a, b in zip(vals, vals[1:])]
+    return worst(map(abs, vals))
 
 
 def transfer_matrix_on_degree(n, m, xi, eta, sigma0):
     """Matrix of the twisted quantum transfer polynomial tr[C(xi) T(sigma0)]
-    on the degree-m monomial subspace."""
+    on the degree-m monomial subspace, as a list of rows of complex."""
     from ._rat import RAT
     from .quantum import QParams, qmonodromy, rep_of_op_poly
 
@@ -404,7 +425,7 @@ def transfer_matrix_on_degree(n, m, xi, eta, sigma0):
     sq = cmath.sqrt(complex(xi))
     m11 = rep_of_op_poly(t.a11, sigma0, n, m)
     m22 = rep_of_op_poly(t.a22, sigma0, n, m)
-    return m11 / sq + sq * m22
+    return [[a / sq + sq * d for a, d in zip(row11, row22)] for row11, row22 in zip(m11, m22)]
 
 
 def eigen_membership_residual(cfg, sigma0):
@@ -412,12 +433,17 @@ def eigen_membership_residual(cfg, sigma0):
     eigenvalue of the twisted transfer operator on the degree-m subspace:
 
         |det(M - Lambda I)| / ||M||_F^dim
+
+    with the determinant from `lattice.lu_factor`.
     """
     mat = transfer_matrix_on_degree(cfg.n_sites, cfg.m, cfg.xi, cfg.eta, sigma0)
     lam = lambda_from_roots(cfg, sigma0)
-    dim = mat.shape[0]
-    norm = np.linalg.norm(mat)
-    return float(abs(np.linalg.det(mat - lam * np.eye(dim))) / norm ** dim)
+    dim = len(mat)
+    norm = math.hypot(*(x for row in mat for e in row for x in (e.real, e.imag)))
+    lu, _, sign = lu_factor([[e - lam if i == j else e for j, e in enumerate(row)]
+                             for i, row in enumerate(mat)])
+    det = sign * math.prod(row[k] for k, row in enumerate(lu))
+    return abs(det) / norm ** dim
 
 
 def bethe_certificates(cfg):

@@ -12,12 +12,14 @@ closed by (q_{N+1}, r_0) = (q_1, r_N) for the periodic ring, by
 (theta_+, theta_-) for the open chain.
 
 `central_differences` is the package's one difference stencil: the Poisson
-bracket, the flow Jacobian of `verify` and the Bäcklund Jacobian of
-`backlund` all call it, each with its own steps.  `poisson_bracket` is the
-one canonical bracket, for scalar and array observables alike: `verify`
+bracket, the Bäcklund Jacobian of `backlund` and the Bethe Jacobian of
+`baxter` all call it, each with its own steps.  `poisson_bracket` is the
+one canonical bracket, for scalar and tuple observables alike: `verify`
 takes its coordinate and Hamiltonian brackets from it, and `rmatrix` its
 tables of matrix-entry brackets.
-`newton` is the Newton loop of the Bethe roots (`baxter.bethe_solve`).
+`newton` is the Newton loop of the Bethe roots (`baxter.bethe_solve`), and
+`lu_factor` its linear algebra: the Newton step's solve and the
+determinant of `baxter.eigen_membership_residual`.
 `worst` (and its mirror `least`) is the package's one fold of residuals.
 The flow's formula is written once, in `_rate_lines`, which emits it as
 Python source.  `_kernels(N)` compiles that source, once per chain length,
@@ -42,7 +44,7 @@ from .errors import NewtonDiverged, NonFiniteDerivative, NonFiniteState, WrongRe
 
 
 def _is_finite(x):
-    """True when x, or every entry of an array x, is finite."""
+    """True when the number x is finite."""
     if isinstance(x, complex):
         return math.isfinite(x.real) and math.isfinite(x.imag)
     try:
@@ -50,8 +52,6 @@ def _is_finite(x):
     except OverflowError:
         return True  # ints and rationals too large for a float are finite
     except TypeError:
-        if hasattr(x, "ravel"):  # a numpy array: every entry is tested
-            return _all_finite(x.ravel().tolist())
         return True  # other exact scalars are finite
 
 
@@ -79,8 +79,9 @@ def least(values):
     return next((v for v in values if v != v), min(values, default=0.0))
 
 
-# Entry types LatticeState keeps as they are; anything else with .item()
-# (numpy scalars) is converted to the plain Python number.
+# Entry types LatticeState keeps as they are; any other entry with .item()
+# (an array library's scalar) becomes the plain Python number, so the
+# state's arithmetic is Python's.
 _PLAIN_TYPES = frozenset((float, complex, int))
 
 
@@ -130,7 +131,6 @@ class LatticeState:
             raise ValueError("q and r must have equal positive length")
         z = tuple(self.q) + tuple(self.r)
         if not set(map(type, z)) <= _PLAIN_TYPES:
-            # numpy scalars become plain Python numbers (IEEE overflow without warnings)
             z = tuple(v.item() if hasattr(v, "item") else v for v in z)
         if not _all_finite(z):
             raise NonFiniteState("state entries must be finite")
@@ -251,36 +251,87 @@ DEFAULT_FD_STEP = 1e-5
 
 def central_differences(f, z, steps):
     """[(f(z + h_k e_k) - f(z - h_k e_k)) / 2 h_k for each k]: the one
-    central-difference stencil of the package, for scalar- and array-valued
-    f alike.  f takes a list like z; steps[k] is h_k; z is not mutated."""
+    central-difference stencil of the package, for scalar- and tuple-valued
+    f alike (a tuple is differenced entry by entry).  f takes a list like z;
+    steps[k] is h_k; z is not mutated."""
     out = []
     for k, h in enumerate(steps):
         zp, zm = list(z), list(z)
         zp[k] = z[k] + h
         zm[k] = z[k] - h
-        out.append((f(zp) - f(zm)) / (2 * h))
+        fp, fm = f(zp), f(zm)
+        if isinstance(fp, tuple):
+            out.append(tuple((a - b) / (2 * h) for a, b in zip(fp, fm)))
+        else:
+            out.append((fp - fm) / (2 * h))
     return out
 
 
+def lu_factor(a):
+    """LU factors of the square matrix a (a list of rows, left unchanged) by
+    Gaussian elimination with partial pivoting: (lu, order, sign), with U on
+    and above the diagonal of lu and L's multipliers below it, order the
+    rows of a in pivot order and sign the permutation's parity, so that
+    det a = sign * prod(lu[k][k]).  A zero pivot column is left as it is,
+    giving det a = 0."""
+    lu = [[complex(v) for v in row] for row in a]
+    n = len(lu)
+    order, sign = list(range(n)), 1
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(lu[i][k]))
+        if p != k:
+            lu[k], lu[p] = lu[p], lu[k]
+            order[k], order[p] = order[p], order[k]
+            sign = -sign
+        pivot_row = lu[k]
+        if pivot_row[k] == 0:
+            continue
+        for row in lu[k + 1:]:
+            m = row[k] = row[k] / pivot_row[k]
+            for j in range(k + 1, n):
+                row[j] -= m * pivot_row[j]
+    return lu, order, sign
+
+
+def _lu_solve(a, b):
+    """x with a x = b, by `lu_factor`; NewtonDiverged at a zero pivot."""
+    lu, order, _ = lu_factor(a)
+    if any(row[k] == 0 for k, row in enumerate(lu)):
+        raise NewtonDiverged("Singular matrix: a zero pivot")
+    x = [b[i] for i in order]
+    for i, row in enumerate(lu):
+        for j in range(i):
+            x[i] -= row[j] * x[j]
+    for i in reversed(range(len(lu))):
+        row = lu[i]
+        for j in range(i + 1, len(row)):
+            x[i] -= row[j] * x[j]
+        x[i] /= row[i]
+    return x
+
+
 def newton(f, z, jacobian, tol, max_iter, max_step):
-    """The package's one Newton loop for f(z) = 0: (z, max |f(z)|) once
-    max |f(z)| <= tol, each step solving jacobian(z) step = -f(z), cut to
-    max-norm max_step.  NewtonDiverged on a singular Jacobian, a non-finite
-    step, a numpy overflow, invalid or divide error, or max_iter steps."""
-    import numpy as np  # here: the exact engine imports this module without numpy
-    z, res = np.asarray(z, dtype=complex), math.inf
+    """The package's one Newton loop for f(z) = 0 on a list z of complex:
+    (z, max |f(z)|) once max |f(z)| <= tol, each step solving
+    jacobian(z) step = -f(z) (the Jacobian as a list of rows), cut to
+    max-norm max_step.  NewtonDiverged on a non-finite residual or step, a
+    zero pivot, a ZeroDivisionError or OverflowError, or max_iter steps."""
+    z, res = [complex(v) for v in z], math.inf
     try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            for _ in range(max_iter):
-                fz = f(z)
-                res = float(worst(np.abs(fz)))
-                if res <= tol:
-                    return z, res
-                step = np.linalg.solve(jacobian(z), -fz)
-                if not np.all(np.isfinite(step)):
-                    raise NewtonDiverged("non-finite Newton step")
-                z = z + step * min(1.0, max_step / np.max(np.abs(step)))
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        for _ in range(max_iter):
+            fz = f(z)
+            res = worst(map(abs, fz))
+            if not math.isfinite(res):
+                raise NewtonDiverged(f"non-finite residual {res!r}: an overflow or a NaN")
+            if res <= tol:
+                return z, res
+            step = _lu_solve(jacobian(z), [-v for v in fz])
+            size = worst(map(abs, step))
+            if not math.isfinite(size):
+                raise NewtonDiverged("non-finite Newton step")
+            cut = min(1.0, max_step / size)
+            z = [v + s * cut for v, s in zip(z, step)]
+    except (ZeroDivisionError, OverflowError) as exc:
         raise NewtonDiverged(f"no Newton step: {exc}") from exc
     raise NewtonDiverged(f"residual {res:.3e} after {max_iter} iterations")
 
@@ -297,20 +348,33 @@ def _grad(f, state, h_scale=DEFAULT_FD_STEP):
     d = central_differences(lambda w: f(LatticeState.from_flat(w)), z,
                             relative_steps(z, h_scale))
     for k, dk in enumerate(d):
-        if not _is_finite(dk):
+        if not _all_finite(dk if isinstance(dk, tuple) else (dk,)):
             raise NonFiniteDerivative(f"non-finite difference quotient at site {k % n + 1}")
     return d[:n], d[n:]
+
+
+def _dot(xs, ys):
+    """sum_n xs[n] ys[n], accumulated in order from 0, as numpy's einsum
+    does (the builtin sum compensates float sums from Python 3.12 on)."""
+    acc = 0
+    for x, y in zip(xs, ys):
+        acc = acc + x * y
+    return acc
 
 
 def poisson_bracket(f, g, state, h_scale=DEFAULT_FD_STEP):
     """{f, g} = sum_n df/dq_n dg/dr_n - sum_n df/dr_n dg/dq_n by central
     differences: the package's one canonical bracket.  f and g map a
-    LatticeState to a scalar or an array; for arrays the products are
-    elementwise and broadcast, so `rmatrix` forms the tensor product of two
-    matrix observables by giving one of them trailing unit axes."""
+    LatticeState to a scalar or a tuple; for tuples the result is the table
+    of every entry pair, {f, g}[u][v] = {f_u, g_v}, so `rmatrix` forms the
+    tensor product of two matrix observables from their entries."""
     fq, fr = _grad(f, state, h_scale)
     gq, gr = _grad(g, state, h_scale)
-    return sum(a * b for a, b in zip(fq, gr)) - sum(a * b for a, b in zip(fr, gq))
+    if not isinstance(fq[0], tuple):
+        return _dot(fq, gr) - _dot(fr, gq)
+    return tuple(tuple(_dot(fq_u, gr_v) - _dot(fr_u, gq_v)
+                       for gq_v, gr_v in zip(zip(*gq), zip(*gr)))
+                 for fq_u, fr_u in zip(zip(*fq), zip(*fr)))
 
 
 def flow_consistency_residual(state, bc):

@@ -154,11 +154,8 @@ def dressed_U(state, bc):
 
 
 def mat2_array(m, lam):
-    """The Mat2 m evaluated at lambda, as a 2x2 complex numpy array."""
-    import numpy as np  # here: the trajectory path runs without numpy
-    e = m.eval(lam)
-    return np.array([[complex(e.a11), complex(e.a12)],
-                     [complex(e.a21), complex(e.a22)]])
+    """The Mat2 m evaluated at lambda, as a Mat2 of Python complex."""
+    return m.eval(lam).map(complex)
 
 
 def generator(state, bc):

@@ -748,20 +748,21 @@ def rep_on_degree(op, n_sites, m):
 
 
 def rep_of_op_poly(op_poly, lam0, n_sites, m):
-    """Complex matrix of an operator polynomial evaluated at lam0.
+    """Complex matrix, a list of rows, of an operator polynomial evaluated
+    at lam0.
 
     Each lambda-coefficient is represented exactly, then the powers of lam0
     are combined numerically (keeps rationals and floats separate)."""
-    import numpy as np
-
     dim = comb(n_sites + m - 1, m)
     if dim > REP_DIM_GUARD:
         raise CostGuard(f"representation dimension {dim} > {REP_DIM_GUARD}")
-    total = np.zeros((dim, dim), dtype=complex)
+    total = [[0j] * dim for _ in range(dim)]
     power = 1.0 + 0j
-    for k, c in enumerate(op_poly.c):
+    for c in op_poly.c:
         if isinstance(c, WeylOp) and not c.is_zero():
             mat, _ = rep_on_degree(c, n_sites, m)
-            total += power * np.array([[float(e) for e in row] for row in mat])
+            for row_t, row in zip(total, mat):
+                for j, e in enumerate(row):
+                    row_t[j] += power * float(e)
         power *= lam0
     return total

@@ -26,12 +26,19 @@ def _solvable(rng, n):
         tuple(rng.uniform(0.6, 1.4, n) + 1j * rng.uniform(-0.3, 0.3, n)))
 
 
+def _array(m):
+    """A Mat2 as a 2x2 numpy array."""
+    return np.array([[m.a11, m.a12], [m.a21, m.a22]], dtype=complex)
+
+
 def test_g_matrix():
     g = g_matrix(1.3, 0.4, 0.0, 0.0)
-    assert np.allclose(g, [[1, 0], [0, 0.9]])
+    assert np.allclose(_array(g), [[1, 0], [0, 0.9]])
     g = g_matrix(1.3, 0.4, 0.7, -0.2)
-    assert abs(np.linalg.det(g) - (1.3 - 0.4)) < 1e-14
-    assert abs(np.linalg.det(g_matrix(0.4, 0.4, 0.7, 0.5))) < 1e-14
+    assert abs(np.linalg.det(_array(g)) - (1.3 - 0.4)) < 1e-14
+    assert abs(np.linalg.det(_array(g_matrix(0.4, 0.4, 0.7, 0.5)))) < 1e-14
+    inverse = _array(backlund._g_inverse(1.3, 0.4, 0.7, -0.2))
+    assert np.allclose(inverse, np.linalg.inv(_array(g)), rtol=0, atol=1e-14)
 
 
 def test_sigma_zero_seed_exact():
@@ -223,7 +230,7 @@ def test_v_matrix_coefficients():
     assert a1 == 0.0 and c0 == 0.0 and delta == 0.0
     vp, vm = v_matrices(0.7, 0.9, 0.0, 0.0, 0.0, thp)
     m = vp(1.3)
-    assert abs(m[0, 0] / (-1.0) - (0.9 - thp)) < 1e-14  # prefactor -1, d = 0
+    assert abs(m.a11 / (-1.0) - (0.9 - thp)) < 1e-14  # prefactor -1, d = 0
     with pytest.raises(SingularPrefactor):
         v_matrices(0.7, 0.9, 0.0, 0.25, 0.0, thp)[0](-0.25)
 

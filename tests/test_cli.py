@@ -111,11 +111,16 @@ def test_simulate_runs_without_numpy(tmp_path):
         assert proc.returncode == 0, proc.stderr
 
 
-def test_trajectory_modules_import_no_numpy():
-    # numpy's import is most of a cold simulate's time and memory
-    code = ("import sys, dstlab.cli, dstlab.verify, dstlab.monodromy; "
-            "sys.exit('numpy' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+def test_every_command_runs_without_numpy():
+    # numpy is only the tests' reference: every suite of verify and the
+    # backlund and baxter commands run with its import blocked
+    code = ("import sys; sys.modules['numpy'] = None; from dstlab.cli import main; "
+            "print([main(argv.split()) for argv in sys.argv[1:]], file=sys.stderr)")
+    commands = ["verify --suite all --json", "backlund --json", "baxter --json",
+                "baxter --n 3 --m 1 --xi 2 --eta 0.7 --json"]
+    proc = subprocess.run([sys.executable, "-c", code, *commands],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr.strip() == str([0] * len(commands)), proc.stderr
 
 
 def test_simulate_t_final_zero(tmp_path):

@@ -30,3 +30,23 @@ def test_one_random_stream_in_the_package():
     for path in pathlib.Path(dstlab.__file__).parent.glob("*.py"):
         text = path.read_text(encoding="utf-8")
         assert "np.random" not in text and "default_rng" not in text, path.name
+
+
+def _numpy_imports():
+    found = []
+    for path in pathlib.Path(dstlab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "numpy"]
+    return found
+
+
+def test_no_numpy_in_the_package():
+    # numpy is the tests' reference only: every command runs without it
+    assert _numpy_imports() == []

@@ -313,13 +313,13 @@ def test_central_differences_on_a_cubic():
     assert d[2] == pytest.approx(exact[2], abs=1e-12)
     assert z == [0.5, -1.25, 2.0]
 
-    # an array-valued f gives one array per coordinate
-    za = np.array(z)
-    da = central_differences(lambda w: np.array([f(w), 2 * w[1]]), za, steps)
-    assert [x.shape for x in da] == [(2,)] * 3
-    assert np.allclose([x[0] for x in da], d, rtol=0, atol=1e-12)
+    # a tuple-valued f gives one tuple per coordinate, differenced entry by
+    # entry as the scalar is
+    da = central_differences(lambda w: (f(w), 2 * w[1]), z, steps)
+    assert all(type(x) is tuple and len(x) == 2 for x in da)
+    assert [x[0] for x in da] == d
     assert np.allclose([x[1] for x in da], [0.0, 2.0, 0.0], rtol=0, atol=1e-12)
-    assert list(za) == z
+    assert z == [0.5, -1.25, 2.0]
 
 
 def test_non_finite_difference_quotient():
@@ -332,23 +332,36 @@ def test_non_finite_difference_quotient():
 
 
 def test_non_finite_entry_of_a_matrix_quotient():
-    # one NaN entry of an array-valued observable fails the bracket as a
+    # one NaN entry of a tuple-valued observable fails the bracket as a
     # non-finite scalar does, whichever side it is on
     from dstlab.errors import NonFiniteDerivative
     st = LatticeState((0.5, -0.2), (0.3, 0.9))
-    bad = lambda s: np.array([[s.q[0], 1.0], [2.0, float("nan")]])
-    good = lambda s: np.array([[s.q[0] * s.r[0], s.q[1]], [s.r[1], 1.0]])
+    bad = lambda s: (s.q[0], 1.0, 2.0, float("nan"))
+    good = lambda s: (s.q[0] * s.r[0], s.q[1], s.r[1], 1.0)
     for f, g in ((bad, good), (good, bad), (bad, lambda s: s.r[0])):
         with pytest.raises(NonFiniteDerivative):
             poisson_bracket(f, g, st)
     table = poisson_bracket(good, good, st)
-    assert table.shape == (2, 2) and np.all(np.isfinite(table))
+    assert [len(row) for row in table] == [4] * 4 and np.all(np.isfinite(table))
+    # each entry is the scalar bracket of its pair of entries
+    for u in range(4):
+        for v in range(4):
+            assert table[u][v] == poisson_bracket(lambda s: good(s)[u], lambda s: good(s)[v], st)
+
+
+def _flow_vector(z, bc):
+    from dstlab.verify import _flow_rates
+    return np.array(_flow_rates(z, bc), dtype=complex)
+
+
+def _flow_jacobian(z, bc):
+    """The flow's Jacobian at z by the package's difference stencil."""
+    return np.column_stack(central_differences(lambda w: _flow_vector(w, bc), z,
+                                               [1e-7] * len(z)))
 
 
 def test_open_chain_equilibrium_is_elliptic():
-    import numpy as np
-    from dstlab.verify import (_flow_jacobian, _flow_vector, equilibrium_state,
-                               initial_state)
+    from dstlab.verify import equilibrium_state, initial_state
     bc = Open(0.3, 0.7)
     z = equilibrium_state(6, bc)
     assert float(np.max(np.abs(_flow_vector(z, bc)))) < 1e-12
@@ -385,7 +398,7 @@ def test_open_chain_equilibrium_is_a_diagonalizable_elliptic_point(theta):
     # the spectrum p {+-2 sin(k pi/(N+2))} and +-2p with N/2-dimensional
     # eigenspaces, from the docstring's derivation, read off the flow Jacobian
     from dstlab.errors import DstlabError
-    from dstlab.verify import _flow_jacobian, _flow_vector, equilibrium_state
+    from dstlab.verify import equilibrium_state
     bc = Open(*theta)
     for n in [*range(1, 9), 16, 24]:
         if n % 2:
@@ -442,7 +455,7 @@ def test_residual_folds_keep_a_nan_wherever_it_falls(values, data):
 
 
 def _square_roots(z):
-    return z * z - np.array([4.0, 9.0])
+    return [z[0] * z[0] - 4.0, z[1] * z[1] - 9.0]
 
 
 def test_newton_converges_and_counts_its_steps():
@@ -450,7 +463,7 @@ def test_newton_converges_and_counts_its_steps():
 
     def jacobian(z):
         jacobians.append(z)
-        return np.diag(2 * z)
+        return [[2 * z[0], 0.0], [0.0, 2 * z[1]]]
 
     z, res = newton(_square_roots, [1.0, 1.0], jacobian, 1e-12, 50, 10.0)
     assert np.allclose(z, [2.0, 3.0], rtol=0, atol=1e-12) and res <= 1e-12
@@ -466,21 +479,43 @@ def test_newton_shortens_a_long_step_to_max_step():
 
     def f(z):
         seen.append(z)
-        return z - 10.0
+        return [z[0] - 10.0]
 
-    z, _ = newton(f, [0.0], lambda z: np.eye(1), 1e-12, 50, 1.0)
+    z, _ = newton(f, [0.0], lambda z: [[1.0]], 1e-12, 50, 1.0)
     # the full step of 10 is cut to 1: the first iterate is 1, then nine more
     assert seen[1][0] == 1.0
     assert z[0] == 10.0 and len(seen) == 11
 
 
 @pytest.mark.parametrize("f, jacobian, max_iter, message", [
-    (lambda z: z - 1.0, lambda z: np.zeros((1, 1)), 50, "Singular matrix"),
-    (lambda z: z - 1.0, lambda z: 1e-310 * np.eye(1), 50, "non-finite Newton step"),
-    (lambda z: z * 1e308 * 1e308, lambda z: np.eye(1), 50, "overflow"),
+    (lambda z: [z[0] - 1.0], lambda z: [[0.0]], 50, "Singular matrix"),
+    (lambda z: [z[0] - 1.0], lambda z: [[1e-310]], 50, "non-finite Newton step"),
+    (lambda z: [z[0] * 1e308 * 1e308], lambda z: [[1.0]], 50, "overflow"),
+    (lambda z: [complex(1.7e308, 1.7e308)], lambda z: [[1.0]], 50, "absolute value too large"),
+    (lambda z: [1.0 / (z[0] - 0.5)], lambda z: [[1.0]], 50, "division by zero"),
     # no iteration at all, even from the root itself
-    (lambda z: z - 0.5, lambda z: np.eye(1), 0, "after 0 iterations"),
+    (lambda z: [z[0] - 0.5], lambda z: [[1.0]], 0, "after 0 iterations"),
 ])
 def test_newton_failures_are_newton_diverged(f, jacobian, max_iter, message):
     with pytest.raises(NewtonDiverged, match=message):
         newton(f, [0.5], jacobian, 1e-12, max_iter, 1.0)
+
+
+def test_lu_factor_gives_numpy_determinant_and_solve():
+    from dstlab.lattice import _lu_solve, lu_factor
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 5, 9):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        b = rng.normal(size=n) + 1j * rng.normal(size=n)
+        lu, order, sign = lu_factor(a.tolist())
+        assert sorted(order) == list(range(n))
+        det = sign * math.prod(row[k] for k, row in enumerate(lu))
+        assert abs(det - np.linalg.det(a)) <= 1e-12 * abs(np.linalg.det(a))
+        x = _lu_solve(a.tolist(), b.tolist())
+        assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-12, atol=0)
+    # a zero pivot column gives the determinant 0 and no solve
+    singular = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 5.0]]
+    lu, _, sign = lu_factor(singular)
+    assert sign * math.prod(row[k] for k, row in enumerate(lu)) == 0
+    with pytest.raises(NewtonDiverged, match="zero pivot"):
+        _lu_solve([[0.0, 0.0], [0.0, 1.0]], [1.0, 1.0])

@@ -14,23 +14,33 @@ from dstlab.rmatrix import (PERM, bracket_table, cism1_residual,
 LAM = Poly([0, 1])
 
 
+def _array(m):
+    """A Mat2 or a 4x4 tuple of rows as a complex numpy array."""
+    rows = ((m.a11, m.a12), (m.a21, m.a22)) if hasattr(m, "a11") else m
+    return np.array(rows, dtype=complex)
+
+
 def _rand_state(rng, n, scale=1.0):
     return LatticeState(tuple(rng.uniform(-scale, scale, n)),
                         tuple(rng.uniform(-scale, scale, n)))
 
 
 def test_permutation_operator():
-    assert np.allclose(PERM @ PERM, np.eye(4))
+    perm = _array(PERM)
+    assert np.allclose(perm @ perm, np.eye(4))
     a = np.array([[1, 2], [3, 4]])
     b = np.array([[5, 6], [7, 8]])
-    assert np.allclose(PERM @ np.kron(a, b) @ PERM, np.kron(b, a))
+    assert np.allclose(perm @ np.kron(a, b) @ perm, np.kron(b, a))
+    # the package's kron is numpy's, leg for leg
+    a2, b2 = poly_mat(1, 2, 3, 4).eval(0), poly_mat(5, 6, 7, 8).eval(0)
+    assert np.array_equal(_array(rmatrix._kron(a2, b2)), np.kron(a, b))
 
 
 def test_classical_r_values():
-    assert np.allclose(classical_r(1.0, 0.0), -PERM)
-    assert np.allclose(classical_r(0.3, 0.9), -classical_r(0.9, 0.3))
-    assert np.allclose(np.max(np.abs(classical_r(2.0, 1.0))),
-                       2 * np.max(np.abs(classical_r(3.0, 1.0))))
+    r = lambda lam, mu: _array(classical_r(lam, mu))
+    assert np.allclose(r(1.0, 0.0), -_array(PERM))
+    assert np.allclose(r(0.3, 0.9), -r(0.9, 0.3))
+    assert np.allclose(np.max(np.abs(r(2.0, 1.0))), 2 * np.max(np.abs(r(3.0, 1.0))))
     with pytest.raises(CoincidingSpectralParams):
         classical_r(1.0, 1.0)
 
@@ -43,7 +53,7 @@ def test_cism1_local():
         assert cism1_residual(st, 1.3, 0.4, lambda s: lax_L(s, 1)) < 1e-6
         # ultralocality: disjoint variables give the exact zero table
         table = bracket_table(lambda s: lax_L(s, 1), lambda s: lax_L(s, 3), st, 0.7, -0.3)
-        assert np.max(np.abs(table)) == 0.0
+        assert np.max(np.abs(_array(table))) == 0.0
 
 
 def test_cism1_monodromy():
@@ -57,8 +67,8 @@ def test_bracket_table_antisymmetry():
     rng = np.random.default_rng(2)
     st = _rand_state(rng, 2)
     lam, mu = 0.8, -0.5
-    t1 = bracket_table(monodromy, monodromy, st, lam, mu)
-    t2 = bracket_table(monodromy, monodromy, st, mu, lam)
+    t1 = _array(bracket_table(monodromy, monodromy, st, lam, mu))
+    t2 = _array(bracket_table(monodromy, monodromy, st, mu, lam))
     # {A_ij(l), B_kl(m)} = -{B_kl(m), A_ij(l)}: swap both tensor legs
     swapped = t2.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
     assert np.max(np.abs(t1 + swapped)) < 1e-12
@@ -115,7 +125,7 @@ def test_cism2_degenerate_nilpotent():
     # theta_+- = 0 and vacuum state: U is nilpotent and every term vanishes
     bc = Open(0.0, 0.0)
     st = LatticeState((0.0,), (0.0,))
-    u = mat2_array(dressed_U(st, bc), 0.9)
+    u = _array(mat2_array(dressed_U(st, bc), 0.9))
     assert np.allclose(u @ u, 0)
     assert cism2_residual_U(st, bc, 0.9, 0.4) < 1e-12
 
@@ -135,16 +145,15 @@ def test_stencil_convergence_order_on_cubic_witness():
 
 
 def test_residual_scale_stability():
-    from dstlab.rmatrix import _kron
     rng = np.random.default_rng(6)
     st = _rand_state(rng, 2)
     for c in (0.5, 1.0, 2.0):
         lam, mu = 0.7 * c, -0.3 * c
         res = cism1_residual(st, lam, mu, monodromy)
-        a = mat2_array(monodromy(st), lam)
-        b = mat2_array(monodromy(st), mu)
-        r = classical_r(lam, mu)
-        rhs = r @ _kron(a, b) - _kron(a, b) @ r
+        a = _array(mat2_array(monodromy(st), lam))
+        b = _array(mat2_array(monodromy(st), mu))
+        r = _array(classical_r(lam, mu))
+        rhs = r @ np.kron(a, b) - np.kron(a, b) @ r
         assert res / max(1.0, float(np.max(np.abs(rhs)))) < 1e-9
 
 
@@ -157,7 +166,7 @@ def _einsum_table(a_fn, b_fn, st):
     def grads(fn):
         d = np.array(central_differences(lambda w: fn(LatticeState.from_flat(w)), z,
                                          relative_steps(z, DEFAULT_FD_STEP)), dtype=complex)
-        return d[:n], d[n:]
+        return d[:n].reshape(n, 2, 2), d[n:].reshape(n, 2, 2)
 
     daq, dar = grads(a_fn)
     dbq, dbr = grads(b_fn)
@@ -168,13 +177,15 @@ def _einsum_table(a_fn, b_fn, st):
 
 
 def _complex_products_round_per_term():
-    """True when numpy's complex `*` rounds each real product as einsum's
-    loop does; SIMD loops built on fused multiply-add (x86-64-v3 and up)
-    round once per pair of products instead, which moves the last bit."""
+    """True when einsum's complex products round each real product as
+    Python's complex `*` does; a loop built on fused multiply-add rounds
+    once per pair of products instead, which moves the last bit."""
     rng = np.random.default_rng(0)
-    a = rng.normal(size=64) + 1j * rng.normal(size=64)
-    b = rng.normal(size=64) + 1j * rng.normal(size=64)
-    return all(complex(x) * complex(y) == p for x, y, p in zip(a, b, a * b))
+    a = rng.normal(size=(1, 2, 2)) + 1j * rng.normal(size=(1, 2, 2))
+    b = rng.normal(size=(1, 2, 2)) + 1j * rng.normal(size=(1, 2, 2))
+    e = np.einsum("nij,nkl->ikjl", a, b)
+    return all(complex(a[0, i, j]) * complex(b[0, k, l]) == e[i, k, j, l]
+               for i, j, k, l in np.ndindex(2, 2, 2, 2))
 
 
 def test_bracket_table_matches_the_einsum_reference():
@@ -187,9 +198,10 @@ def test_bracket_table_matches_the_einsum_reference():
                                 tuple(rng.uniform(-1, 1, n)))):
             for lam, mu in ((0.7, -0.3), (2.1 + 0.3j, 0.5)):
                 for matrix in (monodromy, lambda s: dressed_U(s, bc)):
-                    table = bracket_table(matrix, matrix, st, lam, mu)
-                    ref, bound = _einsum_table(lambda s: mat2_array(matrix(s), lam),
-                                               lambda s: mat2_array(matrix(s), mu), st)
+                    table = _array(bracket_table(matrix, matrix, st, lam, mu))
+                    ref, bound = _einsum_table(lambda s: mat2_array(matrix(s), lam).entries(),
+                                               lambda s: mat2_array(matrix(s), mu).entries(),
+                                               st)
                     if bit_for_bit:
                         assert table.tobytes() == ref.tobytes()
                     else:
@@ -199,16 +211,19 @@ def test_bracket_table_matches_the_einsum_reference():
 
 
 def test_reflection_rhs_takes_r_of_the_sum_from_classical_r():
-    from dstlab.rmatrix import _kron, quadratic_rhs, reflection_rhs
+    from dstlab.poly import Mat2
+    from dstlab.rmatrix import _add, _kron, _mm, _sub, quadratic_rhs, reflection_rhs
     rng = np.random.default_rng(8)
+    i2 = Mat2.identity()
     for lam, mu in ((0.9, 0.4), (2.1 + 0.3j, 0.5), (-1.2, 0.7)):
-        x, y, x_last = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        x, y, x_last = (Mat2(*map(complex, rng.normal(size=4) + 1j * rng.normal(size=4)))
                         for _ in range(3))
-        rp = -PERM / (lam + mu)
-        y2 = _kron(np.eye(2), y)
-        inline = (quadratic_rhs(lam, mu, x, y) + _kron(x, np.eye(2)) @ rp @ y2
-                  - y2 @ rp @ _kron(x_last, np.eye(2)))
-        assert reflection_rhs(lam, mu, x, y, x_last).tobytes() == inline.tobytes()
+        rp = tuple(tuple(-p / (lam + mu) for p in row) for row in PERM)
+        y2 = _kron(i2, y)
+        inline = _sub(_add(quadratic_rhs(lam, mu, x, y), _mm(_mm(_kron(x, i2), rp), y2)),
+                      _mm(_mm(y2, rp), _kron(x_last, i2)))
+        assert (_array(reflection_rhs(lam, mu, x, y, x_last)).tobytes()
+                == _array(inline).tobytes())
 
 
 def test_each_matrix_is_built_once_per_stencil_state(monkeypatch):
