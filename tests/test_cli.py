@@ -111,6 +111,13 @@ def test_simulate_runs_without_numpy(tmp_path):
         assert proc.returncode == 0, proc.stderr
 
 
+def test_trajectory_modules_import_no_numpy():
+    # numpy's import is most of a cold simulate's time and memory
+    code = ("import sys, dstlab.cli, dstlab.verify, dstlab.monodromy; "
+            "sys.exit('numpy' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
 def test_every_command_runs_without_numpy():
     # numpy is only the tests' reference: every suite of verify and the
     # backlund and baxter commands run with its import blocked

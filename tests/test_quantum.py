@@ -1,4 +1,6 @@
 """Exact quantum-chain identities over the Weyl engine."""
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -671,6 +673,12 @@ def test_perturbed_b_fails_bb_as_biop(monkeypatch, n):
     abd = abd_commutation_residual(n, p, force=True)
     assert not abd["bb"][0]
     assert abd == _biop_abd(n, p)
+
+
+def test_quantum_import_loads_no_numpy():
+    # the exact engine needs no numpy, whose import costs about 0.17 s
+    code = "import sys, dstlab.quantum; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_dressed_reflection_three_sites_exact():
