@@ -11,7 +11,9 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import re
+import stat
 import sys
 from fractions import Fraction
 
@@ -134,10 +136,30 @@ def _json_text(report):
     return json.dumps(strict(report), sort_keys=True, indent=2) + "\n"
 
 
-def _open_out(args):
-    """The --out file, opened for writing before the run so that a path that
-    cannot be written fails at once; without --out, a context giving None."""
-    return open(args.out, "w") if args.out else contextlib.nullcontext()
+@contextlib.contextmanager
+def _open_out(path):
+    """A context giving the text file at `path` for writing, or None without
+    a path.  Callers open it before their run, so that a path that cannot be
+    written fails at once.
+
+    The file is written in place from its first byte, not truncated on
+    open: on ext4, truncating a file to zero makes its close allocate and
+    write back the new data, and each rerun then frees those blocks, which
+    took about 60 ms per 90 KB CSV on an ext4 disk mounted with `discard`
+    (0.1 ms in place).  When the block ends, normally or by any exception,
+    the file is cut at the last byte written, if it is a regular file
+    (`/dev/null`, ttys and pipes cannot be cut).  A process killed by
+    SIGKILL never reaches that cut, so its file keeps the older file's
+    bytes after the last byte it wrote."""
+    if not path:
+        yield None
+        return
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
 
 
 def _dump(report, args, out):
@@ -184,7 +206,7 @@ def cmd_simulate(args):
     # Each row is written as it is sampled, so an interrupted run keeps the
     # rows before the interruption.
     out_path = args.out or "trajectory.csv"
-    with open(out_path, "w") as fh:
+    with _open_out(out_path) as fh:
         samples = sampled_trajectory(st, bc, args.dt, steps, args.sample_every)
         first = last = next(samples)
         c0 = first.coeffs
@@ -240,7 +262,7 @@ def cmd_verify(args):
         print(f"error: unknown suite {args.suite!r} "
               f"(choose from {', '.join(list(SUITES) + ['all'])})", file=sys.stderr)
         return EXIT_USAGE
-    with _open_out(args) as out:
+    with _open_out(args.out) as out:
         report = run_suites(args.suite, seed=args.seed, xi_minus=args.xi_minus,
                             xi_plus=args.xi_plus)
         _dump(report, args, out)
@@ -281,7 +303,7 @@ def cmd_backlund(args):
     st = solvable_state(PCG64(args.seed), n)
     params = BTParams(args.sigma, bc)
     xi = params.xi
-    with _open_out(args) as out:
+    with _open_out(args.out) as out:
         res, certs = bt_certificates(st, params)
         certs["dressing_plus"], certs["dressing_minus"] = v_dressing_residual(
             res.y[0], xi * res.y[0], xi * st.r[-1], st.r[-1], args.sigma,
@@ -302,7 +324,7 @@ def cmd_baxter(args):
     from .baxter import (CERT_TOL, MEMBERSHIP_SAMPLES, QKernelParams,
                          bethe_certificates, bethe_solve, kernel_sites,
                          lambda_from_roots, tq_scalar_residual)
-    with _open_out(args) as out:
+    with _open_out(args.out) as out:
         cfg = bethe_solve(args.n, args.m, args.xi, args.eta, seed=args.seed)
         certs = bethe_certificates(cfg)
         y, q = kernel_sites(PCG64(args.seed), args.n, args.xi)

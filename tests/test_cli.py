@@ -2,8 +2,11 @@
 import csv
 import hashlib
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -19,6 +22,13 @@ from dstlab.verify import run_suites, suite_rmatrix
 def _run(args):
     return subprocess.run([sys.executable, "-m", "dstlab.cli", *args],
                           capture_output=True, text=True)
+
+
+def _older_file(path):
+    """path, holding 1 MB of x: --out is written in place, not truncated on
+    open, and must still end at the run's last byte."""
+    path.write_bytes(b"x" * 2**20)
+    return path
 
 
 def test_simulate_periodic(tmp_path):
@@ -94,11 +104,13 @@ _PINNED_SIMULATE = {
 @pytest.mark.parametrize("options", sorted(_PINNED_SIMULATE), ids=" ".join)
 def test_simulate_bytes_are_pinned(options, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)  # the summary names the CSV by the path given
-    code = main(["simulate", *options, "--seed", "1", "--json", "--out", "traj.csv"])
-    assert code == (2 if "--scale" in options else 0)
-    digests = (hashlib.sha256((tmp_path / "traj.csv").read_bytes()).hexdigest(),
-               hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
-    assert digests == _PINNED_SIMULATE[options]
+    for _ in ("fresh path", "over a longer file"):
+        code = main(["simulate", *options, "--seed", "1", "--json", "--out", "traj.csv"])
+        assert code == (2 if "--scale" in options else 0)
+        digests = (hashlib.sha256((tmp_path / "traj.csv").read_bytes()).hexdigest(),
+                   hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+        assert digests == _PINNED_SIMULATE[options]
+        _older_file(tmp_path / "traj.csv")
 
 
 def test_simulate_runs_without_numpy(tmp_path):
@@ -141,10 +153,13 @@ def test_simulate_t_final_zero(tmp_path):
 
 
 def test_simulate_blowup_exit_code(tmp_path):
-    out = tmp_path / "blow.csv"
+    # written over a longer file, the CSV ends at the last row sampled
+    out = _older_file(tmp_path / "blow.csv")
     code = main(["simulate", "--n", "4", "--bc", "periodic", "--scale", "0.5",
                  "--seed", "1", "--t-final", "10", "--out", str(out)])
     assert code == 2
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert rows[0][0] == "t" and all(len(r) == len(rows[0]) for r in rows)
 
 
 def test_simulate_step0_generator_overflow_is_a_blowup(tmp_path, capsys):
@@ -161,7 +176,8 @@ def test_simulate_step0_generator_overflow_is_a_blowup(tmp_path, capsys):
 
 
 def test_simulate_streams_rows_as_sampled(tmp_path, monkeypatch):
-    # an interrupted run keeps the rows sampled before the interruption
+    # an interrupted run keeps the rows sampled before the interruption, and
+    # nothing of the longer file it wrote over
     k = 3
     real = monodromy.sampled_trajectory
 
@@ -172,7 +188,7 @@ def test_simulate_streams_rows_as_sampled(tmp_path, monkeypatch):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(cli, "sampled_trajectory", interrupted)
-    out = tmp_path / "traj.csv"
+    out = _older_file(tmp_path / "traj.csv")
     with pytest.raises(KeyboardInterrupt):
         main(["simulate", "--t-final", "1", "--out", str(out)])
     rows = list(csv.reader(out.read_text().splitlines()))
@@ -217,6 +233,43 @@ def test_simulate_refuses_an_underflowing_default_amplitude(tmp_path, capsys):
     assert main([*argv, "--scale", "1e-3"]) == 2
     assert _strict_json(capsys.readouterr().out)["rows"] >= 1
     assert out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(_QUICK))
+def test_out_over_a_longer_file_gets_the_fresh_bytes(command, tmp_path, capsys):
+    fresh, old = tmp_path / "fresh.out", _older_file(tmp_path / "old.out")
+    for out in (fresh, old):
+        main([*_QUICK[command], "--out", str(out)])
+    assert old.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_out_to_a_device_that_cannot_be_cut(command, capsys):
+    assert main([*_QUICK[command], "--out", os.devnull]) == 0
+
+
+def test_out_to_a_fifo(tmp_path, capsys):
+    fifo, received = tmp_path / "fifo", []
+    os.mkfifo(fifo)
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main([*_QUICK["verify"], "--out", str(fifo)]) == 0
+    reader.join()
+    fresh = tmp_path / "fresh.json"
+    main([*_QUICK["verify"], "--out", str(fresh)])
+    assert received == [fresh.read_bytes()]
+
+
+def test_out_through_a_symlink_keeps_the_link_and_the_mode(tmp_path, capsys):
+    target, link = _older_file(tmp_path / "target.csv"), tmp_path / "link.csv"
+    link.symlink_to(target)
+    target.chmod(0o600)
+    main([*_QUICK["simulate"], "--out", str(link)])
+    fresh = tmp_path / "fresh.csv"
+    main([*_QUICK["simulate"], "--out", str(fresh)])
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_bytes() == fresh.read_bytes()
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
 
 
 def test_simulate_coefficient_drift_is_the_trajectory_formula(tmp_path, capsys):
