@@ -17,6 +17,11 @@ y_{i+1} does not annihilate the upper-right entry; the negative control in
 the tests pins this).  The diagonal entries equal the kernel ratios times
 eta^{-1} (top) and eta (bottom), so the three-term identity is literal at
 eta = 1 and carries correction factors eta^{-N}, eta^{+N} otherwise.
+
+The Bethe side reads one polynomial: the right side of Baxter's relation,
+sigma^N/s Q(sigma - eta) + s Q(sigma + eta), as a `poly.Poly` (`_tq_rhs`).
+The Bethe system is its value at the roots, Lambda its value over Q, and
+the polynomiality certificate the remainder of its division by Q.
 """
 from __future__ import annotations
 
@@ -29,7 +34,7 @@ from .errors import (EvaluationAtRoot, GammaPole, NewtonDiverged, NoConvergence,
                      PoleInput, RootCollision)
 from .lattice import (DEFAULT_FD_STEP, central_differences, lu_factor, newton, relative_steps,
                       worst)
-from .poly import Mat2
+from .poly import Mat2, Poly
 
 POLE_GUARD = 1e-12
 BETHE_MAX_STARTS = 64  # randomized Newton starts before bethe_solve gives up
@@ -302,35 +307,19 @@ class BetheConfig:
     residual: float
 
 
+def _shifted_q(roots, shift):
+    """Q(sigma + shift) = prod_j (sigma + shift - mu_j) as a Poly."""
+    return math.prod((Poly([shift - mu, 1]) for mu in roots), start=Poly([1 + 0j]))
+
+
 def _tq_rhs(roots, n, xi, eta):
-    """Coefficients, highest power first, of the right side of the Baxter
-    relation Lambda(sigma) Q(sigma) = sigma^N/s Q(sigma - eta) + s Q(sigma + eta),
-    Q(sigma) = prod_j (sigma - mu_j), s = xi^(1/2): the one form of it that the
-    Bethe system, Lambda and the polynomiality remainder read."""
+    """The right side of the Baxter relation Lambda(sigma) Q(sigma) =
+    sigma^N/s Q(sigma - eta) + s Q(sigma + eta), Q(sigma) = prod_j (sigma - mu_j),
+    s = xi^(1/2), as a Poly: the one form of it that the Bethe system, Lambda
+    and the polynomiality remainder read."""
     sq = cmath.sqrt(complex(xi))
-    down = up = [1 + 0j]
-    for mu in roots:
-        down = _times_linear(down, -eta - mu)
-        up = _times_linear(up, eta - mu)
-    rhs = [c / sq for c in down] + [0j] * n  # sigma^N/s Q(sigma - eta)
-    shift = len(rhs) - len(up)
-    for k, c in enumerate(up):
-        rhs[shift + k] += sq * c  # + s Q(sigma + eta), aligned at the constant term
-    return rhs
-
-
-def _times_linear(coeffs, c):
-    """Coefficients, highest power first, of p(sigma) (sigma + c) for the
-    coefficients of p."""
-    return [a + c * b for a, b in zip(coeffs + [0], [0] + coeffs)]
-
-
-def _horner(coeffs, x):
-    """The polynomial with coefficients `coeffs`, highest power first, at x."""
-    acc = 0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
+    down, up = _shifted_q(roots, -eta), _shifted_q(roots, eta)
+    return down.map(lambda c: c / sq).shift_up(n) + up.map(lambda c: sq * c)
 
 
 def bethe_system(roots, n, xi, eta):
@@ -338,7 +327,7 @@ def bethe_system(roots, n, xi, eta):
     relation must vanish at every root for the eigenvalue to be a
     polynomial."""
     rhs = _tq_rhs(roots, n, xi, eta)
-    return tuple(_horner(rhs, mu) for mu in roots)
+    return tuple(rhs(mu) for mu in roots)
 
 
 def bethe_solve(n, m, xi, eta, seed):
@@ -383,7 +372,7 @@ def lambda_from_roots(cfg, sigma0):
     for mu in cfg.roots:
         if abs(sigma0 - mu) < POLE_GUARD:
             raise EvaluationAtRoot(f"sigma0 = {sigma0} hits root {mu}")
-    return (_horner(_tq_rhs(cfg.roots, cfg.n_sites, cfg.xi, cfg.eta), sigma0)
+    return (_tq_rhs(cfg.roots, cfg.n_sites, cfg.xi, cfg.eta)(sigma0)
             / math.prod(sigma0 - mu for mu in cfg.roots))
 
 
@@ -391,11 +380,9 @@ def bethe_remainder(cfg):
     """Max |coefficient| of the remainder of the Baxter relation's right side
     divided by Q: zero when Lambda is a polynomial, i.e. when the roots solve
     the system.  Q is monic, so each step of the long division subtracts the
-    leading coefficient times Q."""
-    q = [1 + 0j]
-    for mu in cfg.roots:
-        q = _times_linear(q, -mu)
-    r = _tq_rhs(cfg.roots, cfg.n_sites, cfg.xi, cfg.eta)
+    leading coefficient times Q, on the coefficients highest power first."""
+    q = _shifted_q(cfg.roots, 0).c[::-1]
+    r = _tq_rhs(cfg.roots, cfg.n_sites, cfg.xi, cfg.eta).c[::-1]
     top = len(r) - len(q) + 1
     for k in range(top):
         for j in range(1, len(q)):

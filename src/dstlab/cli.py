@@ -296,8 +296,8 @@ def _report_checks(args, out, report, residuals, tolerances):
 
 
 def cmd_backlund(args):
-    from .backlund import (CERT_TOL, BTParams, bt_certificates, bt_symplectic_residual,
-                           solvable_state, v_dressing_residual)
+    from .backlund import (CERT_TOL, BTParams, _ring_next, _ring_prev, bt_certificates,
+                           bt_symplectic_residual, solvable_state, v_dressing_residual)
     bc = Periodic() if args.bc == "periodic" else Quasiperiodic(args.xi)
     n = args.n
     st = solvable_state(PCG64(args.seed), n)
@@ -306,8 +306,8 @@ def cmd_backlund(args):
     with _open_out(args.out) as out:
         res, certs = bt_certificates(st, params)
         certs["dressing_plus"], certs["dressing_minus"] = v_dressing_residual(
-            res.y[0], xi * res.y[0], xi * st.r[-1], st.r[-1], args.sigma,
-            args.theta_minus, args.theta_plus)
+            res.y[0], _ring_next(res.y, xi)[-1], _ring_prev(st.r, xi)[0], st.r[-1],
+            args.sigma, args.theta_minus, args.theta_plus)
         certs["symplectic_jacobian"] = bt_symplectic_residual(st, params)
         report = {
             "n": n,
@@ -330,15 +330,14 @@ def cmd_baxter(args):
         y, q = kernel_sites(PCG64(args.seed), args.n, args.xi)
         kp = QKernelParams(0.8 + 0.4j, args.eta, args.xi, y, q)
         certs["three_term_identity"], corr = tq_scalar_residual(kp)
+        lams = {s0: lambda_from_roots(cfg, s0) for s0 in MEMBERSHIP_SAMPLES}
         report = {
             "n": args.n,
             "m": args.m,
             "xi": args.xi,
             "eta": args.eta,
             "roots": [[z.real, z.imag] for z in cfg.roots],
-            "lambda_samples": {repr(s0): [lambda_from_roots(cfg, s0).real,
-                                          lambda_from_roots(cfg, s0).imag]
-                               for s0 in MEMBERSHIP_SAMPLES},
+            "lambda_samples": {repr(s0): [lam.real, lam.imag] for s0, lam in lams.items()},
             "eta_correction_factors": [abs(corr[0]), abs(corr[1])],
         }
         return _report_checks(args, out, report, certs, CERT_TOL)

@@ -4,8 +4,8 @@ All polynomial-in-lambda objects are exact: Mat2[Poly] over the state's
 scalar field (floats, complex, or rationals).  The monodromy ordering is
 T = L_N ... L_1, the unique ordering for which the time derivative of T
 telescopes to  M_{N+1} T - T M_1.  `monodromy` is the one place T is built,
-for every caller: it runs the Lax recurrence on coefficient lists, which
-gives the Mat2[Poly] chain's coefficients bit for bit.
+for every caller and every state: it runs the Lax recurrence on coefficient
+lists, which equal the Mat2[Poly] chain's wherever that is finite.
 
 The open-chain generator is Sklyanin's transfer polynomial
 tr[K_+ T K_- T^{-1}(-lambda)], built inverse-free: since det T(lambda) =
@@ -61,13 +61,9 @@ def lax_M(state, n, bc):
 
 def _times_lax(a, b, s, q, r):
     """Row (a, b) of T times L = [[lambda + s, q], [r, 1]]: the coefficient
-    lists of a (lambda + s) + b r and a q + b.
-
-    len(a) is len(b) or len(b) + 1, and no entry of a or b is zero, so no
-    term is skipped.  The operations and their order are those of the
-    Poly product; the 0 + x it applies to a lone product is kept where the
-    sign of a zero part could show.
-    """
+    lists of a (lambda + s) + b r and a q + b, for len(a) = len(b) or
+    len(b) + 1.  The operations and their order are those of the Poly
+    product, with its 0 + x on a lone product."""
     new_a = [0 + a[0] * s + b[0] * r]
     new_a += [x + y * s + z * r for x, y, z in zip(a, a[1:], b[1:])]
     new_b = [x * q + y for x, y in zip(a, b)]
@@ -78,52 +74,22 @@ def _times_lax(a, b, s, q, r):
     return new_a, new_b
 
 
-def _lax_recurrence(q, r):
-    """Coefficient lists (t11, t12, t21, t22) of T = L_N ... L_1, or None
-    where they could differ in the last bit from the chain of Poly products.
-
-    The recurrence starts from 1 L_N, whose entries the Poly product writes
-    as 0 + x, clearing the sign of a zero part.  A step needs every
-    coefficient nonzero, and the last products b r and a q of each row
-    nonzero: the Poly product skips zero terms, and drops a trailing
-    product that underflows to zero for an int 0.  A non-finite
-    coefficient (where complex x * 1 is not x) stays non-finite, so one
-    test of the result covers every step.  N = 1 takes no product.
-    """
-    if len(q) == 1:
-        return None
-    a, b = [0 + q[-1] * r[-1], 1], [0 + q[-1]]
-    c, d = [0 + r[-1]], [1]
-    for qk, rk in zip(q[-2::-1], r[-2::-1]):
-        if not (all(a) and all(b) and all(c) and all(d) and a[-1] * qk
-                and b[-1] * rk and c[-1] * qk and d[-1] * rk):
-            return None
-        sk = qk * rk
-        a, b = _times_lax(a, b, sk, qk, rk)
-        c, d = _times_lax(c, d, sk, qk, rk)
-    if not _all_finite(a + b + c + d):
-        return None
-    return a, b, c, d
-
-
 def monodromy(state):
     """Ordered product T = L_N L_{N-1} ... L_1, by the Lax recurrence.
 
     Since L_k = [[lambda + s_k, q_k], [r_k, 1]] with s_k = q_k r_k, each
     row (a, b) of T becomes (a (lambda + s_k) + b r_k, a q_k + b): one
     degree shift and two scalar multiples per coefficient, with no Poly or
-    Mat2 temporaries.  The result is bit for bit the chain of Mat2[Poly]
-    products, for float, complex and rational states alike.  States the
-    recurrence cannot reproduce exactly (N = 1, a zero entry, coefficient
-    or product, an overflow) are multiplied out by that chain.
+    Mat2 temporaries.  The recurrence starts from the entries of L_N.
     """
-    entries = _lax_recurrence(state.q, state.r)
-    if entries is not None:
-        return Mat2(*map(Poly, entries))
-    t = lax_L(state, state.n_sites)
-    for n in range(state.n_sites - 1, 0, -1):
-        t = t @ lax_L(state, n)
-    return t
+    q, r = state.q, state.r
+    a, b = [0 + q[-1] * r[-1], 1], [0 + q[-1]]
+    c, d = [0 + r[-1]], [1]
+    for qk, rk in zip(q[-2::-1], r[-2::-1]):
+        sk = qk * rk
+        a, b = _times_lax(a, b, sk, qk, rk)
+        c, d = _times_lax(c, d, sk, qk, rk)
+    return Mat2(Poly(a), Poly(b), Poly(c), Poly(d))
 
 
 def boundary_C(xi):

@@ -582,8 +582,9 @@ def suite_baxter(seed):
                                  (rat(1, 3), rat(4, 3)), (rat(-1, 2),))
     recs.append(check_exact("tq-exact-rational-n1", lhs == rhs))
 
+    solved = {}
     for n, m in ((2, 1), (3, 1), (2, 2)):
-        cfg = bethe_solve(n, m, 1.0, 1.0, seed=seed)
+        cfg = solved[n, m] = bethe_solve(n, m, 1.0, 1.0, seed=seed)
         certs = bethe_certificates(cfg)
         recs.append(check(f"bethe-residual-n{n}m{m}", certs["bethe_residual"],
                           CERT_TOL["bethe_residual"], roots=[f"{z:.8f}" for z in cfg.roots]))
@@ -612,12 +613,12 @@ def suite_baxter(seed):
                       1e-12, note="empty configuration"))
 
     # roots moved off by 1e-6: the Baxter remainder follows the system's residual
-    roots = bethe_solve(2, 2, 1.0, 1.0, seed=seed).roots
-    near = tuple(mu * (1 + 1e-6 * (1 + 1j)) for mu in roots)
+    near = tuple(mu * (1 + 1e-6 * (1 + 1j)) for mu in solved[2, 2].roots)
     off = BetheConfig(2, 2, 1.0, 1.0, near, worst(map(abs, bethe_system(near, 2, 1.0, 1.0))))
-    ratio = bethe_remainder(off) / off.residual
+    remainder = bethe_remainder(off)
+    ratio = remainder / off.residual
     recs.append(check("tq-residual-tracks-solver", max(ratio, 1 / ratio) if ratio > 0 else math.inf,
-                      10.0, remainder=bethe_remainder(off), system_residual=off.residual))
+                      10.0, remainder=remainder, system_residual=off.residual))
 
     sv = SovParams(1.0, 1.0, 1.0, lambda u: 1.0, lambda u: 1.0)
     recs.append(check("sov-pinned-value", abs(sov_residual(sv, 0.5) - (-1.0)), 1e-12,

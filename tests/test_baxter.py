@@ -333,7 +333,7 @@ def test_one_baxter_relation_feeds_system_eigenvalue_and_remainder(monkeypatch):
 
     before = readings()
     tq_rhs = baxter._tq_rhs
-    monkeypatch.setattr(baxter, "_tq_rhs", lambda *args: [c + 1e-3 for c in tq_rhs(*args)])
+    monkeypatch.setattr(baxter, "_tq_rhs", lambda *args: tq_rhs(*args).map(lambda c: c + 1e-3))
     for old, new in zip(before, readings()):
         assert np.max(np.abs(np.subtract(new, old))) > 1e-5
 

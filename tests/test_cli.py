@@ -113,6 +113,29 @@ def test_simulate_bytes_are_pinned(options, tmp_path, capsys, monkeypatch):
         _older_file(tmp_path / "traj.csv")
 
 
+# sha256 of the stdout of each report command: the bytes of a given
+# (suite, seed, version) and of the backlund and baxter reports, across
+# processes and changes, not only within one run.
+_PINNED_REPORTS = {
+    "verify --suite all --json --seed 1":
+        "f731b60bd6d8d0b1e2d45ba27c6f3a2582bc8a24fb96b33a386b3620a0bcc40c",
+    "verify --suite all --json --seed 2":
+        "6275f3b83e727d23cac7bab195af60aedef31c79af7311bf1e16926473c728ec",
+    "verify --suite all --json --seed 3":
+        "a21f719ee99fe22abb8ec3fed7d1407ad232d5d4a3c8e4fe3d8bfade91e245cf",
+    "backlund --json": "6be5c40d1e6e6d9ebb572bc5ab31a00ac03c185d1de383a334f894ef0bc096f3",
+    "baxter --json": "5aad956dec1a1b263cd7fc4b0c68edd9513706286d4785d62dd60a0d47525b21",
+    "baxter --n 3 --m 1 --xi 2 --eta 0.7 --json":
+        "5d8a515db2fbdad396ef4666190b1e82fa15ce98a5b1eb00228c51d7b38ef70c",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_PINNED_REPORTS))
+def test_report_bytes_are_pinned(argv, capsys):
+    assert main(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == _PINNED_REPORTS[argv]
+
+
 def test_simulate_runs_without_numpy(tmp_path):
     code = ("import sys; sys.modules['numpy'] = None; from dstlab.cli import main; "
             "sys.exit(main(sys.argv[1:]))")
