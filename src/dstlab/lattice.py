@@ -22,9 +22,26 @@ tables of matrix-entry brackets.
 determinant of `baxter.eigen_membership_residual`.
 `worst` (and its mirror `least`) is the package's one fold of residuals.
 The flow's formula is written once, in `_rate_lines`, which emits it as
-Python source.  `_kernels(N)` compiles that source, once per chain length,
-into two functions on local variables: `rates`, which `eom` runs, and
-`rk4`, which `step_rk4` runs.  The RK4 kernel writes its four stages and
+Python source.  `_kernels(N, regime)` compiles that source, once per chain
+length and regime class, into two functions on local variables: `rates`,
+which `eom` runs, and `rk4`, which `step_rk4` runs.  Each regime class
+writes its closure as source beside its `closure` method
+(`kernel_closure`), and the kernels inline it: the ring reads q0 and
+r{N-1} directly, and the twist and the open chain bind their dataclass
+fields once per call.  `closure` stays for `monodromy.lax_M`
+and the tests' reference.  The kernels write three operations otherwise
+than the formula above, each the same IEEE operation, so every bit stays:
+
+- dr_n is q_n r_n r_n - r_{n-1}: IEEE 754 defines x - y as x + (-y), a sum
+  does not depend on its order, and CPython adds, subtracts and negates
+  complex numbers part by part, a float operand entering as x + 0j;
+- the RK4 weights are the float 2.0, to which CPython converts the int 2
+  exactly before it multiplies; 2.0 lets CPython 3.11 use its
+  float-specialised multiply;
+- the update assigns one entry at a time, since each new x_i reads only
+  its own old value and the stages.
+
+The RK4 kernel writes its four stages and
 the update as plain expressions, with no comprehension or stage object,
 inside one loop over the steps of a block, so one block (a sample interval
 of `monodromy.sampled_trajectory`) builds one `LatticeState`, its result.
@@ -37,7 +54,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .errors import NewtonDiverged, NonFiniteDerivative, NonFiniteState, WrongRegime, ZeroXi
@@ -90,6 +107,9 @@ class Periodic:
     def closure(self, q, r):
         return q[0], r[-1]
 
+    # `closure` as kernel source, on the kernel's locals: the end sites {q}0
+    # and {r}{last}, and the regime's fields, bound once per kernel call
+    kernel_closure = ("{q}0", "{r}{last}")
     label = "periodic"
 
 
@@ -104,6 +124,7 @@ class Quasiperiodic:
     def closure(self, q, r):
         return self.xi * q[0], self.xi * r[-1]
 
+    kernel_closure = ("xi * {q}0", "xi * {r}{last}")
     label = "quasiperiodic"
 
 
@@ -115,6 +136,7 @@ class Open:
     def closure(self, q, r):
         return self.theta_plus, self.theta_minus
 
+    kernel_closure = ("theta_plus", "theta_minus")
     label = "open"
 
 
@@ -164,66 +186,71 @@ def coordinate(kind, i):
     raise ValueError(kind)
 
 
-def _rate_lines(n, x, y, kx, ky):
+def _rate_lines(n, regime, x, y, kx, ky):
     """Source lines setting the locals kx0.., ky0.. to the flow's rates at
     the point x0.., y0.. of an n-site chain: the flow's one formula,
 
-        dq_n/dt = q_{n+1} - q_n q_n r_n,   dr_n/dt = -r_{n-1} + q_n r_n r_n,
+        dq_n/dt = q_{n+1} - q_n q_n r_n,   dr_n/dt = q_n r_n r_n - r_{n-1},
 
-    with (q_{N+1}, r_0) from `closure` of the end sites (q_1,), (r_N,)."""
-    xs = [f"{x}{i}" for i in range(n)] + [f"{x}hi"]
-    ys = [f"{y}lo"] + [f"{y}{i}" for i in range(n)]
-    lines = [f"{x}hi, {y}lo = closure(({x}0,), ({y}{n - 1},))"]
+    with (q_{N+1}, r_0) the regime class's `kernel_closure` of the end sites."""
+    q_end, r_0 = (e.format(q=x, r=y, last=n - 1) for e in regime.kernel_closure)
+    succ = [f"{x}{i}" for i in range(1, n)] + [q_end]
+    pred = [r_0] + [f"{y}{i}" for i in range(n - 1)]
+    lines = []
     for i in range(n):
-        qn, rn = xs[i], ys[i + 1]
-        lines.append(f"{kx}{i} = {xs[i + 1]} - {qn} * {qn} * {rn}")
-        lines.append(f"{ky}{i} = -{ys[i]} + {qn} * {rn} * {rn}")
+        qn, rn = f"{x}{i}", f"{y}{i}"
+        lines.append(f"{kx}{i} = {succ[i]} - {qn} * {qn} * {rn}")
+        lines.append(f"{ky}{i} = {qn} * {rn} * {rn} - {pred[i]}")
     return lines
 
 
-def _kernel_source(n):
-    """Source of `rates(q, r, closure)` and `rk4(q, r, closure, dt, steps)`
-    for n-site chains, built from integers and fixed names only.  Each
-    returns a pair of n-tuples: the rates (dq, dr), or the state after
-    `steps` RK4 steps, each x <- x + c (k1 + 2 k2 + 2 k3 + k4) with c = dt/6
-    and the stages k2, k3, k4 at x + half k1, x + half k2 and x + dt k3,
-    half = 0.5 dt.  The update is one tuple assignment, whose right side is
-    evaluated before any entry is assigned."""
+def _kernel_source(n, regime):
+    """Source of `rates(q, r, bc)` and `rk4(q, r, bc, dt, steps)` for
+    n-site chains of the regime class, built from integers and fixed names
+    only.  Each binds the regime's dataclass fields from bc once and returns
+    a pair of n-tuples: the rates (dq, dr), or the state after `steps` RK4
+    steps, each x <- x + c (k1 + 2 k2 + 2 k3 + k4) with c = dt/6 and the
+    stages k2, k3, k4 at x + half k1, x + half k2 and x + dt k3,
+    half = 0.5 dt.  The update assigns one entry at a time: each new x_i
+    reads only its own old value and the stages."""
     def names(prefix):
         return "".join(f"{prefix}{i}, " for i in range(n))
 
-    unpack = [f"{names('q')}= q", f"{names('r')}= r"]
-    rates = unpack + _rate_lines(n, "q", "r", "dq", "dr")
+    unpack = ([f"{names('q')}= q", f"{names('r')}= r"]
+              + [f"{f.name} = bc.{f.name}" for f in fields(regime)])
+    rates = unpack + _rate_lines(n, regime, "q", "r", "dq", "dr")
     rates.append(f"return ({names('dq')}), ({names('dr')})")
-    step = _rate_lines(n, "q", "r", "kq1_", "kr1_")
+    step = _rate_lines(n, regime, "q", "r", "kq1_", "kr1_")
     for s, h in ((2, "half"), (3, "half"), (4, "dt")):
         for x in "qr":
             step += [f"{x}{s}_{i} = {x}{i} + {h} * k{x}{s - 1}_{i}" for i in range(n)]
-        step += _rate_lines(n, f"q{s}_", f"r{s}_", f"kq{s}_", f"kr{s}_")
-    step.append(f"{names('q')}{names('r')}= " + "".join(
-        f"{x}{i} + c * (k{x}1_{i} + 2 * k{x}2_{i} + 2 * k{x}3_{i} + k{x}4_{i}), "
-        for x in "qr" for i in range(n)))
+        step += _rate_lines(n, regime, f"q{s}_", f"r{s}_", f"kq{s}_", f"kr{s}_")
+    step += [f"{x}{i} = {x}{i} + c * (k{x}1_{i} + 2.0 * k{x}2_{i} + 2.0 * k{x}3_{i}"
+             f" + k{x}4_{i})" for x in "qr" for i in range(n)]
     rk4 = (unpack + ["half = 0.5 * dt", "c = dt / 6", "for _ in range(steps):"]
            + [f"    {line}" for line in step]
            + [f"return ({names('q')}), ({names('r')})"])
     return "".join(f"def {head}:\n" + "".join(f"    {line}\n" for line in body)
-                   for head, body in (("rates(q, r, closure)", rates),
-                                      ("rk4(q, r, closure, dt, steps)", rk4)))
+                   for head, body in (("rates(q, r, bc)", rates),
+                                      ("rk4(q, r, bc, dt, steps)", rk4)))
 
 
 @functools.lru_cache
-def _kernels(n):
-    """(rates, rk4): the functions of `_kernel_source(n)`, compiled once
-    per chain length."""
+def _kernels(n, regime):
+    """(rates, rk4): the functions of `_kernel_source(n, regime)`, compiled
+    once per chain length and regime class."""
+    if not issubclass(regime, (Periodic, Quasiperiodic, Open)):
+        raise WrongRegime(f"unknown boundary condition {regime!r}")
     namespace = {}
-    exec(compile(_kernel_source(n), f"<rk4 n={n}>", "exec"), namespace)
+    exec(compile(_kernel_source(n, regime), f"<rk4 n={n} {regime.label}>", "exec"),
+         namespace)
     return namespace["rates"], namespace["rk4"]
 
 
 def eom(state, bc):
     """Time derivative of (q, r) with the regime's closure."""
-    rates, _ = _kernels(state.n_sites)
-    return Derivative(*rates(state.q, state.r, bc.closure))
+    rates, _ = _kernels(state.n_sites, type(bc))
+    return Derivative(*rates(state.q, state.r, bc))
 
 
 def hamiltonian(state, bc):
@@ -401,14 +428,14 @@ def step_rk4(state, bc, dt, steps):
         raise ValueError("dt must be positive")
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    _, rk4 = _kernels(state.n_sites)
+    _, rk4 = _kernels(state.n_sites, type(bc))
     try:
-        return LatticeState(*rk4(state.q, state.r, bc.closure, dt, steps))
+        return LatticeState(*rk4(state.q, state.r, bc, dt, steps))
     except NonFiniteState:
         pass
     for done in range(steps):
         try:
-            state = LatticeState(*rk4(state.q, state.r, bc.closure, dt, 1))
+            state = LatticeState(*rk4(state.q, state.r, bc, dt, 1))
         except NonFiniteState as exc:
             exc.steps_done = done
             raise

@@ -56,8 +56,10 @@ class Poly:
     def __add__(self, other):
         if not isinstance(other, Poly):
             other = Poly.const(other)
-        n = max(len(self.c), len(other.c))
-        return Poly([self.coeff(k) + other.coeff(k) for k in range(n)])
+        a, b = self.c, other.c
+        # past the shorter list, its missing coefficients are the int 0
+        return Poly([x + y for x, y in zip(a, b)]
+                    + [x + 0 for x in a[len(b):]] + [0 + y for y in b[len(a):]])
 
     __radd__ = __add__
 
@@ -81,8 +83,8 @@ class Poly:
         for i, a in enumerate(self.c):
             if _is_zero(a):
                 continue
-            for j, b in enumerate(other.c):
-                out[i + j] = out[i + j] + a * b
+            for k, b in enumerate(other.c, i):
+                out[k] = out[k] + a * b
         return Poly(out)
 
     def __rmul__(self, other):

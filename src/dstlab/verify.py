@@ -384,7 +384,7 @@ def suite_rmatrix(seed):
 # ---------------------------------------------------------------------------
 
 def suite_backlund(seed):
-    from .backlund import (CERT_TOL, BTParams, bt_certificates,
+    from .backlund import (CERT_TOL, BTParams, _ring_next, _ring_prev, bt_certificates,
                            bt_invariance_residual, bt_solve, bt_spectrality_residual,
                            bt_symplectic_residual, jtilde_invariance_residual,
                            solvable_state, v_dressing_residual)
@@ -422,12 +422,13 @@ def suite_backlund(seed):
     _, rb_bad = bt_invariance_residual(st, rq, pq, y_end=2.0 * rq.y[0] + 0.5)
     recs.append(check_exceeds("bt-closure-control", rb_bad, 1e-3, seed=seed))
 
-    y1, x0, xn, sig = 0.7 + 0.2j, 1.1 - 0.3j, 0.9, 0.25
-    rp, rm = v_dressing_residual(y1, 2.0 * y1, 2.0 * xn, xn, sig, 0.4, 0.8)
+    # one site on the twisted ring: y_{N+1} = xi y_1 and X_0 = xi x_N
+    y1, xn, sig, xi = 0.7 + 0.2j, 0.9, 0.25, 2.0
+    y_end, x_prev = _ring_next((y1,), xi)[-1], _ring_prev((xn,), xi)[0]
+    rp, rm = v_dressing_residual(y1, y_end, x_prev, xn, sig, 0.4, 0.8)
     recs.append(check("bt-dressing-plus", rp, CERT_TOL["dressing_plus"], sigma=sig))
     recs.append(check("bt-dressing-minus", rm, CERT_TOL["dressing_minus"], sigma=sig))
-    rp_bad, _ = v_dressing_residual(y1, 2.0 * y1, 2.0 * xn, xn, sig, 0.4, 0.8,
-                                    a_shift=1e-2)
+    rp_bad, _ = v_dressing_residual(y1, y_end, x_prev, xn, sig, 0.4, 0.8, a_shift=1e-2)
     recs.append(check_exceeds("bt-dressing-control", rp_bad, 1e-3, a_shift=1e-2))
     recs.append(check("bt-dressed-generator",
                       jtilde_invariance_residual(st, rq, pq, 0.4, 0.8),

@@ -88,6 +88,19 @@ _PINNED_SIMULATE = {
     ("--bc", "periodic", "--n", "24"): (
         "d70f65d077bc29a159ba16617e44b1125d26c47d852caa00fddf7efb66f56fe5",
         "b0726648186645fb56899bdc9f9f06c5a0db81ec878facdc0a0533ec008734e9"),
+    ("--bc", "quasi", "--n", "1"): (
+        "dea0f95d8fb5d77f328f1760ff41ed43ae3bb9d4ca1185bb253c32ac872f4ce8",
+        "b3d45cd10358e6240ccedc85b6ab473b4f085461d2468da8a8f24f478c0d7116"),
+    # the exact equilibrium: its CSV holds zero components and a -0.0
+    ("--bc", "open", "--n", "2", "--scale", "0"): (
+        "c8939650c7d2e343d51c6818ef2407704a4e5e338cb2efb5666899cced12de5c",
+        "19d6f8892f33c0de925cb64ee7c6678ddfce5e9ada3388a8d39aaa29746e6502"),
+    ("--bc", "quasi", "--xi", "-1.5", "--n", "24", "--t-final", "2"): (
+        "f91bd93ae89efc65683b974cedbc68a20be04e6717a6f0d7e9c90bf93c8a88d9",
+        "c399e5dcaf9546df8296e756a88dc100d85b16d3630ecf4a3f89ebd7880b6020"),
+    ("--bc", "open", "--n", "24", "--t-final", "2"): (
+        "fb39922cc806f36900285173af163699eb52d94a5c9c22dd2bdb197427362815",
+        "abc933d77f77ab6d86622eb917069264d26559bd0ddc495641e57079c1bb882e"),
     # blow-ups (exit 2) at t = 1.158, sampled every 50, 7 and 1 steps
     ("--scale", "3", "--t-final", "50"): (
         "f698e697d5048abe90fa5d1b193af9ceaf1a8baa7fe580615b3789dfbae1e39e",
@@ -106,7 +119,7 @@ def test_simulate_bytes_are_pinned(options, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)  # the summary names the CSV by the path given
     for _ in ("fresh path", "over a longer file"):
         code = main(["simulate", *options, "--seed", "1", "--json", "--out", "traj.csv"])
-        assert code == (2 if "--scale" in options else 0)
+        assert code == (2 if options[:2] == ("--scale", "3") else 0)
         digests = (hashlib.sha256((tmp_path / "traj.csv").read_bytes()).hexdigest(),
                    hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
         assert digests == _PINNED_SIMULATE[options]

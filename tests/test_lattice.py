@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies
 
-from dstlab.errors import NewtonDiverged, NonFiniteState, ZeroXi
+from dstlab.errors import NewtonDiverged, NonFiniteState, WrongRegime, ZeroXi
 from dstlab.lattice import (LatticeState, Open, Periodic,
                             Quasiperiodic, _all_finite, central_differences,
                             coordinate, eom,
@@ -190,6 +190,9 @@ _RK4_CASES = [
     (Quasiperiodic(2.0), False),
     (Open(0.3, 0.7), True),
     (Quasiperiodic(-2.0), False),
+    # complex closure parameters, which the kernels bind from the regime
+    (Quasiperiodic(0.5 + 0.5j), True),
+    (Open(0.3 + 0.1j, -0.7j), True),
     # r_1 stays -0.0 while q_1 < 0: dr_1 = -0.0 + q_1 (-0.0)^2 is -0.0
     pytest.param(Open(0.0, -0.7), ((-0.3, -0.2, -0.1), (-0.0, 0.1, 0.0)),
                  id="signed-zero"),
@@ -240,6 +243,31 @@ def test_rk4_block_bitwise_equal_to_single_steps(bc, start):
             single = step_rk4(single, bc, 1e-2, 1)
         block = step_rk4(first, bc, 1e-2, steps)
         assert list(map(repr, block.flat())) == list(map(repr, single.flat()))
+
+
+@pytest.mark.parametrize("bc", [Periodic(), Quasiperiodic(2.0), Quasiperiodic(0.5 + 0.5j),
+                                Open(0.3, 0.7), Open(0.3 + 0.1j, -0.7j)])
+def test_eom_bitwise_equal_to_reference_rates(bc):
+    # eom runs the rates half of the kernel source that step_rk4 runs
+    rng = np.random.default_rng(13)
+    for n in (1, 5):
+        for is_complex in (False, True):
+            q, r = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+            if is_complex:
+                q, r = q + 1j * rng.uniform(-1, 1, n), r + 1j * rng.uniform(-1, 1, n)
+            st = LatticeState(tuple(q), tuple(r))
+            d = eom(st, bc)
+            ref = _reference_rates(st.q, st.r, bc)
+            assert (list(map(repr, d.dq)), list(map(repr, d.dr))) == \
+                (list(map(repr, ref[0])), list(map(repr, ref[1])))
+
+
+def test_unknown_regime_is_refused():
+    st = LatticeState((1.0,), (1.0,))
+    with pytest.raises(WrongRegime):
+        eom(st, object())
+    with pytest.raises(WrongRegime):
+        step_rk4(st, object(), 1e-3, 1)
 
 
 def test_rk4_refuses_no_steps_and_a_non_positive_dt():
