@@ -49,7 +49,6 @@ from math import comb, perm
 
 BACKEND = "python"
 
-_EXP_CACHE = {}
 _LAYOUTS = {}
 
 
@@ -60,11 +59,10 @@ class Packed(dict):
 
 
 def _expansion(b, a):
-    out = _EXP_CACHE.get((b, a))
-    if out is None:
-        out = tuple((k, comb(b, k) * perm(a, k)) for k in range(min(a, b) + 1))
-        _EXP_CACHE[(b, a)] = out
-    return out
+    """(k, C(b, k) a!/(a-k)!) for k = 0..min(a, b): the terms of d^b q^a.
+    Its one caller, `_moves`, runs once per layout and reordering signature,
+    whose table keeps the result."""
+    return tuple((k, comb(b, k) * perm(a, k)) for k in range(min(a, b) + 1))
 
 
 def slot_size(*terms):

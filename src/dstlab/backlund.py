@@ -33,8 +33,8 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import LogBranch, PoleEncountered, SingularG, SingularPrefactor
-from .lattice import (LatticeState, Open, Periodic, Quasiperiodic, central_differences,
-                      principal_sqrt, worst)
+from .lattice import (LatticeState, Open, Periodic, central_differences, principal_sqrt,
+                      worst)
 from .monodromy import boundary_C, boundary_K, generator, lax_L, mat2_array, monodromy
 from .poly import Mat2, adjugate_neg
 
@@ -73,7 +73,7 @@ class BTParams:
 
     @property
     def xi(self):
-        return self.closure.xi if isinstance(self.closure, Quasiperiodic) else 1.0
+        return self.closure.xi
 
 
 @dataclass(frozen=True)
@@ -232,7 +232,7 @@ def bt_invariance_residual(state_x, result, params, y_end=None):
         y_end = _ring_next(result.y, xi)[-1]
     X_end = state_x.r[-1]
     X0 = _ring_prev(state_x.r, xi)[0]
-    cm = mat2_array(boundary_C(xi), 0.0)  # boundary_C(1.0) is the identity
+    cm = mat2_array(boundary_C(xi), 0.0)  # boundary_C(1) is the identity
 
     def defect(lam):
         if abs(lam - params.sigma) < POLE_GUARD:

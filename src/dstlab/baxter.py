@@ -18,6 +18,11 @@ the tests pins this).  The diagonal entries equal the kernel ratios times
 eta^{-1} (top) and eta (bottom), so the three-term identity is literal at
 eta = 1 and carries correction factors eta^{-N}, eta^{+N} otherwise.
 
+z_i and the two ratios are written once, in `QKernelParams.z`,
+`w_ratio_down` and `w_ratio_up`: `tq_exact_rational` checks the three-term
+identity over rationals from them, with the closure and the poles refused
+by QKernelParams' own validation.
+
 The Bethe side reads one polynomial: the right side of Baxter's relation,
 sigma^N/s Q(sigma - eta) + s Q(sigma + eta), as a `poly.Poly` (`_tq_rhs`).
 The Bethe system is its value at the roots, Lambda its value over Q, and
@@ -269,27 +274,26 @@ def tq_scalar_residual(p):
 
 def tq_exact_rational(p_sigma, p_eta, p_xi_sqrt, y, q):
     """Exact-rational form of the three-term identity for N = len(q):
-    both sides over a rational field, using the ratio formulas only
-    (log-free); returns (lhs, rhs) for equality assertion.
+    both sides over a rational field, from the kernel's own z_i and ratios
+    (`QKernelParams.z`, `w_ratio_down`, `w_ratio_up`), with no logarithm;
+    returns (lhs, rhs) for equality assertion.  The left side takes the
+    triangularized diagonals in closed form, top z_i and bottom
+    (sigma + eta)/z_i (see `gauge_triangularize`).  QKernelParams refuses a
+    broken closure (ValueError) and a kernel pole (PoleInput).
 
     p_xi_sqrt is the exact square root of xi (the identity is algebraic in
     xi^(1/2))."""
-    n = len(q)
-    xi = p_xi_sqrt * p_xi_sqrt
-    assert y[-1] == xi * y[0]
-    z = [(y[i + 1] - q[i]) / y[i] for i in range(n)]
-    top = 1
-    bot = 1
+    p = QKernelParams(p_sigma, p_eta, p_xi_sqrt * p_xi_sqrt, y, q)
+    n, sigma, eta = p.n_sites, p.sigma, p.eta
+    top = bot = down = up = 1
     for i in range(n):
-        top = top * z[i]
-        bot = bot * (p_sigma + p_eta) * y[i] / (y[i + 1] - q[i])
+        z = p.z(i)
+        top = top * z
+        bot = bot * (sigma + eta) / z
+        down = down * w_ratio_down(i, p)
+        up = up * w_ratio_up(i, p)
     lhs = top / p_xi_sqrt + p_xi_sqrt * bot
-    down = 1
-    up = 1
-    for i in range(n):
-        down = down * (p_eta / p_sigma) * z[i]
-        up = up * (p_sigma / p_eta + 1) / z[i]
-    rhs = (p_sigma ** n / p_xi_sqrt) * down / p_eta ** n + p_xi_sqrt * up * p_eta ** n
+    rhs = (sigma ** n / p_xi_sqrt) * down / eta ** n + p_xi_sqrt * up * eta ** n
     return lhs, rhs
 
 

@@ -7,9 +7,13 @@ states are both supported.  The bulk flow is
 
     dq_n/dt = q_{n+1} - q_n^2 r_n,      dr_n/dt = -r_{n-1} + q_n r_n^2,
 
-closed by (q_{N+1}, r_0) = (q_1, r_N) for the periodic ring, by
-(xi q_1, xi r_N) for the quasiperiodic twist, and by the fixed couplings
-(theta_+, theta_-) for the open chain.
+closed by (xi q_1, xi r_N) for the quasiperiodic twist, by the fixed
+couplings (theta_+, theta_-) for the open chain, and by (q_1, r_N) for the
+periodic ring, which is the twist at xi = 1: `Periodic.xi` is the int 1, a
+class constant and not a field, so `hamiltonian` and
+`monodromy.conserved_coeffs` read both rings with one formula.  Only the
+kernels and `monodromy.generator`, which run once per step and once per
+sample, keep a branch for the ring.
 
 `central_differences` is the package's one difference stencil: the Poisson
 bracket, the Bäcklund Jacobian of `backlund` and the Bethe Jacobian of
@@ -104,6 +108,10 @@ _PLAIN_TYPES = frozenset((float, complex, int))
 
 @dataclass(frozen=True)
 class Periodic:
+    # the twist of the ring: an int, so exact states stay exact, and a class
+    # constant, not a field, so the kernels read q0 and r{N-1} bare
+    xi = 1
+
     def closure(self, q, r):
         return q[0], r[-1]
 
@@ -264,9 +272,7 @@ def hamiltonian(state, bc):
     n = len(q)
     hop = sum(q[i + 1] * r[i] for i in range(n - 1))
     quart = sum((q[i] * r[i]) ** 2 for i in range(n))
-    if isinstance(bc, Periodic):
-        return hop + q[0] * r[-1] - quart / 2
-    if isinstance(bc, Quasiperiodic):
+    if isinstance(bc, (Periodic, Quasiperiodic)):
         return hop + bc.xi * r[-1] * q[0] - quart / 2
     if isinstance(bc, Open):
         return hop - quart / 2 + q[0] * bc.theta_minus + r[-1] * bc.theta_plus

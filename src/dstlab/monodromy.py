@@ -215,15 +215,10 @@ def conserved_coeffs(state, bc):
     n = state.n_sites
     g = generator(state, bc)
     coeffs = tuple(g.c)
-    if isinstance(bc, Periodic):
-        if n == 1:
-            st = g.coeff(0) - 1
-            h = st - st * st / 2
-        else:
-            st = g.coeff(n - 1)
-            h = g.coeff(n - 2) - (1 if n == 2 else 0) - st * st / 2
-        return ConservedSet("periodic", coeffs, h)
-    if isinstance(bc, Quasiperiodic):
+    if isinstance(bc, Open):
+        sign = -1 if n % 2 else 1
+        h = g.coeff(2 * n) / (2 * sign)
+    else:  # either ring, the periodic one at xi = 1 (generator refused all else)
         sq = principal_sqrt(bc.xi)
         if n == 1:
             st = sq * g.coeff(0) - bc.xi
@@ -231,12 +226,7 @@ def conserved_coeffs(state, bc):
         else:
             st = sq * g.coeff(n - 1)
             h = sq * g.coeff(n - 2) - (bc.xi if n == 2 else 0) - st * st / 2
-        return ConservedSet("quasiperiodic", coeffs, h)
-    if isinstance(bc, Open):
-        sign = -1 if n % 2 else 1
-        h = g.coeff(2 * n) / (2 * sign)
-        return ConservedSet("open", coeffs, h)
-    raise WrongRegime(f"unknown boundary condition {bc!r}")
+    return ConservedSet(bc.label, coeffs, h)
 
 
 def _ldot(state, bc, j):

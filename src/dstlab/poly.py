@@ -10,13 +10,6 @@ from __future__ import annotations
 from .lattice import worst
 
 
-def _is_zero(c):
-    try:
-        return c == 0
-    except TypeError:  # pragma: no cover
-        return False
-
-
 class Poly:
     """Coefficients stored lowest degree first; trailing zeros trimmed."""
 
@@ -24,7 +17,7 @@ class Poly:
 
     def __init__(self, coeffs=()):
         c = list(coeffs)
-        while c and _is_zero(c[-1]):
+        while c and c[-1] == 0:
             c.pop()
         self.c = c
 
@@ -46,7 +39,7 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.c == other.c
-        if _is_zero(other):
+        if other == 0:
             return not self.c
         return self.c == [other]
 
@@ -81,7 +74,7 @@ class Poly:
             return Poly()
         out = [0] * (len(self.c) + len(other.c) - 1)
         for i, a in enumerate(self.c):
-            if _is_zero(a):
+            if a == 0:
                 continue
             for k, b in enumerate(other.c, i):
                 out[k] = out[k] + a * b

@@ -13,7 +13,10 @@ Conventions pinned by the exact N=1 expansion:
   * the transfer polynomial is tau(l) = xi_+ (A + D) + (l + eta/2) B, i.e.
     tr[K_+(l + eta/2, xi_+) U(l)]; the +eta/2 shift is what removes the
     l^(2N+1) term and reproduces the quoted Hamiltonian including its
-    -eta^2/8 constant (a -eta/2 shift there does neither).
+    -eta^2/8 constant (a -eta/2 shift there does neither);
+  * K_-(l) = [[xi_-, l], [0, xi_-]] and K_+(l)^t = [[xi_+, l], [0, xi_+]]
+    have one shape, and `_boundary_k` is the one builder of both: K_- for
+    dressed_U_op and q_reflection_minus, K_+^t for q_reflection_plus.
 
 Integer units.  RTT, the dressed reflection algebra, [tau(l), tau(m)] = 0,
 the A/B/D* relations and the Hamiltonian extraction run with every
@@ -372,18 +375,21 @@ def qmonodromy(n_sites, params, units=1):
     return t
 
 
+def _boundary_k(n_sites, xi, shift):
+    """[[xi, lambda + shift], [0, xi]] with entries multiples of the identity
+    on an n-site chain: the exact engine's one K builder.  It is K_-(lambda +
+    shift) at xi = xi_-, and K_+(lambda + shift)^t at xi = xi_+."""
+    one = WeylOp.identity(n_sites)
+    diagonal = Poly([xi * one])
+    return Mat2(diagonal, Poly([shift * one, one]), Poly(), diagonal)
+
+
 def dressed_U_op(n_sites, params, units=1):
     """U(lambda) = T(lambda) K_-(lambda - eta/2, xi_-) sigma2 T^t(-lambda) sigma2
-    (D^(2N+1) U(Lambda/D) in units D)."""
+    (D^(2N+1) U(Lambda/D) in units D, where K_- is D K_-(Lambda/D - eta/2))."""
     t = qmonodromy(n_sites, params, units)
-    one = WeylOp.identity(n_sites)
-    zero = Poly()
-    xi_minus = _in_units(params.xi_minus, units)
-    half = _in_units(params.eta / 2, units)
-    k_minus = Mat2(Poly([xi_minus * one]),
-                   Poly([-half * one, one]),
-                   zero,
-                   Poly([xi_minus * one]))
+    k_minus = _boundary_k(n_sites, _in_units(params.xi_minus, units),
+                          -_in_units(params.eta / 2, units))
     return t @ k_minus @ adjugate_neg(t)
 
 
@@ -400,21 +406,12 @@ def rtt_residual(n_sites, params, force=False):
     return exchange_check(t, n_sites, _in_units(params.eta, d), (1, -1, 0))
 
 
-def _scalar_mat2(n, entries):
-    """2x2 of scalar lambda-polynomials as operator polys on an n-site chain."""
-    one = WeylOp.identity(n)
-
-    def mk(coeffs):
-        return Poly([rat(c) * one for c in coeffs])
-    return Mat2(mk(entries[0]), mk(entries[1]), mk(entries[2]), mk(entries[3]))
-
-
 def q_reflection_minus(params):
     """Exact check of the reflection algebra for K_-(lambda) (scalar identity):
 
         Rb(l-m) K1(l) Rb(l+m) K2(m) = K2(m) Rb(l+m) K1(l) Rb(l-m).
     """
-    k = _scalar_mat2(0, ([params.xi_minus], [0, 1], [0], [params.xi_minus]))
+    k = _boundary_k(0, params.xi_minus, 0)
     return exchange_check(k, 0, params.eta, (1, -1, 0), (1, 1, 0))
 
 
@@ -431,7 +428,7 @@ def q_reflection_plus(params, shift=(1, 1)):
     """
     s = rat(shift[0], shift[1]) * params.eta
     # K1^t1 = (K^t) (x) I and K2^t2 = I (x) K^t
-    kt = _scalar_mat2(0, ([params.xi_plus], [s, 1], [0], [params.xi_plus]))
+    kt = _boundary_k(0, params.xi_plus, s)
     return exchange_check(kt, 0, params.eta, (-1, 1, 0), (-1, -1, -2 * s))
 
 

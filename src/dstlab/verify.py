@@ -279,7 +279,7 @@ def initial_state(n, bc, seed, amplitude=None, t_final=10.0):
         amp = 1e-3 if amplitude is None else amplitude
         re, im = rng.uniform(-1, 1, 2 * n), rng.uniform(-1, 1, 2 * n)
         return LatticeState.from_flat([z + amp * (a + 1j * b) for z, a, b in zip(z0, re, im)])
-    rate = abs(bc.xi) ** (1.0 / n) if isinstance(bc, Quasiperiodic) else 1.0
+    rate = abs(bc.xi) ** (1.0 / n)  # 1.0 on the periodic ring, xi = 1
     scale = amplitude if amplitude is not None else 0.05 * math.exp(-rate * t_final)
     if amplitude is None and scale < sys.float_info.min:
         # a zero (or subnormal) scale integrates the exact vacuum, whose drift

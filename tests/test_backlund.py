@@ -31,6 +31,13 @@ def _array(m):
     return np.array([[m.a11, m.a12], [m.a21, m.a22]], dtype=complex)
 
 
+def test_periodic_params_read_the_ring_twist():
+    # BTParams.xi is the closure's own xi; the periodic ring's is the int 1
+    for bc in (Periodic(), Quasiperiodic(-2.0)):
+        assert BTParams(0.3, bc).xi is bc.xi
+    assert BTParams(0.3).xi == 1
+
+
 def test_g_matrix():
     g = g_matrix(1.3, 0.4, 0.0, 0.0)
     assert np.allclose(_array(g), [[1, 0], [0, 0.9]])

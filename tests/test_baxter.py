@@ -180,6 +180,19 @@ def test_exact_rational_single_site():
     lhs2, rhs2 = tq_exact_rational(rat(5, 7), rat(1), rat(3),
                                    (rat(2, 5), rat(18, 5)), (rat(1, 9),))
     assert lhs2 == rhs2
+    # two sites, eta != 1: the eta^(-+N) corrections, over rationals
+    lhs3, rhs3 = tq_exact_rational(rat(2, 3), rat(5, 4), rat(3, 2),
+                                   (rat(1, 2), rat(7, 5), rat(9, 8)), (rat(1, 3), rat(-2, 7)))
+    assert lhs3 == rhs3
+
+
+def test_exact_rational_refuses_through_the_kernel_params():
+    # the closure and the poles are QKernelParams' validation, which
+    # python -O keeps
+    with pytest.raises(ValueError, match="closure"):
+        tq_exact_rational(rat(3, 2), rat(1), rat(2), (rat(1, 3), rat(5, 3)), (rat(-1, 2),))
+    with pytest.raises(PoleInput):  # y_2 = q_1
+        tq_exact_rational(rat(3, 2), rat(1), rat(2), (rat(1, 3), rat(4, 3)), (rat(4, 3),))
 
 
 def test_bethe_single_root_closed_form():

@@ -149,6 +149,22 @@ def test_report_bytes_are_pinned(argv, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == _PINNED_REPORTS[argv]
 
 
+# The negative controls of `verify --suite all`: each must be present and
+# must pass, which means the broken variant it builds was caught.
+_CONTROLS = {"bethe-membership-control", "boundary-exchange-control", "bt-closure-control",
+             "bt-dressing-control", "bt-spectrality-control", "gauge-index-control",
+             "lax-compatibility-control", "reflection-control", "rtt-control"}
+
+
+@pytest.mark.parametrize("seed", range(4, 11))
+def test_suite_passes_at_unpinned_seeds(seed):
+    # seeds 1-3 are pinned by their bytes above; these guard every formula at
+    # other seeds
+    records = run_suites("all", seed)["records"]
+    assert [r["identity_id"] for r in records if not r["pass"]] == []
+    assert _CONTROLS <= {r["identity_id"] for r in records}
+
+
 def test_simulate_runs_without_numpy(tmp_path):
     code = ("import sys; sys.modules['numpy'] = None; from dstlab.cli import main; "
             "sys.exit(main(sys.argv[1:]))")

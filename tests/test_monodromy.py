@@ -1,5 +1,6 @@
 """Lax matrices, monodromy, boundary matrices and conserved generators."""
 import cmath
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -364,6 +365,24 @@ def test_hamiltonian_value_agreement():
             st = _rand_state(rng, n)
             cs = conserved_coeffs(st, bc)
             assert abs(cs.hamiltonian_value - hamiltonian(st, bc)) < 1e-10
+
+
+def test_ring_is_the_twist_at_xi_one():
+    # one formula for both rings: the periodic ring reads the twist's at
+    # xi = 1, a class constant and not a field, so its kernel is unchanged
+    assert Periodic.xi == 1 and isinstance(Periodic.xi, int)
+    assert dataclasses.fields(Periodic) == ()
+    rng = np.random.default_rng(29)
+    for n in range(1, 7):
+        real = _rand_state(rng, n)
+        cplx = LatticeState(tuple(complex(a, b) for a, b in zip(real.q, rng.uniform(-1, 1, n))),
+                            tuple(complex(a, b) for a, b in zip(real.r, rng.uniform(-1, 1, n))))
+        for st in (real, cplx):
+            assert repr(hamiltonian(st, Periodic())) == repr(hamiltonian(st, Quasiperiodic(1)))
+            assert (repr(conserved_coeffs(st, Periodic()).hamiltonian_value)
+                    == repr(conserved_coeffs(st, Quasiperiodic(1)).hamiltonian_value))
+    assert conserved_coeffs(real, Periodic()).regime == "periodic"
+    assert conserved_coeffs(real, Quasiperiodic(1)).regime == "quasiperiodic"
 
 
 @pytest.mark.parametrize("bc", [Periodic(), Quasiperiodic(2.0), Open(0.3, 0.7)])

@@ -11,7 +11,7 @@ from dstlab import errors, quantum, verify, weyl
 from dstlab._rat import rat
 from dstlab.errors import CostGuard, DegreeNotPreserved
 from dstlab.poly import Mat2, Poly
-from dstlab.quantum import (QParams, _in_units, _scalar_mat2, abcd_operators,
+from dstlab.quantum import (QParams, _boundary_k, _in_units, abcd_operators,
                             abd_commutation_residual, classical_image,
                             degree_basis, dressed_U_op, exchange_check,
                             exchange_residual, hq_candidate,
@@ -481,7 +481,7 @@ def test_failing_reflection_record_carries_witness(monkeypatch):
     # K_+ shifted by s against the middle argument of the shift s + eta/2
     def mismatched(params, shift=(1, 1)):
         s = rat(shift[0], shift[1]) * params.eta
-        kt = _scalar_mat2(0, ([params.xi_plus], [s, 1], [0], [params.xi_plus]))
+        kt = _boundary_k(0, params.xi_plus, s)
         return exchange_check(kt, 0, params.eta, (-1, 1, 0),
                               (-1, -1, -2 * s - params.eta))
 
@@ -546,7 +546,7 @@ def test_exchange_residual_matches_chain(check, n):
 
 def test_reflection_minus_residual_matches_chain():
     p = UNIT_PARAMS
-    k = _scalar_mat2(0, ([p.xi_minus], [0, 1], [0], [p.xi_minus]))
+    k = _boundary_k(0, p.xi_minus, 0)
     _assert_residual_matches_chain(k, 0, p.eta, (1, -1, 0), (1, 1, 0),
                                    embed_first(k, 0, 0), embed_second(k, 0, 1))
 
@@ -556,8 +556,8 @@ def test_reflection_plus_residual_matches_chain(shift):
     # the chain transposes the embedded K_+ in each leg; the table takes K_+^t
     p = UNIT_PARAMS
     s = rat(*shift) * p.eta
-    k = _scalar_mat2(0, ([p.xi_plus], [0], [s, 1], [p.xi_plus]))
-    kt = Mat2(k.a11, k.a21, k.a12, k.a22)
+    kt = _boundary_k(0, p.xi_plus, s)
+    k = Mat2(kt.a11, kt.a21, kt.a12, kt.a22)
     for middle in ((-1, -1, -2 * s), (-1, -1, -s - 1)):   # identity and a mismatch
         _assert_residual_matches_chain(
             kt, 0, p.eta, (-1, 1, 0), middle,
