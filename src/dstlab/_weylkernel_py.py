@@ -31,16 +31,20 @@ terms of a reordering depend only on the exponents it reorders, so they are
 kept per layout, keyed by the left key's d slots and the right key's q
 slots at those sites, masked into one int.
 
-pack gives a Packed term dict, which carries its slot size.  On two Packed
-operands of one size, mul_into and commutator_into accumulate packed keys
-into `out`; a sum may set a slot's top bit, so a product's keys never feed
-a second product.  On tuple-keyed dicts they pack both operands, run the
-loop and unpack the result into `out`.  The exact checks of dstlab.quantum
-pack their operands once per check; WeylOp keeps tuple keys.  Packing
-per call with shift sums did not pay for itself in mul_into: on Python
-3.11 an N=3 key takes about 0.55 us to pack that way and 0.47 us to unpack,
-against 0.18 and 0.12 us with byte slots.  An int key also hashes without
-walking a tuple, which speeds the residual assembly's add_into.
+pack gives a Packed term dict, which carries its slot size; repack moves
+one to a wider size, slot by slot, without forming tuple keys.  On two
+Packed operands of one size, mul_into and commutator_into accumulate
+packed keys into `out`.  An operand's slots must not have their top bit set,
+and the result's slots must hold the exponent sums: a caller that feeds a
+product into a second product packs at a size whose top bit no exponent sum
+sets.  dstlab.weyl.WeylOp holds its terms this way, with an upper bound on
+its exponents that picks the size, so its products, sums and commutators,
+and the exact checks of dstlab.quantum, run on packed keys throughout.  On
+tuple-keyed dicts mul_into and commutator_into pack both operands, run the
+loop and unpack the result into `out`; no library caller uses that entry,
+which dstbench's kernel micro-benchmark and the tests' tuple-loop oracle
+comparisons call.
+An int key hashes without walking a tuple, which also speeds add_into.
 
 This is the only kernel; dstlab.weyl imports it as `_kernel`.
 """
@@ -65,15 +69,26 @@ def _expansion(b, a):
     return tuple((k, comb(b, k) * perm(a, k)) for k in range(min(a, b) + 1))
 
 
-def slot_size(*terms):
-    """Bytes per slot that pack every key of these tuple-keyed term dicts:
-    the fewest whose top bit no exponent sets."""
+def top_exponent(*terms):
+    """The largest exponent in the keys of these tuple-keyed term dicts (0
+    for none)."""
     top = 0
     for t in terms:
         for key in t:
             if key and max(key) > top:
                 top = max(key)
+    return top
+
+
+def size_for(top):
+    """Bytes per slot whose top bit no exponent up to `top` sets."""
     return top.bit_length() // 8 + 1
+
+
+def slot_size(*terms):
+    """Bytes per slot that pack every key of these tuple-keyed term dicts:
+    the fewest whose top bit no exponent sets."""
+    return size_for(top_exponent(*terms))
 
 
 def pack(t, size):
@@ -89,17 +104,35 @@ def pack(t, size):
     return out
 
 
+def repack(t, n, size):
+    """The Packed term dict t, on 2n slots, at the wider `size` bytes per
+    slot: each slot's bytes are padded with zero bytes above them."""
+    out = Packed()
+    out.size = size
+    old = t.size
+    width, pad = 2 * n * old, bytes(size - old)
+    for p, c in t.items():
+        raw = p.to_bytes(width, "little")
+        out[int.from_bytes(b"".join(raw[j:j + old] + pad for j in range(0, width, old)),
+                           "little")] = c
+    return out
+
+
+def unpack_keys(t, n, size):
+    """The keys of the term dict t on packed keys of `size` bytes per slot,
+    as exponent tuples in t's order."""
+    width = 2 * n * size
+    if size == 1:
+        return [tuple(p.to_bytes(width, "little")) for p in t]
+    return [tuple(int.from_bytes(raw[j:j + size], "little") for j in range(0, width, size))
+            for raw in (p.to_bytes(width, "little") for p in t)]
+
+
 def unpack_into(out, t, n, size):
     """Accumulate the term dict t on packed keys of `size` bytes per slot
     into `out` on tuple keys."""
-    width = 2 * n * size
     get = out.get
-    for p, c in t.items():
-        raw = p.to_bytes(width, "little")
-        if size == 1:
-            key = tuple(raw)
-        else:
-            key = tuple(int.from_bytes(raw[j:j + size], "little") for j in range(0, width, size))
+    for key, c in zip(unpack_keys(t, n, size), t.values()):
         old = get(key)
         out[key] = c if old is None else old + c
     return out
@@ -218,18 +251,27 @@ def commutator_into(out, ta, tb, n):
 
 def add_into(out, t, factor=1):
     """Accumulate factor * t into `out`."""
+    get = out.get
     if factor == 1:
         for k, c in t.items():
-            out[k] = out.get(k, 0) + c
+            out[k] = get(k, 0) + c
+    elif factor == -1:
+        for k, c in t.items():
+            out[k] = get(k, 0) - c
     else:
         for k, c in t.items():
-            out[k] = out.get(k, 0) + c * factor
+            out[k] = get(k, 0) + c * factor
     return out
 
 
 def trim(t):
-    """Drop exactly-zero coefficients in place."""
-    dead = [k for k, c in t.items() if c == 0]
-    for k in dead:
-        del t[k]
+    """Drop exactly-zero coefficients in place.  A dict that cancelled
+    whole, as a passing check's residual does, is cleared in one pass, and
+    the keys to drop are only listed when some coefficient is zero."""
+    values = t.values()
+    if not any(values):
+        t.clear()
+    elif 0 in values:
+        for k in [k for k, c in t.items() if c == 0]:
+            del t[k]
     return t

@@ -19,9 +19,13 @@ eta^{-1} (top) and eta (bottom), so the three-term identity is literal at
 eta = 1 and carries correction factors eta^{-N}, eta^{+N} otherwise.
 
 z_i and the two ratios are written once, in `QKernelParams.z`,
-`w_ratio_down` and `w_ratio_up`: `tq_exact_rational` checks the three-term
-identity over rationals from them, with the closure and the poles refused
-by QKernelParams' own validation.
+`w_ratio_down` and `w_ratio_up`.  `tq_exact_rational` checks the three-term
+identity over rationals: the triangularized diagonals of
+`gauge_triangularize` on one side, the ratios on the other, and every
+upper-right entry of the gauged chain, the twist's included, exactly zero,
+so an input off the closure fails however close it is.  `qj_lax` and
+`gauge_S` build with the ints 0 and 1, so they run over Fraction as over
+complex.
 
 The Bethe side reads one polynomial: the right side of Baxter's relation,
 sigma^N/s Q(sigma - eta) + s Q(sigma + eta), as a `poly.Poly` (`_tq_rhs`).
@@ -204,12 +208,12 @@ def qj_lax(i, p):
     [[sigma + eta + eta q d_q log w, q], [eta d_q log w, 1]] with the
     derivative in closed form: eta d_q log w = (sigma+eta)/(y_{i+1}-q) - 1/y_i."""
     dlog = (p.sigma + p.eta) / (p.y[i + 1] - p.q[i]) - 1 / p.y[i]
-    return Mat2(p.sigma + p.eta + p.q[i] * dlog, p.q[i], dlog, 1.0)
+    return Mat2(p.sigma + p.eta + p.q[i] * dlog, p.q[i], dlog, 1)
 
 
 def gauge_S(y_val):
     """[[1, y], [0, 1]], whose inverse is gauge_S(-y)."""
-    return Mat2(1.0, y_val, 0.0, 1.0)
+    return Mat2(1, y_val, 0, 1)
 
 
 def gauge_triangularize(i, p, wrong_index=False):
@@ -273,28 +277,37 @@ def tq_scalar_residual(p):
 
 
 def tq_exact_rational(p_sigma, p_eta, p_xi_sqrt, y, q):
-    """Exact-rational form of the three-term identity for N = len(q):
-    both sides over a rational field, from the kernel's own z_i and ratios
-    (`QKernelParams.z`, `w_ratio_down`, `w_ratio_up`), with no logarithm;
-    returns (lhs, rhs) for equality assertion.  The left side takes the
-    triangularized diagonals in closed form, top z_i and bottom
-    (sigma + eta)/z_i (see `gauge_triangularize`).  QKernelParams refuses a
-    broken closure (ValueError) and a kernel pole (PoleInput).
+    """Exact-rational form of the three-term identity for N = len(q), with
+    no logarithm; returns (ok, lhs, rhs).
+
+    The left side is J = xi^(-1/2) prod(top) + xi^(1/2) prod(bottom) from
+    the diagonals of `gauge_triangularize` on the exact inputs; the right
+    side is built from the kernel's own z_i and ratios (`QKernelParams.z`,
+    `w_ratio_down`, `w_ratio_up`).  J is the twisted transfer value only
+    when the gauged chain is triangular: every site's upper-right entry is
+    zero, and so is that of the twist in the gauge of site 1,
+    S_1^(-1) diag(xi^(-1/2), xi^(1/2)) S_(N+1), which is y_(N+1)/xi^(1/2) -
+    xi^(1/2) y_1: zero exactly on the closure.  ok is lhs == rhs with every
+    one of these entries exactly zero.  QKernelParams refuses a closure
+    broken past its tolerance (ValueError) and a kernel pole (PoleInput).
 
     p_xi_sqrt is the exact square root of xi (the identity is algebraic in
     xi^(1/2))."""
     p = QKernelParams(p_sigma, p_eta, p_xi_sqrt * p_xi_sqrt, y, q)
     n, sigma, eta = p.n_sites, p.sigma, p.eta
+    twist = gauge_S(-p.y[0]) @ Mat2.diag(1 / p_xi_sqrt, p_xi_sqrt) @ gauge_S(p.y[-1])
+    upper_right = [twist.a12]
     top = bot = down = up = 1
     for i in range(n):
-        z = p.z(i)
-        top = top * z
-        bot = bot * (sigma + eta) / z
+        ur, (t, b) = gauge_triangularize(i, p)
+        upper_right.append(ur)
+        top = top * t
+        bot = bot * b
         down = down * w_ratio_down(i, p)
         up = up * w_ratio_up(i, p)
     lhs = top / p_xi_sqrt + p_xi_sqrt * bot
     rhs = (sigma ** n / p_xi_sqrt) * down / eta ** n + p_xi_sqrt * up * eta ** n
-    return lhs, rhs
+    return lhs == rhs and not any(upper_right), lhs, rhs
 
 
 # ---------------------------------------------------------------------------

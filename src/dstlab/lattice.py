@@ -449,9 +449,17 @@ def step_rk4(state, bc, dt, steps):
 
 
 def principal_sqrt(x):
-    """Principal square root, complex when needed."""
-    if isinstance(x, complex) or (isinstance(x, float) and x < 0):
+    """Principal square root, complex when needed.  An exact square, an int
+    or Fraction whose numerator and denominator are perfect squares, has
+    its exact root: 1 gives the int 1 and Fraction(4, 9) gives
+    Fraction(2, 3), so exact states stay exact (a float times the int 1
+    has the bits of the float times 1.0)."""
+    if isinstance(x, complex) or x < 0:
         return cmath.sqrt(x)
-    if isinstance(x, int) and x < 0:
-        return cmath.sqrt(x)
+    num = getattr(x, "numerator", None)                 # int and Fraction, not float
+    if num is not None:
+        den = x.denominator
+        a, b = math.isqrt(num), math.isqrt(den)
+        if a * a == num and b * b == den:
+            return a if b == 1 else type(x)(a, b)
     return math.sqrt(x)

@@ -67,14 +67,17 @@ pair, then the lowest exponent key.
   * The AB and Dstar-B relations are parts over the four products B A,
     B Dstar, A B and Dstar B, with products of linear factors as scalars.
 
-Packed keys.  Each check packs its lifted operands once (_packed: one slot
-size for all of them, see dstlab._weylkernel_py), so its product and
-commutator tables, swapped differences and assembled residual are all
-keyed by packed ints, which hash and add faster than tuples.  Only what
-leaves the check is unpacked: the terms of the witness's degree pair, whose
-lowest key is taken in tuple order (an int compares the last slot first),
-and each nonzero entry that exchange_residual yields, which is where
-exchange_check reads its witness.
+Packed keys.  Every WeylOp holds its terms on packed int keys (see
+dstlab.weyl), so the builders below multiply and add packed dicts without
+converting keys.  Each check lifts its operators' own packed dicts
+(_lift_terms) and brings them to one slot size (_packed), repacking only an
+operand packed narrower than the widest; so its product and commutator
+tables, swapped differences and assembled residual are all keyed by packed
+ints, which hash and add faster than tuples.  Only what leaves the check is
+unpacked: the terms of the witness's degree pair, whose lowest key is taken
+in tuple order (an int compares the last slot first), and each nonzero
+entry that exchange_residual yields, which is where exchange_check reads
+its witness.
 """
 from __future__ import annotations
 
@@ -136,24 +139,26 @@ class Witness(NamedTuple):
 # ---------------------------------------------------------------------------
 
 def _lift_terms(op_poly, n):
-    """{degree: term dict} of a univariate operator polynomial; scalar
-    coefficients become multiples of the identity."""
-    key0 = (0,) * (2 * n)
+    """{degree: Packed term dict} of a univariate operator polynomial: each
+    operator's own packed dict, not copied; scalar coefficients become
+    multiples of the identity, whose all-zero key packs to 0."""
     out = {}
     for k, c in enumerate(op_poly.c):
         if isinstance(c, WeylOp):
-            if c.terms:
-                out[k] = c.terms
+            if c.packed:
+                out[k] = c.packed
         elif c != 0:
-            out[k] = {key0: c}
+            out[k] = WeylOp.scalar(n, c).packed
     return out
 
 
-def _packed(lifted):
-    """The lifted polynomials of one check on packed keys at one slot size:
-    (size, [{degree: Packed term dict}])."""
-    size = _kernel.slot_size(*(t for x in lifted for t in x.values()))
-    return size, [{k: _kernel.pack(t, size) for k, t in x.items()} for x in lifted]
+def _packed(lifted, n):
+    """The lifted polynomials of one check at one slot size, the widest of
+    theirs: (size, [{degree: Packed term dict}]), a dict packed narrower
+    repacked to it."""
+    size = max((t.size for x in lifted for t in x.values()), default=1)
+    return size, [{k: t if t.size == size else _kernel.repack(t, n, size)
+                   for k, t in x.items()} for x in lifted]
 
 
 def _product_table(x, y, n):
@@ -274,7 +279,7 @@ def exchange_residual(x, n, eta, outer, middle=None):
     swapped under -s t.  P[cb][ad] - P[cb][ad]~ and S[c][d] - S[c][d]~ are
     one part each.  Each entry's parts are summed by _assemble on packed
     keys, and a nonzero entry is unpacked as it is yielded."""
-    size, lifted = _packed([_lift_terms(e, n) for e in x.entries()])
+    size, lifted = _packed([_lift_terms(e, n) for e in x.entries()], n)
     for entry, res in _exchange_entries(lifted, n, eta, outer, middle):
         yield entry, {ij: _kernel.unpack_into({}, terms, n, size) for ij, terms in res.items()}
 
@@ -470,7 +475,8 @@ def qtau(n_sites, params, units=1):
 
 def tau_commutes(n_sites, params):
     """Exact [tau(lambda), tau(mu)] = 0 check in integer units; returns (ok, witness)."""
-    size, (t,) = _packed([_lift_terms(qtau(n_sites, params, integer_units(params)), n_sites)])
+    size, (t,) = _packed([_lift_terms(qtau(n_sites, params, integer_units(params)), n_sites)],
+                         n_sites)
     return _verdict(_commutator_table(t, n_sites), packing=(n_sites, size))
 
 
@@ -508,10 +514,17 @@ def hq_candidate(n_sites, params, ordering):
     return out
 
 
-def _coefficient_verdict(terms, degree):
+def _coefficient_verdict(op, degree):
     """(ok, witness) of a difference of tau's lambda^degree coefficient, or
-    of the Hamiltonian taken from it: the witness is its lowest exponent key."""
-    return _verdict({(degree,): terms} if terms else {})
+    of the Hamiltonian taken from it, as a WeylOp: the witness is its lowest
+    exponent key."""
+    return _verdict({(degree,): op.packed} if op else {}, packing=(op.n, op.packed.size))
+
+
+def _coefficient(op_poly, k, n):
+    """The lambda^k coefficient of an operator polynomial as a WeylOp."""
+    c = op_poly.coeff(k)
+    return c if isinstance(c, WeylOp) else WeylOp.scalar(n, c)
 
 
 def hq_extract(n_sites, params):
@@ -533,22 +546,18 @@ def hq_extract(n_sites, params):
         raise CostGuard("hq_extract is exponential in N; N <= 3 supported")
     n = n_sites
     d = integer_units(params)
-    t = _lift_terms(qtau(n, params, d), n)
+    t = qtau(n, params, d)
     top = 2 * n + 2
-    key0 = (0,) * (2 * n)
-    lead = dict(t.get(top, {}))
-    sign = -1 if lead.get(key0, 0) < 0 else 1
-    lead[key0] = lead.get(key0, 0) - sign
+    lead = _coefficient(t, top, n)
+    sign = -1 if lead.scalar_part() < 0 else 1
     at = f"at eta={params.eta}"
-    ok, witness = _coefficient_verdict(_kernel.trim(lead), top)
+    ok, witness = _coefficient_verdict(lead - sign, top)
     if not ok:
         raise TauShapeMismatch(f"tau leading coefficient is not +-identity {at}", witness)
-    sub = {key: rat(c, d) for key, c in t.get(top - 1, {}).items()}
-    ok, witness = _coefficient_verdict(sub, top - 1)
+    ok, witness = _coefficient_verdict(rat(1, d) * _coefficient(t, top - 1, n), top - 1)
     if not ok:
         raise TauShapeMismatch(f"tau has an unexpected subleading term {at}", witness)
-    den = 2 * d * d
-    h = WeylOp(n, {key: rat(sign * c, den) for key, c in t.get(2 * n, {}).items()})
+    h = rat(sign, 2 * d * d) * _coefficient(t, 2 * n, n)
     report = {"lead_sign": sign, "ordering": None, "constant_shift": None,
               "exact": False}
     for ordering in HQ_ORDERINGS:
@@ -568,8 +577,7 @@ def hq_extract(n_sites, params):
 def hq_quoted_verdict(h, n_sites, params):
     """(ok, witness) of an extracted Hamiltonian against the quoted form in the
     qrqr ordering; the witness is at tau's degree 2N, lowest exponent key."""
-    return _coefficient_verdict((h - hq_candidate(n_sites, params, "qrqr")).terms,
-                                2 * n_sites)
+    return _coefficient_verdict(h - hq_candidate(n_sites, params, "qrqr"), 2 * n_sites)
 
 
 def classical_image(op, eta):
@@ -664,7 +672,7 @@ def abd_commutation_residual(n_sites, params, force=False):
     d = integer_units(params)
     eta = _in_units(params.eta, d)
     a, b, _, _, ds = abcd_operators(n, params, d)
-    size, (a, b, ds) = _packed([_lift_terms(x, n) for x in (a, b, ds)])
+    size, (a, b, ds) = _packed([_lift_terms(x, n) for x in (a, b, ds)], n)
     # four operator products X(l) Y(m); each reverse-order product is a degree swap
     BA, BD = _product_table(b, a, n), _product_table(b, ds, n)
     AB, DB = _product_table(a, b, n), _product_table(ds, b, n)

@@ -9,9 +9,22 @@ giving [q_i, r_j] = eta delta_ij.
 The term-product inner loop, and the commutator formed without either
 product, live in one pure-Python kernel, dstlab._weylkernel_py, bound here
 as `_kernel` (dstlab.quantum uses the same binding).
+
+Packed terms.  A WeylOp holds its terms as one Packed dict of the kernel,
+keyed by exponent tuples packed into ints, with an upper bound on its
+largest exponent.  The bound is exact when an operator is built from a
+term map, the sum of the operands' bounds for a product or commutator, and
+the larger of the two for a sum.  It picks the bytes per slot: a product is
+formed at a size whose top bit the product's bound does not set, so every
+operator can feed the next product as it is, and an operand is repacked
+wider only when the product needs more bytes than it has.  Products, sums
+and commutators hand their operands' packed dicts straight to the kernel;
+`terms` is a read-only view on tuple keys for the readers that need
+exponents (apply, repr, the classical image, the witnesses).
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from itertools import chain
 from math import lcm, perm
 from operator import add
@@ -27,27 +40,86 @@ def kernel_backend():
     return BACKEND
 
 
-class WeylOp:
-    """Immutable normal-ordered operator on an n-site chain."""
+def _packed_at(size, terms):
+    """A Packed term dict at `size` bytes per slot holding `terms`."""
+    out = _kernel.Packed(terms)
+    out.size = size
+    return out
 
-    __slots__ = ("n", "terms")
+
+class Terms(Mapping):
+    """Read-only view of an operator's terms on exponent-tuple keys.  Its
+    length is the packed dict's; the keys are unpacked on first use."""
+
+    __slots__ = ("_packed", "_n", "_tuples")
+
+    def __init__(self, packed, n):
+        self._packed, self._n, self._tuples = packed, n, None
+
+    def _dict(self):
+        if self._tuples is None:
+            self._tuples = _kernel.unpack_into({}, self._packed, self._n, self._packed.size)
+        return self._tuples
+
+    def __len__(self):
+        return len(self._packed)
+
+    def __getitem__(self, key):
+        return self._dict()[key]
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def keys(self):
+        return self._dict().keys()
+
+    def items(self):
+        return self._dict().items()
+
+    def values(self):
+        return self._dict().values()
+
+    def __repr__(self):
+        return repr(self._dict())
+
+
+class WeylOp:
+    """Immutable normal-ordered operator on an n-site chain: `packed` is its
+    Packed term dict and `bound` an upper bound on its exponents."""
+
+    __slots__ = ("n", "packed", "bound")
 
     def __init__(self, n, terms=None):
+        """The operator of the term map {exponent tuple: coefficient}."""
+        terms = terms or {}
+        top = _kernel.top_exponent(terms)
         self.n = n
-        t = dict(terms) if terms else {}
-        _kernel.trim(t)
-        self.terms = t
+        self.packed = _kernel.trim(_kernel.pack(terms, _kernel.size_for(top)))
+        self.bound = top
+
+    @classmethod
+    def _of(cls, n, packed, bound):
+        """The operator of a Packed dict without exactly-zero terms whose
+        exponents are at most `bound`; the dict is not copied."""
+        op = object.__new__(cls)
+        op.n, op.packed, op.bound = n, packed, bound
+        return op
+
+    @property
+    def terms(self):
+        """The terms on exponent-tuple keys, as a read-only mapping."""
+        return Terms(self.packed, self.n)
 
     # -- constructors -------------------------------------------------
     @classmethod
     def zero(cls, n):
-        return cls(n)
+        return cls._of(n, _packed_at(1, ()), 0)
 
     @classmethod
     def scalar(cls, n, c):
         if c == 0:
-            return cls(n)
-        return cls(n, {(0,) * (2 * n): c})
+            return cls.zero(n)
+        return cls._of(n, _packed_at(1, {0: c}), 0)     # the all-zero key packs to 0
 
     @classmethod
     def identity(cls, n):
@@ -55,37 +127,34 @@ class WeylOp:
 
     @classmethod
     def q(cls, n, i):
-        key = [0] * (2 * n)
-        key[i] = 1
-        return cls(n, {tuple(key): 1})
+        return cls._of(n, _packed_at(1, {1 << 8 * i: 1}), 1)
 
     @classmethod
     def dq(cls, n, i):
-        key = [0] * (2 * n)
-        key[n + i] = 1
-        return cls(n, {tuple(key): 1})
+        return cls._of(n, _packed_at(1, {1 << 8 * (n + i): 1}), 1)
 
     @classmethod
     def r(cls, n, i, eta):
         """Momentum r_i = -eta d_i, for an int or exact rational eta."""
-        key = [0] * (2 * n)
-        key[n + i] = 1
-        return cls(n, {tuple(key): -eta})
+        return cls._of(n, _kernel.trim(_packed_at(1, {1 << 8 * (n + i): -eta})), 1)
 
     # -- predicates ----------------------------------------------------
     def is_zero(self):
-        return not self.terms
+        return not self.packed
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.packed)
 
     def __eq__(self, other):
         if isinstance(other, WeylOp):
-            return self.n == other.n and self.terms == other.terms
+            if self.n != other.n or len(self.packed) != len(other.packed):
+                return False
+            a, b = _common(self, other, 1)
+            return a == b
         # comparison against a scalar (0, 1, rationals)
         if other == 0:
-            return not self.terms
-        return self.terms == {(0,) * (2 * self.n): other}
+            return not self.packed
+        return self.packed == {0: other}
 
     def __hash__(self):
         raise TypeError("WeylOp is not hashable")
@@ -96,40 +165,50 @@ class WeylOp:
             from .errors import SiteCountMismatch
             raise SiteCountMismatch(f"{self.n} vs {other.n} sites")
 
-    def __add__(self, other):
+    def _plus(self, other, factor):
+        """self + factor * other for factor 1 or -1."""
         if not isinstance(other, WeylOp):
+            if other == 0:
+                return self
             other = WeylOp.scalar(self.n, other)
         self._check(other)
-        out = dict(self.terms)
-        _kernel.add_into(out, other.terms)
-        return WeylOp(self.n, out)
+        if not other.packed:
+            return self
+        a, b = _common(self, other, 1)
+        out = _kernel.add_into(_packed_at(a.size, a), b, factor)
+        return WeylOp._of(self.n, _kernel.trim(out), max(self.bound, other.bound))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return WeylOp(self.n, {k: -c for k, c in self.terms.items()})
+        return WeylOp._of(self.n, _packed_at(self.packed.size,
+                                             {k: -c for k, c in self.packed.items()}), self.bound)
 
     def __sub__(self, other):
-        if not isinstance(other, WeylOp):
-            other = WeylOp.scalar(self.n, other)
-        self._check(other)
-        out = dict(self.terms)
-        _kernel.add_into(out, other.terms, -1)
-        return WeylOp(self.n, out)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, WeylOp):
-            return WeylOp(self.n, {k: c * other for k, c in self.terms.items()})
+            return self._scaled({k: c * other for k, c in self.packed.items()})
         self._check(other)
-        out = {}
-        _kernel.mul_into(out, self.terms, other.terms, self.n)
-        return WeylOp(self.n, out)
+        bound = self.bound + other.bound
+        a, b = _common(self, other, _kernel.size_for(bound))
+        out = _packed_at(a.size, ())
+        _kernel.mul_into(out, a, b, self.n)
+        return WeylOp._of(self.n, _kernel.trim(out), bound)
 
     def __rmul__(self, other):
-        return WeylOp(self.n, {k: other * c for k, c in self.terms.items()})
+        return self._scaled({k: other * c for k, c in self.packed.items()})
+
+    def _scaled(self, terms):
+        """This operator's exponents with the coefficients `terms`."""
+        return WeylOp._of(self.n, _kernel.trim(_packed_at(self.packed.size, terms)), self.bound)
 
     # -- actions and views ----------------------------------------------
     def apply(self, poly):
@@ -143,13 +222,13 @@ class WeylOp:
         so every term-monomial pair adds an int product, and each output
         coefficient is one rational over the product of the two lcms (an
         int when every input coefficient is an int)."""
-        n = self.n
-        op_den, op_coeffs = _cleared(self.terms.values())
+        n, packed = self.n, self.packed
+        op_den, op_coeffs = _cleared(packed.values())
         poly_den, poly_coeffs = _cleared(poly.values())
         monos = list(zip(poly, poly_coeffs))
         acc = {}
         get = acc.get
-        for key, c in zip(self.terms, op_coeffs):
+        for key, c in zip(_kernel.unpack_keys(packed, n, packed.size), op_coeffs):
             shift = [ai - bi for ai, bi in zip(key[:n], key[n:])]
             orders = [(i, bi) for i, bi in enumerate(key[n:]) if bi]
             for mono, pc in monos:
@@ -161,14 +240,14 @@ class WeylOp:
                 else:
                     tgt = tuple(map(add, mono, shift))
                     acc[tgt] = get(tgt, 0) + w
-        if all(type(c) is int for c in chain(self.terms.values(), poly.values())):
+        if all(type(c) is int for c in chain(packed.values(), poly.values())):
             return {m: c for m, c in acc.items() if c}
         den = op_den * poly_den
         return {m: rat(c, den) for m, c in acc.items() if c}
 
     def scalar_part(self):
         """Coefficient of the identity term."""
-        return self.terms.get((0,) * (2 * self.n), 0)
+        return self.packed.get(0, 0)
 
     def degree_shift_balanced(self):
         """True if every term raises and lowers total degree equally."""
@@ -176,11 +255,12 @@ class WeylOp:
         return all(sum(k[:n]) == sum(k[n:]) for k in self.terms)
 
     def __repr__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         bits = []
-        for key in sorted(self.terms, key=lambda k: (sum(k), k)):
-            c = self.terms[key]
+        for key in sorted(terms, key=lambda k: (sum(k), k)):
+            c = terms[key]
             n = self.n
             facs = [str(c)]
             for i in range(n):
@@ -202,7 +282,22 @@ def _cleared(coeffs):
     return den, [int(c.numerator) * (den // d) for c, d in zip(coeffs, dens)]
 
 
+def _common(x, y, size):
+    """The packed dicts of operators x and y at one size, at least `size`:
+    the wider of the two, the narrower one repacked to it."""
+    a, b = x.packed, y.packed
+    size = max(a.size, b.size, size)
+    if a.size < size:
+        a = _kernel.repack(a, x.n, size)
+    if b.size < size:
+        b = _kernel.repack(b, y.n, size)
+    return a, b
+
+
 def commutator(a, b):
     """[a, b] = a b - b a, formed by the kernel without either product."""
     a._check(b)
-    return WeylOp(a.n, _kernel.commutator_into({}, a.terms, b.terms, a.n))
+    bound = a.bound + b.bound
+    x, y = _common(a, b, _kernel.size_for(bound))
+    out = _kernel.commutator_into(_packed_at(x.size, ()), x, y, a.n)
+    return WeylOp._of(a.n, _kernel.trim(out), bound)

@@ -174,16 +174,29 @@ def test_loggamma_step_at_large_argument():
 
 
 def test_exact_rational_single_site():
-    lhs, rhs = tq_exact_rational(rat(3, 2), rat(1), rat(2),
-                                 (rat(1, 3), rat(4, 3)), (rat(-1, 2),))
-    assert lhs == rhs
-    lhs2, rhs2 = tq_exact_rational(rat(5, 7), rat(1), rat(3),
-                                   (rat(2, 5), rat(18, 5)), (rat(1, 9),))
-    assert lhs2 == rhs2
+    ok, lhs, rhs = tq_exact_rational(rat(3, 2), rat(1), rat(2),
+                                     (rat(1, 3), rat(4, 3)), (rat(-1, 2),))
+    assert ok and lhs == rhs and type(lhs) is type(rat(1))
+    ok2, lhs2, rhs2 = tq_exact_rational(rat(5, 7), rat(1), rat(3),
+                                        (rat(2, 5), rat(18, 5)), (rat(1, 9),))
+    assert ok2 and lhs2 == rhs2
     # two sites, eta != 1: the eta^(-+N) corrections, over rationals
-    lhs3, rhs3 = tq_exact_rational(rat(2, 3), rat(5, 4), rat(3, 2),
-                                   (rat(1, 2), rat(7, 5), rat(9, 8)), (rat(1, 3), rat(-2, 7)))
-    assert lhs3 == rhs3
+    ok3, lhs3, rhs3 = tq_exact_rational(rat(2, 3), rat(5, 4), rat(3, 2),
+                                        (rat(1, 2), rat(7, 5), rat(9, 8)),
+                                        (rat(1, 3), rat(-2, 7)))
+    assert ok3 and lhs3 == rhs3
+
+
+def test_exact_rational_fails_off_the_closure():
+    # y_2 moved off y_2 = xi y_1 by 1e-12, inside QKernelParams' tolerance:
+    # the twist is no longer triangular in the gauge, so the exact check fails
+    y = (rat(1, 3), rat(4, 3) + rat(1, 10 ** 12))
+    ok, _, _ = tq_exact_rational(rat(3, 2), rat(1), rat(2), y, (rat(-1, 2),))
+    assert not ok
+    # the triangularized diagonals are the exact inputs' own
+    p = QKernelParams(rat(3, 2), rat(1), rat(4), y, (rat(-1, 2),))
+    ur, (top, bot) = gauge_triangularize(0, p)
+    assert ur == 0 and top == p.z(0) and bot == (p.sigma + p.eta) / p.z(0)
 
 
 def test_exact_rational_refuses_through_the_kernel_params():

@@ -10,7 +10,8 @@ import pytest
 from dstlab._rat import rat
 from dstlab.backlund import BTParams, bt_solve, jtilde_invariance_residual, solvable_state
 from dstlab.errors import WrongRegime, ZeroXi
-from dstlab.lattice import LatticeState, Open, Periodic, Quasiperiodic, hamiltonian
+from dstlab.lattice import (LatticeState, Open, Periodic, Quasiperiodic, hamiltonian,
+                            principal_sqrt)
 from dstlab.monodromy import (adjugate_neg, boundary_C, boundary_K,
                               conserved_coeffs, generator, lax_L, lax_M,
                               lax_consistency_residual, monodromy,
@@ -383,6 +384,27 @@ def test_ring_is_the_twist_at_xi_one():
                     == repr(conserved_coeffs(st, Quasiperiodic(1)).hamiltonian_value))
     assert conserved_coeffs(real, Periodic()).regime == "periodic"
     assert conserved_coeffs(real, Quasiperiodic(1)).regime == "quasiperiodic"
+
+
+@pytest.mark.parametrize("bc", [Periodic(), Quasiperiodic(Fraction(4, 9))])
+def test_exact_state_keeps_an_exact_hamiltonian(bc):
+    # an exact square twist (the ring's int 1, or 4/9) has an exact root, so
+    # the generator's Hamiltonian is the exact one of lattice.hamiltonian
+    st = LatticeState((Fraction(1, 3), Fraction(2, 5)), (Fraction(-1, 2), Fraction(3, 7)))
+    h = conserved_coeffs(st, bc).hamiltonian_value
+    assert type(h) is Fraction and h == hamiltonian(st, bc)
+    if isinstance(bc, Periodic):
+        assert h == Fraction(-7561, 88200)
+
+
+def test_principal_sqrt_exact_squares():
+    assert principal_sqrt(1) == 1 and type(principal_sqrt(1)) is int
+    assert principal_sqrt(Fraction(4, 9)) == Fraction(2, 3)
+    assert type(principal_sqrt(Fraction(4, 9))) is Fraction
+    # no exact root, floats and negatives keep their float and complex roots
+    assert principal_sqrt(2) == 2 ** 0.5 and principal_sqrt(Fraction(1, 2)) == 0.5 ** 0.5
+    assert principal_sqrt(4.0) == 2.0 and type(principal_sqrt(4.0)) is float
+    assert principal_sqrt(-4) == 2j and principal_sqrt(Fraction(-1, 4)) == 0.5j
 
 
 @pytest.mark.parametrize("bc", [Periodic(), Quasiperiodic(2.0), Open(0.3, 0.7)])

@@ -653,7 +653,10 @@ def test_perturbed_tau_residual_matches_biop(monkeypatch, n):
     t = perturbed(n, p, integer_units(p))
     lhs = BiOp.lift(n, t, 0) * BiOp.lift(n, t, 1)
     rhs = BiOp.lift(n, t, 1) * BiOp.lift(n, t, 0)
-    residual = quantum._commutator_table(quantum._lift_terms(t, n), n)
+    # the table is on packed keys; it is unpacked before the comparison
+    size, (lifted,) = quantum._packed([quantum._lift_terms(t, n)], n)
+    residual = {ij: weyl._kernel.unpack_into({}, terms, n, size)
+                for ij, terms in quantum._commutator_table(lifted, n).items()}
     assert residual and residual == (lhs - rhs).t
     assert tau_commutes(n, p) == (False, lhs.witness_against(rhs))
 
@@ -679,6 +682,24 @@ def test_quantum_import_loads_no_numpy():
     # the exact engine needs no numpy, whose import costs about 0.17 s
     code = "import sys, dstlab.quantum; sys.exit('numpy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def test_builders_and_a_passing_check_unpack_no_keys(monkeypatch):
+    # WeylOp products hand packed dicts to the kernel, and a check unpacks
+    # only what leaves it, so a passing one unpacks nothing
+    kernel = weyl._kernel
+    calls = []
+    real = kernel.unpack_into
+
+    def counted(*args):
+        calls.append(args[2:])
+        return real(*args)
+
+    monkeypatch.setattr(kernel, "unpack_into", counted)
+    p = UNIT_PARAMS
+    dressed_U_op(3, p, integer_units(p))
+    assert q_reflection_dressed(2, p) == (True, None)
+    assert calls == []
 
 
 def test_dressed_reflection_three_sites_exact():

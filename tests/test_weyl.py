@@ -214,6 +214,52 @@ def test_commutator_into_is_both_products_differenced(ab, data):
     assert WeylOp(a.n, comm).apply(p) == k.trim(expected)
 
 
+def _tuple_product(*ops):
+    # the chained product by the tuple loop of tests/tuple_kernel.py
+    n, k = ops[0].n, _weylkernel_py
+    acc = dict(ops[0].terms)
+    for op in ops[1:]:
+        acc = k.trim(tuple_mul_into({}, acc, op.terms, n))
+    return acc
+
+
+def test_chained_products_cross_the_byte_boundary():
+    # q^100 q^100 d^90: the second product's exponent sums pass 127, so the
+    # operands are repacked to two bytes per slot on the way
+    q100, d90 = WeylOp(1, {(100, 0): 1}), WeylOp(1, {(0, 90): rat(1, 3)})
+    assert (q100.packed.size, q100.bound) == (1, 100)
+    prod = q100 * q100 * d90
+    assert prod.packed.size == 2 and prod.bound == 290
+    assert dict(prod.terms) == _tuple_product(q100, q100, d90) == {(200, 90): rat(1, 3)}
+    assert prod == WeylOp(1, {(200, 90): rat(1, 3)})
+    # d^90 q^100 reorders down to q^10: a bound of 190 packs at two bytes,
+    # the same terms built from their map, whose largest exponent is 100, at one
+    wide, narrow = d90 * q100, WeylOp(1, _tuple_product(d90, q100))
+    assert (wide.packed.size, narrow.packed.size) == (2, 1)
+    assert wide == narrow and narrow == wide and wide - narrow == 0
+    assert dict(wide.terms) == dict(narrow.terms)
+    assert wide != narrow * 2 and wide * 1 != narrow + WeylOp.q(1, 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_wide_pairs, st.integers(64, 120))
+def test_chained_wide_products_match_the_tuple_loop(ab, e):
+    # q_1^e a b d_1^e: exponent sums pass 127 along the chain, so products
+    # feed products at the size their bound needs; against the tuple loop and
+    # the same operator built from its term map at its own size
+    a, b = ab
+    n = a.n
+    qe = WeylOp(n, {(e,) + (0,) * (2 * n - 1): 1})
+    de = WeylOp(n, {(0,) * n + (e,) + (0,) * (n - 1): rat(1, e)})
+    prod = qe * a * b * de
+    expected = _tuple_product(qe, a, b, de)
+    assert dict(prod.terms) == expected
+    built = WeylOp(n, expected)
+    assert prod == built and built == prod
+    assert prod.packed.size == _weylkernel_py.size_for(prod.bound) == 2
+    assert commutator(qe * a, b) == qe * a * b - b * qe * a
+
+
 def _apply_stepwise(op, poly):
     # the reference action: one coefficient product per derivative order
     n = op.n
