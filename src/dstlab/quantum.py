@@ -35,12 +35,7 @@ and D*B relations.  So the integer identity in (Lambda, M) holds exactly
 when the rational one holds in (l, m), at the same parameter point.  The
 builders (qlax, qmonodromy, dressed_U_op, qtau, abcd_operators) take the
 units D as an optional last argument; the default D = 1 is the rational
-operator itself.  hq_extract reads tau in units D, whose lambda^k
-coefficient is D^(2N+2-k) tau_k: the lead stays +-1 and the subleading
-coefficient 0, and the Hamiltonian sign tau_(2N) / 2 is the int coefficient
-of lambda^(2N) over sign 2 D^2, the one division back to rationals.  So
-hq_classical_limit_residual, which extracts at eta = 1/k, runs in the
-units of each sample.
+operator itself; hq_extract makes the one division back to rationals.
 
 Exact residuals.  Every exact operator identity is checked as one
 residual lhs - rhs, formed as its antisymmetric part where it has one
@@ -59,25 +54,24 @@ pair, then the lowest exponent key.
   * RTT, the reflection algebras for K_- and K_+ and the dressed algebra
     have the shape R(s) X1(l) [R(t)] X2(m) = X2(m) [R(t)] X1(l) R(s) for a
     2x2 operator-polynomial matrix X (T, K_-, K_+^t or U) and
-    R(s) = s I + eta P with scalar s, t.  exchange_residual multiplies the
-    16 products X_ab(l) X_cd(m) once; no 4x4 product is formed.  The parts
-    of an entry that share a scalar up to sign, a product and a swapped
-    product, are differenced once into one table before they are scaled; a
-    difference used by two mirrored entries is formed once for both.
+    R(s) = s I + eta P with scalar s, t: exchange_residual forms the 16
+    entries from the 16 products X_ab(l) X_cd(m), no 4x4 product.  With s
+    antisymmetric in (l, m), t symmetric or absent and eta nonzero, as at
+    every caller, R(-s) Z(l, m) R(-s) = -(eta^2 - s^2) P Z(m, l) P holds for
+    the residual Z of any X, so (0,2), (2,0), (2,3) and (3,2) vanish once
+    (0,1), (1,0), (1,3) and (3,1) do, and (2,2) once (1,1), (1,2) and (2,1)
+    do.  Each of the five follows those in row-major order, so none is the
+    first nonzero entry, which holds the witness: exchange_check skips them.
   * The AB and Dstar-B relations are parts over the four products B A,
     B Dstar, A B and Dstar B, with products of linear factors as scalars.
 
 Packed keys.  Every WeylOp holds its terms on packed int keys (see
-dstlab.weyl), so the builders below multiply and add packed dicts without
-converting keys.  Each check lifts its operators' own packed dicts
-(_lift_terms) and brings them to one slot size (_packed), repacking only an
-operand packed narrower than the widest; so its product and commutator
-tables, swapped differences and assembled residual are all keyed by packed
-ints, which hash and add faster than tuples.  Only what leaves the check is
+dstlab.weyl), and each check brings its operators' own packed dicts to one
+slot size (_packed), so its tables and residual are keyed by packed ints,
+which hash and add faster than tuples.  Only what leaves a check is
 unpacked: the terms of the witness's degree pair, whose lowest key is taken
-in tuple order (an int compares the last slot first), and each nonzero
-entry that exchange_residual yields, which is where exchange_check reads
-its witness.
+in tuple order (an int compares the last slot first), and the entries
+exchange_residual yields.
 """
 from __future__ import annotations
 
@@ -88,7 +82,7 @@ from typing import NamedTuple
 from ._rat import rat
 from .errors import CostGuard, DegreeNotPreserved, NoOrderingMatches, TauShapeMismatch
 from .poly import Mat2, Poly, adjugate_neg
-from .weyl import WeylOp, _kernel
+from .weyl import WeylOp, _kernel, matmul_entries
 
 
 @dataclass(frozen=True)
@@ -280,17 +274,25 @@ def exchange_residual(x, n, eta, outer, middle=None):
     one part each.  Each entry's parts are summed by _assemble on packed
     keys, and a nonzero entry is unpacked as it is yielded."""
     size, lifted = _packed([_lift_terms(e, n) for e in x.entries()], n)
-    for entry, res in _exchange_entries(lifted, n, eta, outer, middle):
+    for entry, res in _exchange_entries(lifted, n, eta, outer, middle, False):
         yield entry, {ij: _kernel.unpack_into({}, terms, n, size) for ij, terms in res.items()}
 
 
-def _exchange_entries(lifted, n, eta, outer, middle):
-    """The 16 (entry, residual) pairs of exchange_residual on packed keys,
-    from X's entries lifted and packed (index 2a + b)."""
+def _exchange_entries(lifted, n, eta, outer, middle, crossing):
+    """The (entry, residual) pairs of exchange_residual on packed keys, in
+    row-major order, from X's entries lifted and packed (index 2a + b);
+    with `crossing`, less those the crossing identity decides."""
     add_into = _kernel.add_into
     prod = {(u, v): _product_table(xu, xv, n)
             for u, xu in enumerate(lifted) for v, xv in enumerate(lifted)}
 
+    # the entries the crossing identity decides, where it holds, and the
+    # swapped differences P[w] - P[w]~ that only they read
+    s_lambda, s_mu, s_const = outer
+    crossed = ({(0, 2), (2, 0), (2, 2), (2, 3), (3, 2)}
+               if crossing and eta and s_lambda == -s_mu != 0 and not s_const
+               and (middle is None or middle[0] == middle[1]) else ())
+    unread = {(2 * (row % 2) + col // 2, 2 * (row // 2) + col % 2) for row, col in crossed}
     s = _scalar(*outer)
     eta_s = {ij: eta * c for ij, c in s.items()}
     if middle is None:
@@ -298,13 +300,14 @@ def _exchange_entries(lifted, n, eta, outer, middle):
         sums = None
     else:
         t = _scalar(*middle)
-        sums = [[{} for _ in range(2)] for _ in range(2)]
+        # S[a][d] = P[a0][0d] + P[a1][1d], from copies of the e = 0 cells
+        sums = [[{ij: dict(terms) for ij, terms in prod[2 * a, d].items()} for d in range(2)]
+                for a in range(2)]
         for a in range(2):
             for d in range(2):
                 acc = sums[a][d]
-                for e in range(2):
-                    for ij, terms in prod[2 * a + e, 2 * e + d].items():
-                        add_into(acc.setdefault(ij, {}), terms)
+                for ij, terms in prod[2 * a + 1, 2 + d].items():
+                    add_into(acc.setdefault(ij, {}), terms)
         sums_swapped = [[_minus_swapped(p, p) for p in row] for row in sums]
     # exchanged[u, v] = P[u][v] - P[v][u]~ (u <= v) and swapped[u, v] =
     # P[u][v] - P[u][v]~; each product is dropped once its differences are formed
@@ -315,7 +318,9 @@ def _exchange_entries(lifted, n, eta, outer, middle):
         for v in range(u + 1, 4):
             puv, pvu = prod.pop((u, v)), prod.pop((v, u))
             exchanged[u, v] = _minus_swapped(puv, pvu)
-            swapped[u, v], swapped[v, u] = _minus_swapped(puv, puv), _minus_swapped(pvu, pvu)
+            for w, p in (((u, v), puv), ((v, u), pvu)):
+                if w not in unread:
+                    swapped[w] = _minus_swapped(p, p)
 
     st = _scalar_mul(s, t)
     eta_t = {ij: eta * c for ij, c in t.items()}
@@ -329,6 +334,8 @@ def _exchange_entries(lifted, n, eta, outer, middle):
     for row in range(4):
         a, c = divmod(row, 2)
         for col in range(4):
+            if (row, col) in crossed:
+                continue
             b, d = divmod(col, 2)
             u, v = 2 * a + b, 2 * c + d
             parts = [(st, exchanged[u, v], False) if u <= v else (st_neg, exchanged[v, u], True),
@@ -347,10 +354,12 @@ def exchange_check(x, n, eta, outer, middle=None):
     """Exact check of the exchange relation of exchange_residual.  Returns
     (ok, witness), the witness at the first nonzero residual entry in
     row-major order, lowest degree pair and exponent key; entries after it
-    are not formed."""
-    for entry, res in exchange_residual(x, n, eta, outer, middle):
+    are not formed, nor, under the crossing identity, the five entries that
+    cannot be the first nonzero one."""
+    size, lifted = _packed([_lift_terms(e, n) for e in x.entries()], n)
+    for entry, res in _exchange_entries(lifted, n, eta, outer, middle, True):
         if res:
-            return _verdict(res, entry)
+            return _verdict(res, entry, (n, size))
     return True, None
 
 
@@ -391,11 +400,12 @@ def _boundary_k(n_sites, xi, shift):
 
 def dressed_U_op(n_sites, params, units=1):
     """U(lambda) = T(lambda) K_-(lambda - eta/2, xi_-) sigma2 T^t(-lambda) sigma2
-    (D^(2N+1) U(Lambda/D) in units D, where K_- is D K_-(Lambda/D - eta/2))."""
+    (D^(2N+1) U(Lambda/D) in units D, where K_- is D K_-(Lambda/D - eta/2)),
+    with (T K_-) sigma2 T^t sigma2 multiplied in place by matmul_entries."""
     t = qmonodromy(n_sites, params, units)
     k_minus = _boundary_k(n_sites, _in_units(params.xi_minus, units),
                           -_in_units(params.eta / 2, units))
-    return t @ k_minus @ adjugate_neg(t)
+    return Mat2(*map(Poly, matmul_entries(n_sites, t @ k_minus, adjugate_neg(t))))
 
 
 def rtt_residual(n_sites, params, force=False):

@@ -21,6 +21,8 @@ wider only when the product needs more bytes than it has.  Products, sums
 and commutators hand their operands' packed dicts straight to the kernel;
 `terms` is a read-only view on tuple keys for the readers that need
 exponents (apply, repr, the classical image, the witnesses).
+matmul_entries multiplies 2x2 matrices of operator polynomials in place:
+the products that land on one coefficient accumulate in one packed dict.
 """
 from __future__ import annotations
 
@@ -301,3 +303,31 @@ def commutator(a, b):
     x, y = _common(a, b, _kernel.size_for(bound))
     out = _kernel.commutator_into(_packed_at(x.size, ()), x, y, a.n)
     return WeylOp._of(a.n, _kernel.trim(out), bound)
+
+
+def matmul_entries(n, x, y):
+    """The entries of the 2x2 product x y of matrices of operator
+    polynomials (coefficients WeylOps or 0), as lists of lambda-coefficients,
+    lowest degree first.  The products that land on one coefficient are
+    accumulated by the kernel into one packed dict, at the size of the
+    largest of their bounds, so no two operators are summed."""
+    x, y = [e.c for e in x.entries()], [e.c for e in y.entries()]
+    out = []
+    for i, j in ((0, 0), (0, 1), (2, 0), (2, 1)):
+        pairs = {}
+        for xs, ys in ((x[i], y[j]), (x[i + 1], y[j + 2])):
+            for p, a in enumerate(xs):
+                for r, b in enumerate(ys):
+                    if a and b:
+                        pairs.setdefault(p + r, []).append((a, b))
+        coeffs = []
+        for k in range(max(pairs, default=-1) + 1):
+            bound = max((a.bound + b.bound for a, b in pairs.get(k, ())), default=0)
+            size = _kernel.size_for(bound)
+            acc = _packed_at(size, ())
+            for a, b in pairs.get(k, ()):
+                a._check(b)
+                _kernel.mul_into(acc, *_common(a, b, size), n)
+            coeffs.append(WeylOp._of(n, _kernel.trim(acc), bound))
+        out.append(coeffs)
+    return out

@@ -1,4 +1,5 @@
 """Exact quantum-chain identities over the Weyl engine."""
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from dstlab import errors, quantum, verify, weyl
 from dstlab._rat import rat
 from dstlab.errors import CostGuard, DegreeNotPreserved
-from dstlab.poly import Mat2, Poly
+from dstlab.poly import Mat2, Poly, adjugate_neg
 from dstlab.quantum import (QParams, _boundary_k, _in_units, abcd_operators,
                             abd_commutation_residual, classical_image,
                             degree_basis, dressed_U_op, exchange_check,
@@ -24,6 +25,7 @@ from dstlab.verify import suite_quantum
 from dstlab.weyl import WeylOp
 from mat4_chain import (BiOp, chain_sides, embed_first, embed_second, mat4_eq,
                         transpose_first, transpose_second)
+from tuple_kernel import mul_into as tuple_mul_into
 
 P = QParams(1, rat(2, 3), rat(5, 7))
 ETAS = [rat(1), rat(1, 2), rat(3)]
@@ -566,6 +568,151 @@ def test_reflection_plus_residual_matches_chain(shift):
     assert not exchange_check(kt, 0, p.eta, (-1, 1, 0), (-1, -1, -s - 1))[0]
 
 
+# ---------------------------------------------------------------------------
+# the crossing identity: a check forms 11 of the 16 entries
+# ---------------------------------------------------------------------------
+
+CROSSED = {(0, 2), (2, 0), (2, 2), (2, 3), (3, 2)}
+
+
+def _full_scan(x, n, eta, outer, middle=None):
+    """(ok, witness) at the first nonzero of all 16 entries, row-major."""
+    for entry, res in exchange_residual(x, n, eta, outer, middle):
+        if res:
+            return quantum._verdict(res, entry)
+    return True, None
+
+
+def _perturbed(x, n, rng):
+    """x with one lambda-coefficient of one entry, up to one past its
+    degree, moved by +-1 or +-q_1."""
+    entries = list(x.entries())
+    e = rng.randrange(4)
+    c = list(entries[e].c)
+    k = rng.randrange(len(c) + 1)
+    c += [0] * (k + 1 - len(c))
+    c[k] = c[k] + rng.choice((1, -1)) * rng.choice((WeylOp.identity(n), WeylOp.q(n, 0)))
+    entries[e] = Poly(c)
+    return Mat2(*entries)
+
+
+def test_exchange_check_is_the_first_entry_of_the_full_scan():
+    # 60 perturbations of U (dressed, N = 1, 2) and T (RTT, N = 1..3): the
+    # check leaves five entries out, yet its verdict and witness are those of
+    # the scan of all 16
+    rng = random.Random(34)
+    p = UNIT_PARAMS
+    d = integer_units(p)
+    eta = _in_units(p.eta, d)
+    cases = [(dressed_U_op(n, p, d), n, (1, 1, -eta)) for n in (1, 2)]
+    cases += [(qmonodromy(n, p, d), n, None) for n in (1, 2, 3)]
+    witnessed = set()
+    for x, n, middle in cases:
+        for _ in range(12):
+            y = _perturbed(x, n, rng)
+            ok, witness = exchange_check(y, n, eta, (1, -1, 0), middle)
+            assert (ok, witness) == _full_scan(y, n, eta, (1, -1, 0), middle)
+            if not ok:
+                witnessed.add(witness.entry)
+    assert len(witnessed) > 3 and not witnessed & CROSSED
+
+
+@pytest.mark.parametrize("index, entry", [(0, (0, 0)), (1, (0, 3)), (2, (3, 0)), (3, (3, 3))])
+def test_exchange_check_reaches_entries_past_the_crossed_ones(index, entry):
+    # X whose only nonzero entry is f(l) = q_1 + l d_1, [f(l), f(m)] = l - m:
+    # its RTT residual is nonzero at one entry alone
+    f = Poly([WeylOp.q(1, 0), WeylOp.dq(1, 0)])
+    x = Mat2(*(f if k == index else Poly() for k in range(4)))
+    ok, witness = exchange_check(x, 1, 1, (1, -1, 0))
+    assert not ok and witness.entry == entry
+    assert (ok, witness) == _full_scan(x, 1, 1, (1, -1, 0))
+
+
+def _crossing_defects(residual, eta, outer):
+    """The entries (i, j) of the 4x4 residual Z at which the crossing identity
+    R(s) P Z(m, l) P R(s) = -(eta^2 - s^2) Z(l, m) fails; P Z P exchanges
+    the indices 1 and 2, and Z(m, l) is the table read swapped."""
+    s = quantum._scalar(*outer)
+    s2 = quantum._scalar_mul(s, s)
+    s_eta = {ij: eta * c for ij, c in s.items()}
+    eta2 = {(0, 0): eta * eta}
+    rhs = {ij: -c for ij, c in s2.items()}
+    rhs[0, 0] = rhs.get((0, 0), 0) + eta * eta
+    pi = (0, 2, 1, 3)
+    return [(i, j) for i in range(4) for j in range(4)
+            if quantum._assemble([(s2, residual[pi[i], pi[j]], True),
+                                  (s_eta, residual[i, pi[j]], True),
+                                  (s_eta, residual[pi[i], j], True),
+                                  (eta2, residual[i, j], True),
+                                  (rhs, residual[i, j], False)])]
+
+
+def test_crossing_identity_holds_for_any_matrix():
+    # on perturbed U and T, whose residuals are nonzero, every entry obeys
+    # the identity; a middle argument antisymmetric in (l, m) breaks it
+    rng = random.Random(341)
+    p = UNIT_PARAMS
+    d = integer_units(p)
+    eta = _in_units(p.eta, d)
+    u = _perturbed(dressed_U_op(1, p, d), 1, rng)
+    for x, n, middle in ((u, 1, (1, 1, -eta)), (_perturbed(qmonodromy(2, p, d), 2, rng), 2, None)):
+        residual = dict(exchange_residual(x, n, eta, (1, -1, 0), middle))
+        assert sum(map(bool, residual.values())) > 5
+        assert _crossing_defects(residual, eta, (1, -1, 0)) == []
+    residual = dict(exchange_residual(u, 1, eta, (1, -1, 0), (1, -1, 0)))
+    assert _crossing_defects(residual, eta, (1, -1, 0))
+
+
+@pytest.mark.parametrize("eta", ETAS)
+def test_crossed_entries_vanish_on_passing_checks(eta):
+    p = QParams(eta, *XI_PAIRS[0])
+    d = integer_units(p)
+    e = _in_units(eta, d)
+    s = rat(1, 2) * eta
+    checks = [(qmonodromy(2, p, d), 2, e, (1, -1, 0), None),
+              (dressed_U_op(2, p, d), 2, e, (1, -1, 0), (1, 1, -e)),
+              (_boundary_k(0, p.xi_minus, 0), 0, eta, (1, -1, 0), (1, 1, 0)),
+              (_boundary_k(0, p.xi_plus, s), 0, eta, (-1, 1, 0), (-1, -1, -2 * s))]
+    for x, n, eta_x, outer, middle in checks:
+        assert exchange_check(x, n, eta_x, outer, middle) == (True, None)
+        residual = dict(exchange_residual(x, n, eta_x, outer, middle))
+        assert len(residual) == 16 and all(residual[entry] == {} for entry in CROSSED)
+
+
+def _count_assembled(monkeypatch):
+    calls = []
+    real = quantum._assemble
+
+    def counted(parts):
+        calls.append(parts)
+        return real(parts)
+    monkeypatch.setattr(quantum, "_assemble", counted)
+    return calls
+
+
+@pytest.mark.parametrize("eta, outer, middle, formed", [
+    (1, (1, -1, 0), None, 11), (1, (1, -1, 0), (1, 1, -1), 11),
+    (1, (-3, 3, 0), (-1, -1, 0), 11), (1, (1, 1, 0), None, 16),
+    (1, (1, -1, 0), (1, -1, 0), 16), (1, (1, -1, 1), None, 16),
+    (1, (0, 0, 0), (1, 1, 0), 16), (0, (1, -1, 0), None, 16)])
+def test_crossing_leaves_entries_out_only_where_it_holds(monkeypatch, eta, outer, middle,
+                                                         formed):
+    # the identity matrix satisfies every exchange relation, so a check of it
+    # forms every entry it does not leave out
+    calls = _count_assembled(monkeypatch)
+    one = Mat2(Poly([1]), Poly(), Poly(), Poly([1]))
+    assert exchange_check(one, 0, eta, outer, middle) == (True, None)
+    assert len(calls) == formed
+    assert len(dict(exchange_residual(one, 0, eta, outer, middle))) == 16
+    assert len(calls) == formed + 16
+
+
+def test_passing_dressed_check_assembles_eleven_entries(monkeypatch):
+    calls = _count_assembled(monkeypatch)
+    assert q_reflection_dressed(2, UNIT_PARAMS) == (True, None)
+    assert len(calls) == 11
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_reverse_products_are_degree_swaps(n):
     p = UNIT_PARAMS
@@ -676,6 +823,32 @@ def test_perturbed_b_fails_bb_as_biop(monkeypatch, n):
     abd = abd_commutation_residual(n, p, force=True)
     assert not abd["bb"][0]
     assert abd == _biop_abd(n, p)
+
+
+def _dressed_chain(n_sites, params, units):
+    """U as the Mat2 chain T @ K_- @ sigma2 T^t sigma2, the oracle of the
+    in-place product in dressed_U_op."""
+    t = qmonodromy(n_sites, params, units)
+    k_minus = _boundary_k(n_sites, _in_units(params.xi_minus, units),
+                          -_in_units(params.eta / 2, units))
+    return t @ k_minus @ adjugate_neg(t)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dressed_U_op_is_the_chain(n):
+    for p in (UNIT_PARAMS, QParams(rat(-3, 4), 0, 2)):
+        for units in (1, integer_units(p)):
+            u, chain = dressed_U_op(n, p, units), _dressed_chain(n, p, units)
+            for entry, chained in zip(u.entries(), chain.entries()):
+                assert entry == chained and len(entry.c) == len(chained.c)
+                for c, d in zip(entry.c, chained.c):
+                    assert isinstance(c, WeylOp) or not isinstance(d, WeylOp)
+    # one product of two coefficients, at the slot size their bounds give,
+    # against the tuple loop
+    a, b = u.a11.c[n], u.a12.c[n - 1]
+    assert all(c.packed.size == weyl._kernel.size_for(c.bound) for c in (a, b))
+    expected = weyl._kernel.trim(tuple_mul_into({}, a.terms, b.terms, n))
+    assert dict((a * b).terms) == expected and expected
 
 
 def test_quantum_import_loads_no_numpy():

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from dstlab._rat import rat
 from dstlab.errors import SiteCountMismatch
-from dstlab.weyl import WeylOp, commutator, kernel_backend
+from dstlab.poly import Mat2, Poly
+from dstlab.weyl import WeylOp, commutator, kernel_backend, matmul_entries
 from dstlab import _weylkernel_py
 from tuple_kernel import mul_into as tuple_mul_into
 
@@ -239,6 +240,24 @@ def test_chained_products_cross_the_byte_boundary():
     assert wide == narrow and narrow == wide and wide - narrow == 0
     assert dict(wide.terms) == dict(narrow.terms)
     assert wide != narrow * 2 and wide * 1 != narrow + WeylOp.q(1, 0)
+
+
+def test_matmul_entries_cross_the_byte_boundary():
+    # coefficients q_1^100 and d_1^90: the products that land on a coefficient
+    # reach exponent 200, so each is accumulated at two bytes per slot; the
+    # entries equal the Mat2 chain's, a zero given as 0 included
+    q100, d90 = WeylOp(1, {(100, 0): 1}), WeylOp(1, {(0, 90): rat(1, 3)})
+    x = Mat2(Poly([q100, d90]), Poly(), Poly([0, q100]), Poly([WeylOp.identity(1)]))
+    entries = matmul_entries(1, x, x)
+    for coeffs, chained in zip(entries, (x @ x).entries()):
+        assert Poly(coeffs) == chained
+        for c in coeffs:
+            assert isinstance(c, WeylOp)
+            assert c.packed.size == _weylkernel_py.size_for(c.bound)
+            assert c.bound >= max((max(key) for key in c.terms), default=0)
+    a, b = entries[0][1], entries[2][2]
+    assert a.packed.size == b.packed.size == 2
+    assert dict((a * b).terms) == _tuple_product(a, b)
 
 
 @settings(max_examples=80, deadline=None)
