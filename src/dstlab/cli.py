@@ -172,11 +172,6 @@ def _dump(report, args, out):
         sys.stdout.write(text)
 
 
-def _fmt_c(z):
-    z = complex(z)
-    return [repr(z.real), repr(z.imag)]
-
-
 def cmd_simulate(args):
     from .verify import initial_state
     steps = args.t_final / args.dt
@@ -194,14 +189,15 @@ def cmd_simulate(args):
                      for v in st.flat())
     n = args.n
 
+    # t, the drift and a real state's entries are floats, and the
+    # coefficients complex, so repr of each (or of its parts) is the cell
     def row(t, sample):
-        cells = [repr(float(t))]
-        for v in sample.state.flat():
-            cells += _fmt_c(v) if is_complex else [repr(float(v))]
-        for c in sample.coeffs:
-            cells += _fmt_c(c) if is_complex else [repr(float(c.real))]
-        cells.append(repr(float(sample.drift)))
-        return ",".join(cells) + "\n"
+        z = sample.state.q + sample.state.r
+        if is_complex:
+            cells = ",".join(f"{v.real!r},{v.imag!r}" for v in z + sample.coeffs)
+        else:
+            cells = ",".join(map(repr, z + tuple(c.real for c in sample.coeffs)))
+        return f"{t!r},{cells},{sample.drift!r}\n"
 
     # Each row is written as it is sampled, so an interrupted run keeps the
     # rows before the interruption.

@@ -2,11 +2,13 @@
 import cmath
 import dataclasses
 import random
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from dstlab import monodromy as monodromy_module
 from dstlab._rat import rat
 from dstlab.backlund import BTParams, bt_solve, jtilde_invariance_residual, solvable_state
 from dstlab.errors import WrongRegime, ZeroXi
@@ -20,6 +22,7 @@ from dstlab.monodromy import (adjugate_neg, boundary_C, boundary_K,
 from dstlab.poly import Mat2, Poly
 from dstlab.verify import _sub_rng
 from lax_chain import lax_chain
+from lax_recurrence import lax_recurrence
 
 
 def _rand_state(rng, n, scale=1.0):
@@ -119,6 +122,48 @@ def test_monodromy_matches_the_lax_chain_bit_for_bit(kind):
             q = tuple(_scalar(rng, kind) for _ in range(n))
             r = tuple(_scalar(rng, kind) for _ in range(n))
             _assert_matches_the_chain(LatticeState(q, r))
+
+
+def _bits(x):
+    """A coefficient's type and value, a float or complex one by the IEEE
+    bits of its real and imaginary parts: shows the sign of a zero, a NaN's
+    payload and int against float."""
+    if isinstance(x, (float, complex)):
+        return type(x), struct.pack("<2d", x.real, x.imag)
+    return type(x), x
+
+
+@pytest.mark.parametrize("kind", ["float", "complex", "fraction", "signed-zeros"])
+def test_monodromy_is_the_list_recurrence_bit_for_bit(kind):
+    rng = random.Random(f"recurrence {kind}")
+    for n in (*range(1, 9), 12, 24, 31, 64):
+        for _ in range(40 if n <= 8 else 6):
+            q = tuple(_scalar(rng, kind) for _ in range(n))
+            r = tuple(_scalar(rng, kind) for _ in range(n))
+            st = LatticeState(q, r)
+            got, want = monodromy(st).entries(), lax_recurrence(st).entries()
+            assert [list(map(_bits, e.c)) for e in got] == \
+                [list(map(_bits, e.c)) for e in want], (n, q, r)
+
+
+def test_lax_steps_compile_once_per_depth(monkeypatch):
+    compiled = []
+
+    def counted(source, *rest):
+        compiled.append(source)
+        return compile(source, *rest)
+
+    monkeypatch.setattr(monodromy_module, "compile", counted, raising=False)
+    monodromy_module._lax_step.cache_clear()
+    rng = np.random.default_rng(24)
+    for n in (24, 6):
+        monodromy(_rand_state(rng, n))
+        assert len(compiled) == 23
+    assert monodromy_module._lax_step.cache_info().currsize == 23
+    # past the 128 entries of a default LRU cache, each depth still compiles once
+    for _ in range(2):
+        monodromy(_rand_state(rng, 130))
+        assert len(compiled) == 129
 
 
 def _determinant_states(seed):
