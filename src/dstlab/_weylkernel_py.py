@@ -39,11 +39,11 @@ and the result's slots must hold the exponent sums: a caller that feeds a
 product into a second product packs at a size whose top bit no exponent sum
 sets.  dstlab.weyl.WeylOp holds its terms this way, with an upper bound on
 its exponents that picks the size, so its products, sums and commutators,
-and the exact checks of dstlab.quantum, run on packed keys throughout.  On
-tuple-keyed dicts mul_into and commutator_into pack both operands, run the
-loop and unpack the result into `out`; no library caller uses that entry,
-which dstbench's kernel micro-benchmark and the tests' tuple-loop oracle
-comparisons call.
+and the exact checks of dstlab.quantum, run on packed keys throughout.
+commutator_into takes Packed operands only.  On tuple-keyed dicts mul_into
+packs both operands, runs the loop and unpacks the result into `out`; no
+library caller uses that entry, which dstbench's kernel micro-benchmark and
+the tests call.
 An int key hashes without walking a tuple, which also speeds add_into.
 
 This is the only kernel; dstlab.weyl imports it as `_kernel`.
@@ -222,29 +222,15 @@ def mul_into(out, ta, tb, n, factor=1):
     for two Packed operands, else on tuple keys."""
     if type(ta) is Packed:
         return _product_loop(out, ta, tb, n, factor, True)
-    if len(tb) == 1 and not any(next(iter(tb))):       # ta times a scalar
-        c = next(iter(tb.values())) * factor
-        for ka, ca in ta.items():
-            out[ka] = out.get(ka, 0) + ca * c
-        return out
-    if len(ta) == 1 and not any(next(iter(ta))):       # a scalar times tb
-        c = next(iter(ta.values())) * factor
-        for kb, cb in tb.items():
-            out[kb] = out.get(kb, 0) + c * cb
-        return out
     size = slot_size(ta, tb)
     acc = _product_loop({}, pack(ta, size), pack(tb, size), n, factor, True)
     return unpack_into(out, acc, n, size)
 
 
 def commutator_into(out, ta, tb, n):
-    """Accumulate ta * tb - tb * ta into the term dict `out`: on packed keys
-    for two Packed operands, else on tuple keys.  The plain key sums of the
-    two orders cancel, so each order adds only its k >= 1 terms."""
-    if type(ta) is not Packed:
-        size = slot_size(ta, tb)
-        acc = commutator_into({}, pack(ta, size), pack(tb, size), n)
-        return unpack_into(out, acc, n, size)
+    """Accumulate ta * tb - tb * ta on packed keys into the term dict `out`,
+    from two Packed operands of one size.  The plain key sums of the two
+    orders cancel, so each order adds only its k >= 1 terms."""
     _product_loop(out, ta, tb, n, 1, False)
     return _product_loop(out, tb, ta, n, -1, False)
 

@@ -33,12 +33,11 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import LogBranch, PoleEncountered, SingularG, SingularPrefactor
-from .lattice import (LatticeState, Open, Periodic, central_differences, principal_sqrt,
-                      worst)
+from .lattice import (POLE_GUARD, LatticeState, Open, Periodic, central_differences,
+                      principal_sqrt, worst)
 from .monodromy import boundary_C, boundary_K, generator, lax_L, mat2_array, monodromy
 from .poly import Mat2, adjugate_neg
 
-POLE_GUARD = 1e-12
 
 # Certificate tolerances by name, applied as written by `verify --suite
 # backlund` and `dstlab backlund`.  Twin certificates share one tolerance.

@@ -41,11 +41,10 @@ from dataclasses import dataclass
 from ._rng import PCG64
 from .errors import (EvaluationAtRoot, GammaPole, NewtonDiverged, NoConvergence,
                      PoleInput, RootCollision)
-from .lattice import (DEFAULT_FD_STEP, central_differences, lu_factor, newton, relative_steps,
-                      worst)
+from .lattice import (DEFAULT_FD_STEP, POLE_GUARD, central_differences, lu_factor, newton,
+                      principal_sqrt, relative_steps, worst)
 from .poly import Mat2, Poly
 
-POLE_GUARD = 1e-12
 BETHE_MAX_STARTS = 64  # randomized Newton starts before bethe_solve gives up
 BETHE_MAX_ITER = 80  # Newton iterations from one start before it counts as failed
 BETHE_TOL = 1e-12  # max-norm of the Bethe system at which Newton stops, times min(1, |eta|)
@@ -114,8 +113,8 @@ def kernel_sites(rng, n, xi):
 
 
 def _check_gamma_pole(z):
-    """GammaPole if z is within 1e-12 of a pole 0, -1, -2, ... of Gamma."""
-    if abs(z.imag) < 1e-12 and z.real <= 0 and abs(z.real - round(z.real)) < 1e-12:
+    """GammaPole if z is within POLE_GUARD of a pole 0, -1, -2, ... of Gamma."""
+    if abs(z.imag) < POLE_GUARD and z.real <= 0 and abs(z.real - round(z.real)) < POLE_GUARD:
         raise GammaPole(f"Gamma argument {z} hits a pole")
 
 
@@ -184,15 +183,6 @@ def _loggamma_step(z, a):
             + _stirling_tail(1 / (z + a)) - _stirling_tail(1 / z))
 
 
-def log_w(i, p):
-    """log of the site kernel (constant prefactor dropped), principal branches."""
-    z = complex(p.z(i))
-    s = complex(p.sigma) / complex(p.eta)
-    _check_gamma_pole(s + 1)
-    return (_loggamma(s + 1) - cmath.log(complex(p.y[i]))
-            + (-s - 1) * cmath.log(z) + z / complex(p.eta))
-
-
 def w_ratio_up(i, p):
     """w_i(sigma/eta + 1) / w_i(sigma/eta) = (sigma/eta + 1) / z_i."""
     return (p.sigma / p.eta + 1) / p.z(i)
@@ -233,18 +223,25 @@ def gauge_triangularize(i, p, wrong_index=False):
     return abs(g.a12), (g.a11, g.a22)
 
 
+def _gauged_chain(p, sq):
+    """(J, upper-right entries) of the triangularized chain: J =
+    prod(top diagonals) / sq + sq prod(bottom diagonals) with sq = xi^(1/2),
+    and the abs of every site's upper-right entry (`gauge_triangularize`)."""
+    top = bot = 1
+    upper_right = []
+    for i in range(p.n_sites):
+        ur, (t, b) = gauge_triangularize(i, p)
+        upper_right.append(ur)
+        top = top * t
+        bot = bot * b
+    return top / sq + sq * bot, upper_right
+
+
 def twisted_transfer_value(p):
     """J(sigma, xi) = xi^(-1/2) prod(top diagonals) + xi^(1/2) prod(bottom),
     from the triangularized chain (the gauge leaves the twist matrix
     invariant under the closure y_{N+1} = xi y_1)."""
-    top = 1.0 + 0j
-    bot = 1.0 + 0j
-    for i in range(p.n_sites):
-        _, (t, b) = gauge_triangularize(i, p)
-        top *= t
-        bot *= b
-    sq = cmath.sqrt(complex(p.xi))
-    return top / sq + sq * bot
+    return _gauged_chain(p, principal_sqrt(p.xi))[0]
 
 
 def tq_scalar_residual(p):
@@ -268,7 +265,7 @@ def tq_scalar_residual(p):
     log_z = sum(cmath.log(complex(p.z(i))) for i in range(n))
     down = n * _loggamma_step(s + 1, -1) + log_z
     up = n * _loggamma_step(s + 1, 1) - log_z
-    sq = cmath.sqrt(complex(p.xi))
+    sq = principal_sqrt(p.xi)
     rhs = (sigma ** n / sq) * eta ** (-n) * cmath.exp(down) \
         + sq * eta ** n * cmath.exp(up)
     lhs = twisted_transfer_value(p)
@@ -296,18 +293,11 @@ def tq_exact_rational(p_sigma, p_eta, p_xi_sqrt, y, q):
     p = QKernelParams(p_sigma, p_eta, p_xi_sqrt * p_xi_sqrt, y, q)
     n, sigma, eta = p.n_sites, p.sigma, p.eta
     twist = gauge_S(-p.y[0]) @ Mat2.diag(1 / p_xi_sqrt, p_xi_sqrt) @ gauge_S(p.y[-1])
-    upper_right = [twist.a12]
-    top = bot = down = up = 1
-    for i in range(n):
-        ur, (t, b) = gauge_triangularize(i, p)
-        upper_right.append(ur)
-        top = top * t
-        bot = bot * b
-        down = down * w_ratio_down(i, p)
-        up = up * w_ratio_up(i, p)
-    lhs = top / p_xi_sqrt + p_xi_sqrt * bot
+    lhs, upper_right = _gauged_chain(p, p_xi_sqrt)
+    down = math.prod(w_ratio_down(i, p) for i in range(n))
+    up = math.prod(w_ratio_up(i, p) for i in range(n))
     rhs = (sigma ** n / p_xi_sqrt) * down / eta ** n + p_xi_sqrt * up * eta ** n
-    return lhs == rhs and not any(upper_right), lhs, rhs
+    return lhs == rhs and not twist.a12 and not any(upper_right), lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +324,7 @@ def _tq_rhs(roots, n, xi, eta):
     sigma^N/s Q(sigma - eta) + s Q(sigma + eta), Q(sigma) = prod_j (sigma - mu_j),
     s = xi^(1/2), as a Poly: the one form of it that the Bethe system, Lambda
     and the polynomiality remainder read."""
-    sq = cmath.sqrt(complex(xi))
+    sq = principal_sqrt(xi)
     down, up = _shifted_q(roots, -eta), _shifted_q(roots, eta)
     return down.map(lambda c: c / sq).shift_up(n) + up.map(lambda c: sq * c)
 
@@ -426,7 +416,7 @@ def transfer_matrix_on_degree(n, m, xi, eta, sigma0):
 
     # RAT(eta) keeps a float eta's exact binary value
     t = qmonodromy(n, QParams(RAT(eta)))
-    sq = cmath.sqrt(complex(xi))
+    sq = principal_sqrt(xi)
     m11 = rep_of_op_poly(t.a11, sigma0, n, m)
     m22 = rep_of_op_poly(t.a22, sigma0, n, m)
     return [[a / sq + sq * d for a, d in zip(row11, row22)] for row11, row22 in zip(m11, m22)]

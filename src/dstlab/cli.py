@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -69,7 +70,12 @@ _nonzero = _number(float, lambda v: math.isfinite(v) and v != 0, "a finite nonze
 _rational = _number(Fraction, lambda v: True, "a rational number such as 2/3")
 
 
+@functools.cache
 def _build_parser():
+    """The command-line parser, built once per process: argparse's objects
+    form reference cycles that only the cyclic collector frees.  It holds no
+    handlers: `main` looks the cmd_* functions up when it dispatches, so a
+    rebound one is the one called."""
     p = _Parser(prog="dstlab",
                 description="integrable discrete self-trapping lattice laboratory")
     p.add_argument("--version", action="version", version=f"dstlab {__version__}")

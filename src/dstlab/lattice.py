@@ -280,6 +280,7 @@ def hamiltonian(state, bc):
 
 
 DEFAULT_FD_STEP = 1e-5
+POLE_GUARD = 1e-12  # distance below which backlund and baxter call a pole hit
 
 
 def central_differences(f, z, steps):

@@ -67,7 +67,7 @@ pair, then the lowest exponent key.
 
 Packed keys.  Every WeylOp holds its terms on packed int keys (see
 dstlab.weyl), and each check brings its operators' own packed dicts to one
-slot size (_packed), so its tables and residual are keyed by packed ints,
+slot size (_lifted), so its tables and residual are keyed by packed ints,
 which hash and add faster than tuples.  Only what leaves a check is
 unpacked: the terms of the witness's degree pair, whose lowest key is taken
 in tuple order (an int compares the last slot first), and the entries
@@ -132,24 +132,14 @@ class Witness(NamedTuple):
 # exact residuals from operator product tables
 # ---------------------------------------------------------------------------
 
-def _lift_terms(op_poly, n):
-    """{degree: Packed term dict} of a univariate operator polynomial: each
-    operator's own packed dict, not copied; scalar coefficients become
-    multiples of the identity, whose all-zero key packs to 0."""
-    out = {}
-    for k, c in enumerate(op_poly.c):
-        if isinstance(c, WeylOp):
-            if c.packed:
-                out[k] = c.packed
-        elif c != 0:
-            out[k] = WeylOp.scalar(n, c).packed
-    return out
-
-
-def _packed(lifted, n):
-    """The lifted polynomials of one check at one slot size, the widest of
-    theirs: (size, [{degree: Packed term dict}]), a dict packed narrower
-    repacked to it."""
+def _lifted(polys, n):
+    """The univariate operator polynomials of one check as (size,
+    [{degree: Packed term dict}]) at one slot size, the widest of theirs:
+    each operator's own packed dict, not copied, unless it is repacked to
+    that size; scalar coefficients become multiples of the identity, whose
+    all-zero key packs to 0."""
+    lifted = [{k: c.packed if isinstance(c, WeylOp) else WeylOp.scalar(n, c).packed
+               for k, c in enumerate(p.c) if c != 0} for p in polys]
     size = max((t.size for x in lifted for t in x.values()), default=1)
     return size, [{k: t if t.size == size else _kernel.repack(t, n, size)
                    for k, t in x.items()} for x in lifted]
@@ -273,7 +263,7 @@ def exchange_residual(x, n, eta, outer, middle=None):
     swapped under -s t.  P[cb][ad] - P[cb][ad]~ and S[c][d] - S[c][d]~ are
     one part each.  Each entry's parts are summed by _assemble on packed
     keys, and a nonzero entry is unpacked as it is yielded."""
-    size, lifted = _packed([_lift_terms(e, n) for e in x.entries()], n)
+    size, lifted = _lifted(x.entries(), n)
     for entry, res in _exchange_entries(lifted, n, eta, outer, middle, False):
         yield entry, {ij: _kernel.unpack_into({}, terms, n, size) for ij, terms in res.items()}
 
@@ -356,7 +346,7 @@ def exchange_check(x, n, eta, outer, middle=None):
     row-major order, lowest degree pair and exponent key; entries after it
     are not formed, nor, under the crossing identity, the five entries that
     cannot be the first nonzero one."""
-    size, lifted = _packed([_lift_terms(e, n) for e in x.entries()], n)
+    size, lifted = _lifted(x.entries(), n)
     for entry, res in _exchange_entries(lifted, n, eta, outer, middle, True):
         if res:
             return _verdict(res, entry, (n, size))
@@ -485,8 +475,7 @@ def qtau(n_sites, params, units=1):
 
 def tau_commutes(n_sites, params):
     """Exact [tau(lambda), tau(mu)] = 0 check in integer units; returns (ok, witness)."""
-    size, (t,) = _packed([_lift_terms(qtau(n_sites, params, integer_units(params)), n_sites)],
-                         n_sites)
+    size, (t,) = _lifted([qtau(n_sites, params, integer_units(params))], n_sites)
     return _verdict(_commutator_table(t, n_sites), packing=(n_sites, size))
 
 
@@ -682,7 +671,7 @@ def abd_commutation_residual(n_sites, params, force=False):
     d = integer_units(params)
     eta = _in_units(params.eta, d)
     a, b, _, _, ds = abcd_operators(n, params, d)
-    size, (a, b, ds) = _packed([_lift_terms(x, n) for x in (a, b, ds)], n)
+    size, (a, b, ds) = _lifted((a, b, ds), n)
     # four operator products X(l) Y(m); each reverse-order product is a degree swap
     BA, BD = _product_table(b, a, n), _product_table(b, ds, n)
     AB, DB = _product_table(a, b, n), _product_table(ds, b, n)

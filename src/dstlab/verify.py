@@ -653,8 +653,6 @@ def run_suites(suite="all", seed=1, xi_minus=None, xi_plus=None):
         "version": __version__,
         "suite": suite,
         "seed": int(seed),
-        # a fixed key: tolerances apply as written, so the factor is always 1
-        "tol_scale": 1.0,
         "records": [r.to_json() for r in records],
         "summary": {"total": len(records), "passed": n_pass,
                     "failed": len(records) - n_pass},

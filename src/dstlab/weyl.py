@@ -18,18 +18,19 @@ the larger of the two for a sum.  It picks the bytes per slot: a product is
 formed at a size whose top bit the product's bound does not set, so every
 operator can feed the next product as it is, and an operand is repacked
 wider only when the product needs more bytes than it has.  Products, sums
-and commutators hand their operands' packed dicts straight to the kernel;
-`terms` is a read-only view on tuple keys for the readers that need
-exponents (apply, repr, the classical image, the witnesses).
+and commutators hand their operands' packed dicts straight to the kernel.
+`terms` unpacks the keys to exponent tuples each time it is read, as a
+read-only mapping, for the readers that need exponents (repr, the classical
+image, the tests).
 matmul_entries multiplies 2x2 matrices of operator polynomials in place:
 the products that land on one coefficient accumulate in one packed dict.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping
 from itertools import chain
 from math import lcm, perm
 from operator import add
+from types import MappingProxyType
 
 from . import _weylkernel_py as _kernel
 from ._rat import rat
@@ -47,42 +48,6 @@ def _packed_at(size, terms):
     out = _kernel.Packed(terms)
     out.size = size
     return out
-
-
-class Terms(Mapping):
-    """Read-only view of an operator's terms on exponent-tuple keys.  Its
-    length is the packed dict's; the keys are unpacked on first use."""
-
-    __slots__ = ("_packed", "_n", "_tuples")
-
-    def __init__(self, packed, n):
-        self._packed, self._n, self._tuples = packed, n, None
-
-    def _dict(self):
-        if self._tuples is None:
-            self._tuples = _kernel.unpack_into({}, self._packed, self._n, self._packed.size)
-        return self._tuples
-
-    def __len__(self):
-        return len(self._packed)
-
-    def __getitem__(self, key):
-        return self._dict()[key]
-
-    def __iter__(self):
-        return iter(self._dict())
-
-    def keys(self):
-        return self._dict().keys()
-
-    def items(self):
-        return self._dict().items()
-
-    def values(self):
-        return self._dict().values()
-
-    def __repr__(self):
-        return repr(self._dict())
 
 
 class WeylOp:
@@ -109,8 +74,9 @@ class WeylOp:
 
     @property
     def terms(self):
-        """The terms on exponent-tuple keys, as a read-only mapping."""
-        return Terms(self.packed, self.n)
+        """The terms on exponent-tuple keys, as a read-only mapping unpacked
+        from `packed` when it is read."""
+        return MappingProxyType(_kernel.unpack_into({}, self.packed, self.n, self.packed.size))
 
     # -- constructors -------------------------------------------------
     @classmethod

@@ -2,6 +2,7 @@
 Bethe-root cross-validation."""
 import cmath
 import math
+import struct
 import subprocess
 import sys
 import time
@@ -11,10 +12,10 @@ import pytest
 
 from dstlab._rat import rat
 from dstlab.baxter import (CERT_TOL, BetheConfig, QKernelParams,
-                           SovParams, _loggamma, _loggamma_step, bethe_certificates,
-                           bethe_remainder, bethe_solve, bethe_system,
+                           SovParams, _check_gamma_pole, _loggamma, _loggamma_step,
+                           bethe_certificates, bethe_remainder, bethe_solve, bethe_system,
                            eigen_membership_residual, gauge_triangularize,
-                           kernel_sites, lambda_degree_probe, lambda_from_roots, log_w,
+                           kernel_sites, lambda_degree_probe, lambda_from_roots,
                            qj_lax, sov_residual, tq_exact_rational,
                            tq_scalar_residual, w_ratio_down, w_ratio_up)
 from dstlab.errors import (EvaluationAtRoot, GammaPole, NoConvergence,
@@ -35,6 +36,17 @@ def test_kernel_param_validation():
         QKernelParams(0.5, 1.0, 2.0, (1.0, 1.0), (0.3,))   # closure broken
     with pytest.raises(PoleInput):
         QKernelParams(0.5, 1.0, 1.0, (0.0, 0.0), (0.3,))
+
+
+def log_w(i, p):
+    """log of the site kernel w_i (constant prefactor dropped), principal
+    branches: the oracle for the closed-form kernel ratios and for qj_lax's
+    derivative."""
+    z = complex(p.z(i))
+    s = complex(p.sigma) / complex(p.eta)
+    _check_gamma_pole(s + 1)
+    return (_loggamma(s + 1) - cmath.log(complex(p.y[i]))
+            + (-s - 1) * cmath.log(z) + z / complex(p.eta))
 
 
 def test_log_w_value_and_poles():
@@ -206,6 +218,41 @@ def test_exact_rational_refuses_through_the_kernel_params():
         tq_exact_rational(rat(3, 2), rat(1), rat(2), (rat(1, 3), rat(5, 3)), (rat(-1, 2),))
     with pytest.raises(PoleInput):  # y_2 = q_1
         tq_exact_rational(rat(3, 2), rat(1), rat(2), (rat(1, 3), rat(4, 3)), (rat(4, 3),))
+
+
+def _bits(values):
+    return [struct.pack("<dd", complex(v).real, complex(v).imag) for v in values]
+
+
+@pytest.mark.parametrize("xi", [1.0, 2.0, -1.5, 0.5 + 0.2j, 4])
+def test_sqrt_xi_has_the_bits_of_the_complex_root(xi):
+    # the three users of xi^(1/2) take lattice.principal_sqrt, a float (an
+    # int at xi = 4) at xi > 0; CPython makes a float or int operand
+    # complex(x, 0.0) before it divides or multiplies a complex, so every
+    # value keeps the bits it has with cmath.sqrt(complex(xi))
+    from dstlab import baxter
+    from dstlab._rat import RAT
+    from dstlab.quantum import QParams, qmonodromy, rep_of_op_poly
+    sq = cmath.sqrt(complex(xi))
+    roots, n, eta = (0.3 + 0.1j, -0.7 + 0.4j), 3, 0.7
+    down, up = baxter._shifted_q(roots, -eta), baxter._shifted_q(roots, eta)
+    ref = down.map(lambda c: c / sq).shift_up(n) + up.map(lambda c: sq * c)
+    assert _bits(baxter._tq_rhs(roots, n, xi, eta).c) == _bits(ref.c)
+
+    y, q = kernel_sites(np.random.default_rng(5), n, xi)
+    p = QKernelParams(0.8 + 0.4j, eta, xi, y, q)
+    top = bot = 1.0 + 0j
+    for i in range(n):
+        _, (t, b) = gauge_triangularize(i, p)
+        top *= t
+        bot *= b
+    assert _bits([baxter.twisted_transfer_value(p)]) == _bits([top / sq + sq * bot])
+
+    t = qmonodromy(2, QParams(RAT(eta)))
+    m11, m22 = (rep_of_op_poly(e, 0.3, 2, 2) for e in (t.a11, t.a22))
+    ref = [a / sq + sq * d for r11, r22 in zip(m11, m22) for a, d in zip(r11, r22)]
+    got = baxter.transfer_matrix_on_degree(2, 2, xi, eta, 0.3)
+    assert _bits(e for row in got for e in row) == _bits(ref)
 
 
 def test_bethe_single_root_closed_form():

@@ -131,11 +131,11 @@ def test_simulate_bytes_are_pinned(options, tmp_path, capsys, monkeypatch):
 # processes and changes, not only within one run.
 _PINNED_REPORTS = {
     "verify --suite all --json --seed 1":
-        "f731b60bd6d8d0b1e2d45ba27c6f3a2582bc8a24fb96b33a386b3620a0bcc40c",
+        "d7210e1ac1ca4079bbd15c11c021ff4967223696a137ea5d4b0e30637828a6c8",
     "verify --suite all --json --seed 2":
-        "6275f3b83e727d23cac7bab195af60aedef31c79af7311bf1e16926473c728ec",
+        "312f6258872433f5080ea17f47a2c46b48f5a019c538a5dda088641d0c820379",
     "verify --suite all --json --seed 3":
-        "a21f719ee99fe22abb8ec3fed7d1407ad232d5d4a3c8e4fe3d8bfade91e245cf",
+        "0ee8d03187b44a4748b9362c465f93be9420d6b17dcc7cfb33c57db6016eb4e1",
     "backlund --json": "6be5c40d1e6e6d9ebb572bc5ab31a00ac03c185d1de383a334f894ef0bc096f3",
     "baxter --json": "5aad956dec1a1b263cd7fc4b0c68edd9513706286d4785d62dd60a0d47525b21",
     "baxter --n 3 --m 1 --xi 2 --eta 0.7 --json":

@@ -801,7 +801,7 @@ def test_perturbed_tau_residual_matches_biop(monkeypatch, n):
     lhs = BiOp.lift(n, t, 0) * BiOp.lift(n, t, 1)
     rhs = BiOp.lift(n, t, 1) * BiOp.lift(n, t, 0)
     # the table is on packed keys; it is unpacked before the comparison
-    size, (lifted,) = quantum._packed([quantum._lift_terms(t, n)], n)
+    size, (lifted,) = quantum._lifted([t], n)
     residual = {ij: weyl._kernel.unpack_into({}, terms, n, size)
                 for ij, terms in quantum._commutator_table(lifted, n).items()}
     assert residual and residual == (lhs - rhs).t

@@ -93,7 +93,8 @@ def test_zero_site_algebra_is_scalar():
 
 # Property tests of the kernel through WeylOp.  Operators mix exponents up to
 # 3 with exact rational coefficients; pure scalars (a lone all-zero key) are
-# drawn on purpose, since mul_into takes a separate path for them.
+# drawn too, and run the one product loop, since mul_into has no separate
+# path for them.
 
 _coeff = st.builds(rat, st.integers(-5, 5).filter(bool), st.integers(1, 4))
 
@@ -155,6 +156,19 @@ def test_products_associative_and_distributive(abc):
     assert kernel_backend() == "python"
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(_triples.map(lambda abc: abc[0] * abc[1] + abc[2]),
+                 _boundary_pairs.map(lambda ab: ab[0] * ab[1])))
+def test_terms_are_the_packed_dict_unpacked_read_only(op):
+    # operators packed at one and at two bytes per slot
+    terms = op.terms
+    assert dict(terms) == _weylkernel_py.unpack_into({}, op.packed, op.n, op.packed.size)
+    assert len(terms) == len(op.packed)
+    assert WeylOp(op.n, terms) == op
+    with pytest.raises(TypeError):
+        terms[(0,) * (2 * op.n)] = 1
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 2).flatmap(lambda n: st.tuples(_ops(n), _ops(n))), st.data())
 def test_product_acts_as_composition(ab, data):
@@ -179,12 +193,12 @@ def test_products_match_the_tuple_loop(ab, factor, data):
     # the packed loop, through tuple keys and on operands packed once, against
     # the tuple loop kept in tests/tuple_kernel.py
     a, b = ab
-    k, n = _weylkernel_py, a.n
-    expected = k.trim(tuple_mul_into({}, a.terms, b.terms, n, factor))
-    assert k.trim(k.mul_into({}, a.terms, b.terms, n, factor)) == expected
-    size = k.slot_size(a.terms, b.terms)
-    assert size == (1 if max(max(key) for t in (a.terms, b.terms) for key in t) < 128 else 2)
-    packed = k.mul_into({}, k.pack(a.terms, size), k.pack(b.terms, size), n, factor)
+    k, n, ta, tb = _weylkernel_py, a.n, a.terms, b.terms
+    expected = k.trim(tuple_mul_into({}, ta, tb, n, factor))
+    assert k.trim(k.mul_into({}, ta, tb, n, factor)) == expected
+    size = k.slot_size(ta, tb)
+    assert size == (1 if max(max(key) for t in (ta, tb) for key in t) < 128 else 2)
+    packed = k.mul_into({}, k.pack(ta, size), k.pack(tb, size), n, factor)
     assert all(type(key) is int for key in packed)
     assert k.trim(k.unpack_into({}, packed, n, size)) == expected
     # the action on commuting polynomials is an oracle independent of both
@@ -199,14 +213,13 @@ def test_commutator_into_is_both_products_differenced(ab, data):
     # the pairs and the k = 0 terms that commutator_into skips cancel exactly;
     # the two products come from the tuple loop kept in tests/tuple_kernel.py
     a, b = ab
-    k = _weylkernel_py
-    comm = k.trim(k.commutator_into({}, a.terms, b.terms, a.n))
-    both = tuple_mul_into({}, a.terms, b.terms, a.n)
-    tuple_mul_into(both, b.terms, a.terms, a.n, -1)
+    k, ta, tb = _weylkernel_py, a.terms, b.terms
+    size = k.slot_size(ta, tb)
+    packed = k.commutator_into({}, k.pack(ta, size), k.pack(tb, size), a.n)
+    comm = k.trim(k.unpack_into({}, packed, a.n, size))
+    both = tuple_mul_into({}, ta, tb, a.n)
+    tuple_mul_into(both, tb, ta, a.n, -1)
     assert comm == k.trim(both)
-    size = k.slot_size(a.terms, b.terms)
-    packed = k.commutator_into({}, k.pack(a.terms, size), k.pack(b.terms, size), a.n)
-    assert k.trim(k.unpack_into({}, packed, a.n, size)) == comm
     # the action on commuting polynomials is an oracle independent of both
     p = data.draw(_boundary_poly(a.n))
     expected = dict(a.apply(b.apply(p)))
